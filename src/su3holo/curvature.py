@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GELL_MANN, adjoint_matrix
+from .algebra import GELL_MANN, adjoint_matrix, octet_to_matrix
 from .errors import DegenerateInput
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -74,11 +74,36 @@ def _coeffs_from_frames(e: np.ndarray, a_mat: np.ndarray, level: int) -> np.ndar
     va = a_mat[..., :, idx]
     bra = np.einsum("...i,rij->...rj", va.conj(), GELL_MANN)
     g = bra @ a_mat  # g[..., r, b] = <a|lam_r|b>
-    gaps = e[..., idx, None] - e
-    with np.errstate(divide="ignore"):
-        w = np.where(np.arange(3) == idx, 0.0, 1.0 / gaps**2)
+    w = _gap_weights(e, idx)
     term = (g * w[..., None, :]) @ np.swapaxes(g.conj(), -1, -2)
     return term.imag / 2.0
+
+
+def _gap_weights(e: np.ndarray, idx: int) -> np.ndarray:
+    """Weights ``1 / E_ab^2`` for ``b != a`` and 0 for ``b == a``; shape (..., 3)."""
+    gaps = e[..., idx, None] - e
+    with np.errstate(divide="ignore"):
+        return np.where(np.arange(3) == idx, 0.0, 1.0 / gaps**2)
+
+
+def _flux_density(e: np.ndarray, a_mat: np.ndarray, du: np.ndarray, dv: np.ndarray,
+                  level: int) -> np.ndarray:
+    """Curvature contracted with two tangent octet vectors, ``du_r V_rs dv_s``,
+    for one level; eigenvalues (..., 3), eigenvector column matrices
+    (..., 3, 3) and tangents (..., 8) give shape (...).
+
+    The tangents enter the matrix elements before the level sum,
+    ``pu_b = <a|M(du)|b>`` with ``M = octet_to_matrix``, so that
+
+        ``du_r V_rs dv_s = 2 Im sum_{b != a} pu_b conj(pv_b) / E_ab^2``
+
+    and the (..., 8, 8) coefficient array is never formed."""
+    idx = level - 1
+    bra = a_mat[..., None, :, idx].conj()
+    pu = (bra @ octet_to_matrix(du) @ a_mat)[..., 0, :]
+    pv = (bra @ octet_to_matrix(dv) @ a_mat)[..., 0, :]
+    w = _gap_weights(e, idx)
+    return 2.0 * np.sum(w * (pu * pv.conj()).imag, axis=-1)
 
 
 def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> CurvatureTwoForm:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import _coeffs_from_frames
+from .curvature import _flux_density
 from .errors import DegenerateInput, UnderResolvedPath
 from .spectrum import DEFAULT_CLASSIFY_TOL, _frames, generic_mask
 
@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 OVERLAP_GUARD = 0.1
+
+# Cell budget of one surface-flux quadrature block (whole cell rows, at
+# least one row): bounds the working set independently of the patch size.
+_FLUX_BLOCK_CELLS = 4096
 
 
 @dataclass
@@ -76,11 +80,25 @@ class SurfacePatch:
     @classmethod
     def from_function(cls, fn, shape: tuple[int, int],
                       tol: float = DEFAULT_CLASSIFY_TOL) -> "SurfacePatch":
-        """Sample a map ``fn(u, v) -> octet vector`` on a regular grid."""
+        """Sample a map ``fn(u, v) -> octet vector`` on a regular grid.
+
+        Raises
+        ------
+        ValueError
+            If a sampled value does not have shape (8,).
+        """
         nu, nv = shape
         us = np.linspace(0.0, 1.0, nu)
         vs = np.linspace(0.0, 1.0, nv)
-        grid = np.array([[fn(u, v) for v in vs] for u in us], dtype=float)
+        grid = np.empty((nu, nv, 8))
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                value = np.asarray(fn(u, v), dtype=float)
+                if value.shape != (8,):
+                    raise ValueError(
+                        f"fn(u, v) must return 8 components, got shape {value.shape}"
+                    )
+                grid[i, j] = value
         return cls(grid, tol)
 
     def value(self, u: float, v: float) -> np.ndarray:
@@ -186,18 +204,27 @@ def loop_phase(path: LoopPath, level: int) -> float:
 def surface_flux(patch: SurfacePatch, level: int) -> float:
     """Flux ``integral of (1/2) V_rs dxi_r ^ dxi_s`` of one level's curvature
     through the patch: per-cell midpoint quadrature of the bilinear grid,
-    contracting the curvature with the (u, v) Jacobian two-vectors."""
+    contracting the curvature with the (u, v) Jacobian two-vectors.
+
+    The cells are visited in fixed-size blocks of whole cell rows (about
+    4096 cells, at least one row), and the Jacobians enter the eigenvector
+    matrix elements before the level sum, so no per-cell curvature array is
+    formed and the working set stays bounded whatever the patch size."""
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
     g = patch.grid
-    centers = (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:]) / 4.0
-    du = ((g[1:, :-1] + g[1:, 1:]) - (g[:-1, :-1] + g[:-1, 1:])) / 2.0
-    dv = ((g[:-1, 1:] + g[1:, 1:]) - (g[:-1, :-1] + g[1:, :-1])) / 2.0
-    if not np.all(generic_mask(centers, patch.tol)):
-        raise DegenerateInput("patch contains a degenerate quadrature point")
-    e, frames = _frames(centers)
-    v = _coeffs_from_frames(e, frames, level)
-    return float(np.einsum("uvr,uvrs,uvs->", du, v, dv))
+    rows = max(1, _FLUX_BLOCK_CELLS // (g.shape[1] - 1))
+    total = 0.0
+    for start in range(0, g.shape[0] - 1, rows):
+        b = g[start:start + rows + 1]
+        centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
+        du = ((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0
+        dv = ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0
+        if not np.all(generic_mask(centers, patch.tol)):
+            raise DegenerateInput("patch contains a degenerate quadrature point")
+        e, frames = _frames(centers)
+        total += float(np.sum(_flux_density(e, frames, du, dv, level)))
+    return total
 
 
 def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], float]:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
-from .curvature import _coeffs_from_frames
+from .curvature import _flux_density
 from .errors import DegenerateInput
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -207,8 +207,7 @@ def monopole_flux(direction, radius: float, level: int,
         if not np.all(generic_mask(xi, tol)):
             raise DegenerateInput("sphere passes through a degeneracy")
         e, frames = _frames(xi)
-        v = _coeffs_from_frames(e, frames, level)
-        integrand = np.einsum("...r,...rs,...s->...", d_th @ d_adj.T, v, d_ph @ d_adj.T)
+        integrand = _flux_density(e, frames, d_th @ d_adj.T, d_ph @ d_adj.T, level)
         return float(np.einsum("i,j,ij->", w_t, w_p, integrand))
 
     order = 12

@@ -147,12 +147,19 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
 
     Triple-degenerate if ``|xi| <= tol``; otherwise upper/lower degenerate
     when the corresponding gap falls below ``tol * |xi|``.
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` is not positive or ``xi`` has a NaN or infinite component.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     xi = _as_octet(xi)
     if xi.ndim != 1:
         raise ValueError("classify takes a single octet vector")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("classify requires finite octet components")
     norm = float(np.linalg.norm(xi))
     if norm <= tol:
         return DegeneracyClass.TRIPLE_DEGENERATE

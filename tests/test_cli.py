@@ -74,6 +74,14 @@ def test_degenerate_input_exits_2(capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("xi", ["nan,0,0,0,0,0,0,1", "0,0,inf,0,0,0,0,1"])
+def test_classify_non_finite_input_exits_1(capsys, xi):
+    assert main(["classify", "--xi", xi]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--bogus"])

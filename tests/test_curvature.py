@@ -7,6 +7,7 @@ from su3holo.algebra import adjoint_matrix
 from su3holo.curvature import (
     CurvatureTwoForm,
     _coeffs_from_frames,
+    _flux_density,
     curvature_rest_frame,
     curvature_spectral,
     curvature_transported,
@@ -89,6 +90,18 @@ def test_spectral_gauge_invariance():
         rephased = frames * phases
         redone = _coeffs_from_frames(en, rephased, 2)
         np.testing.assert_allclose(redone, base, atol=1e-12)
+
+
+def test_flux_density_equals_contracted_coefficients():
+    local = np.random.default_rng(56)  # leaves the module stream to the other tests
+    xis = np.stack([random_generic_octet(local) for _ in range(20)])
+    du, dv = local.standard_normal((2, 20, 8))
+    e, frames = _frames(xis)
+    for level in (1, 2, 3):
+        want = np.einsum("nr,nrs,ns->n", du, _coeffs_from_frames(e, frames, level), dv)
+        got = _flux_density(e, frames, du, dv, level)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+        np.testing.assert_allclose(_flux_density(e, frames, dv, du, level), -got, rtol=1e-14)
 
 
 def test_transported_equals_spectral():

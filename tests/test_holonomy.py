@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import random_generic_octet, wrap_angle
-from su3holo import DegenerateInput, UnderResolvedPath
+from su3holo import DegenerateInput, UnderResolvedPath, holonomy
 from su3holo.algebra import matrix_to_octet, octet_to_matrix
+from su3holo.curvature import _coeffs_from_frames
 from su3holo.holonomy import (
     LoopPath,
     SurfacePatch,
@@ -13,6 +16,7 @@ from su3holo.holonomy import (
     spherical_patch,
     surface_flux,
 )
+from su3holo.spectrum import _frames, generic_mask
 
 rng = np.random.default_rng(8080)
 
@@ -176,3 +180,83 @@ def test_phase_sum_rule_near_upper_degeneracy():
     assert abs(total) < 1e-3
     assert phases[0] == pytest.approx(-phases[1], abs=1e-3)
     assert abs(phases[2]) < 1e-3
+
+
+def random_patch(shape):
+    center = random_generic_octet(rng, margin=0.25)
+    center /= np.linalg.norm(center)
+    return SurfacePatch(center + 0.02 * rng.standard_normal(shape + (8,)))
+
+
+def cell_quadrature(g):
+    """Centers and (u, v) Jacobian vectors of every cell of the whole grid."""
+    centers = (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:]) / 4.0
+    du = ((g[1:, :-1] + g[1:, 1:]) - (g[:-1, :-1] + g[:-1, 1:])) / 2.0
+    dv = ((g[:-1, 1:] + g[1:, 1:]) - (g[:-1, :-1] + g[1:, :-1])) / 2.0
+    return centers, du, dv
+
+
+def full_patch_flux(patch, level):
+    # the whole-patch contraction the blocked quadrature must reproduce
+    centers, du, dv = cell_quadrature(patch.grid)
+    e, frames = _frames(centers)
+    return float(np.einsum("uvr,uvrs,uvs->", du, _coeffs_from_frames(e, frames, level), dv))
+
+
+@pytest.mark.parametrize("shape, budget", [
+    ((201, 201), None),
+    ((201, 201), 1400),  # 7-row blocks with a 4-row remainder
+    ((2, 2), None),
+    ((37, 5), None),
+    ((37, 5), 10),
+    ((3, 900), None),
+    ((3, 900), 256),  # one cell row exceeds the budget
+    ((3, holonomy._FLUX_BLOCK_CELLS + 100), None),
+])
+def test_blocked_flux_matches_whole_patch_contraction(monkeypatch, shape, budget):
+    if budget is not None:
+        monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", budget)
+    patch = random_patch(shape)
+    for level in (1, 2, 3):
+        want = full_patch_flux(patch, level)
+        assert surface_flux(patch, level) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_degenerate_center_in_last_block_raises():
+    nu, nv = 201, 201
+    u0, v0 = (nu - 1.5) / (nu - 1), 0.5 / (nv - 1)
+    e1, e2 = np.eye(8)[0], np.eye(8)[1]
+
+    def mapping(u, v):
+        # only (u0, v0), the center of the last cell row's first cell, is degenerate
+        return E8 + 1e-2 * ((u - u0) * e1 + (v - v0) * e2)
+
+    patch = SurfacePatch.from_function(mapping, (nu, nv))
+    centers, _, _ = cell_quadrature(patch.grid)
+    bad_rows = np.nonzero(~generic_mask(centers))[0]
+    rows_per_block = holonomy._FLUX_BLOCK_CELLS // (nv - 1)
+    last_block_start = (nu - 2) // rows_per_block * rows_per_block
+    assert bad_rows.tolist() == [nu - 2] and last_block_start > 0
+    for level in (1, 2, 3):
+        with pytest.raises(DegenerateInput, match="degenerate quadrature point"):
+            surface_flux(patch, level)
+
+
+def test_surface_flux_memory_is_bounded():
+    patch = random_patch((201, 201))
+    tracemalloc.start()
+    try:
+        surface_flux(patch, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_from_function_rejects_wrong_value_shape():
+    with pytest.raises(ValueError, match="8 components"):
+        SurfacePatch.from_function(lambda u, v: np.zeros(3), (3, 3))
+    with pytest.raises(ValueError, match="8 components"):
+        SurfacePatch.from_function(lambda u, v: np.zeros((1, 8)), (3, 3))
+    patch = SurfacePatch.from_function(lambda u, v: list(rest_point()), (2, 3))
+    assert patch.grid.shape == (2, 3, 8) and patch.grid.dtype == float

@@ -85,6 +85,17 @@ def test_classify():
     np.testing.assert_array_equal(mask, [False, True, False])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_rejects_non_finite_input(bad):
+    xi = e(3) + 3.0 * e(8)
+    xi[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        classify(xi)
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues(xi)
+    assert not generic_mask(xi[None])[0]
+
+
 def test_degeneracy_boundaries_match_cubic_extremes():
     # E12 -> 0 exactly as cubic -> -|xi|^3, and E23 -> 0 as cubic -> +|xi|^3
     for delta in (1e-2, 1e-5, 0.0):
