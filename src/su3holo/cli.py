@@ -11,17 +11,13 @@ no computation of its own.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, curvature, holonomy, limits, selfcheck, spectrum, tensors
+from . import __version__, curvature, holonomy, limits, spectrum, tensors
 from .algebra import invariants
 from .errors import DegenerateInput
 
@@ -89,27 +85,24 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, path: str | None) -> None:
+    _write(json.dumps(_jsonable(payload), indent=2) + "\n", path)
 
 
 def _emit_csv(rows: list[dict], columns: list[str], path: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in columns})
-    text = buf.getvalue()
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # Sweep fields are ints, repr floats, class names, "" and "nan": none of
+    # them holds a comma, quote or newline, so no field needs quoting.
+    lines = [",".join(columns)]
+    lines += [",".join(str(row.get(k, "")) for k in columns) for row in rows]
+    _write("\n".join(lines) + "\n", path)
 
 
 def _xi_from_args(args) -> np.ndarray:
@@ -307,6 +300,10 @@ def _sweep_points(args) -> np.ndarray:
             tries += 1
             if spectrum.classify(xi, args.classify_tol) is spectrum.DegeneracyClass.GENERIC:
                 pts.append(xi)
+        if len(pts) < args.count:
+            raise SystemExit2(
+                f"random generator found {len(pts)} of {args.count} generic points", 1
+            )
         return np.array(pts)
     if args.generator == "rest-frame":
         e12 = rng.uniform(0.2, 2.0, size=args.count)
@@ -344,23 +341,19 @@ def _sweep_row(index: int, xi: np.ndarray, level: int | None, tol: float) -> dic
 
 
 def _cmd_sweep(args) -> None:
+    # Rows are computed one by one on this thread (a thread pool measured
+    # about 2x slower); --threads is ignored.
     points = _sweep_points(args)
-    threads = args.threads or os.cpu_count() or 1
     columns = list(SWEEP_BASE_COLUMNS)
     if args.level is not None:
         columns += SWEEP_CURVATURE_COLUMNS
-    work = [(i, xi) for i, xi in enumerate(points)]
-    if threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda w: _sweep_row(w[0], w[1], args.level, args.classify_tol), work)
-            )
-    else:
-        rows = [_sweep_row(i, xi, args.level, args.classify_tol) for i, xi in work]
+    rows = [_sweep_row(i, xi, args.level, args.classify_tol) for i, xi in enumerate(points)]
     _emit_csv(rows, columns, args.output)
 
 
 def _cmd_selfcheck(args) -> int:
+    from . import selfcheck  # only this command needs the check battery
+
     results = selfcheck.run_all(args.seed)
     passed = sum(r.passed for r in results)
     for r in results:
@@ -482,7 +475,8 @@ def _add_common(p: argparse.ArgumentParser, point: bool = False) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--classify-tol", type=float, default=spectrum.DEFAULT_CLASSIFY_TOL)
     p.add_argument("--quadrature-tol", type=float, default=1e-4)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and ignored")
     if point:
         p.add_argument("--xi", type=_vec8, help="explicit octet vector, 8 comma-separated values")
         p.add_argument("--rest", type=_rest_pair, help="rest-frame pair x3,x8")

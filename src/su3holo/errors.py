@@ -8,5 +8,8 @@ class DegenerateInput(ValueError):
 
 
 class UnderResolvedPath(ValueError):
-    """Raised when consecutive eigenvector overlaps along a loop fall below
-    the resolution guard, so the discrete geometric phase is unreliable."""
+    """Raised when a discretized path or surface is too coarse for its
+    result to be trusted: consecutive eigenvector overlaps along a loop fall
+    below the resolution guard, so the discrete geometric phase is
+    unreliable, or the monopole-flux quadrature reaches its order cap
+    without two refinements agreeing within the tolerance."""

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _flux_density
-from .errors import DegenerateInput
+from .errors import DegenerateInput, UnderResolvedPath
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     _frames,
@@ -129,6 +128,9 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
 
 
 def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # numpy.polynomial costs milliseconds to import and only monopole_flux needs it
+    from numpy.polynomial.legendre import leggauss
+
     xs, ws = leggauss(order)
     theta = np.pi * (xs + 1.0) / 2.0
     w_theta = ws * np.pi / 2.0
@@ -153,14 +155,18 @@ def monopole_flux(direction, radius: float, level: int,
     displaces the sphere center away from the degenerate point.
 
     Quadrature is product Gauss-Legendre in (theta, phi), doubling the
-    order until two refinements agree within ``rel_tol * 2 pi``.
+    order from 12 up to at most 384 until two refinements agree within
+    ``rel_tol * 2 pi``.
 
     Raises
     ------
     ValueError
         If ``direction`` is not a unit vector on the upper degeneracy cone
-        (cubic invariant -1) within 1e-9, or the sphere is large enough to
-        reach the lower degeneracy.
+        (cubic invariant -1) within 1e-9, the sphere is large enough to
+        reach the lower degeneracy, or ``rel_tol`` is not positive and
+        finite.
+    UnderResolvedPath
+        If no two refinements up to order 384 agree within the tolerance.
     """
     direction = np.asarray(direction, dtype=float)
     quad, cubic = invariants(direction)
@@ -170,6 +176,8 @@ def monopole_flux(direction, radius: float, level: int,
         )
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    if not (np.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     offset = np.zeros(3) if center_offset is None else np.asarray(center_offset, float)
     if offset.shape != (3,):
         raise ValueError("center_offset must have 3 components")
@@ -210,12 +218,15 @@ def monopole_flux(direction, radius: float, level: int,
         integrand = _flux_density(e, frames, d_th @ d_adj.T, d_ph @ d_adj.T, level)
         return float(np.einsum("i,j,ij->", w_t, w_p, integrand))
 
-    order = 12
-    prev = flux_at(order)
+    bound = rel_tol * 2.0 * np.pi
+    order, cur = 12, flux_at(12)
     while order <= 192:
         order *= 2
-        cur = flux_at(order)
-        if abs(cur - prev) < rel_tol * 2.0 * np.pi:
+        prev, cur = cur, flux_at(order)
+        if abs(cur - prev) < bound:
             return cur
-        prev = cur
-    return prev
+    raise UnderResolvedPath(
+        f"monopole flux did not converge by quadrature order {order}: orders "
+        f"{order // 2} and {order} gave {prev!r} and {cur!r}, which differ by "
+        f"more than rel_tol * 2 pi = {bound:.3g}"
+    )

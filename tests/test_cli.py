@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from su3holo import cli
 from su3holo.cli import main
 
 E8 = "0,0,0,0,0,0,0,1"
@@ -119,6 +124,15 @@ def test_monopole_command(capsys):
     assert abs(doc["flux_over_2pi"]) == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-4", "nan"])
+def test_monopole_bad_quadrature_tol_exits_1(capsys, tol):
+    assert main(["monopole", "--direction", E8, "--radius", "1e-3",
+                 f"--quadrature-tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rel_tol" in captured.err
+
+
 def test_sweep_is_deterministic_with_fixed_columns(capsys):
     argv = ["sweep", "--generator", "random", "--count", "5", "--seed", "42",
             "--level", "1", "--threads", "2"]
@@ -131,6 +145,59 @@ def test_sweep_is_deterministic_with_fixed_columns(capsys):
     assert header == ("index,xi1,xi2,xi3,xi4,xi5,xi6,xi7,xi8,norm,phi,class,"
                       "e12,e23,e13,quadratic,cubic,v12,v45,v67,v38,vmax")
     assert len(first.splitlines()) == 6
+
+
+def test_sweep_threads_flag_is_ignored(capsys):
+    argv = ["sweep", "--generator", "random", "--count", "20", "--seed", "7", "--level", "2"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
+def test_short_random_sweep_exits_1(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--generator", "random", "--count", "3", "--scale", "0",
+                 "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "su3holo: error: random generator found 0 of 3 generic points\n"
+    assert not out.exists()
+
+
+def test_emit_csv_matches_dictwriter(capsys):
+    import csv
+    import io
+
+    columns = cli.SWEEP_BASE_COLUMNS + cli.SWEEP_CURVATURE_COLUMNS
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(6):
+        row = {k: repr(float(v)) for k, v in zip(columns, rng.standard_normal(len(columns)))}
+        row.update(index=i, phi="" if i == 1 else row["phi"], **{"class": "generic"})
+        if i == 2:
+            row.update(v12="nan", v45="nan", v67="nan", v38="nan", vmax="nan")
+        rows.append(row)
+    del rows[4]["vmax"]
+    cli._emit_csv(rows, columns, None)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: row.get(k, "") for k in columns})
+    assert capsys.readouterr().out.encode() == buf.getvalue().encode()
+
+
+def test_cli_import_defers_unused_modules():
+    # A fresh interpreter: pytest itself has loaded some of these modules.
+    src = Path(__file__).resolve().parent.parent / "src"
+    deferred = ["concurrent.futures", "csv", "numpy.polynomial", "su3holo.selfcheck"]
+    code = ("import sys, su3holo, su3holo.cli\n"
+            f"print([m for m in {deferred!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_ray_toward_degeneracy(capsys):

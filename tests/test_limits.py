@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from helpers import random_special_unitary
+from su3holo import UnderResolvedPath, limits
 from su3holo.algebra import adjoint_matrix
 from su3holo.curvature import curvature_spectral
 from su3holo.limits import gap_asymptotic, monopole_flux, singular_expansion
@@ -131,6 +134,43 @@ def test_monopole_flux_input_validation():
         monopole_flux(e(8), 0.5, 1)  # sphere reaches the lower degeneracy
     with pytest.raises(ValueError):
         monopole_flux(e(8), -1e-3, 1)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-4, np.nan, np.inf])
+def test_monopole_flux_rejects_bad_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        monopole_flux(e(8), 1e-3, 1, rel_tol=rel_tol)
+
+
+def test_monopole_flux_raises_when_orders_never_agree(monkeypatch):
+    # A flux density that grows with every call never settles.  The stubs
+    # skip the real nodes and spectra so the order-384 grid stays cheap; the
+    # stub weights sum to pi in theta and 2 pi in phi, like the real ones.
+    calls = []
+
+    def drifting_density(e, frames, du, dv, level):
+        calls.append(du.shape[0])
+        return np.full(du.shape[:2], float(len(calls)))
+
+    def flat_quadrature(order):
+        theta = (np.arange(order) + 0.5) * np.pi / order
+        phi = (np.arange(2 * order) + 0.5) * np.pi / order
+        return theta, np.full(order, np.pi / order), phi, np.full(2 * order, np.pi / order)
+
+    monkeypatch.setattr(limits, "_flux_density", drifting_density)
+    monkeypatch.setattr(limits, "_sphere_quadrature", flat_quadrature)
+    monkeypatch.setattr(limits, "_frames", lambda xi: (None, None))
+    monkeypatch.setattr(limits, "generic_mask", lambda xi, tol: np.ones(xi.shape[:-1], bool))
+    with pytest.raises(UnderResolvedPath, match="order 384") as exc:
+        monopole_flux(e(8), 1e-3, 1)
+    assert isinstance(exc.value, ValueError)
+    assert calls == [12, 24, 48, 96, 192, 384]
+    # the message states the last two values and the tolerance
+    message = str(exc.value)
+    assert "orders 192 and 384" in message
+    values = [float(v) for v in re.findall(r"gave (\S+) and (\S+),", message)[0]]
+    assert values == pytest.approx([5 * np.pi * TWO_PI, 6 * np.pi * TWO_PI], rel=1e-12)
+    assert message.endswith(f"= {1e-4 * TWO_PI:.3g}")
 
 
 def test_flux_quantization_across_random_directions():
