@@ -110,13 +110,7 @@ def _xi_from_args(args) -> np.ndarray:
         return args.xi
     if getattr(args, "rest", None) is not None:
         return args.rest
-    raise SystemExit2("one of --xi or --rest is required", 1)
-
-
-class SystemExit2(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    raise ValueError("one of --xi or --rest is required")
 
 
 def _cmd_classify(args) -> None:
@@ -217,7 +211,7 @@ def _loop_from_args(args) -> holonomy.LoopPath:
         return holonomy.LoopPath(np.array(data, dtype=float), args.classify_tol)
     for name in ("center", "axis1", "axis2", "radius"):
         if getattr(args, name) is None:
-            raise SystemExit2(f"loop generator needs --{name} (or --path-file)", 1)
+            raise ValueError(f"loop generator needs --{name} (or --path-file)")
     return holonomy.circle_loop(
         args.center, args.axis1, args.axis2, args.radius, args.samples,
         args.classify_tol,
@@ -244,7 +238,7 @@ def _patch_from_args(args) -> holonomy.SurfacePatch:
         return holonomy.SurfacePatch(np.array(data, dtype=float), args.classify_tol)
     for name in ("center", "frame1", "frame2", "frame3", "radius"):
         if getattr(args, name) is None:
-            raise SystemExit2(f"patch generator needs --{name} (or --patch-file)", 1)
+            raise ValueError(f"patch generator needs --{name} (or --patch-file)")
     frame = np.stack([args.frame1, args.frame2, args.frame3])
     return holonomy.spherical_patch(
         args.center, frame, args.radius,
@@ -288,7 +282,7 @@ def _sweep_points(args) -> np.ndarray:
     rng = np.random.default_rng(args.seed)
     if args.generator == "ray":
         if args.ray_from is None or args.toward is None:
-            raise SystemExit2("ray sweep needs --ray-from and --toward", 1)
+            raise ValueError("ray sweep needs --ray-from and --toward")
         deltas = np.logspace(
             math.log10(args.delta_start), math.log10(args.delta_stop), args.count
         )
@@ -301,8 +295,8 @@ def _sweep_points(args) -> np.ndarray:
             if spectrum.classify(xi, args.classify_tol) is spectrum.DegeneracyClass.GENERIC:
                 pts.append(xi)
         if len(pts) < args.count:
-            raise SystemExit2(
-                f"random generator found {len(pts)} of {args.count} generic points", 1
+            raise ValueError(
+                f"random generator found {len(pts)} of {args.count} generic points"
             )
         return np.array(pts)
     if args.generator == "rest-frame":
@@ -312,7 +306,7 @@ def _sweep_points(args) -> np.ndarray:
         pts[:, 2] = e12
         pts[:, 7] = (e12 + 2.0 * e23) / np.sqrt(3.0)
         return pts
-    raise SystemExit2(f"generator: unknown kind {args.generator!r}", 1)
+    raise ValueError(f"generator: unknown kind {args.generator!r}")
 
 
 def _sweep_row(index: int, xi: np.ndarray, level: int | None, tol: float) -> dict:
@@ -378,10 +372,20 @@ def _cmd_selfcheck(args) -> int:
 
 def _require_field(obj: dict, name: str, kind=None):
     if name not in obj:
-        raise SystemExit2(f"descriptor field {name!r} is missing", 1)
+        raise ValueError(f"descriptor field {name!r} is missing")
     if kind is not None and not isinstance(obj[name], kind):
-        raise SystemExit2(f"descriptor field {name!r} has the wrong type", 1)
+        raise ValueError(f"descriptor field {name!r} has the wrong type")
     return obj[name]
+
+
+def _optional_field(obj: dict, name: str, default):
+    # a present field must have the default's JSON type: an object, or a pair
+    value = obj.get(name, default)
+    if isinstance(default, dict) and not isinstance(value, dict):
+        raise ValueError(f"{name}: expected a JSON object")
+    if isinstance(default, list) and not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{name}: expected a list of two numbers")
+    return value
 
 
 def _cmd_job(args) -> int:
@@ -389,19 +393,19 @@ def _cmd_job(args) -> int:
         with open(args.file, encoding="utf-8") as fh:
             desc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"cannot read descriptor: {exc}", 1) from exc
+        raise ValueError(f"cannot read descriptor: {exc}") from exc
     if not isinstance(desc, dict):
-        raise SystemExit2("descriptor must be a JSON object", 1)
+        raise ValueError("descriptor must be a JSON object")
     if _require_field(desc, "schema", str) != SCHEMA:
-        raise SystemExit2(f"schema: expected {SCHEMA!r}", 1)
+        raise ValueError(f"schema: expected {SCHEMA!r}")
     command = _require_field(desc, "command", str)
-    tolerances = desc.get("tolerances", {})
-    output = desc.get("output", {})
+    tolerances = _optional_field(desc, "tolerances", {})
+    output = _optional_field(desc, "output", {})
     argv = [command]
     if "xi" in desc:
         xi = desc["xi"]
         if not isinstance(xi, list) or len(xi) != 8:
-            raise SystemExit2("xi: expected a list of 8 numbers", 1)
+            raise ValueError("xi: expected a list of 8 numbers")
         flag = "--direction" if command == "monopole" else "--xi"
         argv += [flag, ",".join(repr(float(v)) for v in xi)]
     if command == "monopole":
@@ -418,9 +422,8 @@ def _cmd_job(args) -> int:
         argv += ["--output", str(output["path"])]
     if "format" in output and output["format"]:
         argv += ["--format", str(output["format"])]
-    gen = desc.get("generator")
-    if gen is not None:
-        argv += _generator_argv(command, gen)
+    if "generator" in desc:
+        argv += _generator_argv(command, _optional_field(desc, "generator", {}))
     return main(argv)
 
 
@@ -436,7 +439,7 @@ def _generator_argv(command: str, gen: dict) -> list[str]:
         out += ["--center", vec("center8")]
         pair = _require_field(gen, "axis_pair", list)
         if len(pair) != 2:
-            raise SystemExit2("axis_pair: expected two 8-vectors", 1)
+            raise ValueError("axis_pair: expected two 8-vectors")
         out += ["--axis1", ",".join(repr(float(v)) for v in pair[0])]
         out += ["--axis2", ",".join(repr(float(v)) for v in pair[1])]
         out += ["--radius", repr(float(_require_field(gen, "radius")))]
@@ -445,19 +448,19 @@ def _generator_argv(command: str, gen: dict) -> list[str]:
         out += ["--center", vec("center8")]
         frame = _require_field(gen, "frame", list)
         if len(frame) != 3:
-            raise SystemExit2("frame: expected three 8-vectors", 1)
+            raise ValueError("frame: expected three 8-vectors")
         for k, v in enumerate(frame, 1):
             out += [f"--frame{k}", ",".join(repr(float(x)) for x in v)]
         out += ["--radius", repr(float(_require_field(gen, "radius")))]
-        theta = gen.get("theta_range", [0.0, math.pi])
+        theta = _optional_field(gen, "theta_range", [0.0, math.pi])
         out += ["--theta-min", repr(float(theta[0])), "--theta-max", repr(float(theta[1]))]
-        grid = gen.get("grid", [64, 128])
+        grid = _optional_field(gen, "grid", [64, 128])
         out += ["--grid", f"{int(grid[0])}x{int(grid[1])}"]
     elif kind in ("ray", "random", "rest-frame"):
         out += ["--generator", kind]
         if kind == "ray":
             out += ["--ray-from", vec("from8"), "--toward", vec("toward8")]
-            deltas = gen.get("delta_range", [1e-4, 1e-1])
+            deltas = _optional_field(gen, "delta_range", [1e-4, 1e-1])
             out += ["--delta-start", repr(float(deltas[0])),
                     "--delta-stop", repr(float(deltas[1]))]
         if "count" in gen:
@@ -465,7 +468,7 @@ def _generator_argv(command: str, gen: dict) -> list[str]:
         if "scale" in gen:
             out += ["--scale", repr(float(gen["scale"]))]
     else:
-        raise SystemExit2(f"generator.kind: unknown kind {kind!r}", 1)
+        raise ValueError(f"generator.kind: unknown kind {kind!r}")
     return out
 
 
@@ -573,14 +576,11 @@ def main(argv=None) -> int:
         if args.cmd == "job":
             return _cmd_job(args)
         if getattr(args, "format", None) == "csv" and args.cmd != "sweep":
-            raise SystemExit2("format: csv is only available for sweep", 1)
+            raise ValueError("format: csv is only available for sweep")
         if getattr(args, "format", None) == "json" and args.cmd == "sweep":
-            raise SystemExit2("format: sweep emits csv only", 1)
+            raise ValueError("format: sweep emits csv only")
         _HANDLERS[args.cmd](args)
         return 0
-    except SystemExit2 as exc:
-        sys.stderr.write(f"su3holo: error: {exc}\n")
-        return exc.code
     except DegenerateInput as exc:
         sys.stderr.write(f"su3holo: degenerate input: {exc}\n")
         return 2

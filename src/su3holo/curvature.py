@@ -26,11 +26,9 @@ from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
     SpectralData,
-    _frames,
-    classify,
+    _frames_at,
+    _point,
     diagonalizer,
-    eigenvalues,
-    energy_levels,
     octet_norm,
 )
 
@@ -59,12 +57,6 @@ class CurvatureTwoForm:
         if c.shape != (8, 8):
             raise ValueError(f"coefficients must be 8x8, got shape {c.shape}")
         self.coeffs = (c - c.T) / 2.0  # exactly antisymmetric
-
-
-def _require_generic(xi, tol: float, what: str) -> None:
-    klass = classify(xi, tol)
-    if klass is not DegeneracyClass.GENERIC:
-        raise DegenerateInput(f"{what} requires a generic spectrum, got {klass.value}")
 
 
 def _coeffs_from_frames(e: np.ndarray, a_mat: np.ndarray, level: int) -> np.ndarray:
@@ -113,8 +105,8 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
 
     using the closed-form eigenvectors.  The value is independent of the
     eigenvector gauge."""
-    _require_generic(xi, tol, "curvature_spectral")
-    e, a_mat = _frames(np.asarray(xi, dtype=float))
+    xi, s = _point(xi, tol, "curvature_spectral", generic=True)
+    e, a_mat = _frames_at(xi, s.energies)
     return CurvatureTwoForm(level, _coeffs_from_frames(e, a_mat, level))
 
 
@@ -159,17 +151,15 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     Well defined despite the residual torus gauge freedom of the
     diagonalizer (the rest-frame table is torus-invariant), and equal to
     the spectral route."""
-    _require_generic(xi, tol, "curvature_transported")
-    spectral = eigenvalues(np.asarray(xi, dtype=float), tol)
-    v0 = curvature_rest_frame(spectral, level)
-    d = adjoint_matrix(diagonalizer(xi, tol))
+    xi, s = _point(xi, tol, "curvature_transported", generic=True)
+    v0 = curvature_rest_frame(s, level)
+    d = adjoint_matrix(_frames_at(xi, s.energies)[1])
     return CurvatureTwoForm(level, d @ v0.coeffs @ d.T)
 
 
 def _all_levels(xi, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    _require_generic(xi, tol, "curvature")
-    xi = np.asarray(xi, dtype=float)
-    e, a_mat = _frames(xi)
+    xi, s = _point(xi, tol, "curvature", generic=True)
+    e, a_mat = _frames_at(xi, s.energies)
     stack = np.stack([_coeffs_from_frames(e, a_mat, a) for a in (1, 2, 3)])
     return e, stack
 
@@ -204,14 +194,13 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     gauge is pinned to the center point's pivot rows so the rule stays
     smooth across the stencil.  Default step: ``1e-5 * |xi|``.
     """
-    xi = np.asarray(xi, dtype=float)
-    _require_generic(xi, tol, "symplectic_two_form_fd")
+    xi, s = _point(xi, tol, "symplectic_two_form_fd", generic=True)
     if step is None:
         step = 1e-5 * octet_norm(xi)
-    h0 = np.diag(energy_levels(xi))
-    a0 = diagonalizer(xi, tol)
+    h0 = np.diag(s.energies)
+    a0 = _frames_at(xi, s.energies)[1]
     pivots = (int(np.argmax(np.abs(a0[:, 0]))), int(np.argmax(np.abs(a0[:, 1]))))
-    a0 = diagonalizer(xi, tol, pivots)
+    a0 = _frames_at(xi, s.energies, pivots)[1]
     thetas = np.empty((8, 3, 3), dtype=complex)
     for r in range(8):
         offset = np.zeros(8)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .curvature import _flux_density
 from .errors import DegenerateInput, UnderResolvedPath
-from .spectrum import DEFAULT_CLASSIFY_TOL, _frames, generic_mask
+from .spectrum import (DEFAULT_CLASSIFY_TOL, _closed_form, _frames, _frames_at, _resolved,
+                       generic_mask)
 
 __all__ = [
     "LoopPath",
@@ -167,11 +168,6 @@ def spherical_patch(center, frame, radius: float,
     return SurfacePatch(grid, tol)
 
 
-def _level_vectors(samples: np.ndarray, level: int) -> np.ndarray:
-    _, frames = _frames(samples)
-    return frames[..., :, level - 1]
-
-
 def loop_phase(path: LoopPath, level: int) -> float:
     """Discrete geometric phase of one level around a closed loop, in
     ``(-pi, pi]``: minus the argument of the cyclic product of consecutive
@@ -186,7 +182,7 @@ def loop_phase(path: LoopPath, level: int) -> float:
     """
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    vecs = _level_vectors(path.samples, level)
+    vecs = _frames(path.samples)[1][..., :, level - 1]
     nxt = np.roll(vecs, -1, axis=0)
     overlaps = np.einsum("ki,ki->k", vecs.conj(), nxt)
     mags = np.abs(overlaps)
@@ -220,9 +216,10 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
         centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
         du = ((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0
         dv = ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0
-        if not np.all(generic_mask(centers, patch.tol)):
+        c = _closed_form(centers)
+        if not np.all(_resolved(c.norm, c.gaps, patch.tol)):
             raise DegenerateInput("patch contains a degenerate quadrature point")
-        e, frames = _frames(centers)
+        e, frames = _frames_at(centers, c.levels)
         total += float(np.sum(_flux_density(e, frames, du, dv, level)))
     return total
 

@@ -17,6 +17,11 @@ interval endpoints ``phi = pi/6`` / ``phi = pi/2`` (equivalently where the
 cubic invariant reaches -|xi|^3 / +|xi|^3), and the triple degeneracy only
 at ``xi = 0``.
 
+The functions here are thin wrappers over one private core, which evaluates
+norm, cubic invariant and ``phi`` once per call and the levels and gaps from
+them, and over one rule for Generic points: ``|xi| > tol``,
+``E12 > tol |xi|``, ``E23 > tol |xi|``.
+
 Eigenvectors are likewise computed from the closed-form eigenvalues, by
 null-space extraction on ``H - E_a I`` (cross product of the two most
 independent rows), not by a generic eigensolver.
@@ -25,10 +30,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import cubic_invariant, octet_to_matrix
+from .algebra import _octet, cubic_invariant, octet_to_matrix
 from .errors import DegenerateInput
 
 __all__ = [
@@ -82,27 +88,72 @@ class SpectralData:
         return np.array([self.e1, self.e2, self.e3])
 
 
-def _as_octet(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != 8:
-        raise ValueError(f"octet vectors have 8 components, got shape {xi.shape}")
-    return xi
-
-
 def octet_norm(xi) -> float | np.ndarray:
     """Euclidean norm of (batches of) octet vectors."""
-    out = np.linalg.norm(_as_octet(xi), axis=-1)
+    out = np.linalg.norm(_octet(xi), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
-def _angle(xi: np.ndarray, norm: np.ndarray) -> np.ndarray:
+class _ClosedForm(NamedTuple):
+    """Norm and angle of octet vectors (..., 8).  The levels and gaps are
+    computed from them on each access (callers that need only one of the
+    two never allocate the other), so read each at most once."""
+
+    norm: np.ndarray
+    phi: np.ndarray
+
+    @property
+    def levels(self) -> np.ndarray:  # (..., 3), descending
+        return (self.norm[..., None] / np.sqrt(3.0)) * np.sin(self.phi[..., None] + _SHIFTS)
+
+    @property
+    def gaps(self) -> np.ndarray:  # (..., 3): E12, E23, E13
+        e12 = np.clip(self.norm * np.sin(self.phi - np.pi / 6.0), 0.0, None)
+        e23 = np.clip(self.norm * np.cos(self.phi), 0.0, None)
+        return np.stack([e12, e23, e12 + e23], axis=-1)
+
+
+def _closed_form(xi: np.ndarray) -> _ClosedForm:
+    """The closed form of octet vectors (..., 8).  The zero vector gets
+    ``phi = pi/3`` and zero levels and gaps.  A single point stays scalar:
+    ``norm**3`` can differ in the last bit between a scalar and an array."""
+    norm = np.linalg.norm(xi, axis=-1)
     # sin(3 phi) = -cubic / |xi|^3 with 3 phi in [pi/2, 3 pi/2], where the
     # sine is monotone, so phi = (pi - arcsin(.)) / 3 is the unique solution.
-    cubic = cubic_invariant(xi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s3 = np.where(norm > 0.0, -cubic / norm**3, 0.0)
-    s3 = np.clip(s3, -1.0, 1.0)
-    return (np.pi - np.arcsin(s3)) / 3.0
+        s3 = np.where(norm > 0.0, -cubic_invariant(xi) / norm**3, 0.0)
+    return _ClosedForm(norm, (np.pi - np.arcsin(np.clip(s3, -1.0, 1.0))) / 3.0)
+
+
+def _resolved(norm: np.ndarray, gaps: np.ndarray, tol: float):
+    """The Generic rule at relative tolerance ``tol``, one flag per condition:
+    ``|xi| > tol``, ``E12 > tol |xi|``, ``E23 > tol |xi|``."""
+    scale = tol * norm
+    return norm > tol, gaps[..., 0] > scale, gaps[..., 1] > scale
+
+
+def _point(xi, tol: float, caller: str, generic: bool = False) -> tuple[np.ndarray, SpectralData]:
+    """Validate a single octet vector and return it with its spectral record,
+    from one closed-form evaluation.  With ``generic`` set, a non-Generic
+    point raises ``DegenerateInput`` naming ``caller``."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    xi = _octet(xi)
+    if xi.ndim != 1:
+        raise ValueError(f"{caller} takes a single octet vector")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("classify requires finite octet components")
+    c = _closed_form(xi)
+    gaps = c.gaps
+    nonzero, upper, lower = _resolved(c.norm, gaps, tol)
+    klass = (DegeneracyClass.TRIPLE_DEGENERATE if not nonzero
+             else DegeneracyClass.UPPER_DEGENERATE if not upper
+             else DegeneracyClass.LOWER_DEGENERATE if not lower
+             else DegeneracyClass.GENERIC)
+    if generic and klass is not DegeneracyClass.GENERIC:
+        raise DegenerateInput(f"{caller} requires a generic spectrum, got {klass.value}")
+    phi = float(c.phi) if c.norm > 0.0 else float("nan")
+    return xi, SpectralData(*map(float, c.levels), phi, *map(float, gaps), klass)
 
 
 def phase_angle(xi) -> float | np.ndarray:
@@ -113,12 +164,10 @@ def phase_angle(xi) -> float | np.ndarray:
     ValueError
         For the zero vector, where the angle is undefined.
     """
-    xi = _as_octet(xi)
-    norm = np.linalg.norm(xi, axis=-1)
-    if np.any(norm == 0.0):
+    c = _closed_form(_octet(xi))
+    if np.any(c.norm == 0.0):
         raise ValueError("phase angle is undefined for the zero vector")
-    out = _angle(xi, norm)
-    return float(out) if out.ndim == 0 else out
+    return float(c.phi) if c.phi.ndim == 0 else c.phi
 
 
 def energy_levels(xi) -> np.ndarray:
@@ -126,20 +175,12 @@ def energy_levels(xi) -> np.ndarray:
 
     The zero vector yields ``(0, 0, 0)``.
     """
-    xi = _as_octet(xi)
-    norm = np.linalg.norm(xi, axis=-1)
-    phi = _angle(xi, norm)
-    return (norm[..., None] / np.sqrt(3.0)) * np.sin(phi[..., None] + _SHIFTS)
+    return _closed_form(_octet(xi)).levels
 
 
 def energy_gaps(xi) -> np.ndarray:
     """Gaps ``(E12, E23, E13)`` in closed form, shape (..., 3), all >= 0."""
-    xi = _as_octet(xi)
-    norm = np.linalg.norm(xi, axis=-1)
-    phi = _angle(xi, norm)
-    e12 = np.clip(norm * np.sin(phi - np.pi / 6.0), 0.0, None)
-    e23 = np.clip(norm * np.cos(phi), 0.0, None)
-    return np.stack([e12, e23, e12 + e23], axis=-1)
+    return _closed_form(_octet(xi)).gaps
 
 
 def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
@@ -153,46 +194,19 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
     ValueError
         If ``tol`` is not positive or ``xi`` has a NaN or infinite component.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    xi = _as_octet(xi)
-    if xi.ndim != 1:
-        raise ValueError("classify takes a single octet vector")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("classify requires finite octet components")
-    norm = float(np.linalg.norm(xi))
-    if norm <= tol:
-        return DegeneracyClass.TRIPLE_DEGENERATE
-    e12, e23, _ = energy_gaps(xi)
-    if e12 <= tol * norm:
-        return DegeneracyClass.UPPER_DEGENERATE
-    if e23 <= tol * norm:
-        return DegeneracyClass.LOWER_DEGENERATE
-    return DegeneracyClass.GENERIC
+    return _point(xi, tol, "classify")[1].degeneracy
 
 
 def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     """Boolean mask over a batch of octet vectors: True where Generic."""
-    xis = _as_octet(xis)
-    norm = np.linalg.norm(xis, axis=-1)
-    gaps = energy_gaps(xis)
-    return (norm > tol) & (gaps[..., 0] > tol * norm) & (gaps[..., 1] > tol * norm)
+    c = _closed_form(_octet(xis))
+    nonzero, upper, lower = _resolved(c.norm, c.gaps, tol)
+    return nonzero & upper & lower
 
 
 def eigenvalues(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> SpectralData:
     """Full closed-form spectral record for a single octet vector."""
-    xi = _as_octet(xi)
-    if xi.ndim != 1:
-        raise ValueError("eigenvalues takes a single octet vector")
-    norm = float(np.linalg.norm(xi))
-    e = energy_levels(xi)
-    e12, e23, e13 = energy_gaps(xi)
-    phi = phase_angle(xi) if norm > 0.0 else float("nan")
-    return SpectralData(
-        float(e[0]), float(e[1]), float(e[2]),
-        phi, float(e12), float(e23), float(e13),
-        classify(xi, tol),
-    )
+    return _point(xi, tol, "eigenvalues")[1]
 
 
 def rest_frame(xi) -> np.ndarray:
@@ -203,9 +217,11 @@ def rest_frame(xi) -> np.ndarray:
     is diagonal with nonincreasing entries and ``xi8 >= xi3/sqrt(3) >= 0``.
     Broadcasts over leading axes; idempotent; preserves both invariants.
     """
-    xi = _as_octet(xi)
-    e = energy_levels(xi)
-    out = np.zeros_like(xi)
+    return _rest_from_levels(energy_levels(xi))
+
+
+def _rest_from_levels(e: np.ndarray) -> np.ndarray:
+    out = np.zeros(e.shape[:-1] + (8,))
     out[..., 2] = e[..., 0] - e[..., 1]
     out[..., 7] = -np.sqrt(3.0) * e[..., 2]
     return out
@@ -257,10 +273,13 @@ def _frames(xi, pivots=None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenvalues and gauge-fixed eigenvector matrices for
     (batches of) octet vectors.  No degeneracy guard: callers must ensure
     the points are generic."""
-    xi = _as_octet(xi)
-    h = octet_to_matrix(xi)
-    e = energy_levels(xi)
-    a = _eigenvector_columns(h, e)
+    xi = _octet(xi)
+    return _frames_at(xi, _closed_form(xi).levels, pivots)
+
+
+def _frames_at(xi: np.ndarray, e: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray]:
+    """``_frames`` for octet vectors whose levels ``e`` are already known."""
+    a = _eigenvector_columns(octet_to_matrix(xi), e)
     return e, _fix_gauge(a, pivots)
 
 
@@ -282,11 +301,5 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
         If ``classify(xi, tol)`` is not Generic; eigenvector phases and
         mixing are not determined on the degeneracy surfaces.
     """
-    xi = _as_octet(xi)
-    if xi.ndim != 1:
-        raise ValueError("diagonalizer takes a single octet vector")
-    klass = classify(xi, tol)
-    if klass is not DegeneracyClass.GENERIC:
-        raise DegenerateInput(f"diagonalizer requires a generic spectrum, got {klass.value}")
-    _, a = _frames(xi, pivots)
-    return a
+    xi, s = _point(xi, tol, "diagonalizer", generic=True)
+    return _frames_at(xi, s.energies, pivots)[1]

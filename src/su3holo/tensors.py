@@ -29,10 +29,10 @@ from .errors import DegenerateInput
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
-    classify,
+    _frames_at,
+    _point,
+    _rest_from_levels,
     diagonalizer,
-    energy_gaps,
-    rest_frame,
 )
 
 __all__ = [
@@ -267,10 +267,10 @@ def octet_coefficients(level: int, rest_xi,
     """
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    xi = _require_rest_frame(rest_xi)
-    if classify(xi, tol) is not DegeneracyClass.GENERIC:
+    xi, s = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients")
+    if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
-    e12, e23, e13 = energy_gaps(xi)
+    e12, e23, e13 = s.e12, s.e23, s.e13
     x3, x8 = xi[2], xi[7]
     eta = octet_star(xi, xi)
     eta3, eta8 = eta[2], eta[7]
@@ -295,12 +295,13 @@ def delta_tensors(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DecoupletField:
     Independent of the residual torus gauge: a right torus factor multiplies
     each term by a unit phase of total charge zero.
     """
-    a = diagonalizer(xi, tol)
-    dec = np.einsum("ad,be,cf,def->abc", a, a, a, REST_DECOUPLET.astype(complex))
-    bar = np.einsum(
-        "ad,be,cf,def->abc",
-        a.conj(), a.conj(), a.conj(), REST_DECOUPLET.astype(complex),
-    )
+    return _decouplet_field(diagonalizer(xi, tol))
+
+
+def _decouplet_field(a: np.ndarray) -> DecoupletField:
+    rest = REST_DECOUPLET.astype(complex)
+    dec = np.einsum("ad,be,cf,def->abc", a, a, a, rest)
+    bar = np.einsum("ad,be,cf,def->abc", a.conj(), a.conj(), a.conj(), rest)
     return DecoupletField(dec, bar)
 
 
@@ -313,16 +314,13 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     pieces are reassembled and converted back to coefficients.  Agrees with
     the spectral and transported routes.
     """
-    xi = np.asarray(xi, dtype=float)
-    klass = classify(xi, tol)
-    if klass is not DegeneracyClass.GENERIC:
-        raise DegenerateInput(f"curvature_from_parts requires a generic spectrum, got {klass.value}")
-    e12, e23, e13 = energy_gaps(xi)
-    lam, mu = octet_coefficients(level, rest_frame(xi), tol)
+    xi, s = _point(xi, tol, "curvature_from_parts", generic=True)
+    e12, e23, e13 = s.e12, s.e23, s.e13
+    lam, mu = octet_coefficients(level, _rest_from_levels(s.energies), tol)
     prefactor = -1.0 / (4.0 * e12 * e13 * e23)
     x = prefactor * (lam * xi + mu * octet_star(xi, xi))
     v = decouplet_weight(level, e12, e23)
-    field_ = delta_tensors(xi, tol)
+    field_ = _decouplet_field(_frames_at(xi, s.energies)[1])
     parts = IrreducibleParts(
         1j * v * field_.decouplet, -1j * v * field_.antidecouplet, x
     )

@@ -290,3 +290,38 @@ def test_output_file_writing(tmp_path, capsys):
     assert main(["spectrum", "--xi", REST, "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["command"] == "spectrum"
+
+
+SPHERE_GENERATOR = {
+    "kind": "sphere-patch",
+    "center8": [0, 0, 0, 0, 0, 0, 0, 1],
+    "frame": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]],
+    "radius": 1e-3,
+}
+RAY_GENERATOR = {
+    "kind": "ray",
+    "from8": [0, 0, 0, 0, 0, 0, 0, 1],
+    "toward8": [0, 0, 1, 0, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("field, change", [
+    ("theta_range", {"generator": {**SPHERE_GENERATOR, "theta_range": [0.0]}}),
+    ("theta_range", {"generator": {**SPHERE_GENERATOR, "theta_range": 1.0}}),
+    ("grid", {"generator": {**SPHERE_GENERATOR, "grid": [11]}}),
+    ("delta_range", {"command": "sweep", "generator": {**RAY_GENERATOR, "delta_range": [1e-3]}}),
+    ("output", {"output": "out.json"}),
+    ("tolerances", {"tolerances": [1e-9]}),
+    ("generator", {"generator": ["sphere-patch"]}),
+    ("generator", {"generator": None}),
+])
+def test_job_descriptor_field_errors_exit_1(tmp_path, capsys, monkeypatch, field, change):
+    monkeypatch.chdir(tmp_path)
+    desc = {"schema": "su3holo/1", "command": "surface-flux", "level": 1,
+            "generator": SPHERE_GENERATOR, **change}
+    (tmp_path / "job.json").write_text(json.dumps(desc))
+    assert main(["job", "job.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"su3holo: error: {field}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
