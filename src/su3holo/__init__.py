@@ -1,97 +1,53 @@
 """su3holo: closed-form spectra, adjoint-orbit geometry and geometric-phase
 curvature for three-level Hamiltonians on the eight-dimensional octet
-parameter space."""
+parameter space.
+
+Importing the package loads none of its submodules.  The names below, and
+the submodules themselves (``su3holo.spectrum`` and so on), resolve on
+first attribute access: the home module is imported then and the value is
+kept in the package namespace, so each submodule is loaded only when used."""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    GELL_MANN,
-    CoordinateForm,
-    adjoint_matrix,
-    cubic_invariant,
-    from_coordinates,
-    gellmann,
-    invariants,
-    matrix_to_octet,
-    octet_star,
-    octet_to_matrix,
-    octet_wedge,
-    quadratic_invariant,
-    structure_constants,
-    to_coordinates,
-)
-from .curvature import (
-    CurvatureTwoForm,
-    curvature_rest_frame,
-    curvature_spectral,
-    curvature_transported,
-    level_sum,
-    symplectic_two_form_fd,
-    weighted_sum,
-)
-from .errors import DegenerateInput, UnderResolvedPath
-from .holonomy import (
-    LoopPath,
-    SurfacePatch,
-    circle_loop,
-    loop_phase,
-    phase_sum_rule_check,
-    spherical_patch,
-    surface_flux,
-)
-from .kinematics import (
-    OrbitDescriptor,
-    char_poly_coeffs,
-    hermitian,
-    hermitian_basis,
-    jordan_product,
-    lie_wedge,
-    orbit_type,
-    same_orbit,
-    trace_inner,
-)
-from .limits import (
-    GapAsymptotic,
-    SingularExpansion,
-    gap_asymptotic,
-    monopole_flux,
-    singular_expansion,
-)
-from .orbits import (
-    OrbitInvariants,
-    orbit_invariants,
-    orbit_metric_eval,
-    symplectic_eval,
-    symplectic_kernel_dim,
-)
-from .spectrum import (
-    DEFAULT_CLASSIFY_TOL,
-    DegeneracyClass,
-    SpectralData,
-    classify,
-    diagonalizer,
-    eigenvalues,
-    energy_gaps,
-    energy_levels,
-    octet_norm,
-    phase_angle,
-    rest_frame,
-)
-from .tensors import (
-    AntisymTensor,
-    DecoupletField,
-    IrreducibleParts,
-    curvature_from_parts,
-    decouplet_weight,
-    delta_tensors,
-    from_tensor_components,
-    octet_coefficients,
-    octet_components,
-    octet_from_coefficients,
-    octet_matrix,
-    project_irreducible,
-    reconstitute,
-    to_tensor_components,
-)
+# home submodule -> the public names the package re-exports from it
+_EXPORTS = {
+    "algebra": "GELL_MANN CoordinateForm adjoint_matrix cubic_invariant from_coordinates "
+               "gellmann invariants matrix_to_octet octet_star octet_to_matrix octet_wedge "
+               "quadratic_invariant structure_constants to_coordinates",
+    "curvature": "CurvatureTwoForm curvature_rest_frame curvature_spectral curvature_transported "
+                 "level_sum symplectic_two_form_fd weighted_sum",
+    "errors": "DegenerateInput UnderResolvedPath",
+    "holonomy": "LoopPath SurfacePatch circle_loop loop_phase phase_sum_rule_check "
+                "spherical_patch surface_flux",
+    "kinematics": "OrbitDescriptor char_poly_coeffs hermitian hermitian_basis jordan_product "
+                  "lie_wedge orbit_type same_orbit trace_inner",
+    "limits": "GapAsymptotic SingularExpansion gap_asymptotic monopole_flux singular_expansion",
+    "orbits": "OrbitInvariants orbit_invariants orbit_metric_eval symplectic_eval "
+              "symplectic_kernel_dim",
+    "spectrum": "DEFAULT_CLASSIFY_TOL DegeneracyClass SpectralData classify diagonalizer "
+                "eigenvalues energy_gaps energy_levels octet_norm phase_angle rest_frame",
+    "tensors": "AntisymTensor DecoupletField IrreducibleParts curvature_from_parts "
+               "decouplet_weight delta_tensors from_tensor_components octet_coefficients "
+               "octet_components octet_from_coefficients octet_matrix project_irreducible "
+               "reconstitute to_tensor_components",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule binds it in this namespace
+        return _import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

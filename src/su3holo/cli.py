@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, curvature, holonomy, limits, spectrum, tensors
-from .algebra import invariants
+from . import __version__
 from .errors import DegenerateInput
 
 SCHEMA = "su3holo/1"
@@ -114,6 +113,8 @@ def _xi_from_args(args) -> np.ndarray:
 
 
 def _cmd_classify(args) -> None:
+    from . import spectrum
+
     xi = _xi_from_args(args)
     s = spectrum.eigenvalues(xi, args.classify_tol)
     payload = {
@@ -128,6 +129,9 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
+    from . import spectrum
+    from .algebra import invariants
+
     xi = _xi_from_args(args)
     s = spectrum.eigenvalues(xi, args.classify_tol)
     quad, cubic = invariants(xi)
@@ -146,12 +150,16 @@ def _cmd_spectrum(args) -> None:
 
 
 def _curvature_routes(xi, level: int, route: str, tol: float) -> dict:
+    from . import curvature
+
     routes = {}
     if route in ("spectral", "all"):
         routes["spectral"] = curvature.curvature_spectral(xi, level, tol).coeffs
     if route in ("transported", "all"):
         routes["transported"] = curvature.curvature_transported(xi, level, tol).coeffs
     if route in ("parts", "all"):
+        from . import tensors
+
         routes["parts"] = tensors.curvature_from_parts(xi, level, tol).coeffs
     return routes
 
@@ -178,6 +186,8 @@ def _cmd_curvature(args) -> None:
 
 
 def _cmd_decompose(args) -> None:
+    from . import curvature, spectrum, tensors
+
     xi = _xi_from_args(args)
     level = args.level
     form = curvature.curvature_spectral(xi, level, args.classify_tol)
@@ -205,6 +215,8 @@ def _cmd_decompose(args) -> None:
 
 
 def _loop_from_args(args) -> holonomy.LoopPath:
+    from . import holonomy
+
     if args.path_file:
         with open(args.path_file, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -219,6 +231,8 @@ def _loop_from_args(args) -> holonomy.LoopPath:
 
 
 def _cmd_loop_phase(args) -> None:
+    from . import holonomy
+
     loop = _loop_from_args(args)
     payload = {"schema": SCHEMA, "command": "loop_phase", "samples": len(loop.samples)}
     if args.level:
@@ -232,6 +246,8 @@ def _cmd_loop_phase(args) -> None:
 
 
 def _patch_from_args(args) -> holonomy.SurfacePatch:
+    from . import holonomy
+
     if args.patch_file:
         with open(args.patch_file, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -247,6 +263,8 @@ def _patch_from_args(args) -> holonomy.SurfacePatch:
 
 
 def _cmd_surface_flux(args) -> None:
+    from . import holonomy
+
     patch = _patch_from_args(args)
     level = args.level or 1
     payload = {
@@ -260,6 +278,8 @@ def _cmd_surface_flux(args) -> None:
 
 
 def _cmd_monopole(args) -> None:
+    from . import limits
+
     level = args.level or 1
     flux = limits.monopole_flux(
         args.direction, args.radius, level,
@@ -279,6 +299,8 @@ def _cmd_monopole(args) -> None:
 
 
 def _sweep_points(args) -> np.ndarray:
+    from . import spectrum
+
     rng = np.random.default_rng(args.seed)
     if args.generator == "ray":
         if args.ray_from is None or args.toward is None:
@@ -309,29 +331,35 @@ def _sweep_points(args) -> np.ndarray:
     raise ValueError(f"generator: unknown kind {args.generator!r}")
 
 
-def _sweep_row(index: int, xi: np.ndarray, level: int | None, tol: float) -> dict:
-    s = spectrum.eigenvalues(xi, tol)
-    quad, cubic = invariants(xi)
-    row = {
-        "index": index,
-        **{f"xi{k+1}": repr(float(xi[k])) for k in range(8)},
-        "norm": repr(float(spectrum.octet_norm(xi))),
-        "phi": "" if math.isnan(s.phi) else repr(s.phi),
-        "class": s.degeneracy.value,
-        "e12": repr(s.e12), "e23": repr(s.e23), "e13": repr(s.e13),
-        "quadratic": repr(quad), "cubic": repr(cubic),
-    }
-    if level is not None:
-        if s.degeneracy is spectrum.DegeneracyClass.GENERIC:
-            v = curvature.curvature_spectral(xi, level, tol).coeffs
-            row.update(
-                v12=repr(float(v[0, 1])), v45=repr(float(v[3, 4])),
-                v67=repr(float(v[5, 6])), v38=repr(float(v[2, 7])),
-                vmax=repr(float(np.abs(v).max())),
-            )
-        else:
-            row.update(v12="nan", v45="nan", v67="nan", v38="nan", vmax="nan")
-    return row
+def _sweep_rows(points: np.ndarray, level: int | None, tol: float) -> list[dict]:
+    from . import curvature, spectrum
+    from .algebra import invariants
+
+    rows = []
+    for index, xi in enumerate(points):
+        s = spectrum.eigenvalues(xi, tol)
+        quad, cubic = invariants(xi)
+        row = {
+            "index": index,
+            **{f"xi{k+1}": repr(float(xi[k])) for k in range(8)},
+            "norm": repr(float(spectrum.octet_norm(xi))),
+            "phi": "" if math.isnan(s.phi) else repr(s.phi),
+            "class": s.degeneracy.value,
+            "e12": repr(s.e12), "e23": repr(s.e23), "e13": repr(s.e13),
+            "quadratic": repr(quad), "cubic": repr(cubic),
+        }
+        if level is not None:
+            if s.degeneracy is spectrum.DegeneracyClass.GENERIC:
+                v = curvature.curvature_spectral(xi, level, tol).coeffs
+                row.update(
+                    v12=repr(float(v[0, 1])), v45=repr(float(v[3, 4])),
+                    v67=repr(float(v[5, 6])), v38=repr(float(v[2, 7])),
+                    vmax=repr(float(np.abs(v).max())),
+                )
+            else:
+                row.update(v12="nan", v45="nan", v67="nan", v38="nan", vmax="nan")
+        rows.append(row)
+    return rows
 
 
 def _cmd_sweep(args) -> None:
@@ -341,8 +369,7 @@ def _cmd_sweep(args) -> None:
     columns = list(SWEEP_BASE_COLUMNS)
     if args.level is not None:
         columns += SWEEP_CURVATURE_COLUMNS
-    rows = [_sweep_row(i, xi, args.level, args.classify_tol) for i, xi in enumerate(points)]
-    _emit_csv(rows, columns, args.output)
+    _emit_csv(_sweep_rows(points, args.level, args.classify_tol), columns, args.output)
 
 
 def _cmd_selfcheck(args) -> int:
@@ -473,6 +500,8 @@ def _generator_argv(command: str, gen: dict) -> list[str]:
 
 
 def _add_common(p: argparse.ArgumentParser, point: bool = False) -> None:
+    from . import spectrum
+
     p.add_argument("--output", help="output path (default: stdout)")
     p.add_argument("--format", choices=["json", "csv"], default=None)
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")

@@ -182,7 +182,11 @@ def loop_phase(path: LoopPath, level: int) -> float:
     """
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    vecs = _frames(path.samples)[1][..., :, level - 1]
+    return _transport_phase(_frames(path.samples)[1][..., :, level - 1])
+
+
+def _transport_phase(vecs: np.ndarray) -> float:
+    # the loop_phase product for one level's (N, 3) eigenvector samples
     nxt = np.roll(vecs, -1, axis=0)
     overlaps = np.einsum("ki,ki->k", vecs.conj(), nxt)
     mags = np.abs(overlaps)
@@ -229,6 +233,7 @@ def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], fl
     ``(-pi, pi]``.  The sum vanishes (mod 2 pi): the three curvature forms
     add to zero, equivalently the product of the three transport holonomies
     is the determinant phase of a special-unitary transport."""
-    phases = tuple(loop_phase(path, a) for a in (1, 2, 3))
+    frames = _frames(path.samples)[1]
+    phases = tuple(_transport_phase(frames[..., :, a - 1]) for a in (1, 2, 3))
     total = float(np.angle(np.exp(1j * sum(phases))))
     return phases, total

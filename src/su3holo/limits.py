@@ -12,6 +12,7 @@ integral over small transported spheres that exhibits the quantized
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,8 +128,10 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
     return SingularExpansion(level, epsilon, e13, octet, decouplet, total)
 
 
+@functools.lru_cache(maxsize=None)
 def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # numpy.polynomial costs milliseconds to import and only monopole_flux needs it
+    # Cached per order, so the arrays are read-only.  Only monopole_flux
+    # needs numpy.polynomial, which costs milliseconds to import.
     from numpy.polynomial.legendre import leggauss
 
     xs, ws = leggauss(order)
@@ -137,6 +140,8 @@ def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     xs2, ws2 = leggauss(2 * order)
     phi = np.pi * (xs2 + 1.0)
     w_phi = ws2 * np.pi
+    for a in (theta, w_theta, phi, w_phi):
+        a.flags.writeable = False
     return theta, w_theta, phi, w_phi
 
 

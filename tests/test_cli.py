@@ -200,6 +200,33 @@ def test_cli_import_defers_unused_modules():
     assert out.strip() == "[]"
 
 
+def _fresh_su3holo_modules(code: str) -> list[str]:
+    """The su3holo modules loaded after ``code`` runs in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code += ("\nimport json\nprint(json.dumps(sorted(m for m in sys.modules"
+             " if m.startswith('su3holo'))), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stderr.strip().splitlines()[-1])
+
+
+def test_package_and_cli_import_load_no_library_module():
+    assert _fresh_su3holo_modules("import sys, su3holo, su3holo.cli") == [
+        "su3holo", "su3holo.cli", "su3holo.errors"]
+
+
+def test_classify_loads_only_the_spectrum():
+    loaded = _fresh_su3holo_modules(
+        "import sys\nfrom su3holo.cli import main\n"
+        f"assert main(['classify', '--xi', {REST!r}]) == 0")
+    assert loaded == ["su3holo", "su3holo.algebra", "su3holo.cli", "su3holo.errors",
+                      "su3holo.spectrum"]
+    for name in ("curvature", "tensors", "holonomy", "limits", "kinematics", "orbits",
+                 "selfcheck"):
+        assert f"su3holo.{name}" not in loaded
+
+
 def test_sweep_ray_toward_degeneracy(capsys):
     assert main(["sweep", "--generator", "ray",
                  "--ray-from", E8, "--toward", "0,0,1,0,0,0,0,0",

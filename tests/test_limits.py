@@ -184,3 +184,27 @@ def test_flux_quantization_across_random_directions():
         if k % 3 == 0:
             off = monopole_flux(direction, 1e-3, 1, center_offset=[1e-2, 0.0, 0.0])
             assert abs(off) < 1e-3
+
+
+def test_sphere_quadrature_is_computed_once_per_order(monkeypatch):
+    import numpy.polynomial.legendre as legendre
+
+    calls = []
+    real = legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(legendre, "leggauss", counted)
+    limits._sphere_quadrature.cache_clear()
+    first = monopole_flux(e(8), 1e-3, 1)
+    computed = list(calls)
+    assert monopole_flux(e(8), 1e-3, 1) == first
+    assert calls == computed  # the second call computed no nodes
+    # one (order, 2 order) pair of node sets per quadrature order, each order once
+    orders = computed[0::2]
+    assert orders[0] == 12 and orders == sorted(set(orders))
+    assert computed[1::2] == [2 * n for n in orders]
+    for nodes in limits._sphere_quadrature(12):
+        assert not nodes.flags.writeable

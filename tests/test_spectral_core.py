@@ -54,6 +54,15 @@ def test_surface_flux_evaluates_the_closed_form_once_per_block(cubic_calls, monk
     assert cubic_calls == [(2, 4, 8)] * 3
 
 
+def test_phase_sum_rule_check_evaluates_the_loop_once(cubic_calls):
+    loop = holonomy.circle_loop(np.eye(8)[7], np.eye(8)[0], np.eye(8)[1], 1e-3, 400)
+    cubic_calls.clear()  # the loop checked its samples on construction
+    phases, _ = holonomy.phase_sum_rule_check(loop)
+    assert cubic_calls == [(400, 8)]
+    # the same phases, bit for bit, as one loop_phase call per level
+    assert phases == tuple(holonomy.loop_phase(loop, a) for a in (1, 2, 3))
+
+
 def _rest(e12: float, e23: float) -> np.ndarray:
     xi = np.zeros(8)
     xi[2], xi[7] = e12, (e12 + 2.0 * e23) / np.sqrt(3.0)
