@@ -37,8 +37,9 @@ __all__ = [
 
 OVERLAP_GUARD = 0.1
 
-# Cell budget of one surface-flux quadrature block (whole cell rows, at
-# least one row): bounds the working set independently of the patch size.
+# Cell budget of one surface-flux quadrature block and of one block of the
+# patch's grid check (whole rows, at least one row): bounds the working set
+# independently of the patch size.
 _FLUX_BLOCK_CELLS = 4096
 
 
@@ -65,7 +66,10 @@ class LoopPath:
 @dataclass
 class SurfacePatch:
     """Two-surface sampled on a (u, v) grid over [0, 1]^2 with bilinear
-    interpolation between grid points.  Every grid point must be generic."""
+    interpolation between grid points.  Every grid point must be generic;
+    the check runs over blocks of whole grid rows (about 4096 points, at
+    least one row), like the ``surface_flux`` quadrature, so its working
+    set is bounded whatever the grid size."""
 
     grid: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -74,8 +78,10 @@ class SurfacePatch:
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 3 or g.shape[2] != 8 or g.shape[0] < 2 or g.shape[1] < 2:
             raise ValueError("a patch needs an (nu, nv, 8) grid with nu, nv >= 2")
-        if not np.all(generic_mask(g, self.tol)):
-            raise DegenerateInput("patch contains a degenerate grid point")
+        rows = max(1, _FLUX_BLOCK_CELLS // g.shape[1])
+        for start in range(0, g.shape[0], rows):
+            if not np.all(generic_mask(g[start:start + rows], self.tol)):
+                raise DegenerateInput("patch contains a degenerate grid point")
         self.grid = g
 
     @classmethod
@@ -216,16 +222,22 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
     rows = max(1, _FLUX_BLOCK_CELLS // (g.shape[1] - 1))
     total = 0.0
     for start in range(0, g.shape[0] - 1, rows):
-        b = g[start:start + rows + 1]
-        centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
-        du = ((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0
-        dv = ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0
-        c = _closed_form(centers)
-        if not np.all(_resolved(c.norm, c.gaps, patch.tol)):
-            raise DegenerateInput("patch contains a degenerate quadrature point")
-        e, frames = _frames_at(centers, c.levels)
-        total += float(np.sum(_flux_density(e, frames, du, dv, level)))
+        total += _block_flux(g[start:start + rows + 1], patch.tol, level)
     return total
+
+
+def _block_flux(b: np.ndarray, tol: float, level: int) -> float:
+    # surface_flux over the cells of one block of grid rows.  The frames set
+    # the block's peak, so the Jacobians are formed after them, and the
+    # previous block's frames are gone by then.
+    centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
+    c = _closed_form(centers)
+    if not np.all(_resolved(c.norm, c.gaps, tol)):
+        raise DegenerateInput("patch contains a degenerate quadrature point")
+    e, frames = _frames_at(centers, c.levels)
+    du = ((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0
+    dv = ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0
+    return float(np.sum(_flux_density(e, frames, du, dv, level)))
 
 
 def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], float]:

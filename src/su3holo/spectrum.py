@@ -231,30 +231,51 @@ def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of (batches of) 3 x 3 Hermitian ``h`` for the given
     eigenvalues ``e`` (..., 3), as columns ordered like ``e``.
 
-    Each null space of ``h - e_a I`` is extracted from the cross product of
-    the pair of rows with the largest 2 x 2 subdeterminants.
+    Each null space of ``h - e_a I`` is spanned by the largest of the three
+    row-pair cross products (the first one on a tie, as ``argmax`` picks).
+    The rows are lists of (..., level) entries: the diagonal ``h_ii - e_a``
+    and the level-independent off-diagonal ``h_ij``.  The candidates are
+    formed one after another in two buffers, so the working set per point
+    is a few (..., 3) arrays, never a stack of all candidates.  The
+    arithmetic is that of ``np.cross`` and ``np.linalg.norm``, operation for
+    operation, so the columns equal the stacked computation's bit for bit.
     """
-    m = h[..., None, :, :] - e[..., :, None, None] * np.eye(3)  # (..., level, 3, 3)
-    cands = np.stack(
-        [
-            np.cross(m[..., 0, :], m[..., 1, :]),
-            np.cross(m[..., 0, :], m[..., 2, :]),
-            np.cross(m[..., 1, :], m[..., 2, :]),
-        ],
-        axis=-2,
-    )  # (..., level, pair, 3)
-    norms = np.linalg.norm(cands, axis=-1)
-    best = np.argmax(norms, axis=-1)
-    vecs = np.take_along_axis(cands, best[..., None, None], axis=-2)[..., 0, :]
-    vecs = vecs / np.linalg.norm(vecs, axis=-1)[..., None]
-    return np.swapaxes(vecs, -1, -2)  # columns indexed by level
+    rows = [[h[..., i, j, None] - e if i == j else h[..., i, j, None] for j in range(3)]
+            for i in range(3)]
+    best = _cross(rows[0], rows[1], np.empty((3,) + rows[0][0].shape, dtype=complex))
+    nbest = _norm(best)
+    c = np.empty_like(best)
+    for i, j in ((0, 2), (1, 2)):
+        n = _norm(_cross(rows[i], rows[j], c))
+        take = ~((n <= nbest) | np.isnan(nbest))  # argmax: first max, first NaN
+        np.copyto(best, c, where=take)
+        np.copyto(nbest, n, where=take)
+    out = np.empty(nbest.shape[:-1] + (3, 3), dtype=complex)  # (..., row, level)
+    np.divide(best, nbest, out=np.moveaxis(out, -2, 0))
+    return out
+
+
+def _cross(a: list, b: list, c: np.ndarray) -> np.ndarray:
+    # np.cross(a, b) into c, operation for operation, components on c's first axis
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[i], b[j], out=c[k])
+        c[k] -= a[j] * b[i]
+    return c
+
+
+def _norm(c: np.ndarray) -> np.ndarray:
+    # np.linalg.norm over the first axis: sqrt of the sum of (x.conj() * x).real
+    s = c.conj()
+    s *= c
+    s = s.real
+    return np.sqrt(s[0] + s[1] + s[2])
 
 
 def _fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
-    """Fix eigenvector phases: for the first two columns rotate the phase so
-    the pivot component (largest magnitude unless given) is real positive,
-    then phase the third column so det = 1."""
-    a = a.copy()
+    """Fix eigenvector phases of the fresh array ``a`` in place: for the
+    first two columns rotate the phase so the pivot component (largest
+    magnitude unless given) is real positive, then phase the third column so
+    det = 1."""
     for k in range(2):
         col = a[..., :, k]
         if pivots is None:
@@ -263,9 +284,9 @@ def _fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
             idx = np.broadcast_to(pivots[k], col.shape[:-1]).copy()
         piv = np.take_along_axis(col, idx[..., None], axis=-1)[..., 0]
         phase = piv / np.abs(piv)
-        a[..., :, k] = col * np.conj(phase)[..., None]
+        col *= np.conj(phase)[..., None]
     det = np.linalg.det(a)
-    a[..., :, 2] = a[..., :, 2] * (np.conj(det) / np.abs(det))[..., None]
+    a[..., :, 2] *= (np.conj(det) / np.abs(det))[..., None]
     return a
 
 

@@ -47,3 +47,40 @@ def random_rest_frame(rng, lo: float = 0.3, hi: float = 1.5):
     xi[2] = e12
     xi[7] = (e12 + 2.0 * e23) / np.sqrt(3.0)
     return xi, e12, e23
+
+
+def stacked_eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Reference null-space kernel: every candidate cross product stacked
+    into (..., level, pair, 3) arrays.  The library's kernel must equal it
+    bit for bit."""
+    m = h[..., None, :, :] - e[..., :, None, None] * np.eye(3)  # (..., level, 3, 3)
+    cands = np.stack(
+        [
+            np.cross(m[..., 0, :], m[..., 1, :]),
+            np.cross(m[..., 0, :], m[..., 2, :]),
+            np.cross(m[..., 1, :], m[..., 2, :]),
+        ],
+        axis=-2,
+    )  # (..., level, pair, 3)
+    norms = np.linalg.norm(cands, axis=-1)
+    best = np.argmax(norms, axis=-1)
+    vecs = np.take_along_axis(cands, best[..., None, None], axis=-2)[..., 0, :]
+    vecs = vecs / np.linalg.norm(vecs, axis=-1)[..., None]
+    return np.swapaxes(vecs, -1, -2)  # columns indexed by level
+
+
+def copying_fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
+    """Reference gauge fix that works on a copy of ``a``."""
+    a = a.copy()
+    for k in range(2):
+        col = a[..., :, k]
+        if pivots is None:
+            idx = np.argmax(np.abs(col), axis=-1)
+        else:
+            idx = np.broadcast_to(pivots[k], col.shape[:-1]).copy()
+        piv = np.take_along_axis(col, idx[..., None], axis=-1)[..., 0]
+        phase = piv / np.abs(piv)
+        a[..., :, k] = col * np.conj(phase)[..., None]
+    det = np.linalg.det(a)
+    a[..., :, 2] = a[..., :, 2] * (np.conj(det) / np.abs(det))[..., None]
+    return a

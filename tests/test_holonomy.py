@@ -253,6 +253,42 @@ def test_surface_flux_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+def test_patch_check_memory_is_bounded():
+    grid = random_patch((201, 201)).grid
+    tracemalloc.start()
+    try:
+        SurfacePatch(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("shape, budget", [
+    ((201, 201), None),  # 20-row blocks; the last block is row 200 alone
+    ((5, 300), 100),  # one grid row exceeds the budget
+])
+def test_patch_check_runs_over_row_blocks(monkeypatch, shape, budget):
+    if budget is not None:
+        monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", budget)
+    grid = random_patch(shape).grid.copy()
+    rows = max(1, holonomy._FLUX_BLOCK_CELLS // shape[1])
+    blocks = []
+    real = holonomy.generic_mask
+
+    def spy(xi, tol):
+        blocks.append(len(xi))
+        return real(xi, tol)
+
+    monkeypatch.setattr(holonomy, "generic_mask", spy)
+    SurfacePatch(grid)
+    assert blocks == [min(rows, shape[0] - start) for start in range(0, shape[0], rows)]
+    assert len(blocks) > 1
+    grid[-1, shape[1] // 2] = E8  # the only degenerate point, in the last block
+    with pytest.raises(DegenerateInput, match="patch contains a degenerate grid point"):
+        SurfacePatch(grid)
+
+
 def test_from_function_rejects_wrong_value_shape():
     with pytest.raises(ValueError, match="8 components"):
         SurfacePatch.from_function(lambda u, v: np.zeros(3), (3, 3))

@@ -1,10 +1,14 @@
-"""The spectral core: one closed-form evaluation per point, one Generic rule."""
+"""The spectral core: one closed-form evaluation per point, one Generic rule,
+and an eigenvector kernel equal bit for bit to the stacked reference."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import random_generic_octet, random_special_unitary
+from helpers import (copying_fix_gauge, random_generic_octet, random_rest_frame,
+                     random_special_unitary, stacked_eigenvector_columns)
 from su3holo import curvature, holonomy, spectrum, tensors
-from su3holo.algebra import adjoint_matrix
+from su3holo.algebra import adjoint_matrix, octet_to_matrix
 from su3holo.spectrum import DegeneracyClass, classify, generic_mask
 
 rng = np.random.default_rng(4242)
@@ -107,3 +111,76 @@ def test_classify_and_generic_mask_share_the_threshold_rule(tol):
     # resolves 1e-6 of the threshold only for tol >= 1e-3 (it cancels).
     checked = ~cone | (tol >= 1e-3)
     np.testing.assert_array_equal(single[checked], generic[checked])
+
+
+def _generic_points() -> np.ndarray:
+    xi = rng.standard_normal((10500, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, (10500, 1))
+    xi = xi[generic_mask(xi)]
+    assert len(xi) >= 10_000
+    return xi
+
+
+def _cone_points() -> np.ndarray:
+    # rotated points at both cones, the small gap from about 1e-1 down to 1e-9 |xi|
+    pts = [_rest(g, 1.0) if upper else _rest(1.0, g)
+           for g in np.logspace(-9.0, -1.0, 60) for upper in (True, False)]
+    return np.array([rng.uniform(0.1, 10.0) * adjoint_matrix(random_special_unitary(rng)) @ xi
+                     for xi in pts])
+
+
+def _diagonal_and_axis_points() -> np.ndarray:
+    # rest frames (diagonal H) and points on the off-diagonal axes; at xi = e1
+    # the top level's row pairs (0, 2) and (1, 2) have equal norms
+    rest = [random_rest_frame(rng)[0] for _ in range(100)]
+    axes = [s * np.eye(8)[r] for r in (0, 1, 3, 4, 5, 6) for s in (1.0, -2.5, 1e-3)]
+    return np.array(rest + axes)
+
+
+POINT_SETS = {
+    "generic": _generic_points,
+    "cones": _cone_points,
+    "diagonal_and_axes": _diagonal_and_axis_points,
+    "single": lambda: random_generic_octet(rng),
+    "batch": lambda: rng.standard_normal((4, 5, 8)),
+}
+
+
+@pytest.fixture(params=list(POINT_SETS), scope="module")
+def points(request):
+    xi = POINT_SETS[request.param]()
+    return xi, spectrum._closed_form(xi).levels
+
+
+def test_eigenvector_kernel_equals_the_stacked_reference(points):
+    xi, e = points
+    h = octet_to_matrix(xi)
+    assert np.array_equal(spectrum._eigenvector_columns(h, e), stacked_eigenvector_columns(h, e))
+
+
+@pytest.mark.parametrize("pivots", [None, (0, 1), (2, 0)])
+def test_frames_equal_the_stacked_reference(points, pivots):
+    xi, e = points
+    with np.errstate(invalid="ignore"):  # a pivot can hit a zero component on an axis
+        want = copying_fix_gauge(stacked_eigenvector_columns(octet_to_matrix(xi), e), pivots)
+        got = spectrum._frames_at(xi, e, pivots)[1]
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_axis_point_has_tied_candidates():
+    xi = np.eye(8)[0]
+    m = octet_to_matrix(xi) - spectrum.energy_levels(xi)[0] * np.eye(3)
+    norms = [np.linalg.norm(np.cross(m[i], m[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert norms[1] == norms[2] > norms[0]
+
+
+def test_frames_working_set_per_point():
+    xi = rng.standard_normal((4096, 8))
+    e = spectrum._closed_form(xi).levels
+    tracemalloc.start()
+    try:
+        spectrum._frames_at(xi, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1200 * len(xi)
