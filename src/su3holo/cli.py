@@ -6,12 +6,10 @@ as JSON; sweeps as CSV with a fixed, documented column order.  Exit codes:
 0 success, 1 usage or descriptor error, 2 degenerate-input rejection.
 
 Every number emitted here is obtained through the library API; the CLI adds
-no computation of its own.
+no computation of its own.  ``job FILE`` runs a ``su3holo/1`` JSON
+descriptor, which ``su3holo.job`` translates into the equivalent command.
 """
-from __future__ import annotations
-
 import argparse
-import json
 import math
 import sys
 
@@ -93,6 +91,8 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
+    import json
+
     _write(json.dumps(_jsonable(payload), indent=2) + "\n", path)
 
 
@@ -214,10 +214,12 @@ def _cmd_decompose(args) -> None:
     _emit_json(payload, args.output)
 
 
-def _loop_from_args(args) -> holonomy.LoopPath:
+def _loop_from_args(args) -> "holonomy.LoopPath":
     from . import holonomy
 
     if args.path_file:
+        import json
+
         with open(args.path_file, encoding="utf-8") as fh:
             data = json.load(fh)
         return holonomy.LoopPath(np.array(data, dtype=float), args.classify_tol)
@@ -245,10 +247,12 @@ def _cmd_loop_phase(args) -> None:
     _emit_json(payload, args.output)
 
 
-def _patch_from_args(args) -> holonomy.SurfacePatch:
+def _patch_from_args(args) -> "holonomy.SurfacePatch":
     from . import holonomy
 
     if args.patch_file:
+        import json
+
         with open(args.patch_file, encoding="utf-8") as fh:
             data = json.load(fh)
         return holonomy.SurfacePatch(np.array(data, dtype=float), args.classify_tol)
@@ -397,108 +401,6 @@ def _cmd_selfcheck(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _require_field(obj: dict, name: str, kind=None):
-    if name not in obj:
-        raise ValueError(f"descriptor field {name!r} is missing")
-    if kind is not None and not isinstance(obj[name], kind):
-        raise ValueError(f"descriptor field {name!r} has the wrong type")
-    return obj[name]
-
-
-def _optional_field(obj: dict, name: str, default):
-    # a present field must have the default's JSON type: an object, or a pair
-    value = obj.get(name, default)
-    if isinstance(default, dict) and not isinstance(value, dict):
-        raise ValueError(f"{name}: expected a JSON object")
-    if isinstance(default, list) and not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{name}: expected a list of two numbers")
-    return value
-
-
-def _cmd_job(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            desc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read descriptor: {exc}") from exc
-    if not isinstance(desc, dict):
-        raise ValueError("descriptor must be a JSON object")
-    if _require_field(desc, "schema", str) != SCHEMA:
-        raise ValueError(f"schema: expected {SCHEMA!r}")
-    command = _require_field(desc, "command", str)
-    tolerances = _optional_field(desc, "tolerances", {})
-    output = _optional_field(desc, "output", {})
-    argv = [command]
-    if "xi" in desc:
-        xi = desc["xi"]
-        if not isinstance(xi, list) or len(xi) != 8:
-            raise ValueError("xi: expected a list of 8 numbers")
-        flag = "--direction" if command == "monopole" else "--xi"
-        argv += [flag, ",".join(repr(float(v)) for v in xi)]
-    if command == "monopole":
-        argv += ["--radius", repr(float(desc.get("radius", 1e-3)))]
-    if "level" in desc:
-        argv += ["--level", str(int(desc["level"]))]
-    if "classify" in tolerances:
-        argv += ["--classify-tol", repr(float(tolerances["classify"]))]
-    if "quadrature" in tolerances:
-        argv += ["--quadrature-tol", repr(float(tolerances["quadrature"]))]
-    if "seed" in desc:
-        argv += ["--seed", str(int(desc["seed"]))]
-    if "path" in output and output["path"]:
-        argv += ["--output", str(output["path"])]
-    if "format" in output and output["format"]:
-        argv += ["--format", str(output["format"])]
-    if "generator" in desc:
-        argv += _generator_argv(command, _optional_field(desc, "generator", {}))
-    return main(argv)
-
-
-def _generator_argv(command: str, gen: dict) -> list[str]:
-    kind = _require_field(gen, "kind", str)
-    out: list[str] = []
-
-    def vec(name):
-        val = _require_field(gen, name, list)
-        return ",".join(repr(float(v)) for v in val)
-
-    if kind == "circle":
-        out += ["--center", vec("center8")]
-        pair = _require_field(gen, "axis_pair", list)
-        if len(pair) != 2:
-            raise ValueError("axis_pair: expected two 8-vectors")
-        out += ["--axis1", ",".join(repr(float(v)) for v in pair[0])]
-        out += ["--axis2", ",".join(repr(float(v)) for v in pair[1])]
-        out += ["--radius", repr(float(_require_field(gen, "radius")))]
-        out += ["--samples", str(int(gen.get("samples", 1000)))]
-    elif kind == "sphere-patch":
-        out += ["--center", vec("center8")]
-        frame = _require_field(gen, "frame", list)
-        if len(frame) != 3:
-            raise ValueError("frame: expected three 8-vectors")
-        for k, v in enumerate(frame, 1):
-            out += [f"--frame{k}", ",".join(repr(float(x)) for x in v)]
-        out += ["--radius", repr(float(_require_field(gen, "radius")))]
-        theta = _optional_field(gen, "theta_range", [0.0, math.pi])
-        out += ["--theta-min", repr(float(theta[0])), "--theta-max", repr(float(theta[1]))]
-        grid = _optional_field(gen, "grid", [64, 128])
-        out += ["--grid", f"{int(grid[0])}x{int(grid[1])}"]
-    elif kind in ("ray", "random", "rest-frame"):
-        out += ["--generator", kind]
-        if kind == "ray":
-            out += ["--ray-from", vec("from8"), "--toward", vec("toward8")]
-            deltas = _optional_field(gen, "delta_range", [1e-4, 1e-1])
-            out += ["--delta-start", repr(float(deltas[0])),
-                    "--delta-stop", repr(float(deltas[1]))]
-        if "count" in gen:
-            out += ["--count", str(int(gen["count"]))]
-        if "scale" in gen:
-            out += ["--scale", repr(float(gen["scale"]))]
-    else:
-        raise ValueError(f"generator.kind: unknown kind {kind!r}")
-    return out
-
-
 def _add_common(p: argparse.ArgumentParser, point: bool = False) -> None:
     from . import spectrum
 
@@ -603,7 +505,9 @@ def main(argv=None) -> int:
         if args.cmd == "selfcheck":
             return _cmd_selfcheck(args)
         if args.cmd == "job":
-            return _cmd_job(args)
+            from . import job
+
+            return main(job.to_argv(args.file))
         if getattr(args, "format", None) == "csv" and args.cmd != "sweep":
             raise ValueError("format: csv is only available for sweep")
         if getattr(args, "format", None) == "json" and args.cmd == "sweep":

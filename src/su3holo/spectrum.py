@@ -29,6 +29,7 @@ independent rows), not by a generic eigensolver.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -135,7 +136,10 @@ def _resolved(norm: np.ndarray, gaps: np.ndarray, tol: float):
 def _point(xi, tol: float, caller: str, generic: bool = False) -> tuple[np.ndarray, SpectralData]:
     """Validate a single octet vector and return it with its spectral record,
     from one closed-form evaluation.  With ``generic`` set, a non-Generic
-    point raises ``DegenerateInput`` naming ``caller``."""
+    point raises ``DegenerateInput`` naming ``caller``.  A point with
+    ``|xi| > tol`` whose closed form is not finite raises ``ValueError``:
+    above about 5.6e102 ``|xi|**3`` overflows, and ``phi`` is NaN or, where
+    the cubic invariant stays finite, wrongly ``pi/3``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     xi = _octet(xi)
@@ -143,9 +147,13 @@ def _point(xi, tol: float, caller: str, generic: bool = False) -> tuple[np.ndarr
         raise ValueError(f"{caller} takes a single octet vector")
     if not np.all(np.isfinite(xi)):
         raise ValueError("classify requires finite octet components")
-    c = _closed_form(xi)
-    gaps = c.gaps
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _closed_form(xi)
+        gaps = c.gaps
+        finite = np.isfinite(c.norm**3) and np.isfinite(c.phi)
     nonzero, upper, lower = _resolved(c.norm, gaps, tol)
+    if nonzero and not finite:
+        raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*xi):.6g}")
     klass = (DegeneracyClass.TRIPLE_DEGENERATE if not nonzero
              else DegeneracyClass.UPPER_DEGENERATE if not upper
              else DegeneracyClass.LOWER_DEGENERATE if not lower
@@ -192,7 +200,8 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
     Raises
     ------
     ValueError
-        If ``tol`` is not positive or ``xi`` has a NaN or infinite component.
+        If ``tol`` is not positive, ``xi`` has a NaN or infinite component,
+        or ``|xi| > tol`` and the closed form overflows.
     """
     return _point(xi, tol, "classify")[1].degeneracy
 
@@ -321,6 +330,17 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
     DegenerateInput
         If ``classify(xi, tol)`` is not Generic; eigenvector phases and
         mixing are not determined on the degeneracy surfaces.
+    ValueError
+        If ``pivots`` is not two row indices in 0..2, or names a zero
+        component of its column, whose phase is then undefined.
     """
     xi, s = _point(xi, tol, "diagonalizer", generic=True)
-    return _frames_at(xi, s.energies, pivots)[1]
+    a = _eigenvector_columns(octet_to_matrix(xi), s.energies)
+    if pivots is not None:
+        if not (len(pivots) == 2 and all(isinstance(p, (int, np.integer)) and 0 <= p < 3
+                                         for p in pivots)):
+            raise ValueError(f"pivots {tuple(pivots)!r}: expected two row indices in 0..2")
+        if any(a[p, k] == 0 for k, p in enumerate(pivots)):
+            raise ValueError(f"pivots {tuple(pivots)!r}: a pivot component of the "
+                             "eigenvectors is zero at this point")
+    return _fix_gauge(a, pivots)

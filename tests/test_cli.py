@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,16 @@ def test_classify_non_finite_input_exits_1(capsys, xi):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["spectrum"], ["curvature", "--level", "1"]])
+def test_closed_form_overflow_exits_1(capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--xi", "1e110,2e110,0,0,0,0,0,3e110"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "su3holo: error: the closed form is not finite at |xi| = 3.74166e+110\n"
 
 
 def test_usage_error_exits_1(capsys):
@@ -198,6 +209,28 @@ def test_cli_import_defers_unused_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_json_and_the_job_front_end_load_only_for_job(tmp_path):
+    # A fresh interpreter: pytest itself has loaded json.
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"schema": "su3holo/1", "command": "classify", "xi": [0, 0, 0.6, 0, 0, 0, 0, 1.3],
+         "output": {"path": str(tmp_path / "out.json")}}))
+    code = ("import sys, su3holo, su3holo.cli\n"
+            "def loaded():\n"
+            "    print([m in sys.modules for m in ('json', 'su3holo.job')])\n"
+            "loaded()\n"
+            "assert su3holo.cli.main(['sweep', '--generator', 'random', '--count', '3',"
+            f" '--output', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "loaded()\n"
+            f"assert su3holo.cli.main(['job', {str(tmp_path / 'job.json')!r}]) == 0\n"
+            "loaded()\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["[False, False]", "[False, False]", "[True, True]"]
+    assert json.loads((tmp_path / "out.json").read_text())["class"] == "generic"
 
 
 def _fresh_su3holo_modules(code: str) -> list[str]:

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from helpers import random_generic_octet, random_rest_frame, random_special_unit
 from su3holo import DegenerateInput
 from su3holo.algebra import adjoint_matrix, invariants, octet_to_matrix
 from su3holo.spectrum import (
+    _frames_at,
     DegeneracyClass,
     classify,
     diagonalizer,
@@ -182,3 +186,64 @@ def test_diagonalizer_rejects_degenerate_input():
     for bad in (e(8), SIGMA23_DIR, np.zeros(8)):
         with pytest.raises(DegenerateInput):
             diagonalizer(bad)
+
+
+@pytest.mark.parametrize("pivots, reason", [
+    ((0, 1), "zero"),  # e1's middle eigenvector is e3, whose row 1 is zero
+    ((1, 1), "zero"),
+    ((0, 5), "row indices"),
+    ((-1, 0), "row indices"),
+    ((0,), "row indices"),
+    ((0, 1, 2), "row indices"),
+    ((0.0, 1.0), "row indices"),
+])
+def test_diagonalizer_rejects_bad_pivots(pivots, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"pivots {pivots!r}") + ".*" + reason):
+            diagonalizer(e(1), pivots=pivots)
+
+
+def test_diagonalizer_with_valid_pivots_keeps_its_frames():
+    a = diagonalizer(e(1), pivots=(1, 2))
+    np.testing.assert_allclose(np.abs(a[:, 1]), [0, 0, 1], atol=1e-14)
+    for _ in range(50):
+        xi = random_generic_octet(rng)
+        a = diagonalizer(xi)
+        chosen = (int(np.argmax(np.abs(a[:, 0]))), int(np.argmax(np.abs(a[:, 1]))))
+        assert np.array_equal(diagonalizer(xi, pivots=chosen), a)
+        for pivots in ((0, 1), (2, 0), (np.int64(1), np.int64(2))):
+            want = _frames_at(xi, energy_levels(xi), pivots)[1]
+            assert np.array_equal(diagonalizer(xi, pivots=pivots), want)
+
+
+OVERFLOWING = np.array([1e110, 2e110, 0, 0, 0, 0, 0, 3e110])
+
+
+@pytest.mark.parametrize("func", [classify, eigenvalues, diagonalizer])
+def test_closed_form_overflow_is_a_typed_error(func):
+    # |xi|^3 overflows: unchecked, the record is NaN and reads as upper
+    # degenerate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("|xi| = 3.74166e+110")) as exc:
+            func(OVERFLOWING)
+    assert not isinstance(exc.value, DegenerateInput)
+
+
+def test_overflow_check_keeps_small_and_finite_points():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(1e-120 * e(1)) is DegeneracyClass.TRIPLE_DEGENERATE
+        assert classify(OVERFLOWING, tol=1e111) is DegeneracyClass.TRIPLE_DEGENERATE
+        s = eigenvalues(1e-100 * OVERFLOWING)
+        assert s.degeneracy is DegeneracyClass.GENERIC
+        assert np.allclose(s.energies, 1e10 * energy_levels(1e-110 * OVERFLOWING))
+        xi = np.array([1, 0, 0, 0, 0, 0, 0, 0.05])
+        s = eigenvalues(5e102 * xi)
+        want = 5e102 * np.linalg.eigvalsh(octet_to_matrix(xi))[::-1]
+        np.testing.assert_allclose(s.energies, want, rtol=1e-14)
+        # |xi|^3 overflows while the cubic invariant stays finite: the closed
+        # form would give phi = pi/3 and levels off by 3 % of |xi|
+        with pytest.raises(ValueError, match="not finite"):
+            eigenvalues(7e102 * xi)
