@@ -69,10 +69,8 @@ def _grid_shape(text: str) -> tuple[int, int]:
 def _jsonable(value):
     if isinstance(value, float):
         return None if math.isnan(value) else value
-    if isinstance(value, np.floating):
-        return _jsonable(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
+    if isinstance(value, np.generic):  # numpy scalars: bools from comparisons too
+        return _jsonable(value.item())
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
@@ -90,12 +88,6 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    import json
-
-    _write(json.dumps(_jsonable(payload), indent=2) + "\n", path)
-
-
 def _emit_csv(rows: list[dict], columns: list[str], path: str | None) -> None:
     # Sweep fields are ints, repr floats, class names, "" and "nan": none of
     # them holds a comma, quote or newline, so no field needs quoting.
@@ -105,87 +97,71 @@ def _emit_csv(rows: list[dict], columns: list[str], path: str | None) -> None:
 
 
 def _xi_from_args(args) -> np.ndarray:
-    if getattr(args, "xi", None) is not None:
-        return args.xi
-    if getattr(args, "rest", None) is not None:
-        return args.rest
-    raise ValueError("one of --xi or --rest is required")
+    if args.xi is None and args.rest is None:
+        raise ValueError("one of --xi or --rest is required")
+    return args.rest if args.xi is None else args.xi
 
 
-def _cmd_classify(args) -> None:
+def _points_from_args(args, what: str, file_option: str, names: tuple) -> np.ndarray | None:
+    """The points in the ``--FILE_OPTION`` JSON file, or None once all of ``names`` are set."""
+    path = getattr(args, file_option.replace("-", "_"))
+    if path:
+        import json
+
+        with open(path, encoding="utf-8") as fh:
+            return np.array(json.load(fh), dtype=float)
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"{what} generator needs --{name} (or --{file_option})")
+    return None
+
+
+def _cmd_classify(args) -> dict:
     from . import spectrum
 
     xi = _xi_from_args(args)
     s = spectrum.eigenvalues(xi, args.classify_tol)
-    payload = {
-        "schema": SCHEMA,
-        "command": "classify",
-        "xi": xi,
-        "class": s.degeneracy.value,
-        "phi": s.phi,
-        "gaps": {"e12": s.e12, "e23": s.e23, "e13": s.e13},
-    }
-    _emit_json(payload, args.output)
+    return {"xi": xi, "class": s.degeneracy.value, "phi": s.phi,
+            "gaps": {"e12": s.e12, "e23": s.e23, "e13": s.e13}}
 
 
-def _cmd_spectrum(args) -> None:
+def _cmd_spectrum(args) -> dict:
     from . import spectrum
     from .algebra import invariants
 
     xi = _xi_from_args(args)
     s = spectrum.eigenvalues(xi, args.classify_tol)
     quad, cubic = invariants(xi)
-    payload = {
-        "schema": SCHEMA,
-        "command": "spectrum",
-        "xi": xi,
-        "energies": [s.e1, s.e2, s.e3],
-        "phi": s.phi,
-        "gaps": {"e12": s.e12, "e23": s.e23, "e13": s.e13},
-        "class": s.degeneracy.value,
-        "rest_frame": spectrum.rest_frame(xi),
-        "invariants": {"quadratic": quad, "cubic": cubic},
-    }
-    _emit_json(payload, args.output)
+    return {"xi": xi, "energies": [s.e1, s.e2, s.e3], "phi": s.phi,
+            "gaps": {"e12": s.e12, "e23": s.e23, "e13": s.e13}, "class": s.degeneracy.value,
+            "rest_frame": spectrum.rest_frame(xi),
+            "invariants": {"quadratic": quad, "cubic": cubic}}
 
 
-def _curvature_routes(xi, level: int, route: str, tol: float) -> dict:
+def _cmd_curvature(args) -> dict:
     from . import curvature
 
+    xi, level, tol = _xi_from_args(args), args.level, args.classify_tol
     routes = {}
-    if route in ("spectral", "all"):
+    if args.route in ("spectral", "all"):
         routes["spectral"] = curvature.curvature_spectral(xi, level, tol).coeffs
-    if route in ("transported", "all"):
+    if args.route in ("transported", "all"):
         routes["transported"] = curvature.curvature_transported(xi, level, tol).coeffs
-    if route in ("parts", "all"):
+    if args.route in ("parts", "all"):
         from . import tensors
 
         routes["parts"] = tensors.curvature_from_parts(xi, level, tol).coeffs
-    return routes
-
-
-def _cmd_curvature(args) -> None:
-    xi = _xi_from_args(args)
-    routes = _curvature_routes(xi, args.level, args.route, args.classify_tol)
-    payload = {
-        "schema": SCHEMA,
-        "command": "curvature",
-        "xi": xi,
-        "level": args.level,
-        "route": args.route,
-        "coefficients": {name: mat for name, mat in routes.items()},
-    }
+    payload = {"xi": xi, "level": level, "route": args.route, "coefficients": routes}
     if len(routes) > 1:
         names = list(routes)
-        dev = max(
+        payload["max_pairwise_deviation"] = max(
             float(np.abs(routes[a] - routes[b]).max())
             for i, a in enumerate(names) for b in names[i + 1:]
         )
-        payload["max_pairwise_deviation"] = dev
-    _emit_json(payload, args.output)
+    return payload
 
 
-def _cmd_decompose(args) -> None:
+def _cmd_decompose(args) -> dict:
     from . import curvature, spectrum, tensors
 
     xi = _xi_from_args(args)
@@ -194,9 +170,7 @@ def _cmd_decompose(args) -> None:
     parts = tensors.project_irreducible(form.coeffs)
     s = spectrum.eigenvalues(xi, args.classify_tol)
     lam, mu = tensors.octet_coefficients(level, spectrum.rest_frame(xi), args.classify_tol)
-    payload = {
-        "schema": SCHEMA,
-        "command": "decompose",
+    return {
         "xi": xi,
         "level": level,
         "octet": parts.octet,
@@ -204,39 +178,22 @@ def _cmd_decompose(args) -> None:
         "decouplet_im": parts.decouplet.imag,
         "antidecouplet_re": parts.antidecouplet.real,
         "antidecouplet_im": parts.antidecouplet.imag,
-        "octet_expansion": {
-            "lambda": lam,
-            "mu": mu,
-            "prefactor": -1.0 / (4.0 * s.e12 * s.e13 * s.e23),
-        },
+        "octet_expansion": {"lambda": lam, "mu": mu,
+                            "prefactor": -1.0 / (4.0 * s.e12 * s.e13 * s.e23)},
         "decouplet_weight": tensors.decouplet_weight(level, s.e12, s.e23),
     }
-    _emit_json(payload, args.output)
 
 
-def _loop_from_args(args) -> "holonomy.LoopPath":
+def _cmd_loop_phase(args) -> dict:
     from . import holonomy
 
-    if args.path_file:
-        import json
-
-        with open(args.path_file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return holonomy.LoopPath(np.array(data, dtype=float), args.classify_tol)
-    for name in ("center", "axis1", "axis2", "radius"):
-        if getattr(args, name) is None:
-            raise ValueError(f"loop generator needs --{name} (or --path-file)")
-    return holonomy.circle_loop(
-        args.center, args.axis1, args.axis2, args.radius, args.samples,
-        args.classify_tol,
-    )
-
-
-def _cmd_loop_phase(args) -> None:
-    from . import holonomy
-
-    loop = _loop_from_args(args)
-    payload = {"schema": SCHEMA, "command": "loop_phase", "samples": len(loop.samples)}
+    path = _points_from_args(args, "loop", "path-file", ("center", "axis1", "axis2", "radius"))
+    if path is not None:
+        loop = holonomy.LoopPath(path, args.classify_tol)
+    else:
+        loop = holonomy.circle_loop(args.center, args.axis1, args.axis2, args.radius,
+                                    args.samples, args.classify_tol)
+    payload = {"samples": len(loop.samples)}
     if args.level:
         payload["level"] = args.level
         payload["phase"] = holonomy.loop_phase(loop, args.level)
@@ -244,44 +201,27 @@ def _cmd_loop_phase(args) -> None:
         phases, total = holonomy.phase_sum_rule_check(loop)
         payload["phases"] = {"level1": phases[0], "level2": phases[1], "level3": phases[2]}
         payload["sum_mod_2pi"] = total
-    _emit_json(payload, args.output)
+    return payload
 
 
-def _patch_from_args(args) -> "holonomy.SurfacePatch":
+def _cmd_surface_flux(args) -> dict:
     from . import holonomy
 
-    if args.patch_file:
-        import json
-
-        with open(args.patch_file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return holonomy.SurfacePatch(np.array(data, dtype=float), args.classify_tol)
-    for name in ("center", "frame1", "frame2", "frame3", "radius"):
-        if getattr(args, name) is None:
-            raise ValueError(f"patch generator needs --{name} (or --patch-file)")
-    frame = np.stack([args.frame1, args.frame2, args.frame3])
-    return holonomy.spherical_patch(
-        args.center, frame, args.radius,
-        (args.theta_min, args.theta_max), args.grid, args.classify_tol,
-    )
-
-
-def _cmd_surface_flux(args) -> None:
-    from . import holonomy
-
-    patch = _patch_from_args(args)
+    grid = _points_from_args(args, "patch", "patch-file",
+                             ("center", "frame1", "frame2", "frame3", "radius"))
+    if grid is not None:
+        patch = holonomy.SurfacePatch(grid, args.classify_tol)
+    else:
+        patch = holonomy.spherical_patch(
+            args.center, np.stack([args.frame1, args.frame2, args.frame3]), args.radius,
+            (args.theta_min, args.theta_max), args.grid, args.classify_tol,
+        )
     level = args.level or 1
-    payload = {
-        "schema": SCHEMA,
-        "command": "surface_flux",
-        "level": level,
-        "grid": list(patch.grid.shape[:2]),
-        "flux": holonomy.surface_flux(patch, level),
-    }
-    _emit_json(payload, args.output)
+    return {"level": level, "grid": list(patch.grid.shape[:2]),
+            "flux": holonomy.surface_flux(patch, level)}
 
 
-def _cmd_monopole(args) -> None:
+def _cmd_monopole(args) -> dict:
     from . import limits
 
     level = args.level or 1
@@ -290,16 +230,8 @@ def _cmd_monopole(args) -> None:
         center_offset=args.offset, rel_tol=args.quadrature_tol,
         tol=args.classify_tol,
     )
-    payload = {
-        "schema": SCHEMA,
-        "command": "monopole",
-        "direction": args.direction,
-        "radius": args.radius,
-        "level": level,
-        "flux": flux,
-        "flux_over_2pi": flux / (2.0 * np.pi),
-    }
-    _emit_json(payload, args.output)
+    return {"direction": args.direction, "radius": args.radius, "level": level,
+            "flux": flux, "flux_over_2pi": flux / (2.0 * np.pi)}
 
 
 def _sweep_points(args) -> np.ndarray:
@@ -376,7 +308,7 @@ def _cmd_sweep(args) -> None:
     _emit_csv(_sweep_rows(points, args.level, args.classify_tol), columns, args.output)
 
 
-def _cmd_selfcheck(args) -> int:
+def _cmd_selfcheck(args) -> dict:
     from . import selfcheck  # only this command needs the check battery
 
     results = selfcheck.run_all(args.seed)
@@ -384,21 +316,9 @@ def _cmd_selfcheck(args) -> int:
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     print(f"{passed}/{len(results)} checks passed")
-    if args.output:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "selfcheck",
-                "passed": passed,
-                "total": len(results),
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-            },
-            args.output,
-        )
-    return 0 if passed == len(results) else 1
+    return {"passed": passed, "total": len(results),
+            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                       for r in results]}
 
 
 def _add_common(p: argparse.ArgumentParser, point: bool = False) -> None:
@@ -409,8 +329,6 @@ def _add_common(p: argparse.ArgumentParser, point: bool = False) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--classify-tol", type=float, default=spectrum.DEFAULT_CLASSIFY_TOL)
     p.add_argument("--quadrature-tol", type=float, default=1e-4)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored")
     if point:
         p.add_argument("--xi", type=_vec8, help="explicit octet vector, 8 comma-separated values")
         p.add_argument("--rest", type=_rest_pair, help="rest-frame pair x3,x8")
@@ -468,6 +386,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep")
     _add_common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and ignored")
     p.add_argument("--generator", choices=["ray", "random", "rest-frame"], required=True)
     p.add_argument("--level", type=int, choices=[1, 2, 3])
     p.add_argument("--count", type=int, default=50)
@@ -495,25 +415,29 @@ _HANDLERS = {
     "surface-flux": _cmd_surface_flux,
     "monopole": _cmd_monopole,
     "sweep": _cmd_sweep,
+    "selfcheck": _cmd_selfcheck,
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.cmd == "selfcheck":
-            return _cmd_selfcheck(args)
         if args.cmd == "job":
             from . import job
 
             return main(job.to_argv(args.file))
-        if getattr(args, "format", None) == "csv" and args.cmd != "sweep":
+        if args.format == "csv" and args.cmd not in ("sweep", "selfcheck"):
             raise ValueError("format: csv is only available for sweep")
-        if getattr(args, "format", None) == "json" and args.cmd == "sweep":
+        if args.format == "json" and args.cmd == "sweep":
             raise ValueError("format: sweep emits csv only")
-        _HANDLERS[args.cmd](args)
-        return 0
+        payload = _HANDLERS[args.cmd](args)
+        # every JSON result is written here, its schema and command first
+        if payload is not None and (args.cmd != "selfcheck" or args.output):
+            import json
+
+            head = {"schema": SCHEMA, "command": args.cmd.replace("-", "_")}
+            _write(json.dumps(_jsonable({**head, **payload}), indent=2) + "\n", args.output)
+        return int(args.cmd == "selfcheck" and payload["passed"] < payload["total"])
     except DegenerateInput as exc:
         sys.stderr.write(f"su3holo: degenerate input: {exc}\n")
         return 2

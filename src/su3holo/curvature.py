@@ -27,7 +27,7 @@ from .spectrum import (
     DegeneracyClass,
     SpectralData,
     _frames_at,
-    _point,
+    _generic_frames,
     diagonalizer,
     octet_norm,
 )
@@ -105,9 +105,8 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
 
     using the closed-form eigenvectors.  The value is independent of the
     eigenvector gauge."""
-    xi, s = _point(xi, tol, "curvature_spectral", generic=True)
-    e, a_mat = _frames_at(xi, s.energies)
-    return CurvatureTwoForm(level, _coeffs_from_frames(e, a_mat, level))
+    _, s, a_mat = _generic_frames(xi, tol, "curvature_spectral")
+    return CurvatureTwoForm(level, _coeffs_from_frames(s.energies, a_mat, level))
 
 
 def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm:
@@ -151,17 +150,16 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     Well defined despite the residual torus gauge freedom of the
     diagonalizer (the rest-frame table is torus-invariant), and equal to
     the spectral route."""
-    xi, s = _point(xi, tol, "curvature_transported", generic=True)
+    _, s, a_mat = _generic_frames(xi, tol, "curvature_transported")
     v0 = curvature_rest_frame(s, level)
-    d = adjoint_matrix(_frames_at(xi, s.energies)[1])
+    d = adjoint_matrix(a_mat)
     return CurvatureTwoForm(level, d @ v0.coeffs @ d.T)
 
 
 def _all_levels(xi, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    xi, s = _point(xi, tol, "curvature", generic=True)
-    e, a_mat = _frames_at(xi, s.energies)
-    stack = np.stack([_coeffs_from_frames(e, a_mat, a) for a in (1, 2, 3)])
-    return e, stack
+    _, s, a_mat = _generic_frames(xi, tol, "curvature")
+    e = s.energies
+    return e, np.stack([_coeffs_from_frames(e, a_mat, a) for a in (1, 2, 3)])
 
 
 def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -194,11 +192,10 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     gauge is pinned to the center point's pivot rows so the rule stays
     smooth across the stencil.  Default step: ``1e-5 * |xi|``.
     """
-    xi, s = _point(xi, tol, "symplectic_two_form_fd", generic=True)
+    xi, s, a0 = _generic_frames(xi, tol, "symplectic_two_form_fd")
     if step is None:
         step = 1e-5 * octet_norm(xi)
     h0 = np.diag(s.energies)
-    a0 = _frames_at(xi, s.energies)[1]
     pivots = (int(np.argmax(np.abs(a0[:, 0]))), int(np.argmax(np.abs(a0[:, 1]))))
     a0 = _frames_at(xi, s.energies, pivots)[1]
     thetas = np.empty((8, 3, 3), dtype=complex)

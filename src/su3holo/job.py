@@ -3,7 +3,8 @@
 A ``su3holo/1`` descriptor is a JSON object naming a command, its point or
 generator, tolerances and output.  It is translated into the equivalent
 command line, which ``cli.main`` then parses and runs, so argparse stays the
-one validator of every option.  Only the ``job`` command imports this module.
+one validator of every option; here each field is only checked to hold a JSON
+value of its type.  Only the ``job`` command imports this module.
 """
 import json
 import math
@@ -29,6 +30,24 @@ def _optional_field(obj: dict, name: str, default):
     return value
 
 
+def _number(value, field: str, kind=float) -> str:
+    """The argument text of a JSON number; ``kind=int`` also requires an integral one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{field}: expected {'an integer' if kind is int else 'a number'}")
+    try:
+        return str(int(value)) if kind is int else repr(float(value))
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"{field}: expected a number within the float range") from None
+
+
+def _vector(value, field: str) -> str:
+    """The argument text of a list of 8 JSON numbers."""
+    if not (isinstance(value, list) and len(value) == 8):
+        raise ValueError(f"{field}: expected a list of 8 numbers")
+    return ",".join(_number(v, field) for v in value)
+
+
 def to_argv(path: str) -> list[str]:
     """The command line equivalent to the descriptor in the file ``path``."""
     try:
@@ -45,21 +64,17 @@ def to_argv(path: str) -> list[str]:
     output = _optional_field(desc, "output", {})
     argv = [command]
     if "xi" in desc:
-        xi = desc["xi"]
-        if not isinstance(xi, list) or len(xi) != 8:
-            raise ValueError("xi: expected a list of 8 numbers")
-        flag = "--direction" if command == "monopole" else "--xi"
-        argv += [flag, ",".join(repr(float(v)) for v in xi)]
+        argv += ["--direction" if command == "monopole" else "--xi", _vector(desc["xi"], "xi")]
     if command == "monopole":
-        argv += ["--radius", repr(float(desc.get("radius", 1e-3)))]
+        argv += ["--radius", _number(desc.get("radius", 1e-3), "radius")]
     if "level" in desc:
-        argv += ["--level", str(int(desc["level"]))]
+        argv += ["--level", _number(desc["level"], "level", int)]
     if "classify" in tolerances:
-        argv += ["--classify-tol", repr(float(tolerances["classify"]))]
+        argv += ["--classify-tol", _number(tolerances["classify"], "tolerances.classify")]
     if "quadrature" in tolerances:
-        argv += ["--quadrature-tol", repr(float(tolerances["quadrature"]))]
+        argv += ["--quadrature-tol", _number(tolerances["quadrature"], "tolerances.quadrature")]
     if "seed" in desc:
-        argv += ["--seed", str(int(desc["seed"]))]
+        argv += ["--seed", _number(desc["seed"], "seed", int)]
     if "path" in output and output["path"]:
         argv += ["--output", str(output["path"])]
     if "format" in output and output["format"]:
@@ -74,41 +89,41 @@ def _generator_argv(gen: dict) -> list[str]:
     out: list[str] = []
 
     def vec(name):
-        val = _require_field(gen, name, list)
-        return ",".join(repr(float(v)) for v in val)
+        return _vector(_require_field(gen, name, list), name)
 
     if kind == "circle":
         out += ["--center", vec("center8")]
         pair = _require_field(gen, "axis_pair", list)
         if len(pair) != 2:
             raise ValueError("axis_pair: expected two 8-vectors")
-        out += ["--axis1", ",".join(repr(float(v)) for v in pair[0])]
-        out += ["--axis2", ",".join(repr(float(v)) for v in pair[1])]
-        out += ["--radius", repr(float(_require_field(gen, "radius")))]
-        out += ["--samples", str(int(gen.get("samples", 1000)))]
+        out += ["--axis1", _vector(pair[0], "axis_pair"),
+                "--axis2", _vector(pair[1], "axis_pair")]
+        out += ["--radius", _number(_require_field(gen, "radius"), "radius")]
+        out += ["--samples", _number(gen.get("samples", 1000), "samples", int)]
     elif kind == "sphere-patch":
         out += ["--center", vec("center8")]
         frame = _require_field(gen, "frame", list)
         if len(frame) != 3:
             raise ValueError("frame: expected three 8-vectors")
         for k, v in enumerate(frame, 1):
-            out += [f"--frame{k}", ",".join(repr(float(x)) for x in v)]
-        out += ["--radius", repr(float(_require_field(gen, "radius")))]
+            out += [f"--frame{k}", _vector(v, "frame")]
+        out += ["--radius", _number(_require_field(gen, "radius"), "radius")]
         theta = _optional_field(gen, "theta_range", [0.0, math.pi])
-        out += ["--theta-min", repr(float(theta[0])), "--theta-max", repr(float(theta[1]))]
+        out += ["--theta-min", _number(theta[0], "theta_range"),
+                "--theta-max", _number(theta[1], "theta_range")]
         grid = _optional_field(gen, "grid", [64, 128])
-        out += ["--grid", f"{int(grid[0])}x{int(grid[1])}"]
+        out += ["--grid", "x".join(_number(n, "grid", int) for n in grid)]
     elif kind in ("ray", "random", "rest-frame"):
         out += ["--generator", kind]
         if kind == "ray":
             out += ["--ray-from", vec("from8"), "--toward", vec("toward8")]
             deltas = _optional_field(gen, "delta_range", [1e-4, 1e-1])
-            out += ["--delta-start", repr(float(deltas[0])),
-                    "--delta-stop", repr(float(deltas[1]))]
+            out += ["--delta-start", _number(deltas[0], "delta_range"),
+                    "--delta-stop", _number(deltas[1], "delta_range")]
         if "count" in gen:
-            out += ["--count", str(int(gen["count"]))]
+            out += ["--count", _number(gen["count"], "count", int)]
         if "scale" in gen:
-            out += ["--scale", repr(float(gen["scale"]))]
+            out += ["--scale", _number(gen["scale"], "scale")]
     else:
         raise ValueError(f"generator.kind: unknown kind {kind!r}")
     return out

@@ -313,6 +313,23 @@ def _frames_at(xi: np.ndarray, e: np.ndarray, pivots=None) -> tuple[np.ndarray, 
     return e, _fix_gauge(a, pivots)
 
 
+def _finite_columns(a: np.ndarray, xi: np.ndarray) -> None:
+    # Past about |xi| = 1e77 the squared cross products in _norm overflow and
+    # a single point's eigenvector columns come out zero, or NaN once gauged.
+    if not (np.isfinite(a).all() and np.abs(a).max(axis=0).all()):
+        raise ValueError(f"the eigenvector frames are not finite at |xi| = {math.hypot(*xi):.6g}")
+
+
+def _generic_frames(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData, np.ndarray]:
+    """``_point(xi, tol, caller, generic=True)`` and the point's gauge-fixed
+    eigenvector matrix; ``ValueError`` where that matrix is not finite."""
+    xi, s = _point(xi, tol, caller, generic=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _frames_at(xi, s.energies)[1]
+    _finite_columns(a, xi)
+    return xi, s, a
+
+
 def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarray:
     """Special-unitary matrix ``A(xi)`` whose columns are the eigenvectors of
     ``H(xi)`` in descending eigenvalue order, so that
@@ -332,10 +349,13 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
         mixing are not determined on the degeneracy surfaces.
     ValueError
         If ``pivots`` is not two row indices in 0..2, or names a zero
-        component of its column, whose phase is then undefined.
+        component of its column, whose phase is then undefined; or if the
+        eigenvectors overflow (|xi| above about 1e77).
     """
     xi, s = _point(xi, tol, "diagonalizer", generic=True)
-    a = _eigenvector_columns(octet_to_matrix(xi), s.energies)
+    with np.errstate(over="ignore"):
+        a = _eigenvector_columns(octet_to_matrix(xi), s.energies)
+    _finite_columns(a, xi)
     if pivots is not None:
         if not (len(pivots) == 2 and all(isinstance(p, (int, np.integer)) and 0 <= p < 3
                                          for p in pivots)):

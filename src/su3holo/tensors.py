@@ -29,7 +29,7 @@ from .errors import DegenerateInput
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
-    _frames_at,
+    _generic_frames,
     _point,
     _rest_from_levels,
     diagonalizer,
@@ -314,13 +314,13 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     pieces are reassembled and converted back to coefficients.  Agrees with
     the spectral and transported routes.
     """
-    xi, s = _point(xi, tol, "curvature_from_parts", generic=True)
+    xi, s, a_mat = _generic_frames(xi, tol, "curvature_from_parts")
     e12, e23, e13 = s.e12, s.e23, s.e13
     lam, mu = octet_coefficients(level, _rest_from_levels(s.energies), tol)
     prefactor = -1.0 / (4.0 * e12 * e13 * e23)
     x = prefactor * (lam * xi + mu * octet_star(xi, xi))
     v = decouplet_weight(level, e12, e23)
-    field_ = _decouplet_field(_frames_at(xi, s.energies)[1])
+    field_ = _decouplet_field(a_mat)
     parts = IrreducibleParts(
         1j * v * field_.decouplet, -1j * v * field_.antidecouplet, x
     )

@@ -374,6 +374,17 @@ RAY_GENERATOR = {
     ("tolerances", {"tolerances": [1e-9]}),
     ("generator", {"generator": ["sphere-patch"]}),
     ("generator", {"generator": None}),
+    ("level", {"level": 1.7}),
+    ("level", {"level": True}),
+    ("count", {"command": "sweep", "generator": {"kind": "rest-frame", "count": 2.9}}),
+    ("center8", {"generator": {**SPHERE_GENERATOR, "center8": [0, 0, 0, 0, 0, 0, 1]}}),
+    ("frame", {"generator": {**SPHERE_GENERATOR, "frame": [
+        [1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, "1", 0, 0, 0, 0, 0]]}}),
+    ("radius", {"generator": {**SPHERE_GENERATOR, "radius": "1e-3"}}),
+    ("grid", {"generator": {**SPHERE_GENERATOR, "grid": [11.5, 21]}}),
+    ("seed", {"seed": False}),
+    ("tolerances.quadrature", {"tolerances": {"quadrature": None}}),
+    ("radius", {"generator": {**SPHERE_GENERATOR, "radius": 10**400}}),
 ])
 def test_job_descriptor_field_errors_exit_1(tmp_path, capsys, monkeypatch, field, change):
     monkeypatch.chdir(tmp_path)
@@ -385,3 +396,70 @@ def test_job_descriptor_field_errors_exit_1(tmp_path, capsys, monkeypatch, field
     assert captured.out == ""
     assert captured.err.startswith(f"su3holo: error: {field}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--xi", REST],
+    ["monopole", "--direction", E8, "--radius", "1e-3"],
+    ["selfcheck"],
+])
+def test_threads_is_a_sweep_option_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("su3holo: error: unrecognized arguments: --threads 2\n")
+
+
+CIRCLE = ["--center", E8, "--axis1", "1,0,0,0,0,0,0,0", "--axis2", "0,1,0,0,0,0,0,0",
+          "--radius", "1e-3"]
+SPHERE = ["--center", E8, "--frame1", "1,0,0,0,0,0,0,0", "--frame2", "0,1,0,0,0,0,0,0",
+          "--frame3", "0,0,1,0,0,0,0,0", "--radius", "1e-3", "--grid", "9x17"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--xi", REST],
+    ["spectrum", "--rest", "0.6,1.3"],
+    ["curvature", "--xi", REST, "--level", "1", "--route", "all"],
+    ["decompose", "--xi", REST, "--level", "2"],
+    ["loop-phase", *CIRCLE, "--samples", "50"],
+    ["surface-flux", *SPHERE],
+    ["monopole", "--direction", E8, "--radius", "1e-3", "--level", "3"],
+])
+def test_json_results_lead_with_schema_and_command(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert list(doc)[:2] == ["schema", "command"]
+    assert doc["schema"] == "su3holo/1"
+    assert doc["command"] == argv[0].replace("-", "_")
+
+
+def test_selfcheck_output_leads_with_schema_and_command(tmp_path, capsys, monkeypatch):
+    from su3holo import selfcheck
+
+    # the checks compare numpy floats, so their flags are numpy bools
+    results = [selfcheck.CheckResult("one", np.float64(1e-15) < 1e-14, "ok"),
+               selfcheck.CheckResult("two", np.float64(1e-3) < 1e-14, "off")]
+    monkeypatch.setattr(selfcheck, "run_all", lambda seed: results)
+    out = tmp_path / "selfcheck.json"
+    assert main(["selfcheck", "--output", str(out)]) == 1
+    assert capsys.readouterr().out == "PASS one: ok\nFAIL two: off\n1/2 checks passed\n"
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["schema", "command", "passed", "total", "checks"]
+    assert doc["command"] == "selfcheck"
+    assert doc["checks"][1] == {"name": "two", "passed": False, "detail": "off"}
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e100])
+@pytest.mark.parametrize("route", ["spectral", "transported", "parts", "all"])
+def test_overflowing_frames_exit_1(capsys, scale, route):
+    xi = scale * np.array([0.6, -0.3, 0.2, 0.1, -0.5, 0.3, 0.2, 0.3]) / np.sqrt(0.97)
+    text = ",".join(repr(float(v)) for v in xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["curvature", f"--xi={text}", "--level", "2", "--route", route]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("su3holo: error: the eigenvector frames are not finite at "
+                            f"|xi| = {scale:.6g}\n")

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from su3holo.curvature import (
     symplectic_two_form_fd,
     weighted_sum,
 )
-from su3holo.spectrum import _frames, eigenvalues, energy_gaps
+from su3holo.spectrum import _frames, diagonalizer, eigenvalues, energy_gaps
+from su3holo.tensors import curvature_from_parts
 
 rng = np.random.default_rng(55)
 
@@ -186,3 +190,44 @@ def test_degenerate_inputs_rejected():
             fn(e(8), 1)
     with pytest.raises(DegenerateInput):
         weighted_sum(np.zeros(8))
+
+
+# the single-point routes, each with the power of |xi| its value scales with
+SINGLE_POINT = {
+    "diagonalizer": (diagonalizer, 0),
+    "curvature_spectral": (lambda xi: curvature_spectral(xi, 1).coeffs, -2),
+    "curvature_transported": (lambda xi: curvature_transported(xi, 2).coeffs, -2),
+    "curvature_from_parts": (lambda xi: curvature_from_parts(xi, 3).coeffs, -2),
+    "weighted_sum": (weighted_sum, -1),
+    "symplectic_two_form_fd": (symplectic_two_form_fd, -1),
+    "level_sum": (level_sum, None),
+}
+DIRECTION = np.array([0.6, -0.3, 0.2, 0.1, -0.5, 0.3, 0.2, 0.3]) / np.sqrt(0.97)
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e100])
+@pytest.mark.parametrize("name", SINGLE_POINT)
+def test_overflowing_frames_are_a_typed_error(name, scale):
+    # the squared cross products behind the eigenvectors overflow past about
+    # 1e77: unchecked, the frames and every curvature read NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"not finite at |xi| = {scale:.6g}")):
+            SINGLE_POINT[name][0](scale * DIRECTION)
+
+
+def test_frames_below_the_overflow_are_unchanged():
+    xi = 1e76 * DIRECTION
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e_, a = _frames(xi)
+        assert np.array_equal(diagonalizer(xi), a)
+        for level in (1, 2, 3):
+            want = CurvatureTwoForm(level, _coeffs_from_frames(e_, a, level)).coeffs
+            assert np.array_equal(curvature_spectral(xi, level).coeffs, want)
+        for func, power in SINGLE_POINT.values():
+            if power is not None:
+                got, unit = func(xi), func(DIRECTION)
+                assert np.all(np.isfinite(got))
+                np.testing.assert_allclose(got, 1e76**power * unit, rtol=1e-6,
+                                           atol=1e-9 * 1e76**power * np.abs(unit).max())
