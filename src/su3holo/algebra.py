@@ -71,6 +71,12 @@ def _build_structure_constants() -> tuple[np.ndarray, np.ndarray]:
 
 F_CONST, D_CONST = _build_structure_constants()
 
+# the nonzero d_rst in C order, for cubic_invariant
+_CUBIC_TERMS = tuple((float(D_CONST[r, s, t]), int(r), int(s), int(t))
+                     for r, s, t in zip(*np.nonzero(D_CONST)))
+# lambda_8's diagonal entries 1/sqrt(3) and -2/sqrt(3), for octet_to_matrix
+_L8_11, _L8_33 = float(GELL_MANN[7, 0, 0].real), float(GELL_MANN[7, 2, 2].real)
+
 _IDENT3 = np.eye(3, dtype=complex)
 
 
@@ -126,8 +132,31 @@ def from_coordinates(form: CoordinateForm) -> np.ndarray:
 
 def octet_to_matrix(xi) -> np.ndarray:
     """Traceless Hermitian matrix ``(1/2) xi . lambda``.  Broadcasts over
-    leading axes: shape (..., 8) -> (..., 3, 3)."""
-    return 0.5 * np.einsum("...r,rij->...ij", _octet(xi), GELL_MANN)
+    leading axes: shape (..., 8) -> (..., 3, 3).
+
+    Each entry is ``0.5 * (0j + sum_r xi_r lambda_r[i, j])`` over its nonzero
+    Gell-Mann entries only, in r order: on finite input that is the sum
+    ``0.5 * einsum("...r,rij->...ij", xi, GELL_MANN)`` forms, bit for bit,
+    without its zero terms (a real Gell-Mann entry multiplies as a real
+    number, and the leading ``0j`` is the einsum's zero accumulator).  A
+    non-finite component reaches only the entries of its own Gell-Mann
+    matrix, where the einsum's ``0 * inf`` makes every entry NaN."""
+    xi = _octet(xi)
+    # components and entries on the first axis of the transposed views;
+    # a single point is computed in Python floats
+    x1, x2, x3, x4, x5, x6, x7, x8 = xi.tolist() if xi.ndim == 1 else xi.T
+    out = np.empty(xi.shape[:-1] + (9,), dtype=complex)
+    h = out.T  # h[3 i + j] is entry (i, j)
+    h[0] = 0.5 * (0j + x3 + x8 * _L8_11)
+    h[1] = 0.5 * (0j + x1 + x2 * -1j)
+    h[2] = 0.5 * (0j + x4 + x5 * -1j)
+    h[3] = 0.5 * (0j + x1 + x2 * 1j)
+    h[4] = 0.5 * (0j - x3 + x8 * _L8_11)
+    h[5] = 0.5 * (0j + x6 + x7 * -1j)
+    h[6] = 0.5 * (0j + x4 + x5 * 1j)
+    h[7] = 0.5 * (0j + x6 + x7 * 1j)
+    h[8] = 0.5 * (0j + x8 * _L8_33)
+    return out.reshape(xi.shape[:-1] + (3, 3))
 
 
 def matrix_to_octet(h) -> np.ndarray:
@@ -158,10 +187,19 @@ def quadratic_invariant(xi) -> float | np.ndarray:
 
 def cubic_invariant(xi) -> float | np.ndarray:
     """``(xi * xi) . xi = sqrt(3) d_rst xi_r xi_s xi_t``, invariant under the
-    adjoint action and bounded by ``|xi|^3`` in magnitude."""
+    adjoint action and bounded by ``|xi|^3`` in magnitude.
+
+    The sum runs over the 58 nonzero ``d_rst`` only, in C order, each term
+    multiplied left to right: on finite input that is the sum
+    ``einsum("rst,...r,...s,...t->...", D_CONST, xi, xi, xi)`` forms, bit
+    for bit, without its zero terms."""
     xi = _octet(xi)
-    out = np.sqrt(3.0) * np.einsum("rst,...r,...s,...t->...", D_CONST, xi, xi, xi)
-    return float(out) if out.ndim == 0 else out
+    x = xi.tolist() if xi.ndim == 1 else [xi[..., r] for r in range(8)]
+    acc = 0.0
+    for d, r, s, t in _CUBIC_TERMS:
+        acc += d * x[r] * x[s] * x[t]
+    out = np.sqrt(3.0) * acc
+    return float(out) if xi.ndim == 1 else out
 
 
 def invariants(xi) -> tuple[float, float]:

@@ -167,15 +167,15 @@ def monopole_flux(direction, radius: float, level: int,
     ------
     ValueError
         If ``direction`` is not a unit vector on the upper degeneracy cone
-        (cubic invariant -1) within 1e-9, the sphere is large enough to
-        reach the lower degeneracy, or ``rel_tol`` is not positive and
-        finite.
+        (cubic invariant -1) within 1e-9, ``radius`` is not positive and
+        finite, the sphere is large enough to reach the lower degeneracy, or
+        ``rel_tol`` is not positive and finite.
     UnderResolvedPath
         If no two refinements up to order 384 agree within the tolerance.
     """
     direction = np.asarray(direction, dtype=float)
     quad, cubic = invariants(direction)
-    if abs(quad - 1.0) > 1e-9 or abs(cubic + 1.0) > 1e-9:
+    if not (abs(quad - 1.0) <= 1e-9 and abs(cubic + 1.0) <= 1e-9):
         raise ValueError(
             "direction must be a unit octet vector on the upper degeneracy cone"
         )
@@ -184,11 +184,11 @@ def monopole_flux(direction, radius: float, level: int,
     if not (np.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     offset = np.zeros(3) if center_offset is None else np.asarray(center_offset, float)
-    if offset.shape != (3,):
-        raise ValueError("center_offset must have 3 components")
+    if offset.shape != (3,) or not np.isfinite(offset).all():
+        raise ValueError("center_offset must have 3 finite components")
     _, e23_dir, _ = energy_gaps(direction)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if np.linalg.norm(offset) + radius > 0.25 * e23_dir:
         raise ValueError("sphere too large: it approaches the lower degeneracy")
 

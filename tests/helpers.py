@@ -1,6 +1,8 @@
-"""Shared test utilities: random matrix factories and angle wrapping."""
+"""Shared test utilities: random matrix factories, angle wrapping and the
+dense reference kernels."""
 import numpy as np
 
+from su3holo.algebra import D_CONST, GELL_MANN
 from su3holo.spectrum import energy_gaps, octet_norm
 
 
@@ -84,3 +86,18 @@ def copying_fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
     det = np.linalg.det(a)
     a[..., :, 2] = a[..., :, 2] * (np.conj(det) / np.abs(det))[..., None]
     return a
+
+
+def einsum_cubic_invariant(xi):
+    """Reference cubic invariant: the dense einsum over all 512 ``d_rst``.
+    The library's sparse sum must equal it bit for bit on finite input."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.sqrt(3.0) * np.einsum("rst,...r,...s,...t->...", D_CONST, xi, xi, xi)
+    return float(out) if out.ndim == 0 else out
+
+
+def einsum_octet_to_matrix(xi) -> np.ndarray:
+    """Reference ``(1/2) xi . lambda``: the dense einsum over all 8 Gell-Mann
+    matrices.  The library's entry-by-entry sums must equal it bit for bit
+    on finite input."""
+    return 0.5 * np.einsum("...r,rij->...ij", np.asarray(xi, dtype=float), GELL_MANN)

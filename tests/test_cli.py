@@ -463,3 +463,57 @@ def test_overflowing_frames_exit_1(capsys, scale, route):
     assert captured.out == ""
     assert captured.err == ("su3holo: error: the eigenvector frames are not finite at "
                             f"|xi| = {scale:.6g}\n")
+
+
+LOOP_ARGS = ["loop-phase", "--center", REST, "--axis1", "1,0,0,0,0,0,0,0",
+             "--axis2", "0,1,0,0,0,0,0,0", "--samples", "200"]
+PATCH_ARGS = ["surface-flux", "--center", E8, "--frame1", "1,0,0,0,0,0,0,0",
+              "--frame2", "0,1,0,0,0,0,0,0", "--frame3", "0,0,1,0,0,0,0,0", "--grid", "9x17"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monopole", "--direction", E8, "--radius", "nan"], "radius must be positive and finite"),
+    (["monopole", "--direction", E8, "--radius", "inf"], "radius must be positive and finite"),
+    (["monopole", "--direction", "nan,0,0,0,0,0,0,1", "--radius", "1e-3"], "direction"),
+    (["monopole", "--direction", E8, "--radius", "1e-3", "--offset", "0,nan,0"],
+     "center_offset"),
+    ([*LOOP_ARGS, "--radius", "nan"], "radius must be positive and finite"),
+    ([*LOOP_ARGS, "--radius", "inf"], "radius must be positive and finite"),
+    ([*LOOP_ARGS, "--radius", "0"], "radius must be positive and finite"),
+    ([*LOOP_ARGS[:2], "nan,0,0.6,0,0,0,0,1.3", *LOOP_ARGS[3:], "--radius", "0.1"],
+     "finite 8-component"),
+    ([*PATCH_ARGS, "--radius", "1e-3", "--theta-max", "nan"], "theta_range must be finite"),
+    ([*PATCH_ARGS, "--radius", "1e-3", "--theta-min=-inf"], "theta_range must be finite"),
+    ([*PATCH_ARGS, "--radius", "nan"], "radius must be positive and finite"),
+    ([*PATCH_ARGS[:2], "0,0,0,0,0,0,inf,1", *PATCH_ARGS[3:], "--radius", "1e-3"],
+     "center and frame must be finite"),
+])
+def test_non_finite_options_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("su3holo: error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"command": "surface-flux", "generator": {**SPHERE_GENERATOR, "radius": float("nan")}},
+     "radius must be positive and finite"),
+    ({"command": "surface-flux",
+      "generator": {**SPHERE_GENERATOR, "theta_range": [0.0, float("inf")]}},
+     "theta_range must be finite"),
+    ({"command": "loop-phase", "generator": {
+        "kind": "circle", "center8": [0, 0, 0.6, 0, 0, 0, 0, 1.3],
+        "axis_pair": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]],
+        "radius": float("inf"), "samples": 200}},
+     "radius must be positive and finite"),
+    ({"command": "monopole", "xi": [0, 0, 0, 0, 0, 0, 0, 1], "radius": float("nan")},
+     "radius must be positive and finite"),
+])
+def test_job_descriptor_non_finite_values_exit_1(tmp_path, capsys, desc, message):
+    text = json.dumps({"schema": "su3holo/1", "level": 1, **desc})
+    assert "NaN" in text or "Infinity" in text
+    (tmp_path / "job.json").write_text(text)
+    assert main(["job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("su3holo: error: ") and message in captured.err

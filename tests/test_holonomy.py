@@ -264,6 +264,29 @@ def test_patch_check_memory_is_bounded():
     assert peak < 2**20
 
 
+def test_surface_flux_peak_is_about_one_block():
+    # 1024-cell blocks: about 1.03 MiB for a 201x201 patch (3.6 MiB at 4096)
+    patch = random_patch((201, 201))
+    tracemalloc.start()
+    try:
+        surface_flux(patch, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
+
+
+def test_patch_check_peak_is_about_one_block():
+    grid = random_patch((201, 201)).grid
+    tracemalloc.start()
+    try:
+        SurfacePatch(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+
+
 @pytest.mark.parametrize("shape, budget", [
     ((201, 201), None),  # 20-row blocks; the last block is row 200 alone
     ((5, 300), 100),  # one grid row exceeds the budget
@@ -296,3 +319,34 @@ def test_from_function_rejects_wrong_value_shape():
         SurfacePatch.from_function(lambda u, v: np.zeros((1, 8)), (3, 3))
     patch = SurfacePatch.from_function(lambda u, v: list(rest_point()), (2, 3))
     assert patch.grid.shape == (2, 3, 8) and patch.grid.dtype == float
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+def test_circle_and_sphere_reject_a_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        circle_loop(rest_point(), np.eye(8)[0], np.eye(8)[1], radius, 100)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        spherical_patch(E8, FRAME123, radius, (0.0, np.pi), (5, 9))
+
+
+@pytest.mark.parametrize("theta_range", [(0.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0),
+                                         (0.0, np.inf)])
+def test_spherical_patch_rejects_a_non_finite_theta_range(theta_range):
+    with pytest.raises(ValueError, match="theta_range must be finite"):
+        spherical_patch(E8, FRAME123, 1e-3, theta_range, (5, 9))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_circle_and_sphere_reject_non_finite_vectors(bad):
+    center = rest_point()
+    center[0] = bad
+    axis = np.eye(8)[1].copy()
+    axis[5] = bad
+    with pytest.raises(ValueError, match="finite 8-component"):
+        circle_loop(center, np.eye(8)[0], np.eye(8)[1], 0.1, 100)
+    with pytest.raises(ValueError, match="finite 8-component"):
+        circle_loop(rest_point(), np.eye(8)[0], axis, 0.1, 100)
+    with pytest.raises(ValueError, match="center and frame must be finite"):
+        spherical_patch(center, FRAME123, 1e-3, (0.0, np.pi), (5, 9))
+    with pytest.raises(ValueError, match="center and frame must be finite"):
+        spherical_patch(E8, np.stack([np.eye(8)[0], axis, np.eye(8)[2]]), 1e-3)

@@ -208,3 +208,16 @@ def test_sphere_quadrature_is_computed_once_per_order(monkeypatch):
     assert computed[1::2] == [2 * n for n in orders]
     for nodes in limits._sphere_quadrature(12):
         assert not nodes.flags.writeable
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+def test_monopole_flux_rejects_a_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        monopole_flux(e(8), radius, 1)
+
+
+def test_monopole_flux_rejects_non_finite_vectors():
+    with pytest.raises(ValueError, match="direction must be a unit octet vector"):
+        monopole_flux(np.where(e(8) > 0, 1.0, np.nan), 1e-3, 1)
+    with pytest.raises(ValueError, match="center_offset must have 3 finite components"):
+        monopole_flux(e(8), 1e-3, 1, center_offset=[np.nan, 0.0, 0.0])
