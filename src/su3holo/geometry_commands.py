@@ -1,0 +1,72 @@
+"""Handlers of the loop, surface and sphere commands: loop-phase,
+surface-flux and monopole.
+
+Each takes the parsed ``su3holo.cli`` arguments and returns the command's
+JSON payload; ``cli.main`` adds the schema head and writes it.  Only these
+three commands import this module.
+"""
+import numpy as np
+
+
+def _points_from_args(args, what: str, file_option: str, names: tuple) -> np.ndarray | None:
+    """The points in the ``--FILE_OPTION`` JSON file, or None once all of ``names`` are set."""
+    path = getattr(args, file_option.replace("-", "_"))
+    if path:
+        import json
+
+        with open(path, encoding="utf-8") as fh:
+            return np.array(json.load(fh), dtype=float)
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"{what} generator needs --{name} (or --{file_option})")
+    return None
+
+
+def cmd_loop_phase(args) -> dict:
+    from . import holonomy
+
+    path = _points_from_args(args, "loop", "path-file", ("center", "axis1", "axis2", "radius"))
+    if path is not None:
+        loop = holonomy.LoopPath(path, args.classify_tol)
+    else:
+        loop = holonomy.circle_loop(args.center, args.axis1, args.axis2, args.radius,
+                                    args.samples, args.classify_tol)
+    payload = {"samples": len(loop.samples)}
+    if args.level:
+        payload["level"] = args.level
+        payload["phase"] = holonomy.loop_phase(loop, args.level)
+    else:
+        phases, total = holonomy.phase_sum_rule_check(loop)
+        payload["phases"] = {"level1": phases[0], "level2": phases[1], "level3": phases[2]}
+        payload["sum_mod_2pi"] = total
+    return payload
+
+
+def cmd_surface_flux(args) -> dict:
+    from . import holonomy
+
+    grid = _points_from_args(args, "patch", "patch-file",
+                             ("center", "frame1", "frame2", "frame3", "radius"))
+    if grid is not None:
+        patch = holonomy.SurfacePatch(grid, args.classify_tol)
+    else:
+        patch = holonomy.spherical_patch(
+            args.center, np.stack([args.frame1, args.frame2, args.frame3]), args.radius,
+            (args.theta_min, args.theta_max), args.grid, args.classify_tol,
+        )
+    level = args.level or 1
+    return {"level": level, "grid": list(patch.grid.shape[:2]),
+            "flux": holonomy.surface_flux(patch, level)}
+
+
+def cmd_monopole(args) -> dict:
+    from . import limits
+
+    level = args.level or 1
+    flux = limits.monopole_flux(
+        args.direction, args.radius, level,
+        center_offset=args.offset, rel_tol=args.quadrature_tol,
+        tol=args.classify_tol,
+    )
+    return {"direction": args.direction, "radius": args.radius, "level": level,
+            "flux": flux, "flux_over_2pi": flux / (2.0 * np.pi)}

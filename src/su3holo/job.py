@@ -62,7 +62,7 @@ def to_argv(path: str) -> list[str]:
     command = _require_field(desc, "command", str)
     tolerances = _optional_field(desc, "tolerances", {})
     output = _optional_field(desc, "output", {})
-    argv = [command]
+    argv = []  # flag, value, flag, value, ...
     if "xi" in desc:
         argv += ["--direction" if command == "monopole" else "--xi", _vector(desc["xi"], "xi")]
     if command == "monopole":
@@ -81,7 +81,9 @@ def to_argv(path: str) -> list[str]:
         argv += ["--format", str(output["format"])]
     if "generator" in desc:
         argv += _generator_argv(_optional_field(desc, "generator", {}))
-    return argv
+    # ``--flag=value``: a value such as ``-1,0,...`` or ``-1e-05`` would
+    # otherwise be taken for an option flag
+    return [command, *(f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2]))]
 
 
 def _generator_argv(gen: dict) -> list[str]:

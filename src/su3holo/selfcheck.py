@@ -296,3 +296,16 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         _check_gap_asymptotics(),
         _check_orbit_classification(rng),
     ]
+
+
+def cmd_selfcheck(args) -> dict:
+    """Run the suite for ``su3holo selfcheck``: print one line per check and
+    a summary, and return the JSON payload that ``--output`` writes."""
+    results = run_all(args.seed)
+    passed = sum(r.passed for r in results)
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+    print(f"{passed}/{len(results)} checks passed")
+    return {"passed": passed, "total": len(results),
+            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                       for r in results]}

@@ -176,33 +176,36 @@ def test_short_random_sweep_exits_1(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_emit_csv_matches_dictwriter(capsys):
+@pytest.mark.parametrize("argv", [
+    ["--generator", "random", "--count", "12", "--seed", "3", "--level", "2"],
+    # the first rows lie on the cone: their curvature fields are nan
+    ["--generator", "ray", "--ray-from", E8, "--toward", "0,0,1,0,0,0,0,0",
+     "--delta-start", "1e-12", "--delta-stop", "1e-1", "--count", "8", "--level", "1"],
+    ["--generator", "rest-frame", "--count", "6", "--seed", "4"],
+], ids=["random-level", "ray-to-cone", "rest-frame"])
+def test_sweep_csv_matches_dictwriter(capsys, argv):
     import csv
     import io
 
-    columns = cli.SWEEP_BASE_COLUMNS + cli.SWEEP_CURVATURE_COLUMNS
-    rng = np.random.default_rng(3)
-    rows = []
-    for i in range(6):
-        row = {k: repr(float(v)) for k, v in zip(columns, rng.standard_normal(len(columns)))}
-        row.update(index=i, phi="" if i == 1 else row["phi"], **{"class": "generic"})
-        if i == 2:
-            row.update(v12="nan", v45="nan", v67="nan", v38="nan", vmax="nan")
-        rows.append(row)
-    del rows[4]["vmax"]
-    cli._emit_csv(rows, columns, None)
+    assert main(["sweep", *argv]) == 0
+    text = capsys.readouterr().out
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
+    if "ray" in argv:
+        assert rows[0]["class"] != "generic" and rows[0]["v12"] == "nan"
+        assert rows[-1]["class"] == "generic" and rows[-1]["v12"] != "nan"
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=reader.fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in columns})
-    assert capsys.readouterr().out.encode() == buf.getvalue().encode()
+    writer.writerows(rows)
+    assert text.encode() == buf.getvalue().encode()
 
 
 def test_cli_import_defers_unused_modules():
     # A fresh interpreter: pytest itself has loaded some of these modules.
     src = Path(__file__).resolve().parent.parent / "src"
-    deferred = ["concurrent.futures", "csv", "numpy.polynomial", "su3holo.selfcheck"]
+    deferred = ["concurrent.futures", "csv", "numpy.polynomial", "su3holo.selfcheck",
+                "su3holo.point_commands", "su3holo.geometry_commands", "su3holo.sweep"]
     code = ("import sys, su3holo, su3holo.cli\n"
             f"print([m for m in {deferred!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -254,9 +257,28 @@ def test_classify_loads_only_the_spectrum():
         "import sys\nfrom su3holo.cli import main\n"
         f"assert main(['classify', '--xi', {REST!r}]) == 0")
     assert loaded == ["su3holo", "su3holo.algebra", "su3holo.cli", "su3holo.errors",
-                      "su3holo.spectrum"]
+                      "su3holo.point_commands", "su3holo.spectrum"]
     for name in ("curvature", "tensors", "holonomy", "limits", "kinematics", "orbits",
                  "selfcheck"):
+        assert f"su3holo.{name}" not in loaded
+
+
+def test_sweep_loads_no_other_handler_and_no_json():
+    loaded = _fresh_su3holo_modules(
+        "import sys\nfrom su3holo.cli import main\n"
+        "assert main(['sweep', '--generator', 'random', '--count', '3', '--level', '1']) == 0\n"
+        "assert 'json' not in sys.modules")
+    assert "su3holo.sweep" in loaded
+    for name in ("point_commands", "geometry_commands", "selfcheck", "job"):
+        assert f"su3holo.{name}" not in loaded
+
+
+def test_monopole_loads_no_sweep():
+    loaded = _fresh_su3holo_modules(
+        "import sys\nfrom su3holo.cli import main\n"
+        f"assert main(['monopole', '--direction', {E8!r}, '--radius', '1e-3']) == 0")
+    assert "su3holo.geometry_commands" in loaded and "su3holo.limits" in loaded
+    for name in ("sweep", "point_commands", "selfcheck", "job"):
         assert f"su3holo.{name}" not in loaded
 
 
@@ -396,6 +418,42 @@ def test_job_descriptor_field_errors_exit_1(tmp_path, capsys, monkeypatch, field
     assert captured.out == ""
     assert captured.err.startswith(f"su3holo: error: {field}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+@pytest.mark.parametrize("desc, argv", [
+    ({"command": "classify", "xi": [-1, 0, 0, 0, 0, 0, 0, 1]},
+     ["classify", "--xi=-1,0,0,0,0,0,0,1"]),
+    ({"command": "spectrum", "xi": [-1e-05, 0, 0.6, 0, 0, 0, 0, 1.3]},
+     ["spectrum", "--xi=-1e-05,0,0.6,0,0,0,0,1.3"]),
+    ({"command": "surface-flux", "level": 1,
+      "generator": {**SPHERE_GENERATOR, "theta_range": [-1e-05, 1.0], "grid": [9, 17]}},
+     ["surface-flux", "--center", E8, "--frame1", "1,0,0,0,0,0,0,0", "--frame2",
+      "0,1,0,0,0,0,0,0", "--frame3", "0,0,1,0,0,0,0,0", "--radius", "1e-3",
+      "--theta-min=-1e-05", "--theta-max", "1.0", "--grid", "9x17", "--level", "1"]),
+])
+def test_job_descriptor_negative_numbers(tmp_path, capsys, desc, argv):
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    assert main(["job", str(tmp_path / "job.json")]) == 0
+    from_job = capsys.readouterr()
+    assert main(argv) == 0
+    assert from_job == capsys.readouterr()
+    assert from_job.err == ""
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"command": "classify", "level": 4}, "unrecognized arguments: --level=4"),
+    ({"command": "curvature", "level": 4}, "argument --level: invalid choice: 4"),
+    ({"command": "classify", "output": {"format": "xml"}},
+     "argument --format: invalid choice: 'xml'"),
+])
+def test_job_descriptor_usage_errors_exit_1(tmp_path, capsys, change, message):
+    desc = {"schema": "su3holo/1", "xi": [0, 0, 0.6, 0, 0, 0, 0, 1.3], **change}
+    (tmp_path / "job.json").write_text(json.dumps(desc))
+    assert main(["job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"su3holo: error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
