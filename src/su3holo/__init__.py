@@ -10,6 +10,7 @@ kept in the package namespace, so each submodule is loaded only when used."""
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+SCHEMA = "su3holo/1"  # the JSON schema tag of CLI output and job descriptors
 
 # home submodule -> the public names the package re-exports from it
 _EXPORTS = {

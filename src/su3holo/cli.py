@@ -16,10 +16,9 @@ from importlib import import_module
 
 import numpy as np
 
-from . import __version__
+from . import SCHEMA, __version__
 from .errors import DegenerateInput
 
-SCHEMA = "su3holo/1"
 
 # This module only parses and dispatches.  ``main`` imports the handler of
 # the parsed command, ``cmd_<command>``, from the module of its group below,

@@ -260,13 +260,25 @@ def _block_flux(b: np.ndarray, tol: float, level: int) -> float:
     # the block's peak, so the Jacobians are formed after them, and the
     # previous block's frames are gone by then.
     centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
-    c = _closed_form(centers)
-    if not np.all(_resolved(c.norm, c.gaps, tol)):
-        raise DegenerateInput("patch contains a degenerate quadrature point")
-    e, frames = _frames_at(centers, c.levels)
+    e, frames = _block_frames(centers, tol, "patch contains a degenerate quadrature point")
     du = ((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0
     dv = ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0
     return float(np.sum(_flux_density(e, frames, du, dv, level)))
+
+
+def _block_frames(xi: np.ndarray, tol: float, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and gauge-fixed frames of one block of quadrature points, from
+    a single closed-form evaluation that also serves the Generic rule.
+
+    Raises
+    ------
+    DegenerateInput
+        With ``message``, if a point of the block is not Generic at ``tol``.
+    """
+    c = _closed_form(xi)
+    if not np.all(_resolved(c.norm, c.gaps, tol)):
+        raise DegenerateInput(message)
+    return _frames_at(xi, c.levels)
 
 
 def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], float]:

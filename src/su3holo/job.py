@@ -9,7 +9,7 @@ value of its type.  Only the ``job`` command imports this module.
 import json
 import math
 
-from .cli import SCHEMA
+from . import SCHEMA
 
 
 def _require_field(obj: dict, name: str, kind=None):

@@ -20,15 +20,9 @@ import numpy as np
 
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _flux_density
-from .errors import DegenerateInput, UnderResolvedPath
-from .spectrum import (
-    DEFAULT_CLASSIFY_TOL,
-    _frames,
-    energy_gaps,
-    generic_mask,
-    octet_norm,
-    phase_angle,
-)
+from .errors import UnderResolvedPath
+from .holonomy import _FLUX_BLOCK_CELLS, _block_frames
+from .spectrum import DEFAULT_CLASSIFY_TOL, energy_gaps, octet_norm, phase_angle
 
 __all__ = [
     "GapAsymptotic",
@@ -128,16 +122,74 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
     return SingularExpansion(level, epsilon, e13, octet, decouplet, total)
 
 
+# Newton steps of _gauss_legendre: from its starting angles the roots converge
+# in three steps (checked for every n from 2 to 1024), so the cap is a guard.
+_NEWTON_STEPS = 10
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights of ``n`` points on
+    [-1, 1], as read-only arrays cached per ``n``.
+
+    Newton's method runs on ``P_n(cos t)`` in the angle ``t`` for the
+    roots in [0, 1) (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)
+    A652), and one last step in ``x`` rounds them to full precision; the
+    other half is their mirror image, so the nodes and weights are exactly
+    symmetric.  The weights are ``2 / (dP_n/dt)^2``, rescaled to sum to 2
+    as in ``numpy.polynomial.legendre.leggauss``."""
+    # Tricomi's estimate of the roots t_1 < t_2 < ... up to pi/2
+    base = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4 * n + 2)
+    t = base + (1.0 - 1.0 / n) / (8.0 * n * n) / np.tan(base)
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre_in_angle(n, t)
+        step = p / dp
+        t -= step
+        if np.abs(step).max() < 1e-12:  # the error is now below ~n * 1e-24
+            break
+    # Near pi/2 the spacing of t is coarser than that of x = cos t, so one
+    # Newton step in x, where dP_n/dx = -(dP_n/dt) / sin t, polishes the roots.
+    dp = _legendre_in_angle(n, t)[1]
+    x = np.cos(t)
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    x = x + np.sin(t) * p1 / dp
+    if n % 2:
+        x[-1] = 0.0  # the middle root
+    w = 2.0 / dp**2
+    half = n // 2
+    nodes = np.concatenate([-x[:half], x[::-1]])
+    weights = np.concatenate([w[:half], w[::-1]])
+    weights *= 2.0 / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _legendre_in_angle(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # P_n(cos t) and its t-derivative for t in (0, pi/2].  The three-term
+    # recurrence runs on P_k and d_k = P_k - P_(k-1) with s = 1 - cos t formed
+    # from t, so near t = 0 no precision is lost to cos t rounding towards 1:
+    # d_(k+1) = (k d_k - (2k + 1) s P_k) / (k + 1).
+    s = 2.0 * np.sin(t / 2.0) ** 2
+    d = -s
+    p = 1.0 + d
+    for k in range(1, n):
+        d = (k * d - (2 * k + 1) * s * p) / (k + 1)
+        p = p + d
+    # dP_n/dt = n (x P_n - P_(n-1)) / sin t, and x P_n - P_(n-1) = d_n - s P_n
+    return p, n * (d - s * p) / np.sin(t)
+
+
 @functools.lru_cache(maxsize=None)
 def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # Cached per order, so the arrays are read-only.  Only monopole_flux
-    # needs numpy.polynomial, which costs milliseconds to import.
-    from numpy.polynomial.legendre import leggauss
-
-    xs, ws = leggauss(order)
+    # Product rule on the sphere: order nodes in theta, 2 order in phi.
+    # Cached per order, so the arrays are read-only; the node sets come from
+    # the _gauss_legendre cache, which the doubling orders share.
+    xs, ws = _gauss_legendre(order)
+    xs2, ws2 = _gauss_legendre(2 * order)
     theta = np.pi * (xs + 1.0) / 2.0
     w_theta = ws * np.pi / 2.0
-    xs2, ws2 = leggauss(2 * order)
     phi = np.pi * (xs2 + 1.0)
     w_phi = ws2 * np.pi
     for a in (theta, w_theta, phi, w_phi):
@@ -161,7 +213,12 @@ def monopole_flux(direction, radius: float, level: int,
 
     Quadrature is product Gauss-Legendre in (theta, phi), doubling the
     order from 12 up to at most 384 until two refinements agree within
-    ``rel_tol * 2 pi``.
+    ``rel_tol * 2 pi``.  The nodes are built in (Newton's method in the
+    angle) and computed once per node count per process, so
+    ``numpy.polynomial`` is never loaded.  Each order runs in blocks of
+    whole theta rows, about 1024 points each like ``surface_flux``, with one
+    spectral evaluation per block, so the working set is one block (about
+    1 MiB) whatever the order.
 
     Raises
     ------
@@ -201,27 +258,32 @@ def monopole_flux(direction, radius: float, level: int,
     d_adj = adjoint_matrix(a)
 
     def flux_at(order: int) -> float:
+        # Blocks of whole theta rows, about _FLUX_BLOCK_CELLS cells each: one
+        # closed form per block serves the Generic check and the frames, and
+        # the Jacobians are formed after the frames, which set the peak.
         theta, w_t, phi, w_p = _sphere_quadrature(order)
-        th = theta[:, None]
-        ph = phi[None, :]
-        pts = np.zeros((order, 2 * order, 8))
-        d_th = np.zeros_like(pts)
-        d_ph = np.zeros_like(pts)
-        pts[..., 0] = offset[0] + radius * np.sin(th) * np.cos(ph)
-        pts[..., 1] = offset[1] + radius * np.sin(th) * np.sin(ph)
-        pts[..., 2] = offset[2] + radius * np.cos(th)
-        pts[..., 7] = 1.0
-        d_th[..., 0] = radius * np.cos(th) * np.cos(ph)
-        d_th[..., 1] = radius * np.cos(th) * np.sin(ph)
-        d_th[..., 2] = -radius * np.sin(th)
-        d_ph[..., 0] = -radius * np.sin(th) * np.sin(ph)
-        d_ph[..., 1] = radius * np.sin(th) * np.cos(ph)
-        xi = pts @ d_adj.T
-        if not np.all(generic_mask(xi, tol)):
-            raise DegenerateInput("sphere passes through a degeneracy")
-        e, frames = _frames(xi)
-        integrand = _flux_density(e, frames, d_th @ d_adj.T, d_ph @ d_adj.T, level)
-        return float(np.einsum("i,j,ij->", w_t, w_p, integrand))
+        cos_p, sin_p = np.cos(phi), np.sin(phi)
+        rows = max(1, _FLUX_BLOCK_CELLS // (2 * order))
+        total = 0.0
+        for start in range(0, order, rows):
+            th = theta[start:start + rows, None]
+            r_sin, r_cos = radius * np.sin(th), radius * np.cos(th)
+            pts = np.zeros((len(th), 2 * order, 8))
+            pts[..., 0] = offset[0] + r_sin * cos_p
+            pts[..., 1] = offset[1] + r_sin * sin_p
+            pts[..., 2] = offset[2] + r_cos
+            pts[..., 7] = 1.0
+            e, frames = _block_frames(pts @ d_adj.T, tol, "sphere passes through a degeneracy")
+            d_th = np.zeros_like(pts)
+            d_ph = np.zeros_like(pts)
+            d_th[..., 0] = r_cos * cos_p
+            d_th[..., 1] = r_cos * sin_p
+            d_th[..., 2] = -r_sin
+            d_ph[..., 0] = -r_sin * sin_p
+            d_ph[..., 1] = r_sin * cos_p
+            integrand = _flux_density(e, frames, d_th @ d_adj.T, d_ph @ d_adj.T, level)
+            total += float(np.einsum("i,j,ij->", w_t[start:start + rows], w_p, integrand))
+        return total
 
     bound = rel_tol * 2.0 * np.pi
     order, cur = 12, flux_at(12)

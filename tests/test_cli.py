@@ -236,6 +236,23 @@ def test_json_and_the_job_front_end_load_only_for_job(tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["class"] == "generic"
 
 
+def test_job_run_as_a_module_imports_no_second_cli(tmp_path):
+    # Under ``-m`` the CLI runs as __main__; a job that imported su3holo.cli
+    # would compile and execute cli.py a second time.
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"schema": "su3holo/1", "command": "classify", "xi": [0, 0, 0.6, 0, 0, 0, 0, 1.3],
+         "output": {"path": str(tmp_path / "out.json")}}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "su3holo.cli", "job",
+                           str(tmp_path / "job.json")], env=env, capture_output=True,
+                          text=True, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "su3holo.job" in imported and "su3holo.cli" not in imported
+    assert json.loads((tmp_path / "out.json").read_text())["class"] == "generic"
+
+
 def _fresh_su3holo_modules(code: str) -> list[str]:
     """The su3holo modules loaded after ``code`` runs in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"

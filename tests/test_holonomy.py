@@ -288,7 +288,7 @@ def test_patch_check_peak_is_about_one_block():
 
 
 @pytest.mark.parametrize("shape, budget", [
-    ((201, 201), None),  # 20-row blocks; the last block is row 200 alone
+    ((201, 201), None),  # 5-row blocks; the last block is row 200 alone
     ((5, 300), 100),  # one grid row exceeds the budget
 ])
 def test_patch_check_runs_over_row_blocks(monkeypatch, shape, budget):

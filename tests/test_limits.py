@@ -1,10 +1,16 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from helpers import random_special_unitary
-from su3holo import UnderResolvedPath, limits
+from su3holo import DegenerateInput, UnderResolvedPath, limits
 from su3holo.algebra import adjoint_matrix
 from su3holo.curvature import curvature_spectral
 from su3holo.limits import gap_asymptotic, monopole_flux, singular_expansion
@@ -143,14 +149,21 @@ def test_monopole_flux_rejects_bad_rel_tol(rel_tol):
 
 
 def test_monopole_flux_raises_when_orders_never_agree(monkeypatch):
-    # A flux density that grows with every call never settles.  The stubs
-    # skip the real nodes and spectra so the order-384 grid stays cheap; the
-    # stub weights sum to pi in theta and 2 pi in phi, like the real ones.
-    calls = []
+    # A flux density that grows with every quadrature order never settles.
+    # The stubs skip the real nodes and spectra so the order-384 blocks stay
+    # cheap; the stub weights sum to pi in theta and 2 pi in phi, like the
+    # real ones.  Each order is visited in blocks of whole theta rows, and
+    # the density is constant over an order, so the flux of the k-th order
+    # is k * pi * 2 pi.
+    orders, rows = [], []
 
     def drifting_density(e, frames, du, dv, level):
-        calls.append(du.shape[0])
-        return np.full(du.shape[:2], float(len(calls)))
+        order = du.shape[1] // 2
+        if not orders or orders[-1] != order:
+            orders.append(order)
+            rows.append(0)
+        rows[-1] += du.shape[0]
+        return np.full(du.shape[:2], float(len(orders)))
 
     def flat_quadrature(order):
         theta = (np.arange(order) + 0.5) * np.pi / order
@@ -159,12 +172,12 @@ def test_monopole_flux_raises_when_orders_never_agree(monkeypatch):
 
     monkeypatch.setattr(limits, "_flux_density", drifting_density)
     monkeypatch.setattr(limits, "_sphere_quadrature", flat_quadrature)
-    monkeypatch.setattr(limits, "_frames", lambda xi: (None, None))
-    monkeypatch.setattr(limits, "generic_mask", lambda xi, tol: np.ones(xi.shape[:-1], bool))
+    monkeypatch.setattr(limits, "_block_frames", lambda xi, tol, message: (None, None))
     with pytest.raises(UnderResolvedPath, match="order 384") as exc:
         monopole_flux(e(8), 1e-3, 1)
     assert isinstance(exc.value, ValueError)
-    assert calls == [12, 24, 48, 96, 192, 384]
+    assert orders == [12, 24, 48, 96, 192, 384]
+    assert rows == orders  # every theta row once per order
     # the message states the last two values and the tolerance
     message = str(exc.value)
     assert "orders 192 and 384" in message
@@ -187,27 +200,120 @@ def test_flux_quantization_across_random_directions():
 
 
 def test_sphere_quadrature_is_computed_once_per_order(monkeypatch):
-    import numpy.polynomial.legendre as legendre
-
+    real = limits._gauss_legendre
     calls = []
-    real = legendre.leggauss
 
     def counted(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(legendre, "leggauss", counted)
+    monkeypatch.setattr(limits, "_gauss_legendre", counted)
     limits._sphere_quadrature.cache_clear()
+    real.cache_clear()
     first = monopole_flux(e(8), 1e-3, 1)
     computed = list(calls)
     assert monopole_flux(e(8), 1e-3, 1) == first
-    assert calls == computed  # the second call computed no nodes
-    # one (order, 2 order) pair of node sets per quadrature order, each order once
+    assert calls == computed  # the second call asked for no nodes
+    # order k takes the node sets of k and 2 k, each order once, doubling from 12
     orders = computed[0::2]
-    assert orders[0] == 12 and orders == sorted(set(orders))
+    assert orders == [12 * 2**i for i in range(len(orders))]
     assert computed[1::2] == [2 * n for n in orders]
+    # and each n (12, 24, 48, ...) was computed exactly once
+    sizes = sorted(set(computed))
+    assert sizes == [12 * 2**i for i in range(len(orders) + 1)]
+    assert real.cache_info().misses == len(sizes)
     for nodes in limits._sphere_quadrature(12):
         assert not nodes.flags.writeable
+
+
+def _legendre_reference(n: int, digits: int = 40) -> tuple[list, list]:
+    """Gauss-Legendre nodes (ascending) and weights at ``digits`` digits:
+    Newton on the three-term recurrence from the cosine of each root's
+    asymptotic angle, independently of the routine under test."""
+    with mpmath.workdps(digits):
+        def legendre(x):  # P_n(x) and P_n'(x)
+            p0, p1 = mpmath.mpf(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            return p1, n * (x * p1 - p0) / (x * x - 1)
+
+        nodes, weights = [], []
+        for k in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(100):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < mpmath.mpf(10) ** (5 - digits):
+                    break
+            dp = legendre(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes[::-1], weights[::-1]
+
+
+@pytest.mark.parametrize("n", [12, 24, 48, 96])
+def test_gauss_legendre_matches_a_40_digit_reference(n):
+    x, w = limits._gauss_legendre(n)
+    ref_x, ref_w = _legendre_reference(n)
+    # correctly rounded nodes are within half a unit in the last place of 1
+    assert max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(x, ref_x)) < 1.1e-16
+    assert max(abs(mpmath.mpf(float(a)) / b - 1) for a, b in zip(w, ref_w)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [12, 24, 48, 96])
+def test_gauss_legendre_sums_to_2_and_is_exact_to_degree_2n_minus_1(n):
+    x, w = limits._gauss_legendre(n)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 4e-16
+    # the highest even degree the rule integrates exactly
+    assert np.sum(w * x ** (2 * n - 2)) == pytest.approx(2.0 / (2 * n - 1), rel=1e-14, abs=0)
+
+
+def test_gauss_legendre_node_sets_are_mirrored_and_cached():
+    for n in range(1, 101):
+        x, w = limits._gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        np.testing.assert_array_equal(x, -x[::-1])  # an odd n has the node 0
+        np.testing.assert_array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 3 * np.spacing(1.0)  # 6.7e-16
+        assert not (x.flags.writeable or w.flags.writeable)
+        assert limits._gauss_legendre(n)[0] is x
+
+
+def test_monopole_flux_working_set_is_one_block():
+    # Offset 0.9 radius from the ray, the flux climbs to quadrature order 192
+    # (192 x 384 points); the blocks keep the peak near 1 MiB.
+    tracemalloc.start()
+    try:
+        monopole_flux(e(8), 1e-3, 1, center_offset=[9e-4, 0.0, 0.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_monopole_flux_sphere_through_the_ray_is_degenerate():
+    # put the first order-12 quadrature node exactly on the degenerate ray
+    theta, _, phi, _ = limits._sphere_quadrature(12)
+    radius = 1e-3
+    node = radius * np.array([np.sin(theta[5]) * np.cos(phi[7]),
+                              np.sin(theta[5]) * np.sin(phi[7]), np.cos(theta[5])])
+    with pytest.raises(DegenerateInput, match="sphere passes through a degeneracy"):
+        monopole_flux(e(8), radius, 1, center_offset=-node)
+
+
+def test_monopole_flux_does_not_load_numpy_polynomial():
+    # A fresh interpreter: pytest itself may have loaded numpy.polynomial.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\nfrom su3holo.limits import monopole_flux\n"
+            "monopole_flux([0, 0, 0, 0, 0, 0, 0, 1], 1e-3, 1)\n"
+            "print('numpy.polynomial' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
