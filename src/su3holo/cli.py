@@ -106,40 +106,40 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser, point: bool = False) -> None:
-    from . import spectrum
-
-    p.add_argument("--output", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    p.add_argument("--classify-tol", type=float, default=spectrum.DEFAULT_CLASSIFY_TOL)
-    p.add_argument("--quadrature-tol", type=float, default=1e-4)
-    if point:
-        p.add_argument("--xi", type=_vec8, help="explicit octet vector, 8 comma-separated values")
-        p.add_argument("--rest", type=_rest_pair, help="rest-frame pair x3,x8")
-
-
 def _build_parser() -> _Parser:
+    """The parser of every command: the one place that knows which options a
+    command takes, each only where its handler reads it, and their defaults."""
+    from .spectrum import DEFAULT_CLASSIFY_TOL
+
     parser = _Parser(prog="su3holo", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    for name in ("classify", "spectrum"):
+    def command(name, point=False, classify_tol=True, seed=False):
         p = sub.add_parser(name)
-        _add_common(p, point=True)
+        p.add_argument("--output", help="output path (default: stdout)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+        if classify_tol:
+            p.add_argument("--classify-tol", type=float, default=DEFAULT_CLASSIFY_TOL)
+        if point:
+            p.add_argument("--xi", type=_vec8,
+                           help="explicit octet vector, 8 comma-separated values")
+            p.add_argument("--rest", type=_rest_pair, help="rest-frame pair x3,x8")
+        return p
 
-    p = sub.add_parser("curvature")
-    _add_common(p, point=True)
+    for name in ("classify", "spectrum"):
+        command(name, point=True)
+
+    p = command("curvature", point=True)
     p.add_argument("--level", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--route", choices=["spectral", "transported", "parts", "all"],
                    default="spectral")
 
-    p = sub.add_parser("decompose")
-    _add_common(p, point=True)
+    p = command("decompose", point=True)
     p.add_argument("--level", type=int, choices=[1, 2, 3], required=True)
 
-    p = sub.add_parser("loop-phase")
-    _add_common(p)
+    p = command("loop-phase")
     p.add_argument("--level", type=int, choices=[1, 2, 3])
     p.add_argument("--path-file", help="JSON file with a list of 8-vectors")
     p.add_argument("--center", type=_vec8)
@@ -148,8 +148,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=float)
     p.add_argument("--samples", type=int, default=1000)
 
-    p = sub.add_parser("surface-flux")
-    _add_common(p)
+    p = command("surface-flux")
     p.add_argument("--level", type=int, choices=[1, 2, 3])
     p.add_argument("--patch-file", help="JSON file with an (nu, nv, 8) grid")
     p.add_argument("--center", type=_vec8)
@@ -161,18 +160,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta-max", type=float, default=math.pi)
     p.add_argument("--grid", type=_grid_shape, default=(64, 128))
 
-    p = sub.add_parser("monopole")
-    _add_common(p)
+    p = command("monopole")
+    p.add_argument("--quadrature-tol", type=float, default=1e-4)
     p.add_argument("--direction", type=_vec8, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--level", type=int, choices=[1, 2, 3])
     p.add_argument("--offset", type=_vec3, default=None,
                    help="sphere-center offset in the unfolding subspace")
 
-    p = sub.add_parser("sweep")
-    _add_common(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored")
+    p = command("sweep", seed=True)
     p.add_argument("--generator", choices=["ray", "random", "rest-frame"], required=True)
     p.add_argument("--level", type=int, choices=[1, 2, 3])
     p.add_argument("--count", type=int, default=50)
@@ -182,14 +178,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta-start", type=float, default=1e-4)
     p.add_argument("--delta-stop", type=float, default=1e-1)
 
-    p = sub.add_parser("selfcheck")
-    _add_common(p)
+    command("selfcheck", classify_tol=False, seed=True)
 
     p = sub.add_parser("job")
     p.add_argument("file", help="JSON job descriptor")
 
     return parser
-
 
 
 def main(argv=None) -> int:
@@ -205,10 +199,6 @@ def main(argv=None) -> int:
             from . import job
 
             args = parser.parse_args(job.to_argv(args.file))
-        if args.format == "csv" and args.cmd not in ("sweep", "selfcheck"):
-            raise ValueError("format: csv is only available for sweep")
-        if args.format == "json" and args.cmd == "sweep":
-            raise ValueError("format: sweep emits csv only")
         module = import_module(f"{__package__}.{_HANDLER_MODULES[args.cmd]}")
         payload = getattr(module, "cmd_" + args.cmd.replace("-", "_"))(args)
         if isinstance(payload, str):  # the CSV text of a sweep

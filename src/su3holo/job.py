@@ -3,11 +3,12 @@
 A ``su3holo/1`` descriptor is a JSON object naming a command, its point or
 generator, tolerances and output.  It is translated into the equivalent
 command line, which ``cli.main`` then parses and runs, so argparse stays the
-one validator of every option; here each field is only checked to hold a JSON
-value of its type.  Only the ``job`` command imports this module.
+one validator and the one holder of defaults: a field becomes a flag only
+when given, and one whose command does not take its option fails there as an
+unrecognized argument.  Here each field is only checked to hold a JSON value
+of its type.  Only the ``job`` command imports this module.
 """
 import json
-import math
 
 from . import SCHEMA
 
@@ -20,14 +21,18 @@ def _require_field(obj: dict, name: str, kind=None):
     return obj[name]
 
 
-def _optional_field(obj: dict, name: str, default):
-    # a present field must have the default's JSON type: an object, or a pair
-    value = obj.get(name, default)
-    if isinstance(default, dict) and not isinstance(value, dict):
+def _object_field(obj: dict, name: str) -> dict:
+    value = obj.get(name, {})
+    if not isinstance(value, dict):
         raise ValueError(f"{name}: expected a JSON object")
-    if isinstance(default, list) and not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{name}: expected a list of two numbers")
     return value
+
+
+def _pair(value, field: str, kind=float) -> list[str]:
+    """The argument texts of a list of two JSON numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{field}: expected a list of two numbers")
+    return [_number(v, field, kind) for v in value]
 
 
 def _number(value, field: str, kind=float) -> str:
@@ -60,13 +65,17 @@ def to_argv(path: str) -> list[str]:
     if _require_field(desc, "schema", str) != SCHEMA:
         raise ValueError(f"schema: expected {SCHEMA!r}")
     command = _require_field(desc, "command", str)
-    tolerances = _optional_field(desc, "tolerances", {})
-    output = _optional_field(desc, "output", {})
+    tolerances = _object_field(desc, "tolerances")
+    output = _object_field(desc, "output")
+    # the format a command writes is fixed, so the field only has to name it
+    writes = "csv" if command == "sweep" else "json"
+    if output.get("format") and output["format"] != writes:
+        raise ValueError(f"output.format: {command} writes {writes}, not {output['format']!r}")
     argv = []  # flag, value, flag, value, ...
     if "xi" in desc:
         argv += ["--direction" if command == "monopole" else "--xi", _vector(desc["xi"], "xi")]
-    if command == "monopole":
-        argv += ["--radius", _number(desc.get("radius", 1e-3), "radius")]
+    if "radius" in desc:
+        argv += ["--radius", _number(desc["radius"], "radius")]
     if "level" in desc:
         argv += ["--level", _number(desc["level"], "level", int)]
     if "classify" in tolerances:
@@ -77,10 +86,8 @@ def to_argv(path: str) -> list[str]:
         argv += ["--seed", _number(desc["seed"], "seed", int)]
     if "path" in output and output["path"]:
         argv += ["--output", str(output["path"])]
-    if "format" in output and output["format"]:
-        argv += ["--format", str(output["format"])]
     if "generator" in desc:
-        argv += _generator_argv(_optional_field(desc, "generator", {}))
+        argv += _generator_argv(_object_field(desc, "generator"))
     # ``--flag=value``: a value such as ``-1,0,...`` or ``-1e-05`` would
     # otherwise be taken for an option flag
     return [command, *(f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2]))]
@@ -101,7 +108,8 @@ def _generator_argv(gen: dict) -> list[str]:
         out += ["--axis1", _vector(pair[0], "axis_pair"),
                 "--axis2", _vector(pair[1], "axis_pair")]
         out += ["--radius", _number(_require_field(gen, "radius"), "radius")]
-        out += ["--samples", _number(gen.get("samples", 1000), "samples", int)]
+        if "samples" in gen:
+            out += ["--samples", _number(gen["samples"], "samples", int)]
     elif kind == "sphere-patch":
         out += ["--center", vec("center8")]
         frame = _require_field(gen, "frame", list)
@@ -110,18 +118,18 @@ def _generator_argv(gen: dict) -> list[str]:
         for k, v in enumerate(frame, 1):
             out += [f"--frame{k}", _vector(v, "frame")]
         out += ["--radius", _number(_require_field(gen, "radius"), "radius")]
-        theta = _optional_field(gen, "theta_range", [0.0, math.pi])
-        out += ["--theta-min", _number(theta[0], "theta_range"),
-                "--theta-max", _number(theta[1], "theta_range")]
-        grid = _optional_field(gen, "grid", [64, 128])
-        out += ["--grid", "x".join(_number(n, "grid", int) for n in grid)]
+        if "theta_range" in gen:
+            theta = _pair(gen["theta_range"], "theta_range")
+            out += ["--theta-min", theta[0], "--theta-max", theta[1]]
+        if "grid" in gen:
+            out += ["--grid", "x".join(_pair(gen["grid"], "grid", int))]
     elif kind in ("ray", "random", "rest-frame"):
         out += ["--generator", kind]
         if kind == "ray":
             out += ["--ray-from", vec("from8"), "--toward", vec("toward8")]
-            deltas = _optional_field(gen, "delta_range", [1e-4, 1e-1])
-            out += ["--delta-start", _number(deltas[0], "delta_range"),
-                    "--delta-stop", _number(deltas[1], "delta_range")]
+            if "delta_range" in gen:
+                deltas = _pair(gen["delta_range"], "delta_range")
+                out += ["--delta-start", deltas[0], "--delta-stop", deltas[1]]
         if "count" in gen:
             out += ["--count", _number(gen["count"], "count", int)]
         if "scale" in gen:

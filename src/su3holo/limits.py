@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _flux_density
-from .errors import UnderResolvedPath
+from .errors import DegenerateInput, UnderResolvedPath
 from .holonomy import _FLUX_BLOCK_CELLS, _block_frames
 from .spectrum import DEFAULT_CLASSIFY_TOL, energy_gaps, octet_norm, phase_angle
 
@@ -227,6 +227,9 @@ def monopole_flux(direction, radius: float, level: int,
         (cubic invariant -1) within 1e-9, ``radius`` is not positive and
         finite, the sphere is large enough to reach the lower degeneracy, or
         ``rel_tol`` is not positive and finite.
+    DegenerateInput
+        If the sphere passes within ``tol`` of the degenerate point:
+        ``abs(norm(center_offset) - radius) <= tol``.
     UnderResolvedPath
         If no two refinements up to order 384 agree within the tolerance.
     """
@@ -248,6 +251,10 @@ def monopole_flux(direction, radius: float, level: int,
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if np.linalg.norm(offset) + radius > 0.25 * e23_dir:
         raise ValueError("sphere too large: it approaches the lower degeneracy")
+    # E12 is the distance from the degenerate point (a unit direction): nearer
+    # than the Generic rule's scale, the flux would look converged but be wrong
+    if abs(np.linalg.norm(offset) - radius) <= tol:
+        raise DegenerateInput("sphere passes through a degeneracy")
 
     # Eigenbasis of the degenerate point; the U(2) block freedom only rotates
     # the transported sphere around the degenerate ray, leaving the flux alone.

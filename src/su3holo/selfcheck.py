@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, curvature, holonomy, kinematics, limits, spectrum, tensors
+from .sweep import random_generic, rest_frame_points
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -57,24 +58,9 @@ D_TABLE = {
     (3, 7, 7): -0.5,
 }
 
-
-def _random_generic(rng, count: int, margin: float = 0.05, scale: float = 1.0) -> np.ndarray:
-    out = []
-    while len(out) < count:
-        xi = scale * rng.standard_normal(8)
-        gaps = spectrum.energy_gaps(xi)
-        if min(gaps[0], gaps[1]) > margin * spectrum.octet_norm(xi):
-            out.append(xi)
-    return np.array(out)
-
-
-def _random_rest_frame(rng, count: int) -> np.ndarray:
-    e12 = rng.uniform(0.3, 1.5, size=count)
-    e23 = rng.uniform(0.3, 1.5, size=count)
-    out = np.zeros((count, 8))
-    out[:, 2] = e12
-    out[:, 7] = (e12 + 2.0 * e23) / np.sqrt(3.0)  # (e13 + e23)/sqrt(3)
-    return out
+# random points are Generic at tolerance _MARGIN; rest-frame gaps lie in _GAPS
+_MARGIN = 0.05
+_GAPS = (0.3, 1.5)
 
 
 def _check_structure_constants() -> CheckResult:
@@ -116,7 +102,7 @@ def _check_determinant_identity(rng) -> CheckResult:
 
 def _check_rest_frame_identity(rng) -> CheckResult:
     worst = 0.0
-    for xi in _random_generic(rng, 200):
+    for xi in random_generic(rng, 200, _MARGIN):
         s = spectrum.eigenvalues(xi)
         rf = spectrum.rest_frame(xi)
         worst = max(worst, abs(rf[2] - s.e12))
@@ -133,7 +119,7 @@ def _check_rest_frame_identity(rng) -> CheckResult:
 
 def _check_rest_frame_table(rng) -> CheckResult:
     worst_rel, worst_zero = 0.0, 0.0
-    for xi in _random_rest_frame(rng, 100):
+    for xi in rest_frame_points(rng, 100, _GAPS):
         s = spectrum.eigenvalues(xi)
         for level in (1, 2, 3):
             got = curvature.curvature_spectral(xi, level).coeffs
@@ -151,7 +137,7 @@ def _check_rest_frame_table(rng) -> CheckResult:
 
 def _check_route_equivalence(rng) -> CheckResult:
     worst = 0.0
-    for xi in _random_generic(rng, 100):
+    for xi in random_generic(rng, 100, _MARGIN):
         for level in (1, 2, 3):
             a = curvature.curvature_spectral(xi, level).coeffs
             b = curvature.curvature_transported(xi, level).coeffs
@@ -180,15 +166,15 @@ def _check_decomposition_round_trip() -> CheckResult:
 
 def _check_sum_rules(rng) -> CheckResult:
     worst_zero, worst_slot, worst_fd = 0.0, 0.0, 0.0
-    for xi in _random_generic(rng, 20):
+    for xi in random_generic(rng, 20, _MARGIN):
         worst_zero = max(worst_zero, float(np.abs(curvature.level_sum(xi)).max()))
-    for xi in _random_rest_frame(rng, 20):
+    for xi in rest_frame_points(rng, 20, _GAPS):
         s = spectrum.eigenvalues(xi)
         w = curvature.weighted_sum(xi)
         for slot, want in (((0, 1), 1 / (2 * s.e12)), ((3, 4), 1 / (2 * s.e13)),
                            ((5, 6), 1 / (2 * s.e23))):
             worst_slot = max(worst_slot, abs(w[slot] - want) / abs(want))
-    for xi in _random_generic(rng, 5):
+    for xi in random_generic(rng, 5, _MARGIN):
         w = curvature.weighted_sum(xi)
         fd = curvature.symplectic_two_form_fd(xi)
         worst_fd = max(worst_fd, float(np.abs(w - fd).max() / np.abs(w).max()))
@@ -229,7 +215,7 @@ def _check_flux_quantization() -> CheckResult:
 def _check_stokes(rng) -> CheckResult:
     worst, worst_sum = 0.0, 0.0
     for _ in range(5):
-        center = _random_generic(rng, 1, margin=0.25)[0]
+        center = random_generic(rng, 1, 0.25)[0]
         center /= spectrum.octet_norm(center)
         basis = np.linalg.qr(rng.standard_normal((8, 2)))[0].T
         size = 0.05
@@ -266,7 +252,7 @@ def _check_gap_asymptotics() -> CheckResult:
 
 def _check_orbit_classification(rng) -> CheckResult:
     ok = True
-    generic = kinematics.orbit_type(algebra.octet_to_matrix(_random_generic(rng, 1)[0]))
+    generic = kinematics.orbit_type(algebra.octet_to_matrix(random_generic(rng, 1, _MARGIN)[0]))
     ok &= generic.multiplicities == (1, 1, 1) and generic.orbit_dimension == 6
     proj = np.zeros((3, 3), complex)
     proj[0, 0] = 1.0

@@ -3,8 +3,8 @@
 Columns come in the fixed order ``BASE_COLUMNS``, followed by
 ``CURVATURE_COLUMNS`` when a level is given.  Every field is an int, a
 ``repr`` float, a class name, ``""`` or ``"nan"``: none holds a comma, quote
-or newline, so no field needs quoting.  Only the ``sweep`` command imports
-this module.
+or newline, so no field needs quoting.  Only the ``sweep`` and ``selfcheck``
+commands import this module, ``selfcheck`` for its point generators.
 """
 import math
 
@@ -19,6 +19,30 @@ BASE_COLUMNS = [
 CURVATURE_COLUMNS = ["v12", "v45", "v67", "v38", "vmax"]
 
 
+def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarray:
+    """``count`` draws of ``scale`` times a standard-normal octet vector that
+    are Generic at tolerance ``tol``; ``ValueError`` if ``100 * count`` draws
+    hold fewer."""
+    pts, tries = [], 0
+    while len(pts) < count and tries < 100 * count:
+        xi = scale * rng.standard_normal(8)
+        tries += 1
+        if spectrum.classify(xi, tol) is spectrum.DegeneracyClass.GENERIC:
+            pts.append(xi)
+    if len(pts) < count:
+        raise ValueError(f"random generator found {len(pts)} of {count} generic points")
+    return np.array(pts)
+
+
+def rest_frame_points(rng, count: int, gaps: tuple[float, float]) -> np.ndarray:
+    """``count`` rest-frame octet vectors with gaps E12, E23 uniform in ``gaps``."""
+    e12, e23 = rng.uniform(*gaps, size=(2, count))
+    pts = np.zeros((count, 8))
+    pts[:, 2] = e12
+    pts[:, 7] = (e12 + 2.0 * e23) / np.sqrt(3.0)  # (E13 + E23) / sqrt(3)
+    return pts
+
+
 def _points(args) -> np.ndarray:
     rng = np.random.default_rng(args.seed)
     if args.generator == "ray":
@@ -29,25 +53,8 @@ def _points(args) -> np.ndarray:
         )
         return args.ray_from + deltas[:, None] * args.toward
     if args.generator == "random":
-        pts, tries = [], 0
-        while len(pts) < args.count and tries < 100 * args.count:
-            xi = args.scale * rng.standard_normal(8)
-            tries += 1
-            if spectrum.classify(xi, args.classify_tol) is spectrum.DegeneracyClass.GENERIC:
-                pts.append(xi)
-        if len(pts) < args.count:
-            raise ValueError(
-                f"random generator found {len(pts)} of {args.count} generic points"
-            )
-        return np.array(pts)
-    if args.generator == "rest-frame":
-        e12 = rng.uniform(0.2, 2.0, size=args.count)
-        e23 = rng.uniform(0.2, 2.0, size=args.count)
-        pts = np.zeros((args.count, 8))
-        pts[:, 2] = e12
-        pts[:, 7] = (e12 + 2.0 * e23) / np.sqrt(3.0)
-        return pts
-    raise ValueError(f"generator: unknown kind {args.generator!r}")
+        return random_generic(rng, args.count, args.classify_tol, args.scale)
+    return rest_frame_points(rng, args.count, (0.2, 2.0))  # the one other kind allowed
 
 
 def _lines(points: np.ndarray, level: int | None, tol: float) -> list[str]:
@@ -75,8 +82,8 @@ def _lines(points: np.ndarray, level: int | None, tol: float) -> list[str]:
 
 def cmd_sweep(args) -> str:
     """The sweep's CSV text, header line first."""
-    # Rows are computed one by one on this thread (a thread pool measured
-    # about 2x slower); --threads is ignored.
+    # Rows are computed one by one on this thread: a thread pool measured
+    # about 2x slower.
     columns = BASE_COLUMNS + (CURVATURE_COLUMNS if args.level is not None else [])
     lines = [",".join(columns), *_lines(_points(args), args.level, args.classify_tol)]
     return "\n".join(lines) + "\n"

@@ -103,7 +103,6 @@ def test_usage_error_exits_1(capsys):
         main(["classify", "--bogus"])
     assert exc.value.code == 1
     assert main(["classify"]) == 1  # neither --xi nor --rest
-    assert main(["classify", "--xi", REST, "--format", "csv"]) == 1
 
 
 def test_loop_phase_circle(capsys):
@@ -146,7 +145,7 @@ def test_monopole_bad_quadrature_tol_exits_1(capsys, tol):
 
 def test_sweep_is_deterministic_with_fixed_columns(capsys):
     argv = ["sweep", "--generator", "random", "--count", "5", "--seed", "42",
-            "--level", "1", "--threads", "2"]
+            "--level", "1"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -156,14 +155,6 @@ def test_sweep_is_deterministic_with_fixed_columns(capsys):
     assert header == ("index,xi1,xi2,xi3,xi4,xi5,xi6,xi7,xi8,norm,phi,class,"
                       "e12,e23,e13,quadratic,cubic,v12,v45,v67,v38,vmax")
     assert len(first.splitlines()) == 6
-
-
-def test_sweep_threads_flag_is_ignored(capsys):
-    argv = ["sweep", "--generator", "random", "--count", "20", "--seed", "7", "--level", "2"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main(argv + ["--threads", "2"]) == 0
-    assert capsys.readouterr().out == serial
 
 
 def test_short_random_sweep_exits_1(capsys, tmp_path):
@@ -318,7 +309,7 @@ def test_job_descriptor_round_trip(tmp_path, capsys):
         "command": "curvature",
         "xi": [0, 0, 0.6, 0, 0, 0, 0, 1.3],
         "level": 1,
-        "tolerances": {"classify": 1e-9, "quadrature": 1e-4},
+        "tolerances": {"classify": 1e-9},
         "output": {"format": "json", "path": str(out_file)},
     }
     desc_file = tmp_path / "job.json"
@@ -461,7 +452,7 @@ def test_job_descriptor_negative_numbers(tmp_path, capsys, desc, argv):
     ({"command": "classify", "level": 4}, "unrecognized arguments: --level=4"),
     ({"command": "curvature", "level": 4}, "argument --level: invalid choice: 4"),
     ({"command": "classify", "output": {"format": "xml"}},
-     "argument --format: invalid choice: 'xml'"),
+     "output.format: classify writes json"),
 ])
 def test_job_descriptor_usage_errors_exit_1(tmp_path, capsys, change, message):
     desc = {"schema": "su3holo/1", "xi": [0, 0, 0.6, 0, 0, 0, 0, 1.3], **change}
@@ -477,6 +468,7 @@ def test_job_descriptor_usage_errors_exit_1(tmp_path, capsys, change, message):
     ["classify", "--xi", REST],
     ["monopole", "--direction", E8, "--radius", "1e-3"],
     ["selfcheck"],
+    ["sweep", "--generator", "rest-frame"],
 ])
 def test_threads_is_a_sweep_option_only(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -592,3 +584,136 @@ def test_job_descriptor_non_finite_values_exit_1(tmp_path, capsys, desc, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("su3holo: error: ") and message in captured.err
+
+
+XI = {"xi": [0, 0, 0.6, 0, 0, 0, 0, 1.3]}
+
+
+@pytest.mark.parametrize("desc, argv", [
+    ({"command": "surface-flux", "level": 1, "generator": SPHERE_GENERATOR},
+     ["surface-flux", *SPHERE[:-2], "--level", "1"]),
+    ({"command": "loop-phase", "level": 1, "generator": {
+        "kind": "circle", "center8": [0, 0, 0, 0, 0, 0, 0, 1],
+        "axis_pair": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]], "radius": 1e-3}},
+     ["loop-phase", *CIRCLE, "--level", "1"]),
+    ({"command": "sweep", "generator": RAY_GENERATOR},
+     ["sweep", "--generator", "ray", "--ray-from", E8, "--toward", "0,0,1,0,0,0,0,0"]),
+], ids=["sphere-patch", "circle", "ray"])
+def test_job_descriptor_absent_fields_take_the_cli_defaults(tmp_path, capsys, desc, argv):
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    assert main(["job", str(tmp_path / "job.json")]) == 0
+    from_job = capsys.readouterr()
+    assert main(argv) == 0
+    assert from_job == capsys.readouterr()
+
+
+def test_job_descriptor_monopole_needs_a_radius(tmp_path, capsys):
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"schema": "su3holo/1", "command": "monopole", "xi": [0, 0, 0, 0, 0, 0, 0, 1]}))
+    assert main(["job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("su3holo: error: the following arguments are required: "
+                            "--radius\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"command": "classify", **XI, "seed": 5}, "unrecognized arguments: --seed=5"),
+    ({"command": "curvature", **XI, "level": 1, "tolerances": {"quadrature": 1e-4}},
+     "unrecognized arguments: --quadrature-tol=0.0001"),
+    ({"command": "selfcheck", "tolerances": {"classify": 1e-9}},
+     "unrecognized arguments: --classify-tol=1e-09"),
+    ({"command": "spectrum", **XI, "radius": 1e-3}, "unrecognized arguments: --radius=0.001"),
+    ({"command": "sweep", "generator": {"kind": "rest-frame"}, "output": {"format": "json"}},
+     "output.format: sweep writes csv"),
+    ({"command": "selfcheck", "output": {"format": "csv"}},
+     "output.format: selfcheck writes json"),
+], ids=["seed", "quadrature", "classify-tol", "radius", "sweep-json", "selfcheck-csv"])
+def test_job_descriptor_fields_the_command_does_not_take_exit_1(tmp_path, capsys, change,
+                                                                message):
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **change}))
+    assert main(["job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"su3holo: error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_job_descriptor_format_naming_the_written_format_is_accepted(tmp_path, capsys):
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"schema": "su3holo/1", "command": "sweep", "output": {"format": "csv"},
+         "generator": {"kind": "rest-frame", "count": 3}}))
+    assert main(["job", str(tmp_path / "job.json")]) == 0
+    from_job = capsys.readouterr()
+    assert main(["sweep", "--generator", "rest-frame", "--count", "3"]) == 0
+    assert from_job == capsys.readouterr()
+
+
+POINT_OPTIONS = {"output", "classify_tol", "xi", "rest"}
+OPTIONS = {
+    "classify": POINT_OPTIONS,
+    "spectrum": POINT_OPTIONS,
+    "curvature": POINT_OPTIONS | {"level", "route"},
+    "decompose": POINT_OPTIONS | {"level"},
+    "loop-phase": {"output", "classify_tol", "level", "path_file", "center", "axis1", "axis2",
+                   "radius", "samples"},
+    "surface-flux": {"output", "classify_tol", "level", "patch_file", "center", "frame1",
+                     "frame2", "frame3", "radius", "theta_min", "theta_max", "grid"},
+    "monopole": {"output", "classify_tol", "quadrature_tol", "direction", "radius", "level",
+                 "offset"},
+    "sweep": {"output", "classify_tol", "seed", "generator", "level", "count", "scale",
+              "ray_from", "toward", "delta_start", "delta_stop"},
+    "selfcheck": {"output", "seed"},
+    "job": {"file"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    import argparse
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {a.dest for a in p._actions if a.dest != "help"}
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+    assert sum(len(options) for options in got.values()) == 61
+
+
+# The arguments of a valid command line of each command, and options that
+# each command does not read.
+VALID = {
+    "classify": ["--xi", REST],
+    "spectrum": ["--rest", "0.6,1.3"],
+    "curvature": ["--xi", REST, "--level", "1"],
+    "decompose": ["--xi", REST, "--level", "1"],
+    "loop-phase": CIRCLE,
+    "surface-flux": SPHERE,
+    "monopole": ["--direction", E8, "--radius", "1e-3"],
+    "sweep": ["--generator", "rest-frame"],
+    "selfcheck": [],
+}
+REMOVED = [(command, ["--format", "json"]) for command in VALID]
+REMOVED += [("sweep", ["--threads", "2"]), ("selfcheck", ["--classify-tol", "1e-9"])]
+REMOVED += [(command, ["--seed", "5"]) for command in VALID
+            if command not in ("sweep", "selfcheck")]
+REMOVED += [(command, ["--quadrature-tol", "1e-4"]) for command in VALID
+            if command != "monopole"]
+
+
+@pytest.mark.parametrize("command, option", REMOVED,
+                         ids=[f"{c}{o[0]}" for c, o in REMOVED])
+def test_options_a_command_does_not_read_exit_1(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *VALID[command], *option])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"su3holo: error: unrecognized arguments: {' '.join(option)}\n")
+
+
+@pytest.mark.parametrize("offset", ["0,0,1e-3", "0,0,0.0010000001"])
+def test_monopole_sphere_through_the_degenerate_point_exits_2(capsys, offset):
+    assert main(["monopole", "--direction", E8, "--radius", "1e-3", "--offset", offset]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "su3holo: degenerate input: sphere passes through a degeneracy\n"

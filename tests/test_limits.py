@@ -327,3 +327,17 @@ def test_monopole_flux_rejects_non_finite_vectors():
         monopole_flux(np.where(e(8) > 0, 1.0, np.nan), 1e-3, 1)
     with pytest.raises(ValueError, match="center_offset must have 3 finite components"):
         monopole_flux(e(8), 1e-3, 1, center_offset=[np.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-10])
+def test_monopole_flux_sphere_grazing_the_degenerate_point_is_degenerate(d):
+    # Here the quadrature agreed with itself on flux/2pi 0.5000012 (d = 0) and
+    # 0.49998 (d = 1e-10), half the flux of either side.
+    with pytest.raises(DegenerateInput, match="sphere passes through a degeneracy"):
+        monopole_flux(e(8), 1e-3, 1, center_offset=[0.0, 0.0, 1e-3 + d])
+
+
+@pytest.mark.parametrize("d, winding", [(1e-5, 0.0), (-1e-5, 1.0)])
+def test_monopole_flux_just_off_the_degenerate_point(d, winding):
+    flux = monopole_flux(e(8), 1e-3, 1, center_offset=[0.0, 0.0, 1e-3 + d])
+    assert flux / TWO_PI == pytest.approx(winding, abs=1e-5)
