@@ -114,6 +114,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="su3holo", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    parser.commands = sub.choices  # the parser of each command, by name
 
     def command(name, point=False, classify_tol=True, seed=False):
         p = sub.add_parser(name)
@@ -186,10 +187,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse(parser: _Parser, argv):
+    # argparse would report arguments that no parser took through the
+    # top-level parser, whose usage lists every command, not the command's
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        raise _UsageError(parser.commands[args.cmd],
+                          f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
@@ -198,7 +209,7 @@ def main(argv=None) -> int:
         if args.cmd == "job":
             from . import job
 
-            args = parser.parse_args(job.to_argv(args.file))
+            args = _parse(parser, job.to_argv(args.file))
         module = import_module(f"{__package__}.{_HANDLER_MODULES[args.cmd]}")
         payload = getattr(module, "cmd_" + args.cmd.replace("-", "_"))(args)
         if isinstance(payload, str):  # the CSV text of a sweep

@@ -26,7 +26,6 @@ from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
     SpectralData,
-    _frames_at,
     _generic_frames,
     diagonalizer,
     octet_norm,
@@ -197,7 +196,6 @@ def symplectic_two_form_fd(xi, step: float | None = None,
         step = 1e-5 * octet_norm(xi)
     h0 = np.diag(s.energies)
     pivots = (int(np.argmax(np.abs(a0[:, 0]))), int(np.argmax(np.abs(a0[:, 1]))))
-    a0 = _frames_at(xi, s.energies, pivots)[1]
     thetas = np.empty((8, 3, 3), dtype=complex)
     for r in range(8):
         offset = np.zeros(8)

@@ -22,8 +22,7 @@ import numpy as np
 
 from .curvature import _flux_density
 from .errors import DegenerateInput, UnderResolvedPath
-from .spectrum import (DEFAULT_CLASSIFY_TOL, _closed_form, _frames, _frames_at, _resolved,
-                       generic_mask)
+from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, generic_mask
 
 __all__ = [
     "LoopPath",
@@ -214,10 +213,13 @@ def loop_phase(path: LoopPath, level: int) -> float:
     UnderResolvedPath
         If any consecutive overlap magnitude drops to ``0.1`` or below
         (under-resolved sampling or a level crossing en route).
+    ValueError
+        If the eigenvector frames overflow (|xi| above about 1e77).
     """
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    return _transport_phase(_frames(path.samples)[1][..., :, level - 1])
+    frames = _block_frames(path.samples, path.tol, "loop passes through a degeneracy")[1]
+    return _transport_phase(frames[..., :, level - 1])
 
 
 def _transport_phase(vecs: np.ndarray) -> float:
@@ -266,27 +268,12 @@ def _block_flux(b: np.ndarray, tol: float, level: int) -> float:
     return float(np.sum(_flux_density(e, frames, du, dv, level)))
 
 
-def _block_frames(xi: np.ndarray, tol: float, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and gauge-fixed frames of one block of quadrature points, from
-    a single closed-form evaluation that also serves the Generic rule.
-
-    Raises
-    ------
-    DegenerateInput
-        With ``message``, if a point of the block is not Generic at ``tol``.
-    """
-    c = _closed_form(xi)
-    if not np.all(_resolved(c.norm, c.gaps, tol)):
-        raise DegenerateInput(message)
-    return _frames_at(xi, c.levels)
-
-
 def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], float]:
     """Loop phases of all three levels and their sum wrapped to
     ``(-pi, pi]``.  The sum vanishes (mod 2 pi): the three curvature forms
     add to zero, equivalently the product of the three transport holonomies
     is the determinant phase of a special-unitary transport."""
-    frames = _frames(path.samples)[1]
+    frames = _block_frames(path.samples, path.tol, "loop passes through a degeneracy")[1]
     phases = tuple(_transport_phase(frames[..., :, a - 1]) for a in (1, 2, 3))
     total = float(np.angle(np.exp(1j * sum(phases))))
     return phases, total

@@ -6,7 +6,8 @@ command line, which ``cli.main`` then parses and runs, so argparse stays the
 one validator and the one holder of defaults: a field becomes a flag only
 when given, and one whose command does not take its option fails there as an
 unrecognized argument.  Here each field is only checked to hold a JSON value
-of its type.  Only the ``job`` command imports this module.
+of its type, and no option may come from two fields.  Only the ``job``
+command imports this module.
 """
 import json
 
@@ -88,6 +89,11 @@ def to_argv(path: str) -> list[str]:
         argv += ["--output", str(output["path"])]
     if "generator" in desc:
         argv += _generator_argv(_object_field(desc, "generator"))
+    # argparse would keep the last of two values and drop the other silently
+    flags = argv[::2]
+    for flag in flags:
+        if flags.count(flag) > 1:
+            raise ValueError(f"descriptor field {flag[2:]!r} is given twice")
     # ``--flag=value``: a value such as ``-1,0,...`` or ``-1e-05`` would
     # otherwise be taken for an option flag
     return [command, *(f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2]))]

@@ -21,8 +21,8 @@ import numpy as np
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _flux_density
 from .errors import DegenerateInput, UnderResolvedPath
-from .holonomy import _FLUX_BLOCK_CELLS, _block_frames
-from .spectrum import DEFAULT_CLASSIFY_TOL, energy_gaps, octet_norm, phase_angle
+from .holonomy import _FLUX_BLOCK_CELLS
+from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, energy_gaps, octet_norm, phase_angle
 
 __all__ = [
     "GapAsymptotic",

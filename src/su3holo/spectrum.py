@@ -133,13 +133,12 @@ def _resolved(norm: np.ndarray, gaps: np.ndarray, tol: float):
     return norm > tol, gaps[..., 0] > scale, gaps[..., 1] > scale
 
 
-def _point(xi, tol: float, caller: str, generic: bool = False) -> tuple[np.ndarray, SpectralData]:
+def _point(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData]:
     """Validate a single octet vector and return it with its spectral record,
-    from one closed-form evaluation.  With ``generic`` set, a non-Generic
-    point raises ``DegenerateInput`` naming ``caller``.  A point with
-    ``|xi| > tol`` whose closed form is not finite raises ``ValueError``:
-    above about 5.6e102 ``|xi|**3`` overflows, and ``phi`` is NaN or, where
-    the cubic invariant stays finite, wrongly ``pi/3``."""
+    from one closed-form evaluation.  A point with ``|xi| > tol`` whose
+    closed form is not finite raises ``ValueError``: above about 5.6e102
+    ``|xi|**3`` overflows, and ``phi`` is NaN or, where the cubic invariant
+    stays finite, wrongly ``pi/3``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     xi = _octet(xi)
@@ -158,8 +157,6 @@ def _point(xi, tol: float, caller: str, generic: bool = False) -> tuple[np.ndarr
              else DegeneracyClass.UPPER_DEGENERATE if not upper
              else DegeneracyClass.LOWER_DEGENERATE if not lower
              else DegeneracyClass.GENERIC)
-    if generic and klass is not DegeneracyClass.GENERIC:
-        raise DegenerateInput(f"{caller} requires a generic spectrum, got {klass.value}")
     phi = float(c.phi) if c.norm > 0.0 else float("nan")
     return xi, SpectralData(*map(float, c.levels), phi, *map(float, gaps), klass)
 
@@ -313,21 +310,45 @@ def _frames_at(xi: np.ndarray, e: np.ndarray, pivots=None) -> tuple[np.ndarray, 
     return e, _fix_gauge(a, pivots)
 
 
-def _finite_columns(a: np.ndarray, xi: np.ndarray) -> None:
+def _generic_frames(xi, tol: float, caller: str,
+                    pivots=None) -> tuple[np.ndarray, SpectralData, np.ndarray]:
+    """``_point(xi, tol, caller)`` and the point's eigenvector matrix, gauge
+    fixed as in ``diagonalizer``: ``DegenerateInput`` naming ``caller`` if
+    the point is not Generic, ``ValueError`` if the matrix is not finite or
+    ``pivots`` is invalid."""
+    xi, s = _point(xi, tol, caller)
+    if s.degeneracy is not DegeneracyClass.GENERIC:
+        raise DegenerateInput(f"{caller} requires a generic spectrum, got {s.degeneracy.value}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _eigenvector_columns(octet_to_matrix(xi), s.energies)
     # Past about |xi| = 1e77 the squared cross products in _norm overflow and
-    # a single point's eigenvector columns come out zero, or NaN once gauged.
+    # the eigenvector columns come out zero or NaN.
     if not (np.isfinite(a).all() and np.abs(a).max(axis=0).all()):
         raise ValueError(f"the eigenvector frames are not finite at |xi| = {math.hypot(*xi):.6g}")
+    if pivots is not None:
+        if not (len(pivots) == 2 and all(isinstance(p, (int, np.integer)) and 0 <= p < 3
+                                         for p in pivots)):
+            raise ValueError(f"pivots {tuple(pivots)!r}: expected two row indices in 0..2")
+        if any(a[p, k] == 0 for k, p in enumerate(pivots)):
+            raise ValueError(f"pivots {tuple(pivots)!r}: a pivot component of the "
+                             "eigenvectors is zero at this point")
+    return xi, s, _fix_gauge(a, pivots)
 
 
-def _generic_frames(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData, np.ndarray]:
-    """``_point(xi, tol, caller, generic=True)`` and the point's gauge-fixed
-    eigenvector matrix; ``ValueError`` where that matrix is not finite."""
-    xi, s = _point(xi, tol, caller, generic=True)
+def _block_frames(xi: np.ndarray, tol: float, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and gauge-fixed frames of a block of octet vectors (..., 8),
+    from one closed-form evaluation that also serves the Generic rule:
+    ``DegenerateInput(message)`` if a point is not Generic at ``tol``,
+    ``ValueError`` if its frames are not finite (|xi| above about 1e77)."""
+    c = _closed_form(xi)
+    if not np.all(_resolved(c.norm, c.gaps, tol)):
+        raise DegenerateInput(message)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = _frames_at(xi, s.energies)[1]
-    _finite_columns(a, xi)
-    return xi, s, a
+        e, a = _frames_at(xi, c.levels)
+    if not np.isfinite(a).all():
+        bad = ~np.isfinite(a).all(axis=(-2, -1))
+        raise ValueError(f"the eigenvector frames are not finite at |xi| = {c.norm[bad][0]:.6g}")
+    return e, a
 
 
 def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarray:
@@ -352,15 +373,4 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
         component of its column, whose phase is then undefined; or if the
         eigenvectors overflow (|xi| above about 1e77).
     """
-    xi, s = _point(xi, tol, "diagonalizer", generic=True)
-    with np.errstate(over="ignore"):
-        a = _eigenvector_columns(octet_to_matrix(xi), s.energies)
-    _finite_columns(a, xi)
-    if pivots is not None:
-        if not (len(pivots) == 2 and all(isinstance(p, (int, np.integer)) and 0 <= p < 3
-                                         for p in pivots)):
-            raise ValueError(f"pivots {tuple(pivots)!r}: expected two row indices in 0..2")
-        if any(a[p, k] == 0 for k, p in enumerate(pivots)):
-            raise ValueError(f"pivots {tuple(pivots)!r}: a pivot component of the "
-                             "eigenvectors is zero at this point")
-    return _fix_gauge(a, pivots)
+    return _generic_frames(xi, tol, "diagonalizer", pivots)[2]

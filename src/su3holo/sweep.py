@@ -22,13 +22,17 @@ CURVATURE_COLUMNS = ["v12", "v45", "v67", "v38", "vmax"]
 def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarray:
     """``count`` draws of ``scale`` times a standard-normal octet vector that
     are Generic at tolerance ``tol``; ``ValueError`` if ``100 * count`` draws
-    hold fewer."""
-    pts, tries = [], 0
-    while len(pts) < count and tries < 100 * count:
-        xi = scale * rng.standard_normal(8)
-        tries += 1
-        if spectrum.classify(xi, tol) is spectrum.DegeneracyClass.GENERIC:
-            pts.append(xi)
+    hold fewer.  Draws are classified in blocks of the number still missing,
+    so the seed is consumed exactly as one draw at a time would."""
+    pts, tries, cap = [], 0, 100 * count
+    while len(pts) < count and tries < cap:
+        block = scale * rng.standard_normal((min(count - len(pts), cap - tries), 8))
+        tries += len(block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            generic = spectrum.generic_mask(block, tol)
+        for xi in block[~generic]:
+            spectrum.classify(xi, tol)  # raises where the closed form is not finite
+        pts.extend(block[generic])
     if len(pts) < count:
         raise ValueError(f"random generator found {len(pts)} of {count} generic points")
     return np.array(pts)

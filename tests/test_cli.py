@@ -167,6 +167,41 @@ def test_short_random_sweep_exits_1(capsys, tmp_path):
     assert not out.exists()
 
 
+def _one_draw_at_a_time(rng, count, tol, scale):
+    # the random generator's reference: classify each draw as it is made
+    from su3holo.spectrum import DegeneracyClass, classify
+
+    pts, tries = [], 0
+    while len(pts) < count and tries < 100 * count:
+        xi = scale * rng.standard_normal(8)
+        tries += 1
+        if classify(xi, tol) is DegeneracyClass.GENERIC:
+            pts.append(xi)
+    if len(pts) < count:
+        raise ValueError(f"random generator found {len(pts)} of {count} generic points")
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("count, tol, scale", [
+    (500, 1e-9, 1.0), (300, 0.3, 2.0), (40, 0.6, 1.0), (3, 1e-9, 0.0), (3, 1e-9, 1e200),
+    (3, 1e-9, np.inf),
+])
+def test_random_generator_blocks_equal_one_draw_at_a_time(count, tol, scale):
+    from su3holo.sweep import random_generic
+
+    results = []
+    for generate in (random_generic, _one_draw_at_a_time):
+        rng = np.random.default_rng(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                results.append((generate(rng, count, tol, scale).tobytes(),
+                                rng.bit_generator.state))
+            except ValueError as exc:
+                results.append(str(exc))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["--generator", "random", "--count", "12", "--seed", "3", "--level", "2"],
     # the first rows lie on the cone: their curvature fields are nan
@@ -476,7 +511,8 @@ def test_threads_is_a_sweep_option_only(capsys, argv):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith("su3holo: error: unrecognized arguments: --threads 2\n")
+    assert captured.err.startswith(f"usage: su3holo {argv[0]} ")
+    assert captured.err.endswith(f"su3holo {argv[0]}: error: unrecognized arguments: --threads 2\n")
 
 
 CIRCLE = ["--center", E8, "--axis1", "1,0,0,0,0,0,0,0", "--axis2", "0,1,0,0,0,0,0,0",
@@ -708,7 +744,9 @@ def test_options_a_command_does_not_read_exit_1(capsys, command, option):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(f"su3holo: error: unrecognized arguments: {' '.join(option)}\n")
+    assert captured.err.startswith(f"usage: su3holo {command} ")
+    assert captured.err.endswith(
+        f"su3holo {command}: error: unrecognized arguments: {' '.join(option)}\n")
 
 
 @pytest.mark.parametrize("offset", ["0,0,1e-3", "0,0,0.0010000001"])
@@ -717,3 +755,73 @@ def test_monopole_sphere_through_the_degenerate_point_exits_2(capsys, offset):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "su3holo: degenerate input: sphere passes through a degeneracy\n"
+
+
+@pytest.mark.parametrize("argv, extras", [
+    (["sweep", "--generator", "random", "--count", "2", "--bogus", "1"], "--bogus 1"),
+    (["job", "job.json", "--bogus"], "--bogus"),
+])
+def test_unrecognized_arguments_print_the_commands_usage(capsys, argv, extras):
+    usage = cli._build_parser().commands[argv[0]].format_usage()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{usage}su3holo {argv[0]}: error: unrecognized arguments: {extras}\n"
+
+
+CIRCLE_GENERATOR = {"kind": "circle", "center8": [0, 0, 0, 0, 0, 0, 0, 1],
+                    "axis_pair": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]],
+                    "radius": 1e-3}
+
+
+@pytest.mark.parametrize("desc", [
+    {"command": "loop-phase", "generator": CIRCLE_GENERATOR},
+    {"command": "surface-flux", "generator": SPHERE_GENERATOR},
+], ids=["circle", "sphere-patch"])
+def test_job_descriptor_field_given_twice_exits_1(tmp_path, capsys, desc):
+    # the generator's --radius came after the top-level one, which argparse dropped
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"schema": "su3holo/1", "level": 1, "radius": 0.5, **desc}))
+    assert main(["job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "su3holo: error: descriptor field 'radius' is given twice\n"
+
+
+HUGE = "0,0,6e77,0,0,0,0,1.3e78"  # |xi| about 1.4e78
+HUGE_CIRCLE = ["--center", HUGE, "--axis1", "1,0,0,0,0,0,0,0", "--axis2", "0,1,0,0,0,0,0,0",
+               "--radius", "1e76", "--samples", "50"]
+HUGE_SPHERE = ["--center", HUGE, "--frame1", "1,0,0,0,0,0,0,0", "--frame2", "0,1,0,0,0,0,0,0",
+               "--frame3", "0,0,0,1,0,0,0,0", "--radius", "1e76", "--grid", "9x17"]
+HUGE_CIRCLE_GENERATOR = {"kind": "circle", "center8": [0, 0, 6e77, 0, 0, 0, 0, 1.3e78],
+                         "axis_pair": np.eye(8)[:2].tolist(), "radius": 1e76, "samples": 50}
+HUGE_SPHERE_GENERATOR = {"kind": "sphere-patch", "center8": [0, 0, 6e77, 0, 0, 0, 0, 1.3e78],
+                         "frame": np.eye(8)[[0, 1, 3]].tolist(), "radius": 1e76,
+                         "grid": [9, 17]}
+
+
+@pytest.mark.parametrize("desc, argv", [
+    ({"command": "loop-phase", "generator": HUGE_CIRCLE_GENERATOR},
+     ["loop-phase", *HUGE_CIRCLE]),
+    ({"command": "loop-phase", "level": 2, "generator": HUGE_CIRCLE_GENERATOR},
+     ["loop-phase", *HUGE_CIRCLE, "--level", "2"]),
+    ({"command": "surface-flux", "generator": HUGE_SPHERE_GENERATOR},
+     ["surface-flux", *HUGE_SPHERE]),
+    ({"command": "surface-flux", "level": 1, "generator": HUGE_SPHERE_GENERATOR},
+     ["surface-flux", *HUGE_SPHERE, "--level", "1"]),
+], ids=["loop-phase", "loop-phase-level", "surface-flux", "surface-flux-level"])
+def test_overflowing_loop_and_patch_frames_exit_1(tmp_path, capsys, desc, argv):
+    # the squared cross products behind the eigenvectors overflow past about
+    # 1e77: unchecked, these printed null phases and fluxes and exited 0
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+        from_cli = capsys.readouterr()
+        assert main(["job", str(tmp_path / "job.json")]) == 1
+    assert capsys.readouterr() == from_cli
+    assert from_cli.out == ""
+    assert from_cli.err == ("su3holo: error: the eigenvector frames are not finite at "
+                            "|xi| = 1.43182e+78\n")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -350,3 +351,28 @@ def test_circle_and_sphere_reject_non_finite_vectors(bad):
         spherical_patch(center, FRAME123, 1e-3, (0.0, np.pi), (5, 9))
     with pytest.raises(ValueError, match="center and frame must be finite"):
         spherical_patch(E8, np.stack([np.eye(8)[0], axis, np.eye(8)[2]]), 1e-3)
+
+
+# |xi| about 1.4e78: the closed form is finite, but the squared cross products
+# behind the eigenvectors overflow, so unchecked frames read NaN
+HUGE = np.array([0, 0, 6e77, 0, 0, 0, 0, 1.3e78])
+
+
+def test_overflowing_loop_frames_are_a_typed_error():
+    path = circle_loop(HUGE, np.eye(8)[0], np.eye(8)[1], 1e76, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for level in (1, 2, 3):
+            with pytest.raises(ValueError, match=r"frames are not finite at \|xi\| = 1\.4"):
+                loop_phase(path, level)
+        with pytest.raises(ValueError, match=r"frames are not finite at \|xi\| = 1\.4"):
+            phase_sum_rule_check(path)
+
+
+def test_overflowing_patch_frames_are_a_typed_error():
+    patch = spherical_patch(HUGE, FRAME123, 1e76, (0.0, np.pi), (9, 17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for level in (1, 2, 3):
+            with pytest.raises(ValueError, match=r"frames are not finite at \|xi\| = 1\.4"):
+                surface_flux(patch, level)
