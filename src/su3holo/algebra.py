@@ -74,6 +74,20 @@ F_CONST, D_CONST = _build_structure_constants()
 # the nonzero d_rst in C order, for cubic_invariant
 _CUBIC_TERMS = tuple((float(D_CONST[r, s, t]), int(r), int(s), int(t))
                      for r, s, t in zip(*np.nonzero(D_CONST)))
+
+
+def _group_cubic_terms() -> tuple:
+    # the terms grouped by r, for batches: each group holds the distinct d of
+    # its r (22 in all, at most 3 per r) and its terms as (index of d, s, t)
+    groups = []
+    for r in range(8):
+        terms = [(d, s, t) for d, r_, s, t in _CUBIC_TERMS if r_ == r]
+        ds = tuple(dict.fromkeys(d for d, _, _ in terms))
+        groups.append((r, ds, tuple((ds.index(d), s, t) for d, s, t in terms)))
+    return tuple(groups)
+
+
+_CUBIC_GROUPS = _group_cubic_terms()
 # lambda_8's diagonal entries 1/sqrt(3) and -2/sqrt(3), for octet_to_matrix
 _L8_11, _L8_33 = float(GELL_MANN[7, 0, 0].real), float(GELL_MANN[7, 2, 2].real)
 
@@ -192,14 +206,28 @@ def cubic_invariant(xi) -> float | np.ndarray:
     The sum runs over the 58 nonzero ``d_rst`` only, in C order, each term
     multiplied left to right: on finite input that is the sum
     ``einsum("rst,...r,...s,...t->...", D_CONST, xi, xi, xi)`` forms, bit
-    for bit, without its zero terms."""
+    for bit, without its zero terms.  A batch forms each of the 22 distinct
+    ``d * xi_r`` once and every term in preallocated buffers."""
     xi = _octet(xi)
-    x = xi.tolist() if xi.ndim == 1 else [xi[..., r] for r in range(8)]
-    acc = 0.0
-    for d, r, s, t in _CUBIC_TERMS:
-        acc += d * x[r] * x[s] * x[t]
-    out = np.sqrt(3.0) * acc
-    return float(out) if xi.ndim == 1 else out
+    if xi.ndim == 1:
+        x = xi.tolist()
+        acc = 0.0
+        for d, r, s, t in _CUBIC_TERMS:
+            acc += d * x[r] * x[s] * x[t]
+        return float(np.sqrt(3.0) * acc)
+    x = np.moveaxis(xi, -1, 0).copy()  # contiguous components
+    acc = np.zeros(xi.shape[:-1])  # += from 0.0, as the einsum's accumulator
+    term = np.empty_like(acc)
+    scaled = np.empty((3,) + acc.shape)
+    for r, ds, terms in _CUBIC_GROUPS:
+        for d, buf in zip(ds, scaled):
+            np.multiply(d, x[r], out=buf)
+        for k, s, t in terms:
+            np.multiply(scaled[k], x[s], out=term)
+            term *= x[t]
+            acc += term
+    acc *= np.sqrt(3.0)
+    return acc
 
 
 def invariants(xi) -> tuple[float, float]:

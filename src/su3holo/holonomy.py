@@ -6,7 +6,10 @@ of level ``a`` around a closed sample sequence is the negative argument of
 the cyclic product of consecutive eigenvector overlaps.  Each eigenvector
 enters once as a bra and once as a ket, so the result is manifestly
 independent of the eigenvector gauge, and it converges to the adiabatic
-geometric phase as the sampling is refined.
+geometric phase as the sampling is refined.  The surface flux contracts each
+eigenvector the same way.  Both therefore take their eigenvectors from
+``spectrum._block_frames`` as the unit columns of the null-space kernel,
+with no gauge fixing.
 
 Orientation convention (fixed once by the Stokes consistency requirement
 and used throughout): ``SurfacePatch.boundary()`` traverses the patch edge
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import _flux_density
-from .errors import DegenerateInput, UnderResolvedPath
-from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, generic_mask
+from .errors import UnderResolvedPath
+from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, _generic_closed_form
 
 __all__ = [
     "LoopPath",
@@ -39,15 +42,16 @@ OVERLAP_GUARD = 0.1
 # Cell budget of one surface-flux quadrature block and of one block of the
 # patch's grid check (whole rows, at least one row): bounds the working set
 # independently of the patch size.  At 1024 cells one 201x201 flux peaks at
-# about 1 MiB of temporaries, against 3.6 MiB at 4096, and takes about a
-# quarter longer, from the kernels' fixed cost per call.
+# about 0.64 MiB of temporaries, against 2.5 MiB at 4096 and 0.28 MiB at
+# 512; smaller blocks cost time, from the kernels' fixed cost per call.
 _FLUX_BLOCK_CELLS = 1024
 
 
 @dataclass
 class LoopPath:
     """Closed loop given by N octet-vector samples (the last connects back
-    to the first).  Every sample must be generic."""
+    to the first).  Every sample must be generic and have a finite closed
+    form (``ValueError`` otherwise, checked first)."""
 
     samples: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -56,8 +60,7 @@ class LoopPath:
         pts = np.asarray(self.samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 8 or pts.shape[0] < 3:
             raise ValueError("a loop needs at least 3 samples of 8 components")
-        if not np.all(generic_mask(pts, self.tol)):
-            raise DegenerateInput("loop passes through a degeneracy")
+        _generic_closed_form(pts, self.tol, "loop passes through a degeneracy")
         self.samples = pts
 
     def reversed(self) -> "LoopPath":
@@ -67,10 +70,11 @@ class LoopPath:
 @dataclass
 class SurfacePatch:
     """Two-surface sampled on a (u, v) grid over [0, 1]^2 with bilinear
-    interpolation between grid points.  Every grid point must be generic;
-    the check runs over blocks of whole grid rows (about 1024 points, at
-    least one row), like the ``surface_flux`` quadrature, so its working
-    set is bounded whatever the grid size."""
+    interpolation between grid points.  Every grid point must be generic
+    and have a finite closed form (``ValueError`` otherwise, checked
+    first); the check runs over blocks of whole grid rows (about 1024
+    points, at least one row), like the ``surface_flux`` quadrature, so its
+    working set is bounded whatever the grid size."""
 
     grid: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -81,8 +85,8 @@ class SurfacePatch:
             raise ValueError("a patch needs an (nu, nv, 8) grid with nu, nv >= 2")
         rows = max(1, _FLUX_BLOCK_CELLS // g.shape[1])
         for start in range(0, g.shape[0], rows):
-            if not np.all(generic_mask(g[start:start + rows], self.tol)):
-                raise DegenerateInput("patch contains a degenerate grid point")
+            _generic_closed_form(g[start:start + rows], self.tol,
+                                 "patch contains a degenerate grid point")
         self.grid = g
 
     @classmethod
@@ -246,7 +250,16 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
     The cells are visited in fixed-size blocks of whole cell rows (about
     1024 cells, at least one row), and the Jacobians enter the eigenvector
     matrix elements before the level sum, so no per-cell curvature array is
-    formed and the working set stays bounded whatever the patch size."""
+    formed and the working set stays bounded whatever the patch size: about
+    0.64 MiB for a 201x201 patch.  The eigenvectors are not gauge fixed;
+    each enters the density once as a bra and once as a ket.
+
+    Raises
+    ------
+    DegenerateInput
+        If a cell center is not Generic.
+    ValueError
+        If the eigenvector frames overflow (|xi| above about 1e77)."""
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
     g = patch.grid
@@ -258,8 +271,8 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
 
 
 def _block_flux(b: np.ndarray, tol: float, level: int) -> float:
-    # surface_flux over the cells of one block of grid rows.  The frames set
-    # the block's peak, so the Jacobians are formed after them, and the
+    # surface_flux over the cells of one block of grid rows.  The Jacobians
+    # are formed after the frames, so the two peaks do not add, and the
     # previous block's frames are gone by then.
     centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
     e, frames = _block_frames(centers, tol, "patch contains a degenerate quadrature point")

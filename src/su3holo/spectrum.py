@@ -24,7 +24,10 @@ them, and over one rule for Generic points: ``|xi| > tol``,
 
 Eigenvectors are likewise computed from the closed-form eigenvalues, by
 null-space extraction on ``H - E_a I`` (cross product of the two most
-independent rows), not by a generic eigensolver.
+independent rows), not by a generic eigensolver.  Single points get them
+gauge fixed (``diagonalizer``); batches for loops, patches and spheres get
+the unit columns as they are, since every quantity read off them is gauge
+invariant.
 """
 from __future__ import annotations
 
@@ -233,6 +236,12 @@ def _rest_from_levels(e: np.ndarray) -> np.ndarray:
     return out
 
 
+# Batches of at least this many points take the eigenvector kernel's levels
+# one at a time, which holds a third of the candidate buffers; smaller ones
+# take all three at once, in a third of the numpy calls.
+_LEVELWISE_POINTS = 64
+
+
 def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of (batches of) 3 x 3 Hermitian ``h`` for the given
     eigenvalues ``e`` (..., 3), as columns ordered like ``e``.
@@ -240,24 +249,32 @@ def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
     Each null space of ``h - e_a I`` is spanned by the largest of the three
     row-pair cross products (the first one on a tie, as ``argmax`` picks).
     The rows are lists of (..., level) entries: the diagonal ``h_ii - e_a``
-    and the level-independent off-diagonal ``h_ij``.  The candidates are
-    formed one after another in two buffers, so the working set per point
-    is a few (..., 3) arrays, never a stack of all candidates.  The
-    arithmetic is that of ``np.cross`` and ``np.linalg.norm``, operation for
-    operation, so the columns equal the stacked computation's bit for bit.
+    and the level-independent off-diagonal ``h_ij``.  The first candidate
+    is formed in the output columns, the other two in one buffer that
+    replaces it where larger, so the working set per point is the output
+    and a few (..., level) arrays, never a stack of all candidates; large
+    batches take one level at a time.  The arithmetic is that of
+    ``np.cross`` and ``np.linalg.norm``, operation for operation and on
+    arrays throughout (numpy's scalar arithmetic rounds complex products
+    differently), so the columns equal the stacked computation's bit for
+    bit.
     """
-    rows = [[h[..., i, j, None] - e if i == j else h[..., i, j, None] for j in range(3)]
-            for i in range(3)]
-    best = _cross(rows[0], rows[1], np.empty((3,) + rows[0][0].shape, dtype=complex))
-    nbest = _norm(best)
-    c = np.empty_like(best)
-    for i, j in ((0, 2), (1, 2)):
-        n = _norm(_cross(rows[i], rows[j], c))
-        take = ~((n <= nbest) | np.isnan(nbest))  # argmax: first max, first NaN
-        np.copyto(best, c, where=take)
-        np.copyto(nbest, n, where=take)
-    out = np.empty(nbest.shape[:-1] + (3, 3), dtype=complex)  # (..., row, level)
-    np.divide(best, nbest, out=np.moveaxis(out, -2, 0))
+    out = np.empty(e.shape[:-1] + (3, 3), dtype=complex)  # (..., row, level)
+    cols = np.moveaxis(out, -2, 0)  # (row, ..., level)
+    step = 1 if e[..., 0].size >= _LEVELWISE_POINTS else 3
+    c = np.empty((3,) + e.shape[:-1] + (step,), dtype=complex)
+    for lo in range(0, 3, step):
+        levels = slice(lo, lo + step)
+        rows = [[h[..., i, j, None] - e[..., levels] if i == j else h[..., i, j, None]
+                 for j in range(3)] for i in range(3)]
+        best = _cross(rows[0], rows[1], cols[..., levels])
+        nbest = _norm(best)
+        for i, j in ((0, 2), (1, 2)):
+            n = _norm(_cross(rows[i], rows[j], c))
+            take = ~((n <= nbest) | np.isnan(nbest))  # argmax: first max, first NaN
+            np.copyto(best, c, where=take)
+            np.copyto(nbest, n, where=take)
+        np.divide(best, nbest, out=best)
     return out
 
 
@@ -270,11 +287,18 @@ def _cross(a: list, b: list, c: np.ndarray) -> np.ndarray:
 
 
 def _norm(c: np.ndarray) -> np.ndarray:
-    # np.linalg.norm over the first axis: sqrt of the sum of (x.conj() * x).real
-    s = c.conj()
-    s *= c
-    s = s.real
-    return np.sqrt(s[0] + s[1] + s[2])
+    # np.linalg.norm over the first axis, sqrt(s[0] + s[1] + s[2]) with
+    # s = (x.conj() * x).real.  Large arrays form s one component at a time,
+    # a third of the temporaries; small ones at once, in fewer numpy calls.
+    # No product is taken in place: on one-element arrays numpy's in-place
+    # complex product rounds differently.
+    if c[0].size < _LEVELWISE_POINTS:
+        s = (c.conj() * c).real
+        return np.sqrt(s[0] + s[1] + s[2])
+    total = (c[0].conj() * c[0]).real.copy()
+    for x in c[1:]:
+        total += (x.conj() * x).real
+    return np.sqrt(total, out=total)
 
 
 def _fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
@@ -335,19 +359,44 @@ def _generic_frames(xi, tol: float, caller: str,
     return xi, s, _fix_gauge(a, pivots)
 
 
-def _block_frames(xi: np.ndarray, tol: float, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and gauge-fixed frames of a block of octet vectors (..., 8),
-    from one closed-form evaluation that also serves the Generic rule:
-    ``DegenerateInput(message)`` if a point is not Generic at ``tol``,
-    ``ValueError`` if its frames are not finite (|xi| above about 1e77)."""
-    c = _closed_form(xi)
-    if not np.all(_resolved(c.norm, c.gaps, tol)):
-        raise DegenerateInput(message)
+def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedForm:
+    """The closed form of a block of octet vectors (..., 8), checked as
+    ``_point`` checks one point, with no warning: ``ValueError`` if a point
+    not within ``tol`` of zero has a closed form that is not finite (above
+    about |xi| = 5.6e102, or a non-finite component), then
+    ``DegenerateInput(message)`` if a point is not Generic at ``tol``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        e, a = _frames_at(xi, c.levels)
-    if not np.isfinite(a).all():
-        bad = ~np.isfinite(a).all(axis=(-2, -1))
-        raise ValueError(f"the eigenvector frames are not finite at |xi| = {c.norm[bad][0]:.6g}")
+        c = _closed_form(xi)
+        gaps = c.gaps
+        finite = np.isfinite(c.norm**3) & np.isfinite(c.phi)
+    bad = ~finite & ~(c.norm <= tol)
+    if bad.any():
+        raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*xi[bad][0]):.6g}")
+    if not np.all(_resolved(c.norm, gaps, tol)):
+        raise DegenerateInput(message)
+    return c
+
+
+def _block_frames(xi: np.ndarray, tol: float, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and unit eigenvector columns of a block of octet vectors
+    (..., 8), from one closed-form evaluation that also serves the checks of
+    ``_generic_closed_form``; ``ValueError`` if a column is not finite or is
+    zero (|xi| above about 1e77).
+
+    The columns are not gauge fixed: every caller contracts each eigenvector
+    once as a bra and once as a ket, so its phase drops out."""
+    c = _generic_closed_form(xi, tol, message)
+    e = c.levels
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _eigenvector_columns(octet_to_matrix(xi), e)
+    # Past about |xi| = 1e77 the squared cross products in _norm overflow and
+    # the columns come out zero or NaN.  Unit columns put 3 per point into
+    # the sum of all squared magnitudes, which a zero or NaN column breaks;
+    # that sum costs a few microseconds per block, a per-column test 40 times
+    # as much.
+    if not abs(np.vdot(a, a).real - 3 * c.norm.size) < 0.5:
+        ok = np.isfinite(a).all(axis=(-2, -1)) & (a != 0).any(axis=-2).all(axis=-1)
+        raise ValueError(f"the eigenvector frames are not finite at |xi| = {c.norm[~ok][0]:.6g}")
     return e, a
 
 

@@ -825,3 +825,39 @@ def test_overflowing_loop_and_patch_frames_exit_1(tmp_path, capsys, desc, argv):
     assert from_cli.out == ""
     assert from_cli.err == ("su3holo: error: the eigenvector frames are not finite at "
                             "|xi| = 1.43182e+78\n")
+
+
+# |xi| about 1.4e111: |xi|^3 and the cubic invariant overflow, so the closed
+# form itself is not finite; these loops and patches used to be reported as
+# degenerate (exit 2) after two RuntimeWarnings
+VAST_CENTER = [0, 0, 6e110, 0, 0, 0, 0, 1.3e111]
+VAST = ",".join(repr(float(v)) for v in VAST_CENTER)
+VAST_CIRCLE = ["--center", VAST, "--axis1", "1,0,0,0,0,0,0,0", "--axis2", "0,1,0,0,0,0,0,0",
+               "--radius", "1e109", "--samples", "400"]
+VAST_SPHERE = ["--center", VAST, "--frame1", "1,0,0,0,0,0,0,0", "--frame2", "0,1,0,0,0,0,0,0",
+               "--frame3", "0,0,0,1,0,0,0,0", "--radius", "1e109", "--grid", "9x17"]
+VAST_CIRCLE_GENERATOR = {**HUGE_CIRCLE_GENERATOR, "center8": VAST_CENTER, "radius": 1e109,
+                         "samples": 400}
+VAST_SPHERE_GENERATOR = {**HUGE_SPHERE_GENERATOR, "center8": VAST_CENTER, "radius": 1e109}
+
+
+@pytest.mark.parametrize("desc, argv", [
+    ({"command": "loop-phase", "generator": VAST_CIRCLE_GENERATOR},
+     ["loop-phase", *VAST_CIRCLE]),
+    ({"command": "loop-phase", "level": 3, "generator": VAST_CIRCLE_GENERATOR},
+     ["loop-phase", *VAST_CIRCLE, "--level", "3"]),
+    ({"command": "surface-flux", "generator": VAST_SPHERE_GENERATOR},
+     ["surface-flux", *VAST_SPHERE]),
+], ids=["loop-phase", "loop-phase-level", "surface-flux"])
+def test_overflowing_loop_and_patch_closed_form_exit_1(tmp_path, capsys, desc, argv):
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+        from_cli = capsys.readouterr()
+        assert main(["job", str(tmp_path / "job.json")]) == 1
+    assert capsys.readouterr() == from_cli
+    assert from_cli.out == ""
+    # the first sample or grid point, one radius away from the center
+    assert from_cli.err == ("su3holo: error: the closed form is not finite at "
+                            "|xi| = 1.43182e+111\n")

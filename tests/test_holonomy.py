@@ -266,7 +266,7 @@ def test_patch_check_memory_is_bounded():
 
 
 def test_surface_flux_peak_is_about_one_block():
-    # 1024-cell blocks: about 1.03 MiB for a 201x201 patch (3.6 MiB at 4096)
+    # 1024-cell blocks: about 0.64 MiB for a 201x201 patch (2.5 MiB at 4096)
     patch = random_patch((201, 201))
     tracemalloc.start()
     try:
@@ -298,13 +298,13 @@ def test_patch_check_runs_over_row_blocks(monkeypatch, shape, budget):
     grid = random_patch(shape).grid.copy()
     rows = max(1, holonomy._FLUX_BLOCK_CELLS // shape[1])
     blocks = []
-    real = holonomy.generic_mask
+    real = holonomy._generic_closed_form
 
-    def spy(xi, tol):
+    def spy(xi, tol, message):
         blocks.append(len(xi))
-        return real(xi, tol)
+        return real(xi, tol, message)
 
-    monkeypatch.setattr(holonomy, "generic_mask", spy)
+    monkeypatch.setattr(holonomy, "_generic_closed_form", spy)
     SurfacePatch(grid)
     assert blocks == [min(rows, shape[0] - start) for start in range(0, shape[0], rows)]
     assert len(blocks) > 1

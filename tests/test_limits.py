@@ -284,7 +284,7 @@ def test_gauss_legendre_node_sets_are_mirrored_and_cached():
 
 def test_monopole_flux_working_set_is_one_block():
     # Offset 0.9 radius from the ray, the flux climbs to quadrature order 192
-    # (192 x 384 points); the blocks keep the peak near 1 MiB.
+    # (192 x 384 points); the blocks keep the peak near 0.6 MiB.
     tracemalloc.start()
     try:
         monopole_flux(e(8), 1e-3, 1, center_offset=[9e-4, 0.0, 0.0])
@@ -292,6 +292,18 @@ def test_monopole_flux_working_set_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_monopole_flux_working_set_is_a_lean_block():
+    # The order-192 case above peaked at 1.35 MiB with gauge-fixed frames and
+    # points and tangents pushed through the adjoint matrix; the bound is 59 %.
+    tracemalloc.start()
+    try:
+        monopole_flux(e(8), 1e-3, 1, center_offset=[9e-4, 0.0, 0.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 2**20
 
 
 def test_monopole_flux_sphere_through_the_ray_is_degenerate():
