@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GELL_MANN, adjoint_matrix, octet_to_matrix
+from .algebra import _L8_11, _L8_33, GELL_MANN, adjoint_matrix
 from .errors import DegenerateInput
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -77,24 +77,80 @@ def _gap_weights(e: np.ndarray, idx: int) -> np.ndarray:
         return np.where(np.arange(3) == idx, 0.0, 1.0 / gaps**2)
 
 
-def _flux_density(e: np.ndarray, a_mat: np.ndarray, du: np.ndarray, dv: np.ndarray,
-                  level: int) -> np.ndarray:
+def _flux_density(xi: np.ndarray, e: np.ndarray, a: np.ndarray, du: np.ndarray,
+                  dv: np.ndarray, level: int) -> np.ndarray:
     """Curvature contracted with two tangent octet vectors, ``du_r V_rs dv_s``,
-    for one level; eigenvalues (..., 3), eigenvector column matrices
-    (..., 3, 3) and tangents (..., 8) give shape (...).
+    for one level, from that level's unit eigenvector alone: octet vectors
+    (..., 8), their levels (..., 3), the level's eigenvector ``a`` (..., 3)
+    and tangents (..., 8) give shape (...).
 
-    The tangents enter the matrix elements before the level sum,
-    ``pu_b = <a|M(du)|b>`` with ``M = octet_to_matrix``, so that
+    With ``M = octet_to_matrix`` and the reduced resolvent
+    ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)``, which maps each other
+    eigenvector ``|b>`` to ``|b> / E_ab`` (the levels sum to zero, so
+    ``E_b + 2 E_a = E_ac``; Mukunda & Simon, Ann. Phys. 228, 205 (1993)),
 
-        ``du_r V_rs dv_s = 2 Im sum_{b != a} pu_b conj(pv_b) / E_ab^2``
+        ``du_r V_rs dv_s = 2 Im <S_a M(du) a | S_a M(dv) a>``.
 
-    and the (..., 8, 8) coefficient array is never formed."""
+    ``M(du) a`` and ``M(dv) a`` are summed entry by entry from the
+    tangents' components, ``a`` is projected out, ``H + 2 E_a`` is applied
+    entry by entry from ``xi``'s components, and the product is scaled by
+    ``1 / (E_ab E_ac)`` twice, so no matrix array is formed and the working
+    set is a few complex arrays of shape (...).  Every matrix is applied as
+    twice itself, and the factor 16 is divided out at the end."""
     idx = level - 1
-    bra = a_mat[..., None, :, idx].conj()
-    pu = (bra @ octet_to_matrix(du) @ a_mat)[..., 0, :]
-    pv = (bra @ octet_to_matrix(dv) @ a_mat)[..., 0, :]
-    w = _gap_weights(e, idx)
-    return 2.0 * np.sum(w * (pu * pv.conj()).imag, axis=-1)
+    ea = e[..., idx]
+    eb, ec = (e[..., b] for b in range(3) if b != idx)
+    scale = 1.0 / ((ea - eb) * (ea - ec))
+    a = [a[..., i] for i in range(3)]
+    shifted = _doubled_entries(xi, 4.0 * ea)  # 2 (H + 2 E_a)
+
+    def image(t: np.ndarray) -> list:
+        # 4 E_ab E_ac S_a M(t) a, as its three components
+        x = _apply(_doubled_entries(t), a)
+        overlap = a[0].conj() * x[0]
+        overlap += a[1].conj() * x[1]
+        overlap += a[2].conj() * x[2]
+        for xk, ak in zip(x, a):
+            xk -= ak * overlap
+        return _apply(shifted, x)
+
+    u = image(du)
+    v = image(dv)
+    im = (u[0].conj() * v[0]).imag
+    im += (u[1].conj() * v[1]).imag
+    im += (u[2].conj() * v[2]).imag
+    im *= scale  # scaled in two steps, so neither overflows where the result does not
+    im *= scale
+    im /= 8.0
+    return im
+
+
+def _doubled_entries(x: np.ndarray, shift=0.0) -> tuple:
+    # 2 octet_to_matrix(x) + shift for octet vectors x (..., 8), as its
+    # diagonal and its lower entries (1,0), (2,0), (2,1), each of shape (...).
+    # The lower entries x1 + i x2, x4 + i x5, x6 + i x7 are views of x, each
+    # pair of components read as one complex number.
+    x = np.ascontiguousarray(x, dtype=float)
+    x3, x8 = x[..., 2], x[..., 7]
+    d8 = x8 * _L8_11 + shift
+    lower = tuple(x[..., k:k + 2].view(complex)[..., 0] for k in (0, 3, 5))
+    return (d8 + x3, d8 - x3, x8 * _L8_33 + shift), lower
+
+
+def _apply(entries: tuple, v: list) -> list:
+    # the Hermitian matrix given by its diagonal and lower entries, applied
+    # to the vector v, as three components
+    (d0, d1, d2), (l10, l20, l21) = entries
+    y0 = d0 * v[0]
+    y0 += l10.conj() * v[1]
+    y0 += l20.conj() * v[2]
+    y1 = l10 * v[0]
+    y1 += d1 * v[1]
+    y1 += l21.conj() * v[2]
+    y2 = l20 * v[0]
+    y2 += l21 * v[1]
+    y2 += d2 * v[2]
+    return [y0, y1, y2]
 
 
 def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> CurvatureTwoForm:

@@ -6,10 +6,13 @@ of level ``a`` around a closed sample sequence is the negative argument of
 the cyclic product of consecutive eigenvector overlaps.  Each eigenvector
 enters once as a bra and once as a ket, so the result is manifestly
 independent of the eigenvector gauge, and it converges to the adiabatic
-geometric phase as the sampling is refined.  The surface flux contracts each
-eigenvector the same way.  Both therefore take their eigenvectors from
-``spectrum._block_frames`` as the unit columns of the null-space kernel,
-with no gauge fixing.
+geometric phase as the sampling is refined.  The surface flux integrates the
+reduced-resolvent density ``2 Im <S_a M(du) a | S_a M(dv) a>``, with
+``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)`` (``curvature._flux_density``),
+which reads the one eigenvector ``|a>`` once as a bra and once as a ket.
+Both therefore take from ``spectrum._block_frames`` only the unit
+null-space column of the level they integrate, with no gauge fixing;
+``phase_sum_rule_check`` takes all three columns from one evaluation.
 
 Orientation convention (fixed once by the Stokes consistency requirement
 and used throughout): ``SurfacePatch.boundary()`` traverses the patch edge
@@ -42,7 +45,7 @@ OVERLAP_GUARD = 0.1
 # Cell budget of one surface-flux quadrature block and of one block of the
 # patch's grid check (whole rows, at least one row): bounds the working set
 # independently of the patch size.  At 1024 cells one 201x201 flux peaks at
-# about 0.64 MiB of temporaries, against 2.5 MiB at 4096 and 0.28 MiB at
+# about 0.49 MiB of temporaries, against 1.9 MiB at 4096 and 0.23 MiB at
 # 512; smaller blocks cost time, from the kernels' fixed cost per call.
 _FLUX_BLOCK_CELLS = 1024
 
@@ -222,8 +225,9 @@ def loop_phase(path: LoopPath, level: int) -> float:
     """
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    frames = _block_frames(path.samples, path.tol, "loop passes through a degeneracy")[1]
-    return _transport_phase(frames[..., :, level - 1])
+    column = _block_frames(path.samples, path.tol, "loop passes through a degeneracy",
+                           levels=(level,))[1]
+    return _transport_phase(column[..., 0])
 
 
 def _transport_phase(vecs: np.ndarray) -> float:
@@ -248,11 +252,14 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
     contracting the curvature with the (u, v) Jacobian two-vectors.
 
     The cells are visited in fixed-size blocks of whole cell rows (about
-    1024 cells, at least one row), and the Jacobians enter the eigenvector
-    matrix elements before the level sum, so no per-cell curvature array is
-    formed and the working set stays bounded whatever the patch size: about
-    0.64 MiB for a 201x201 patch.  The eigenvectors are not gauge fixed;
-    each enters the density once as a bra and once as a ket.
+    1024 cells, at least one row).  Each block computes the level's
+    eigenvector column alone and contracts it with the two Jacobians through
+    the reduced resolvent, ``2 Im <S_a M(du) a | S_a M(dv) a>`` with
+    ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)``, entry by entry, so no
+    per-cell matrix or curvature array is formed and the working set stays
+    bounded whatever the patch size: about 0.49 MiB for a 201x201 patch.
+    The eigenvector is not gauge fixed; it enters the density once as a bra
+    and once as a ket.
 
     Raises
     ------
@@ -272,13 +279,14 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
 
 def _block_flux(b: np.ndarray, tol: float, level: int) -> float:
     # surface_flux over the cells of one block of grid rows.  The Jacobians
-    # are formed after the frames, so the two peaks do not add, and the
-    # previous block's frames are gone by then.
+    # are formed after the eigenvector column, so the two peaks do not add,
+    # and the previous block's column is gone by then.
     centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
-    e, frames = _block_frames(centers, tol, "patch contains a degenerate quadrature point")
+    e, column = _block_frames(centers, tol, "patch contains a degenerate quadrature point",
+                              levels=(level,))
     du = ((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0
     dv = ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0
-    return float(np.sum(_flux_density(e, frames, du, dv, level)))
+    return float(np.sum(_flux_density(centers, e, column[..., 0], du, dv, level)))
 
 
 def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], float]:

@@ -218,9 +218,11 @@ def monopole_flux(direction, radius: float, level: int,
     ``numpy.polynomial`` is never loaded.  Each order runs in blocks of
     whole theta rows, about 1024 points each like ``surface_flux``, with one
     spectral evaluation per block, so the working set is one block (about
-    0.6 MiB) whatever the order.  A block's points and tangents are built
-    from the three transported unfolding directions, and its eigenvectors
-    are not gauge fixed (the flux density contracts each as a bra and a ket).
+    0.5 MiB) whatever the order.  A block's points and tangents are built
+    from the three transported unfolding directions.  Each block computes
+    only the level's eigenvector column, not gauge fixed, and contracts it
+    with the two tangents through the reduced resolvent
+    ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)``, as ``surface_flux`` does.
 
     Raises
     ------
@@ -285,18 +287,18 @@ def monopole_flux(direction, radius: float, level: int,
         return total
 
     def block_density(theta: np.ndarray, ring: np.ndarray, ring_dphi: np.ndarray) -> np.ndarray:
-        # One closed form per block serves the Generic check and the frames.
-        # The tangents are formed after the frames, so the two peaks do not
-        # add, and the previous block's frames are gone by then.
+        # One closed form per block serves the Generic check and the column.
+        # The tangents are formed after the column, so the two peaks do not
+        # add, and the previous block's column is gone by then.
         r_sin = radius * np.sin(theta)[:, None, None]
         r_cos = radius * np.cos(theta)[:, None, None]
         pts = r_sin * ring
         pts += center + r_cos * d3
-        e, frames = _block_frames(pts, tol, "sphere passes through a degeneracy")
-        del pts
+        e, column = _block_frames(pts, tol, "sphere passes through a degeneracy",
+                                  levels=(level,))
         d_theta = r_cos * ring
         d_theta -= r_sin * d3
-        return _flux_density(e, frames, d_theta, r_sin * ring_dphi, level)
+        return _flux_density(pts, e, column[..., 0], d_theta, r_sin * ring_dphi, level)
 
     bound = rel_tol * 2.0 * np.pi
     order, cur = 12, flux_at(12)

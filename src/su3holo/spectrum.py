@@ -129,6 +129,18 @@ def _closed_form(xi: np.ndarray) -> _ClosedForm:
     return _ClosedForm(norm, (np.pi - np.arcsin(np.clip(s3, -1.0, 1.0))) / 3.0)
 
 
+def _checked_closed_form(xi: np.ndarray) -> tuple[_ClosedForm, np.ndarray, np.ndarray]:
+    """The closed form of octet vectors, its gaps, and where it is finite,
+    with no warning.  Above about |xi| = 5.6e102 ``|xi|**3`` overflows, and
+    ``phi`` is NaN or, where the cubic invariant stays finite, wrongly
+    ``pi/3``; a non-finite component makes it NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _closed_form(xi)
+        gaps = c.gaps
+        finite = np.isfinite(c.norm**3) & np.isfinite(c.phi)
+    return c, gaps, finite
+
+
 def _resolved(norm: np.ndarray, gaps: np.ndarray, tol: float):
     """The Generic rule at relative tolerance ``tol``, one flag per condition:
     ``|xi| > tol``, ``E12 > tol |xi|``, ``E23 > tol |xi|``."""
@@ -139,9 +151,7 @@ def _resolved(norm: np.ndarray, gaps: np.ndarray, tol: float):
 def _point(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData]:
     """Validate a single octet vector and return it with its spectral record,
     from one closed-form evaluation.  A point with ``|xi| > tol`` whose
-    closed form is not finite raises ``ValueError``: above about 5.6e102
-    ``|xi|**3`` overflows, and ``phi`` is NaN or, where the cubic invariant
-    stays finite, wrongly ``pi/3``."""
+    closed form is not finite raises ``ValueError``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     xi = _octet(xi)
@@ -149,10 +159,7 @@ def _point(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData]:
         raise ValueError(f"{caller} takes a single octet vector")
     if not np.all(np.isfinite(xi)):
         raise ValueError("classify requires finite octet components")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _closed_form(xi)
-        gaps = c.gaps
-        finite = np.isfinite(c.norm**3) and np.isfinite(c.phi)
+    c, gaps, finite = _checked_closed_form(xi)
     nonzero, upper, lower = _resolved(c.norm, gaps, tol)
     if nonzero and not finite:
         raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*xi):.6g}")
@@ -207,10 +214,13 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
 
 
 def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
-    """Boolean mask over a batch of octet vectors: True where Generic."""
-    c = _closed_form(_octet(xis))
-    nonzero, upper, lower = _resolved(c.norm, c.gaps, tol)
-    return nonzero & upper & lower
+    """Boolean mask over a batch of octet vectors: True where Generic.  A
+    point whose closed form is not finite, where ``classify`` raises, is
+    False, and no warning is raised."""
+    c, gaps, mask = _checked_closed_form(_octet(xis))
+    for flag in _resolved(c.norm, gaps, tol):
+        mask &= flag  # in place: the mask starts as the finiteness flags
+    return mask
 
 
 def eigenvalues(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> SpectralData:
@@ -244,7 +254,10 @@ _LEVELWISE_POINTS = 64
 
 def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of (batches of) 3 x 3 Hermitian ``h`` for the given
-    eigenvalues ``e`` (..., 3), as columns ordered like ``e``.
+    eigenvalues ``e`` (..., k), as columns (..., 3, k) ordered like ``e``.
+    The output and the candidate buffers hold only the ``k`` columns asked
+    for, and each column is the same, bit for bit, whichever others are
+    computed with it.
 
     Each null space of ``h - e_a I`` is spanned by the largest of the three
     row-pair cross products (the first one on a tie, as ``argmax`` picks).
@@ -259,11 +272,12 @@ def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
     differently), so the columns equal the stacked computation's bit for
     bit.
     """
-    out = np.empty(e.shape[:-1] + (3, 3), dtype=complex)  # (..., row, level)
+    k = e.shape[-1]
+    out = np.empty(e.shape[:-1] + (3, k), dtype=complex)  # (..., row, level)
     cols = np.moveaxis(out, -2, 0)  # (row, ..., level)
-    step = 1 if e[..., 0].size >= _LEVELWISE_POINTS else 3
+    step = 1 if e[..., 0].size >= _LEVELWISE_POINTS else k
     c = np.empty((3,) + e.shape[:-1] + (step,), dtype=complex)
-    for lo in range(0, 3, step):
+    for lo in range(0, k, step):
         levels = slice(lo, lo + step)
         rows = [[h[..., i, j, None] - e[..., levels] if i == j else h[..., i, j, None]
                  for j in range(3)] for i in range(3)]
@@ -365,10 +379,7 @@ def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedFor
     not within ``tol`` of zero has a closed form that is not finite (above
     about |xi| = 5.6e102, or a non-finite component), then
     ``DegenerateInput(message)`` if a point is not Generic at ``tol``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _closed_form(xi)
-        gaps = c.gaps
-        finite = np.isfinite(c.norm**3) & np.isfinite(c.phi)
+    c, gaps, finite = _checked_closed_form(xi)
     bad = ~finite & ~(c.norm <= tol)
     if bad.any():
         raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*xi[bad][0]):.6g}")
@@ -377,24 +388,28 @@ def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedFor
     return c
 
 
-def _block_frames(xi: np.ndarray, tol: float, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and unit eigenvector columns of a block of octet vectors
-    (..., 8), from one closed-form evaluation that also serves the checks of
-    ``_generic_closed_form``; ``ValueError`` if a column is not finite or is
-    zero (|xi| above about 1e77).
+def _block_frames(xi: np.ndarray, tol: float, message: str,
+                  levels: tuple[int, ...] = (1, 2, 3)) -> tuple[np.ndarray, np.ndarray]:
+    """All three levels (..., 3) of a block of octet vectors (..., 8) and
+    the unit eigenvector columns (..., 3, len(levels)) of the requested
+    ``levels``, a run of consecutive level numbers, from one closed-form
+    evaluation that also serves the checks of ``_generic_closed_form``;
+    ``ValueError`` if a column is not finite or is zero (|xi| above about
+    1e77).  Only the requested columns are computed, each the same bit for
+    bit as in the three-level call.
 
     The columns are not gauge fixed: every caller contracts each eigenvector
     once as a bra and once as a ket, so its phase drops out."""
     c = _generic_closed_form(xi, tol, message)
     e = c.levels
     with np.errstate(over="ignore", invalid="ignore"):
-        a = _eigenvector_columns(octet_to_matrix(xi), e)
+        a = _eigenvector_columns(octet_to_matrix(xi), e[..., levels[0] - 1:levels[-1]])
     # Past about |xi| = 1e77 the squared cross products in _norm overflow and
-    # the columns come out zero or NaN.  Unit columns put 3 per point into
-    # the sum of all squared magnitudes, which a zero or NaN column breaks;
-    # that sum costs a few microseconds per block, a per-column test 40 times
-    # as much.
-    if not abs(np.vdot(a, a).real - 3 * c.norm.size) < 0.5:
+    # the columns come out zero or NaN.  Unit columns put 1 per column and
+    # point into the sum of all squared magnitudes, which a zero or NaN
+    # column breaks; that sum costs a few microseconds per block, a
+    # per-column test 40 times as much.
+    if not abs(np.vdot(a, a).real - a.shape[-1] * c.norm.size) < 0.5:
         ok = np.isfinite(a).all(axis=(-2, -1)) & (a != 0).any(axis=-2).all(axis=-1)
         raise ValueError(f"the eigenvector frames are not finite at |xi| = {c.norm[~ok][0]:.6g}")
     return e, a

@@ -28,8 +28,7 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
     while len(pts) < count and tries < cap:
         block = scale * rng.standard_normal((min(count - len(pts), cap - tries), 8))
         tries += len(block)
-        with np.errstate(over="ignore", invalid="ignore"):
-            generic = spectrum.generic_mask(block, tol)
+        generic = spectrum.generic_mask(block, tol)
         for xi in block[~generic]:
             spectrum.classify(xi, tol)  # raises where the closed form is not finite
         pts.extend(block[generic])

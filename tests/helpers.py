@@ -1,9 +1,17 @@
-"""Shared test utilities: random matrix factories, angle wrapping and the
-dense reference kernels."""
+"""Shared test utilities: random matrix factories, angle wrapping, the
+dense reference kernels, an mpmath flux-density reference and a point whose
+closed form overflows."""
+import mpmath
 import numpy as np
 
-from su3holo.algebra import D_CONST, GELL_MANN
+from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix
 from su3holo.spectrum import energy_gaps, octet_norm
+
+# Past |xi| of about 5.6e102, |xi|^3 overflows: along this direction the cubic
+# invariant stays finite, so phi reads pi/3 and the Generic rule alone passes
+# the point; scaled by 1e8 the cubic invariant overflows too.
+_DIRECTION = np.random.default_rng(3).standard_normal(8)
+OVERFLOWING = 6e102 * _DIRECTION / np.linalg.norm(_DIRECTION)
 
 
 def wrap_angle(x: float) -> float:
@@ -101,3 +109,39 @@ def einsum_octet_to_matrix(xi) -> np.ndarray:
     matrices.  The library's entry-by-entry sums must equal it bit for bit
     on finite input."""
     return 0.5 * np.einsum("...r,rij->...ij", np.asarray(xi, dtype=float), GELL_MANN)
+
+
+def near_cone_points(rng, gap: float, cone: str, count: int) -> np.ndarray:
+    """``count`` unit octet vectors whose small gap is ``gap``: ``E12`` on
+    the upper cone, ``E23`` on the lower; each is a rest-frame vector turned
+    by the adjoint image of a random special-unitary matrix."""
+    big = (np.sqrt(3.0 * (1.0 - gap**2)) - gap) / 2.0  # the other gap of a unit vector
+    e12, e23 = (gap, big) if cone == "upper" else (big, gap)
+    rest = np.zeros(8)
+    rest[2], rest[7] = e12, (e12 + 2.0 * e23) / np.sqrt(3.0)
+    return np.stack([adjoint_matrix(random_special_unitary(rng)) @ rest for _ in range(count)])
+
+
+def mpmath_flux_density(xi, du, dv, level: int, digits: int = 50) -> tuple[float, float]:
+    """Reference ``du_r V_rs dv_s`` of one level from the mpmath ``eighe``
+    spectrum of the double-precision input at ``digits`` digits:
+    ``2 Im sum_{b != a} <a|M(du)|b><b|M(dv)|a> / E_ab^2``, with the sum of
+    the magnitudes of its terms as a scale for relative errors."""
+    with mpmath.workdps(digits):
+        def matrix(x):
+            return mpmath.matrix([[sum(mpmath.mpf(float(x[r])) * mpmath.mpc(complex(GELL_MANN[r, i, j]))
+                                       for r in range(8)) / 2 for j in range(3)] for i in range(3)])
+
+        levels, vecs = mpmath.eighe(matrix(xi))
+        order = sorted(range(3), key=lambda k: -levels[k])
+        a = order[level - 1]
+        mu, mv = matrix(du), matrix(dv)
+        density = scale = mpmath.mpf(0)
+        for b in order:
+            if b != a:
+                pu = (vecs[:, a].H * mu * vecs[:, b])[0]
+                pv = (vecs[:, a].H * mv * vecs[:, b])[0]
+                weight = 2 / (levels[a] - levels[b]) ** 2
+                density += weight * mpmath.im(pu * mpmath.conj(pv))
+                scale += weight * abs(pu * pv)
+        return float(density), float(scale)

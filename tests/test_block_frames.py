@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import random_generic_octet, wrap_angle
+from helpers import OVERFLOWING, random_generic_octet, wrap_angle
 from su3holo import DegenerateInput, spectrum
 from su3holo.curvature import _flux_density
 from su3holo.holonomy import LoopPath, SurfacePatch, _transport_phase, circle_loop
@@ -57,13 +57,26 @@ def test_loop_phases_do_not_depend_on_the_column_phases(seed, phases):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, phases=unit_phases(CELLS + (3,)), level=st.sampled_from([1, 2, 3]))
-def test_flux_density_does_not_depend_on_the_column_phases(seed, phases, level):
+@given(seed=seeds, phase=unit_phases(CELLS), level=st.sampled_from([1, 2, 3]))
+def test_flux_density_does_not_depend_on_the_column_phases(seed, phase, level):
     xi, du, dv = random_block(seed)
-    e, frames = _block_frames(xi, TOL, "degenerate")
-    want = _flux_density(e, frames, du, dv, level)
-    got = _flux_density(e, frames * phases[..., None, :], du, dv, level)
+    e, column = _block_frames(xi, TOL, "degenerate", levels=(level,))
+    want = _flux_density(xi, e, column[..., 0], du, dv, level)
+    got = _flux_density(xi, e, column[..., 0] * phase[..., None], du, dv, level)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("count", [1, 1024])
+def test_one_level_columns_are_the_three_level_columns_bytes(count):
+    # blocks of 64 points and more take the levels one at a time, smaller
+    # ones all at once; either way a column does not depend on the others
+    xi = np.random.default_rng(count).standard_normal((count, 8))
+    e, frames = _block_frames(xi, TOL, "degenerate")
+    for level in (1, 2, 3):
+        e_one, column = _block_frames(xi, TOL, "degenerate", levels=(level,))
+        assert column.shape == (count, 3, 1)
+        assert e_one.tobytes() == e.tobytes()
+        assert column[..., 0].tobytes() == frames[..., level - 1].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,11 +104,17 @@ def test_block_frames_working_set_per_point():
     assert peak <= 600 * len(xi)
 
 
-# Past |xi| of about 5.6e102, |xi|^3 overflows: along this direction the cubic
-# invariant stays finite, so phi reads pi/3 and the Generic rule alone passes
-# the point; scaled by 1e8 the cubic invariant overflows too.
-_DIRECTION = np.random.default_rng(3).standard_normal(8)
-OVERFLOWING = 6e102 * _DIRECTION / np.linalg.norm(_DIRECTION)
+def test_one_level_block_frames_working_set_per_point():
+    # 512 B per point for three columns, 398 B for one: the output and the
+    # candidate buffers hold one column instead of three
+    xi = np.random.default_rng(12).standard_normal((1024, 8))
+    tracemalloc.start()
+    try:
+        _block_frames(xi, TOL, "degenerate", levels=(2,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * len(xi)
 
 
 @pytest.mark.parametrize("build", [

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_generic_octet, random_rest_frame, random_special_unitary
+from helpers import (mpmath_flux_density, near_cone_points, random_generic_octet,
+                     random_rest_frame, random_special_unitary)
 from su3holo import DegenerateInput
 from su3holo.algebra import adjoint_matrix
 from su3holo.curvature import (
@@ -18,7 +19,7 @@ from su3holo.curvature import (
     symplectic_two_form_fd,
     weighted_sum,
 )
-from su3holo.spectrum import _frames, diagonalizer, eigenvalues, energy_gaps
+from su3holo.spectrum import _block_frames, _frames, diagonalizer, eigenvalues, energy_gaps
 from su3holo.tensors import curvature_from_parts
 
 rng = np.random.default_rng(55)
@@ -103,9 +104,35 @@ def test_flux_density_equals_contracted_coefficients():
     e, frames = _frames(xis)
     for level in (1, 2, 3):
         want = np.einsum("nr,nrs,ns->n", du, _coeffs_from_frames(e, frames, level), dv)
-        got = _flux_density(e, frames, du, dv, level)
+        column = frames[..., level - 1]
+        got = _flux_density(xis, e, column, du, dv, level)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
-        np.testing.assert_allclose(_flux_density(e, frames, dv, du, level), -got, rtol=1e-14)
+        np.testing.assert_allclose(_flux_density(xis, e, column, dv, du, level), -got, rtol=1e-14)
+
+
+# Twice the worst error, relative to the sum of the magnitudes of the terms,
+# of the three-eigenvector kernel (pu_b = <a|M(du)|b> summed over b != a with
+# weights 1/E_ab^2) that the resolvent form replaced, on the same points.
+NEAR_CONE_BOUNDS = {
+    (1e-2, "upper"): (2.08e-12, 2.08e-12, 3.32e-13),
+    (1e-2, "lower"): (1.72e-13, 4.42e-12, 4.42e-12),
+    (1e-4, "upper"): (2.26e-8, 2.26e-8, 2.04e-9),
+    (1e-4, "lower"): (2.10e-9, 3.48e-8, 3.48e-8),
+}
+
+
+@pytest.mark.parametrize("gap, cone", list(NEAR_CONE_BOUNDS))
+def test_flux_density_near_the_cones_against_mpmath(gap, cone):
+    # Ten unit points at relative gap 1e-2 or 1e-4 on either cone; the
+    # closed-form levels carry an error of about eps / gap^2 into both kernels.
+    draws = np.random.default_rng([round(-np.log10(gap)), cone == "upper"])
+    xi = near_cone_points(draws, gap, cone, 10)
+    du, dv = draws.standard_normal((2, 10, 8))
+    for level, bound in zip((1, 2, 3), NEAR_CONE_BOUNDS[gap, cone]):
+        e, column = _block_frames(xi, 1e-9, "degenerate", levels=(level,))
+        got = _flux_density(xi, e, column[..., 0], du, dv, level)
+        refs = [mpmath_flux_density(*point, level) for point in zip(xi, du, dv)]
+        assert max(abs(g - ref) / scale for g, (ref, scale) in zip(got, refs)) <= bound
 
 
 def test_transported_equals_spectral():

@@ -266,7 +266,7 @@ def test_patch_check_memory_is_bounded():
 
 
 def test_surface_flux_peak_is_about_one_block():
-    # 1024-cell blocks: about 0.64 MiB for a 201x201 patch (2.5 MiB at 4096)
+    # 1024-cell blocks: about 0.49 MiB for a 201x201 patch (1.9 MiB at 4096)
     patch = random_patch((201, 201))
     tracemalloc.start()
     try:
@@ -275,6 +275,19 @@ def test_surface_flux_peak_is_about_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 2**20
+
+
+def test_surface_flux_peak_is_one_lean_block():
+    # One eigenvector column per cell and the resolvent density: about
+    # 0.49 MiB, against 0.64 MiB with three columns and (N, 3, 3) tangents.
+    patch = random_patch((201, 201))
+    tracemalloc.start()
+    try:
+        surface_flux(patch, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.55 * 2**20
 
 
 def test_patch_check_peak_is_about_one_block():

@@ -157,7 +157,7 @@ def test_monopole_flux_raises_when_orders_never_agree(monkeypatch):
     # is k * pi * 2 pi.
     orders, rows = [], []
 
-    def drifting_density(e, frames, du, dv, level):
+    def drifting_density(xi, e, a, du, dv, level):
         order = du.shape[1] // 2
         if not orders or orders[-1] != order:
             orders.append(order)
@@ -172,7 +172,8 @@ def test_monopole_flux_raises_when_orders_never_agree(monkeypatch):
 
     monkeypatch.setattr(limits, "_flux_density", drifting_density)
     monkeypatch.setattr(limits, "_sphere_quadrature", flat_quadrature)
-    monkeypatch.setattr(limits, "_block_frames", lambda xi, tol, message: (None, None))
+    monkeypatch.setattr(limits, "_block_frames",
+                        lambda xi, tol, message, levels: (None, np.zeros(xi.shape[:-1] + (3, 1))))
     with pytest.raises(UnderResolvedPath, match="order 384") as exc:
         monopole_flux(e(8), 1e-3, 1)
     assert isinstance(exc.value, ValueError)
@@ -284,7 +285,7 @@ def test_gauss_legendre_node_sets_are_mirrored_and_cached():
 
 def test_monopole_flux_working_set_is_one_block():
     # Offset 0.9 radius from the ray, the flux climbs to quadrature order 192
-    # (192 x 384 points); the blocks keep the peak near 0.6 MiB.
+    # (192 x 384 points); the blocks keep the peak near 0.5 MiB.
     tracemalloc.start()
     try:
         monopole_flux(e(8), 1e-3, 1, center_offset=[9e-4, 0.0, 0.0])

@@ -1,11 +1,12 @@
 """The spectral core: one closed-form evaluation per point, one Generic rule,
 and an eigenvector kernel equal bit for bit to the stacked reference."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import (copying_fix_gauge, random_generic_octet, random_rest_frame,
+from helpers import (OVERFLOWING, copying_fix_gauge, random_generic_octet, random_rest_frame,
                      random_special_unitary, stacked_eigenvector_columns)
 from su3holo import curvature, holonomy, spectrum, tensors
 from su3holo.algebra import adjoint_matrix, octet_to_matrix
@@ -111,6 +112,41 @@ def test_classify_and_generic_mask_share_the_threshold_rule(tol):
     # resolves 1e-6 of the threshold only for tol >= 1e-3 (it cancels).
     checked = ~cone | (tol >= 1e-3)
     np.testing.assert_array_equal(single[checked], generic[checked])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8], ids=["cubic-finite", "cubic-overflows"])
+def test_generic_mask_rejects_a_point_whose_closed_form_is_not_finite(scale):
+    pts = np.array([random_generic_octet(np.random.default_rng(5)), scale * OVERFLOWING])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert generic_mask(pts).tolist() == [True, False]
+        assert not generic_mask(pts[1])
+        with pytest.raises(ValueError, match="the closed form is not finite at"):
+            classify(pts[1])
+
+
+class _FixedDraws:
+    """An rng stand-in whose standard-normal draws are the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows)
+
+    def standard_normal(self, shape):
+        assert shape[1:] == (8,)
+        block, self.rows = self.rows[:shape[0]], self.rows[shape[0]:]
+        return block
+
+
+def test_random_generator_raises_at_a_draw_whose_closed_form_is_not_finite():
+    from su3holo.sweep import random_generic
+
+    local = np.random.default_rng(6)  # leaves the module stream to the other tests
+    draws = _FixedDraws([random_generic_octet(local), OVERFLOWING, random_generic_octet(local)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the closed form is not finite at") as exc:
+            random_generic(draws, 3, spectrum.DEFAULT_CLASSIFY_TOL)
+    assert str(exc.value).endswith(f"|xi| = {np.linalg.norm(OVERFLOWING):.6g}")
 
 
 def _generic_points() -> np.ndarray:
