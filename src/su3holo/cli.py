@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+class _CommandParser(_Parser):
+    # A command's parser reports the arguments it does not take itself, with
+    # its own usage; those left to the top-level parser came before the command.
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
+
 def _vec8(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 8:
@@ -113,7 +123,7 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="su3holo", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_CommandParser)
     parser.commands = sub.choices  # the parser of each command, by name
 
     def command(name, point=False, classify_tol=True, seed=False):
@@ -187,20 +197,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse(parser: _Parser, argv):
-    # argparse would report arguments that no parser took through the
-    # top-level parser, whose usage lists every command, not the command's
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        raise _UsageError(parser.commands[args.cmd],
-                          f"unrecognized arguments: {' '.join(extras)}")
-    return args
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = _parse(parser, argv)
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
         if args.cmd == "job":
             from . import job
 
-            args = _parse(parser, job.to_argv(args.file))
+            args = parser.parse_args(job.to_argv(args.file))
         module = import_module(f"{__package__}.{_HANDLER_MODULES[args.cmd]}")
         payload = getattr(module, "cmd_" + args.cmd.replace("-", "_"))(args)
         if isinstance(payload, str):  # the CSV text of a sweep

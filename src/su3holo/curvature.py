@@ -2,8 +2,8 @@
 
 Three independent evaluation routes are provided and must agree:
 
-* ``curvature_spectral`` sums eigenvector matrix elements over the
-  complementary levels with inverse-square gap weights,
+* ``curvature_spectral`` applies the level's reduced resolvent to the
+  images of the unit tangents, from that level's eigenvector alone,
 * ``curvature_transported`` fills the closed-form rest-frame table and
   conjugates it with the adjoint image of the diagonalizer,
 * ``tensors.curvature_from_parts`` reassembles the form from its
@@ -26,6 +26,7 @@ from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
     SpectralData,
+    _generic_columns,
     _generic_frames,
     diagonalizer,
     octet_norm,
@@ -58,64 +59,43 @@ class CurvatureTwoForm:
         self.coeffs = (c - c.T) / 2.0  # exactly antisymmetric
 
 
-def _coeffs_from_frames(e: np.ndarray, a_mat: np.ndarray, level: int) -> np.ndarray:
-    """Curvature coefficients from eigenvalues (..., 3) and eigenvector
-    column matrices (..., 3, 3) for one level; shape (..., 8, 8)."""
-    idx = level - 1
-    va = a_mat[..., :, idx]
-    bra = np.einsum("...i,rij->...rj", va.conj(), GELL_MANN)
-    g = bra @ a_mat  # g[..., r, b] = <a|lam_r|b>
-    w = _gap_weights(e, idx)
-    term = (g * w[..., None, :]) @ np.swapaxes(g.conj(), -1, -2)
-    return term.imag / 2.0
+def _resolvent(xi, e: np.ndarray, idx) -> tuple:
+    """``1 / (E_ab E_ac)`` and ``2 (H + 2 E_a)`` as ``_doubled_entries``
+    for level index ``idx``, or for an array of them on a trailing axis."""
+    ea = e[..., idx]
+    scale = 1.0 / ((ea - e[..., (idx + 1) % 3]) * (ea - e[..., (idx + 2) % 3]))
+    return scale, _doubled_entries(xi, 4.0 * ea)
 
 
-def _gap_weights(e: np.ndarray, idx: int) -> np.ndarray:
-    """Weights ``1 / E_ab^2`` for ``b != a`` and 0 for ``b == a``; shape (..., 3)."""
-    gaps = e[..., idx, None] - e
-    with np.errstate(divide="ignore"):
-        return np.where(np.arange(3) == idx, 0.0, 1.0 / gaps**2)
+def _image(ma: list, a: list, shifted: tuple) -> list:
+    """``4 E_ab E_ac S_a M(t) a`` from the components ``ma`` of ``2 M(t) a``,
+    which it overwrites, the level's unit eigenvector ``a`` and ``shifted``
+    from ``_resolvent``, each as three components of the broadcast shape.
+
+    ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)`` is the reduced resolvent
+    (``M = octet_to_matrix``): the levels sum to zero, so it maps each other
+    eigenvector ``|b>`` to ``|b> / E_ab``, and
+    ``du_r V_rs dv_s = 2 Im <S_a M(du) a | S_a M(dv) a>`` (Mukunda & Simon,
+    Ann. Phys. 228, 205 (1993)).  No matrix array is formed."""
+    overlap = a[0].conj() * ma[0]
+    overlap += a[1].conj() * ma[1]
+    overlap += a[2].conj() * ma[2]
+    for xk, ak in zip(ma, a):
+        xk -= ak * overlap
+    return _apply(shifted, ma)
 
 
 def _flux_density(xi: np.ndarray, e: np.ndarray, a: np.ndarray, du: np.ndarray,
                   dv: np.ndarray, level: int) -> np.ndarray:
-    """Curvature contracted with two tangent octet vectors, ``du_r V_rs dv_s``,
-    for one level, from that level's unit eigenvector alone: octet vectors
-    (..., 8), their levels (..., 3), the level's eigenvector ``a`` (..., 3)
-    and tangents (..., 8) give shape (...).
-
-    With ``M = octet_to_matrix`` and the reduced resolvent
-    ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)``, which maps each other
-    eigenvector ``|b>`` to ``|b> / E_ab`` (the levels sum to zero, so
-    ``E_b + 2 E_a = E_ac``; Mukunda & Simon, Ann. Phys. 228, 205 (1993)),
-
-        ``du_r V_rs dv_s = 2 Im <S_a M(du) a | S_a M(dv) a>``.
-
-    ``M(du) a`` and ``M(dv) a`` are summed entry by entry from the
-    tangents' components, ``a`` is projected out, ``H + 2 E_a`` is applied
-    entry by entry from ``xi``'s components, and the product is scaled by
-    ``1 / (E_ab E_ac)`` twice, so no matrix array is formed and the working
-    set is a few complex arrays of shape (...).  Every matrix is applied as
-    twice itself, and the factor 16 is divided out at the end."""
-    idx = level - 1
-    ea = e[..., idx]
-    eb, ec = (e[..., b] for b in range(3) if b != idx)
-    scale = 1.0 / ((ea - eb) * (ea - ec))
+    """``du_r V_rs dv_s`` of one level from octet vectors (..., 8), their
+    levels (..., 3), the level's unit eigenvector ``a`` (..., 3) and
+    tangents (..., 8), shape (...): ``M(t) a`` summed entry by entry from
+    the tangents' components, the images contracted, scaled by
+    ``1 / (E_ab E_ac)`` twice and divided by 16 (each image carries 4)."""
     a = [a[..., i] for i in range(3)]
-    shifted = _doubled_entries(xi, 4.0 * ea)  # 2 (H + 2 E_a)
-
-    def image(t: np.ndarray) -> list:
-        # 4 E_ab E_ac S_a M(t) a, as its three components
-        x = _apply(_doubled_entries(t), a)
-        overlap = a[0].conj() * x[0]
-        overlap += a[1].conj() * x[1]
-        overlap += a[2].conj() * x[2]
-        for xk, ak in zip(x, a):
-            xk -= ak * overlap
-        return _apply(shifted, x)
-
-    u = image(du)
-    v = image(dv)
+    scale, shifted = _resolvent(xi, e, level - 1)
+    u = _image(_apply(_doubled_entries(du), a), a, shifted)
+    v = _image(_apply(_doubled_entries(dv), a), a, shifted)
     im = (u[0].conj() * v[0]).imag
     im += (u[1].conj() * v[1]).imag
     im += (u[2].conj() * v[2]).imag
@@ -123,6 +103,18 @@ def _flux_density(xi: np.ndarray, e: np.ndarray, a: np.ndarray, du: np.ndarray,
     im *= scale
     im /= 8.0
     return im
+
+
+def _tables(xi: np.ndarray, e: np.ndarray, a: np.ndarray, idx) -> np.ndarray:
+    """``V_rs`` at one octet vector with levels ``e`` (3,), from the images
+    of the unit tangents (``2 M(e_r)`` is ``lambda_r``), for level index
+    ``idx`` and its eigenvector ``a`` (3,), shape (8, 8), or in one pass
+    for an array of level indices and their columns ``a`` (3, k), (k, 8, 8)."""
+    scale, shifted = _resolvent(xi, e, idx)
+    images = _image(list(np.swapaxes(GELL_MANN @ a, 0, 1)), list(a), shifted)
+    # ([level,] tangent, component), each image scaled once by 1 / (E_ab E_ac)
+    g = np.array(images).T * np.asarray(scale)[..., None, None]
+    return (g.conj() @ np.swapaxes(g, -1, -2)).imag / 8.0
 
 
 def _doubled_entries(x: np.ndarray, shift=0.0) -> tuple:
@@ -158,10 +150,13 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
 
         ``V_rs = (1/4) Im sum_{b != a} [<a|l_r|b><b|l_s|a> - (r <-> s)] / E_ab^2``
 
-    using the closed-form eigenvectors.  The value is independent of the
+    evaluated through the reduced resolvent from the level's closed-form
+    eigenvector alone (``_tables``).  The value is independent of the
     eigenvector gauge."""
-    _, s, a_mat = _generic_frames(xi, tol, "curvature_spectral")
-    return CurvatureTwoForm(level, _coeffs_from_frames(s.energies, a_mat, level))
+    if level not in (1, 2, 3):
+        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    xi, s, a = _generic_columns(xi, tol, "curvature_spectral", (level,))
+    return CurvatureTwoForm(level, _tables(xi, s.energies, a[:, 0], level - 1))
 
 
 def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm:
@@ -211,10 +206,9 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     return CurvatureTwoForm(level, d @ v0.coeffs @ d.T)
 
 
-def _all_levels(xi, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    _, s, a_mat = _generic_frames(xi, tol, "curvature")
-    e = s.energies
-    return e, np.stack([_coeffs_from_frames(e, a_mat, a) for a in (1, 2, 3)])
+def _all_levels(xi, tol: float) -> tuple[SpectralData, np.ndarray]:
+    xi, s, a = _generic_columns(xi, tol, "curvature")
+    return s, _tables(xi, s.energies, a, np.arange(3))
 
 
 def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -223,9 +217,11 @@ def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     In the rest frame its independent nonzero entries are ``1/(2 E12)``,
     ``1/(2 E13)``, ``1/(2 E23)`` at slots (1,2), (4,5), (6,7); in general
     it equals the orbit symplectic two-form (see
-    ``symplectic_two_form_fd``)."""
-    e, stack = _all_levels(xi, tol)
-    return np.einsum("a,ars->rs", e, stack)
+    ``symplectic_two_form_fd``).  Evaluated as ``sum_a (E_a - E_2) V^(a)``
+    (the ``V^(a)`` sum to zero): near a cone only one of the two forms that
+    carry the small gap's error then enters, weighted by the small gap."""
+    s, stack = _all_levels(xi, tol)
+    return s.e12 * stack[0] - s.e23 * stack[2]
 
 
 def level_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -245,8 +241,11 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     The sign convention is fixed so that ``S`` matches ``weighted_sum``
     (both give ``+1/(2 E12)`` at rest-frame slot (1,2)).  The diagonalizer
     gauge is pinned to the center point's pivot rows so the rule stays
-    smooth across the stencil.  Default step: ``1e-5 * |xi|``.
+    smooth across the stencil.  Default step: ``1e-5 * |xi|``; a given
+    step must be nonzero and finite.
     """
+    if step is not None and not (np.isfinite(step) and step != 0):
+        raise ValueError(f"step must be nonzero and finite, got {step!r}")
     xi, s, a0 = _generic_frames(xi, tol, "symplectic_two_form_fd")
     if step is None:
         step = 1e-5 * octet_norm(xi)

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _flux_density
 from .errors import DegenerateInput, UnderResolvedPath
-from .holonomy import _FLUX_BLOCK_CELLS
+from .holonomy import _FLUX_BLOCK_CELLS, _check_radius
 from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, energy_gaps, octet_norm, phase_angle
 
 __all__ = [
@@ -101,6 +101,8 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and np.isfinite(e13)):
+        raise ValueError(f"epsilon and e13 must be finite, got {epsilon!r} and {e13!r}")
     if epsilon > e13 / 10.0:
         raise ValueError("epsilon must be small relative to the fixed gap e13")
     lead = 1.0 / epsilon**2
@@ -251,8 +253,7 @@ def monopole_flux(direction, radius: float, level: int,
     if offset.shape != (3,) or not np.isfinite(offset).all():
         raise ValueError("center_offset must have 3 finite components")
     _, e23_dir, _ = energy_gaps(direction)
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    _check_radius(radius)
     if np.linalg.norm(offset) + radius > 0.25 * e23_dir:
         raise ValueError("sphere too large: it approaches the lower degeneracy")
     # E12 is the distance from the degenerate point (a unit direction): nearer

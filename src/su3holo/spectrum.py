@@ -24,10 +24,10 @@ them, and over one rule for Generic points: ``|xi| > tol``,
 
 Eigenvectors are likewise computed from the closed-form eigenvalues, by
 null-space extraction on ``H - E_a I`` (cross product of the two most
-independent rows), not by a generic eigensolver.  Single points get them
-gauge fixed (``diagonalizer``); batches for loops, patches and spheres get
-the unit columns as they are, since every quantity read off them is gauge
-invariant.
+independent rows), not by a generic eigensolver.  Single points and
+batches alike get the unit columns as they are, only those of the levels
+they read, since every quantity read off them is gauge invariant; only
+``diagonalizer`` and the routes that conjugate by it fix their phases.
 """
 from __future__ import annotations
 
@@ -334,35 +334,44 @@ def _fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
     return a
 
 
-def _frames(xi, pivots=None) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenvalues and gauge-fixed eigenvector matrices for
-    (batches of) octet vectors.  No degeneracy guard: callers must ensure
-    the points are generic."""
-    xi = _octet(xi)
-    return _frames_at(xi, _closed_form(xi).levels, pivots)
+def _columns(xi: np.ndarray, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
+    """The unit eigenvector columns (..., 3, len(levels)) of octet vectors
+    (..., 8) with levels ``e`` (..., 3), for ``levels``, a run of consecutive
+    level numbers; ``ValueError`` if a column is not finite or is zero
+    (|xi| above about 1e77).  Only the requested columns are computed, each
+    the same bit for bit as in the three-level call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _eigenvector_columns(octet_to_matrix(xi), e[..., levels[0] - 1:levels[-1]])
+    # Past about |xi| = 1e77 the squared cross products in _norm overflow and
+    # the columns come out zero or NaN.  Unit columns put 1 per column and
+    # point into the sum of all squared magnitudes, which a zero or NaN
+    # column breaks; that sum costs a few microseconds per block, a
+    # per-column test 40 times as much.
+    if not abs(np.vdot(a, a).real - a.size // 3) < 0.5:
+        ok = np.isfinite(a).all(axis=(-2, -1)) & (a != 0).any(axis=-2).all(axis=-1)
+        raise ValueError("the eigenvector frames are not finite at "
+                         f"|xi| = {math.hypot(*xi[~ok][0]):.6g}")
+    return a
 
 
-def _frames_at(xi: np.ndarray, e: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray]:
-    """``_frames`` for octet vectors whose levels ``e`` are already known."""
-    a = _eigenvector_columns(octet_to_matrix(xi), e)
-    return e, _fix_gauge(a, pivots)
+def _generic_columns(xi, tol: float, caller: str,
+                     levels=(1, 2, 3)) -> tuple[np.ndarray, SpectralData, np.ndarray]:
+    """``_point(xi, tol, caller)`` and the point's unit eigenvector columns
+    (3, len(levels)) of ``levels``, as ``_columns`` gives them, not gauge
+    fixed: ``DegenerateInput`` naming ``caller`` if the point is not
+    Generic."""
+    xi, s = _point(xi, tol, caller)
+    if s.degeneracy is not DegeneracyClass.GENERIC:
+        raise DegenerateInput(f"{caller} requires a generic spectrum, got {s.degeneracy.value}")
+    return xi, s, _columns(xi, s.energies, levels)
 
 
 def _generic_frames(xi, tol: float, caller: str,
                     pivots=None) -> tuple[np.ndarray, SpectralData, np.ndarray]:
-    """``_point(xi, tol, caller)`` and the point's eigenvector matrix, gauge
-    fixed as in ``diagonalizer``: ``DegenerateInput`` naming ``caller`` if
-    the point is not Generic, ``ValueError`` if the matrix is not finite or
-    ``pivots`` is invalid."""
-    xi, s = _point(xi, tol, caller)
-    if s.degeneracy is not DegeneracyClass.GENERIC:
-        raise DegenerateInput(f"{caller} requires a generic spectrum, got {s.degeneracy.value}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = _eigenvector_columns(octet_to_matrix(xi), s.energies)
-    # Past about |xi| = 1e77 the squared cross products in _norm overflow and
-    # the eigenvector columns come out zero or NaN.
-    if not (np.isfinite(a).all() and np.abs(a).max(axis=0).all()):
-        raise ValueError(f"the eigenvector frames are not finite at |xi| = {math.hypot(*xi):.6g}")
+    """``_generic_columns(xi, tol, caller)`` with the eigenvector matrix
+    gauge fixed as in ``diagonalizer``; ``ValueError`` if ``pivots`` is
+    invalid."""
+    xi, s, a = _generic_columns(xi, tol, caller)
     if pivots is not None:
         if not (len(pivots) == 2 and all(isinstance(p, (int, np.integer)) and 0 <= p < 3
                                          for p in pivots)):
@@ -391,28 +400,14 @@ def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedFor
 def _block_frames(xi: np.ndarray, tol: float, message: str,
                   levels: tuple[int, ...] = (1, 2, 3)) -> tuple[np.ndarray, np.ndarray]:
     """All three levels (..., 3) of a block of octet vectors (..., 8) and
-    the unit eigenvector columns (..., 3, len(levels)) of the requested
-    ``levels``, a run of consecutive level numbers, from one closed-form
-    evaluation that also serves the checks of ``_generic_closed_form``;
-    ``ValueError`` if a column is not finite or is zero (|xi| above about
-    1e77).  Only the requested columns are computed, each the same bit for
-    bit as in the three-level call.
+    the unit eigenvector columns (..., 3, len(levels)) of ``levels``, as
+    ``_columns`` gives them, from one closed-form evaluation that also
+    serves the checks of ``_generic_closed_form``.
 
     The columns are not gauge fixed: every caller contracts each eigenvector
     once as a bra and once as a ket, so its phase drops out."""
-    c = _generic_closed_form(xi, tol, message)
-    e = c.levels
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = _eigenvector_columns(octet_to_matrix(xi), e[..., levels[0] - 1:levels[-1]])
-    # Past about |xi| = 1e77 the squared cross products in _norm overflow and
-    # the columns come out zero or NaN.  Unit columns put 1 per column and
-    # point into the sum of all squared magnitudes, which a zero or NaN
-    # column breaks; that sum costs a few microseconds per block, a
-    # per-column test 40 times as much.
-    if not abs(np.vdot(a, a).real - a.shape[-1] * c.norm.size) < 0.5:
-        ok = np.isfinite(a).all(axis=(-2, -1)) & (a != 0).any(axis=-2).all(axis=-1)
-        raise ValueError(f"the eigenvector frames are not finite at |xi| = {c.norm[~ok][0]:.6g}")
-    return e, a
+    e = _generic_closed_form(xi, tol, message).levels
+    return e, _columns(xi, e, levels)
 
 
 def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarray:

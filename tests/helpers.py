@@ -1,10 +1,12 @@
 """Shared test utilities: random matrix factories, angle wrapping, the
-dense reference kernels, an mpmath flux-density reference and a point whose
+dense reference kernels, the gauge-fixed frames and the sum-over-states
+curvature, mpmath flux-density and curvature references and a point whose
 closed form overflows."""
 import mpmath
 import numpy as np
 
-from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix
+from su3holo import spectrum
+from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix, octet_to_matrix
 from su3holo.spectrum import energy_gaps, octet_norm
 
 # Past |xi| of about 5.6e102, |xi|^3 overflows: along this direction the cubic
@@ -96,6 +98,33 @@ def copying_fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
     return a
 
 
+def gauge_fixed_frames_at(xi: np.ndarray, e: np.ndarray,
+                          pivots=None) -> tuple[np.ndarray, np.ndarray]:
+    """Reference frames: the levels ``e`` (..., 3) of octet vectors (..., 8)
+    and their eigenvector matrices (..., 3, 3) from the library's kernel,
+    gauge fixed as in ``diagonalizer``.  No degeneracy guard."""
+    a = spectrum._eigenvector_columns(octet_to_matrix(xi), e)
+    return e, spectrum._fix_gauge(a, pivots)
+
+
+def gauge_fixed_frames(xi, pivots=None) -> tuple[np.ndarray, np.ndarray]:
+    """``gauge_fixed_frames_at`` with the closed-form levels of ``xi``."""
+    xi = np.asarray(xi, dtype=float)
+    return gauge_fixed_frames_at(xi, spectrum._closed_form(xi).levels, pivots)
+
+
+def sum_over_states_coeffs(e: np.ndarray, a_mat: np.ndarray, level: int) -> np.ndarray:
+    """Reference curvature coefficients (..., 8, 8) of one level from the
+    levels (..., 3) and eigenvector matrices (..., 3, 3), summed over the
+    other states: ``(1/2) Im sum_{b != a} <a|l_r|b><b|l_s|a> / E_ab^2``."""
+    idx = level - 1
+    bra = np.einsum("...i,rij->...rj", a_mat[..., :, idx].conj(), GELL_MANN)
+    g = bra @ a_mat  # g[..., r, b] = <a|lam_r|b>
+    with np.errstate(divide="ignore"):
+        w = np.where(np.arange(3) == idx, 0.0, 1.0 / (e[..., idx, None] - e) ** 2)
+    return ((g * w[..., None, :]) @ np.swapaxes(g.conj(), -1, -2)).imag / 2.0
+
+
 def einsum_cubic_invariant(xi):
     """Reference cubic invariant: the dense einsum over all 512 ``d_rst``.
     The library's sparse sum must equal it bit for bit on finite input."""
@@ -122,26 +151,42 @@ def near_cone_points(rng, gap: float, cone: str, count: int) -> np.ndarray:
     return np.stack([adjoint_matrix(random_special_unitary(rng)) @ rest for _ in range(count)])
 
 
+def _mpmath_overlaps(xi, tangents, level: int) -> list:
+    """For each level ``b`` other than ``level``, the weight ``2 / E_ab^2``
+    and the elements ``<a|M(t)|b>`` of each tangent ``t``, from the mpmath
+    ``eighe`` spectrum of the double-precision input at the working
+    precision."""
+    def matrix(x):
+        return mpmath.matrix([[sum(mpmath.mpf(float(x[r])) * mpmath.mpc(complex(GELL_MANN[r, i, j]))
+                                   for r in range(8)) / 2 for j in range(3)] for i in range(3)])
+
+    levels, vecs = mpmath.eighe(matrix(xi))
+    order = sorted(range(3), key=lambda k: -levels[k])
+    a = order[level - 1]
+    mats = [matrix(t) for t in tangents]
+    return [(2 / (levels[a] - levels[b]) ** 2, [(vecs[:, a].H * m * vecs[:, b])[0] for m in mats])
+            for b in order if b != a]
+
+
 def mpmath_flux_density(xi, du, dv, level: int, digits: int = 50) -> tuple[float, float]:
     """Reference ``du_r V_rs dv_s`` of one level from the mpmath ``eighe``
     spectrum of the double-precision input at ``digits`` digits:
     ``2 Im sum_{b != a} <a|M(du)|b><b|M(dv)|a> / E_ab^2``, with the sum of
     the magnitudes of its terms as a scale for relative errors."""
     with mpmath.workdps(digits):
-        def matrix(x):
-            return mpmath.matrix([[sum(mpmath.mpf(float(x[r])) * mpmath.mpc(complex(GELL_MANN[r, i, j]))
-                                       for r in range(8)) / 2 for j in range(3)] for i in range(3)])
-
-        levels, vecs = mpmath.eighe(matrix(xi))
-        order = sorted(range(3), key=lambda k: -levels[k])
-        a = order[level - 1]
-        mu, mv = matrix(du), matrix(dv)
         density = scale = mpmath.mpf(0)
-        for b in order:
-            if b != a:
-                pu = (vecs[:, a].H * mu * vecs[:, b])[0]
-                pv = (vecs[:, a].H * mv * vecs[:, b])[0]
-                weight = 2 / (levels[a] - levels[b]) ** 2
-                density += weight * mpmath.im(pu * mpmath.conj(pv))
-                scale += weight * abs(pu * pv)
+        for weight, (pu, pv) in _mpmath_overlaps(xi, (du, dv), level):
+            density += weight * mpmath.im(pu * mpmath.conj(pv))
+            scale += weight * abs(pu * pv)
         return float(density), float(scale)
+
+
+def mpmath_curvature(xi, level: int, digits: int = 50) -> np.ndarray:
+    """Reference 8 x 8 curvature table ``V_rs`` of one level: the density
+    of ``mpmath_flux_density`` over each pair of unit tangents, from one
+    mpmath spectrum."""
+    with mpmath.workdps(digits):
+        terms = _mpmath_overlaps(xi, np.eye(8), level)
+        return np.array([[float(sum(weight * mpmath.im(p[r] * mpmath.conj(p[s]))
+                                    for weight, p in terms))
+                          for s in range(8)] for r in range(8)])

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import OVERFLOWING, random_generic_octet, wrap_angle
+from helpers import OVERFLOWING, gauge_fixed_frames, random_generic_octet, wrap_angle
 from su3holo import DegenerateInput, spectrum
 from su3holo.curvature import _flux_density
 from su3holo.holonomy import LoopPath, SurfacePatch, _transport_phase, circle_loop
-from su3holo.spectrum import _block_frames, _frames_at
+from su3holo.spectrum import _block_frames
 
 SAMPLES = 64
 CELLS = (6, 7)
@@ -84,7 +84,7 @@ def test_one_level_columns_are_the_three_level_columns_bytes(count):
 def test_block_frames_are_the_gauge_fixed_frames_up_to_a_phase_per_column(seed):
     xi, _, _ = random_block(seed)
     e, frames = _block_frames(xi, TOL, "degenerate")
-    e_fixed, fixed = _frames_at(xi, spectrum._closed_form(xi).levels)
+    e_fixed, fixed = gauge_fixed_frames(xi)
     assert np.array_equal(e, e_fixed)
     # one unit phase per column: frames[:, k] = fixed[:, k] * <fixed_k|frames_k>
     phase = np.einsum("...ik,...ik->...k", fixed.conj(), frames)

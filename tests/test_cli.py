@@ -771,6 +771,16 @@ def test_unrecognized_arguments_print_the_commands_usage(capsys, argv, extras):
     assert captured.err == f"{usage}su3holo {argv[0]}: error: unrecognized arguments: {extras}\n"
 
 
+def test_unknown_option_before_the_command_is_reported_by_the_top_level_parser(capsys):
+    usage = cli._build_parser().format_usage()
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "classify", "--xi", "0,0,0.6,0,0,0,0,1.3"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{usage}su3holo: error: unrecognized arguments: --bogus\n"
+
+
 CIRCLE_GENERATOR = {"kind": "circle", "center8": [0, 0, 0, 0, 0, 0, 0, 1],
                     "axis_pair": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]],
                     "radius": 1e-3}

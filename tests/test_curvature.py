@@ -4,14 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (mpmath_flux_density, near_cone_points, random_generic_octet,
-                     random_rest_frame, random_special_unitary)
+from helpers import (gauge_fixed_frames, mpmath_curvature, mpmath_flux_density, near_cone_points,
+                     random_generic_octet, random_rest_frame, random_special_unitary,
+                     sum_over_states_coeffs)
 from su3holo import DegenerateInput
 from su3holo.algebra import adjoint_matrix
 from su3holo.curvature import (
     CurvatureTwoForm,
-    _coeffs_from_frames,
     _flux_density,
+    _tables,
     curvature_rest_frame,
     curvature_spectral,
     curvature_transported,
@@ -19,7 +20,7 @@ from su3holo.curvature import (
     symplectic_two_form_fd,
     weighted_sum,
 )
-from su3holo.spectrum import _block_frames, _frames, diagonalizer, eigenvalues, energy_gaps
+from su3holo.spectrum import _block_frames, diagonalizer, eigenvalues, energy_gaps
 from su3holo.tensors import curvature_from_parts
 
 rng = np.random.default_rng(55)
@@ -87,13 +88,14 @@ def test_spectral_reproduces_rest_frame_table():
 
 
 def test_spectral_gauge_invariance():
+    # each level's table reads only that level's column: one phase per column
     xi = random_generic_octet(rng)
-    en, frames = _frames(xi)
-    base = _coeffs_from_frames(en, frames, 2)
+    en, frames = _block_frames(xi, 1e-9, "degenerate")
+    base = _tables(xi, en, frames, np.arange(3))
     for _ in range(10):
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
         rephased = frames * phases
-        redone = _coeffs_from_frames(en, rephased, 2)
+        redone = _tables(xi, en, rephased, np.arange(3))
         np.testing.assert_allclose(redone, base, atol=1e-12)
 
 
@@ -101,9 +103,9 @@ def test_flux_density_equals_contracted_coefficients():
     local = np.random.default_rng(56)  # leaves the module stream to the other tests
     xis = np.stack([random_generic_octet(local) for _ in range(20)])
     du, dv = local.standard_normal((2, 20, 8))
-    e, frames = _frames(xis)
+    e, frames = gauge_fixed_frames(xis)
     for level in (1, 2, 3):
-        want = np.einsum("nr,nrs,ns->n", du, _coeffs_from_frames(e, frames, level), dv)
+        want = np.einsum("nr,nrs,ns->n", du, sum_over_states_coeffs(e, frames, level), dv)
         column = frames[..., level - 1]
         got = _flux_density(xis, e, column, du, dv, level)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
@@ -133,6 +135,19 @@ def test_flux_density_near_the_cones_against_mpmath(gap, cone):
         got = _flux_density(xi, e, column[..., 0], du, dv, level)
         refs = [mpmath_flux_density(*point, level) for point in zip(xi, du, dv)]
         assert max(abs(g - ref) / scale for g, (ref, scale) in zip(got, refs)) <= bound
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-7])
+@pytest.mark.parametrize("cone, level", [("upper", 3), ("lower", 1)])
+def test_isolated_level_stays_exact_near_its_cone(gap, cone, level):
+    # The level away from the small gap: its resolvent reads only its own
+    # column and its two large gaps, so the small gap's error stays out.
+    # Worst measured 1.2e-15; the sum over states read 2.7e-9 at gap 1e-4.
+    draws = np.random.default_rng([round(-np.log10(gap)), cone == "upper"])
+    for xi in near_cone_points(draws, gap, cone, 4):
+        want = mpmath_curvature(xi, level, digits=40)
+        got = curvature_spectral(xi, level).coeffs
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
 
 
 def test_transported_equals_spectral():
@@ -199,6 +214,17 @@ def test_weighted_sum_matches_finite_difference_symplectic_form():
         assert np.abs(w - fd).max() < 1e-5 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_symplectic_fd_rejects_a_zero_or_non_finite_step(step):
+    # unchecked, a zero step gives NaNs and a NaN step reaches the octet check
+    xi = random_generic_octet(np.random.default_rng(57))  # leaves the module stream alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"step must be nonzero and finite, got {step!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symplectic_two_form_fd(xi, step=step)
+
+
 def test_singular_scaling_toward_upper_degeneracy():
     # along a ray approaching the upper surface, |V1| * E12^2 stays bounded
     caps = []
@@ -247,10 +273,10 @@ def test_frames_below_the_overflow_are_unchanged():
     xi = 1e76 * DIRECTION
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e_, a = _frames(xi)
-        assert np.array_equal(diagonalizer(xi), a)
+        assert np.array_equal(diagonalizer(xi), gauge_fixed_frames(xi)[1])
         for level in (1, 2, 3):
-            want = CurvatureTwoForm(level, _coeffs_from_frames(e_, a, level)).coeffs
+            e_, column = _block_frames(xi, 1e-9, "degenerate", levels=(level,))
+            want = CurvatureTwoForm(level, _tables(xi, e_, column[:, 0], level - 1)).coeffs
             assert np.array_equal(curvature_spectral(xi, level).coeffs, want)
         for func, power in SINGLE_POINT.values():
             if power is not None:

@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_generic_octet, wrap_angle
+from helpers import gauge_fixed_frames, random_generic_octet, sum_over_states_coeffs, wrap_angle
 from su3holo import DegenerateInput, UnderResolvedPath, holonomy
 from su3holo.algebra import matrix_to_octet, octet_to_matrix
-from su3holo.curvature import _coeffs_from_frames
 from su3holo.holonomy import (
     LoopPath,
     SurfacePatch,
@@ -17,7 +16,7 @@ from su3holo.holonomy import (
     spherical_patch,
     surface_flux,
 )
-from su3holo.spectrum import _frames, generic_mask
+from su3holo.spectrum import generic_mask
 
 rng = np.random.default_rng(8080)
 
@@ -200,8 +199,8 @@ def cell_quadrature(g):
 def full_patch_flux(patch, level):
     # the whole-patch contraction the blocked quadrature must reproduce
     centers, du, dv = cell_quadrature(patch.grid)
-    e, frames = _frames(centers)
-    return float(np.einsum("uvr,uvrs,uvs->", du, _coeffs_from_frames(e, frames, level), dv))
+    e, frames = gauge_fixed_frames(centers)
+    return float(np.einsum("uvr,uvrs,uvs->", du, sum_over_states_coeffs(e, frames, level), dv))
 
 
 @pytest.mark.parametrize("shape, budget", [

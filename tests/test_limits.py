@@ -78,6 +78,14 @@ def test_singular_expansion_tables():
         singular_expansion(0.5, e13, 1)
 
 
+@pytest.mark.parametrize("epsilon, e13", [(np.nan, 1.0), (np.inf, 1.0), (1e-3, np.nan),
+                                          (1e-3, np.inf), (1e-3, -np.inf)])
+def test_singular_expansion_rejects_non_finite_input(epsilon, e13):
+    # unchecked, a NaN gives a table of NaNs and an infinite e13 a finite table
+    with pytest.raises(ValueError, match="epsilon and e13 must be finite"):
+        singular_expansion(epsilon, e13, 1)
+
+
 def test_singular_expansion_matches_exact_parts():
     # split the exact rest-frame curvature into octet and decouplet pieces
     # and compare their slot-(1,2) values with the leading coefficients

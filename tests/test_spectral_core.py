@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (OVERFLOWING, copying_fix_gauge, random_generic_octet, random_rest_frame,
-                     random_special_unitary, stacked_eigenvector_columns)
+from helpers import (OVERFLOWING, copying_fix_gauge, gauge_fixed_frames_at, random_generic_octet,
+                     random_rest_frame, random_special_unitary, stacked_eigenvector_columns)
 from su3holo import curvature, holonomy, spectrum, tensors
 from su3holo.algebra import adjoint_matrix, octet_to_matrix
 from su3holo.spectrum import DegeneracyClass, classify, generic_mask
@@ -211,7 +211,7 @@ def test_frames_equal_the_stacked_reference(points, pivots):
     xi, e = points
     with np.errstate(invalid="ignore"):  # a pivot can hit a zero component on an axis
         want = copying_fix_gauge(stacked_eigenvector_columns(octet_to_matrix(xi), e), pivots)
-        got = spectrum._frames_at(xi, e, pivots)[1]
+        got = gauge_fixed_frames_at(xi, e, pivots)[1]
     assert got.flags.c_contiguous
     assert np.array_equal(got, want, equal_nan=True)
 
@@ -228,7 +228,7 @@ def test_frames_working_set_per_point():
     e = spectrum._closed_form(xi).levels
     tracemalloc.start()
     try:
-        spectrum._frames_at(xi, e)
+        gauge_fixed_frames_at(xi, e)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

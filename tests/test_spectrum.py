@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_generic_octet, random_rest_frame, random_special_unitary
+from helpers import (gauge_fixed_frames_at, random_generic_octet, random_rest_frame,
+                     random_special_unitary)
 from su3holo import DegenerateInput
 from su3holo.algebra import adjoint_matrix, invariants, octet_to_matrix
 from su3holo.spectrum import (
-    _frames_at,
     DegeneracyClass,
     classify,
     diagonalizer,
@@ -213,7 +213,7 @@ def test_diagonalizer_with_valid_pivots_keeps_its_frames():
         chosen = (int(np.argmax(np.abs(a[:, 0]))), int(np.argmax(np.abs(a[:, 1]))))
         assert np.array_equal(diagonalizer(xi, pivots=chosen), a)
         for pivots in ((0, 1), (2, 0), (np.int64(1), np.int64(2))):
-            want = _frames_at(xi, energy_levels(xi), pivots)[1]
+            want = gauge_fixed_frames_at(xi, energy_levels(xi), pivots)[1]
             assert np.array_equal(diagonalizer(xi, pivots=pivots), want)
 
 
