@@ -10,9 +10,10 @@ geometric phase as the sampling is refined.  The surface flux integrates the
 reduced-resolvent density ``2 Im <S_a M(du) a | S_a M(dv) a>``, with
 ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)`` (``curvature._flux_density``),
 which reads the one eigenvector ``|a>`` once as a bra and once as a ket.
-Both therefore take from ``spectrum._block_frames`` only the unit
-null-space column of the level they integrate, with no gauge fixing;
-``phase_sum_rule_check`` takes all three columns from one evaluation.
+Both therefore take from ``spectrum._block_frames``, block by block
+(``_row_blocks``, about 1024 points each), only the unit null-space column
+of the level they integrate, with no gauge fixing; ``phase_sum_rule_check``
+takes all three columns from one evaluation per block.
 
 Orientation convention (fixed once by the Stokes consistency requirement
 and used throughout): ``SurfacePatch.boundary()`` traverses the patch edge
@@ -42,19 +43,26 @@ __all__ = [
 
 OVERLAP_GUARD = 0.1
 
-# Cell budget of one surface-flux quadrature block and of one block of the
-# patch's grid check (whole rows, at least one row): bounds the working set
-# independently of the patch size.  At 1024 cells one 201x201 flux peaks at
+# Point budget of one _row_blocks block.  At 1024 one 201x201 flux peaks at
 # about 0.49 MiB of temporaries, against 1.9 MiB at 4096 and 0.23 MiB at
 # 512; smaller blocks cost time, from the kernels' fixed cost per call.
 _FLUX_BLOCK_CELLS = 1024
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` in order, each of whole rows of ``width``
+    points: about ``_FLUX_BLOCK_CELLS`` points, and at least one row."""
+    step = max(1, _FLUX_BLOCK_CELLS // width)
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
 
 
 @dataclass
 class LoopPath:
     """Closed loop given by N octet-vector samples (the last connects back
     to the first).  Every sample must be generic and have a finite closed
-    form (``ValueError`` otherwise, checked first)."""
+    form (``ValueError`` otherwise, checked first within each block of about
+    1024 samples, as ``SurfacePatch`` checks its grid)."""
 
     samples: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -63,7 +71,8 @@ class LoopPath:
         pts = np.asarray(self.samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 8 or pts.shape[0] < 3:
             raise ValueError("a loop needs at least 3 samples of 8 components")
-        _generic_closed_form(pts, self.tol, "loop passes through a degeneracy")
+        for rows in _row_blocks(len(pts), 1):
+            _generic_closed_form(pts[rows], self.tol, "loop passes through a degeneracy")
         self.samples = pts
 
     def reversed(self) -> "LoopPath":
@@ -86,10 +95,8 @@ class SurfacePatch:
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 3 or g.shape[2] != 8 or g.shape[0] < 2 or g.shape[1] < 2:
             raise ValueError("a patch needs an (nu, nv, 8) grid with nu, nv >= 2")
-        rows = max(1, _FLUX_BLOCK_CELLS // g.shape[1])
-        for start in range(0, g.shape[0], rows):
-            _generic_closed_form(g[start:start + rows], self.tol,
-                                 "patch contains a degenerate grid point")
+        for rows in _row_blocks(*g.shape[:2]):
+            _generic_closed_form(g[rows], self.tol, "patch contains a degenerate grid point")
         self.grid = g
 
     @classmethod
@@ -213,7 +220,8 @@ def loop_phase(path: LoopPath, level: int) -> float:
     """Discrete geometric phase of one level around a closed loop, in
     ``(-pi, pi]``: minus the argument of the cyclic product of consecutive
     eigenvector overlaps.  The running product is renormalized each step,
-    so no unwrapping heuristic is involved.
+    so no unwrapping heuristic is involved, and runs over blocks of about
+    1024 samples, so the working set is one block's at any loop length.
 
     Raises
     ------
@@ -221,29 +229,49 @@ def loop_phase(path: LoopPath, level: int) -> float:
         If any consecutive overlap magnitude drops to ``0.1`` or below
         (under-resolved sampling or a level crossing en route).
     ValueError
-        If the eigenvector frames overflow (|xi| above about 1e77).
+        If the eigenvector frames overflow or underflow (|xi| above about 1e77 or below 1e-81).
     """
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    column = _block_frames(path.samples, path.tol, "loop passes through a degeneracy",
-                           levels=(level,))[1]
-    return _transport_phase(column[..., 0])
+    return _loop_phases(path, (level,))[0]
 
 
-def _transport_phase(vecs: np.ndarray) -> float:
-    # the loop_phase product for one level's (N, 3) eigenvector samples
-    nxt = np.roll(vecs, -1, axis=0)
-    overlaps = np.einsum("ki,ki->k", vecs.conj(), nxt)
-    mags = np.abs(overlaps)
-    if np.any(mags <= OVERLAP_GUARD):
-        k = int(np.argmin(mags))
-        raise UnderResolvedPath(
-            f"overlap magnitude {mags[k]:.3f} at step {k} is below the guard"
-        )
-    prod = complex(1.0, 0.0)
-    for z in overlaps:
-        prod *= z / abs(z)
-    return float(-np.angle(prod))
+def _loop_phases(path: LoopPath, levels: tuple[int, ...]) -> list[float]:
+    # loop_phase of each of levels, evaluating each sample once.  A block's
+    # overlaps start from the previous block's last column; the first column
+    # closes the loop.  Each level keeps one running product, which stops once
+    # its smallest overlap (the first on a tie) trips the guard.
+    prods = [complex(1.0, 0.0)] * len(levels)
+    least = [(np.inf, 0)] * len(levels)  # (overlap magnitude, step)
+    n = len(path.samples)
+    tail = head = np.empty((0, 3, len(levels)), dtype=complex)
+    for rows in _row_blocks(n, 1):
+        cols = _block_frames(path.samples[rows], path.tol, "loop passes through a degeneracy",
+                             levels)[1]
+        head = head if len(head) else cols[:1].copy()
+        chain = np.concatenate([tail, cols] + ([head] if rows.stop >= n else []))
+        for a in range(len(levels)):
+            overlaps = np.einsum("ki,ki->k", chain[:-1, :, a].conj(), chain[1:, :, a])
+            mags = np.abs(overlaps)
+            k = int(np.argmin(mags))
+            if mags[k] < least[a][0]:
+                least[a] = (mags[k], rows.start - len(tail) + k)
+            if least[a][0] > OVERLAP_GUARD:
+                for z in overlaps:
+                    prods[a] *= z / abs(z)
+        tail = cols[-1:].copy()
+    for mag, step in least:
+        if mag <= OVERLAP_GUARD:
+            raise UnderResolvedPath(
+                f"overlap magnitude {mag:.3f} at step {step} is below the guard")
+    return [float(-np.angle(prod)) for prod in prods]
+
+
+def _block_density(pts, tol: float, message: str, level: int, tangents) -> np.ndarray:
+    # The level's flux density at a block of points along tangents(), formed
+    # after the eigenvector column, so the two peaks do not add.
+    e, column = _block_frames(pts, tol, message, levels=(level,))
+    return _flux_density(pts, e, column[..., 0], *tangents(), level)
 
 
 def surface_flux(patch: SurfacePatch, level: int) -> float:
@@ -251,50 +279,38 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
     through the patch: per-cell midpoint quadrature of the bilinear grid,
     contracting the curvature with the (u, v) Jacobian two-vectors.
 
-    The cells are visited in fixed-size blocks of whole cell rows (about
-    1024 cells, at least one row).  Each block computes the level's
-    eigenvector column alone and contracts it with the two Jacobians through
-    the reduced resolvent, ``2 Im <S_a M(du) a | S_a M(dv) a>`` with
-    ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)``, entry by entry, so no
-    per-cell matrix or curvature array is formed and the working set stays
-    bounded whatever the patch size: about 0.49 MiB for a 201x201 patch.
-    The eigenvector is not gauge fixed; it enters the density once as a bra
-    and once as a ket.
+    The cells are visited in ``_row_blocks`` of whole cell rows.  Each block
+    contracts the level's eigenvector column alone with the two Jacobians
+    through the reduced resolvent of the module docstring, entry by entry,
+    so no per-cell matrix or curvature array is formed and the working set
+    stays bounded whatever the patch size: about 0.49 MiB for a 201x201 patch.
 
     Raises
     ------
     DegenerateInput
         If a cell center is not Generic.
     ValueError
-        If the eigenvector frames overflow (|xi| above about 1e77)."""
+        If the eigenvector frames overflow or underflow (|xi| above about 1e77 or below 1e-81)."""
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
     g = patch.grid
-    rows = max(1, _FLUX_BLOCK_CELLS // (g.shape[1] - 1))
     total = 0.0
-    for start in range(0, g.shape[0] - 1, rows):
-        total += _block_flux(g[start:start + rows + 1], patch.tol, level)
+    for rows in _row_blocks(g.shape[0] - 1, g.shape[1] - 1):
+        b = g[rows.start:rows.stop + 1]
+        centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
+        total += float(np.sum(_block_density(
+            centers, patch.tol, "patch contains a degenerate quadrature point", level,
+            lambda: (((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0,
+                     ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0))))
     return total
 
 
-def _block_flux(b: np.ndarray, tol: float, level: int) -> float:
-    # surface_flux over the cells of one block of grid rows.  The Jacobians
-    # are formed after the eigenvector column, so the two peaks do not add,
-    # and the previous block's column is gone by then.
-    centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
-    e, column = _block_frames(centers, tol, "patch contains a degenerate quadrature point",
-                              levels=(level,))
-    du = ((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0
-    dv = ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0
-    return float(np.sum(_flux_density(centers, e, column[..., 0], du, dv, level)))
-
-
 def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], float]:
-    """Loop phases of all three levels and their sum wrapped to
-    ``(-pi, pi]``.  The sum vanishes (mod 2 pi): the three curvature forms
-    add to zero, equivalently the product of the three transport holonomies
-    is the determinant phase of a special-unitary transport."""
-    frames = _block_frames(path.samples, path.tol, "loop passes through a degeneracy")[1]
-    phases = tuple(_transport_phase(frames[..., :, a - 1]) for a in (1, 2, 3))
+    """Loop phases of all three levels, from one walk over the loop's blocks
+    as in ``loop_phase``, and their sum wrapped to ``(-pi, pi]``.  The sum
+    vanishes (mod 2 pi): the three curvature forms add to zero, equivalently
+    the product of the three transport holonomies is the determinant phase
+    of a special-unitary transport."""
+    phases = tuple(_loop_phases(path, (1, 2, 3)))
     total = float(np.angle(np.exp(1j * sum(phases))))
     return phases, total

@@ -19,10 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
-from .curvature import _flux_density
 from .errors import DegenerateInput, UnderResolvedPath
-from .holonomy import _FLUX_BLOCK_CELLS, _check_radius
-from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, energy_gaps, octet_norm, phase_angle
+from .holonomy import _block_density, _check_radius, _row_blocks
+from .spectrum import DEFAULT_CLASSIFY_TOL, energy_gaps, octet_norm, phase_angle
 
 __all__ = [
     "GapAsymptotic",
@@ -217,14 +216,10 @@ def monopole_flux(direction, radius: float, level: int,
     order from 12 up to at most 384 until two refinements agree within
     ``rel_tol * 2 pi``.  The nodes are built in (Newton's method in the
     angle) and computed once per node count per process, so
-    ``numpy.polynomial`` is never loaded.  Each order runs in blocks of
-    whole theta rows, about 1024 points each like ``surface_flux``, with one
-    spectral evaluation per block, so the working set is one block (about
-    0.5 MiB) whatever the order.  A block's points and tangents are built
-    from the three transported unfolding directions.  Each block computes
-    only the level's eigenvector column, not gauge fixed, and contracts it
-    with the two tangents through the reduced resolvent
-    ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)``, as ``surface_flux`` does.
+    ``numpy.polynomial`` is never loaded.  Each order walks theta rows in
+    ``surface_flux``'s blocks and density, with points and tangents built
+    from the three transported unfolding directions, so the working set is
+    one block (about 0.5 MiB) whatever the order.
 
     Raises
     ------
@@ -274,32 +269,21 @@ def monopole_flux(direction, radius: float, level: int,
     center = d_adj[:, 7] + offset[0] * d1 + offset[1] * d2 + offset[2] * d3
 
     def flux_at(order: int) -> float:
-        # Blocks of whole theta rows, about _FLUX_BLOCK_CELLS cells each.  The
-        # point at (theta, phi) is center + r cos(theta) d3 + r sin(theta) ring(phi).
+        # The point at (theta, phi) is center + r cos(theta) d3 + r sin(theta) ring(phi).
         theta, w_t, phi, w_p = _sphere_quadrature(order)
         cos_p, sin_p = np.cos(phi)[:, None], np.sin(phi)[:, None]
         ring = cos_p * d1 + sin_p * d2  # (2 order, 8)
         ring_dphi = cos_p * d2 - sin_p * d1
-        rows = max(1, _FLUX_BLOCK_CELLS // (2 * order))
         total = 0.0
-        for start in range(0, order, rows):
-            density = block_density(theta[start:start + rows], ring, ring_dphi)
-            total += float(np.einsum("i,j,ij->", w_t[start:start + rows], w_p, density))
+        for rows in _row_blocks(order, 2 * order):
+            r_sin = radius * np.sin(theta[rows])[:, None, None]
+            r_cos = radius * np.cos(theta[rows])[:, None, None]
+            pts = r_sin * ring
+            pts += center + r_cos * d3
+            density = _block_density(pts, tol, "sphere passes through a degeneracy", level,
+                                     lambda: (r_cos * ring - r_sin * d3, r_sin * ring_dphi))
+            total += float(np.einsum("i,j,ij->", w_t[rows], w_p, density))
         return total
-
-    def block_density(theta: np.ndarray, ring: np.ndarray, ring_dphi: np.ndarray) -> np.ndarray:
-        # One closed form per block serves the Generic check and the column.
-        # The tangents are formed after the column, so the two peaks do not
-        # add, and the previous block's column is gone by then.
-        r_sin = radius * np.sin(theta)[:, None, None]
-        r_cos = radius * np.cos(theta)[:, None, None]
-        pts = r_sin * ring
-        pts += center + r_cos * d3
-        e, column = _block_frames(pts, tol, "sphere passes through a degeneracy",
-                                  levels=(level,))
-        d_theta = r_cos * ring
-        d_theta -= r_sin * d3
-        return _flux_density(pts, e, column[..., 0], d_theta, r_sin * ring_dphi, level)
 
     bound = rel_tol * 2.0 * np.pi
     order, cur = 12, flux_at(12)

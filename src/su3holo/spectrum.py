@@ -338,15 +338,15 @@ def _columns(xi: np.ndarray, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarr
     """The unit eigenvector columns (..., 3, len(levels)) of octet vectors
     (..., 8) with levels ``e`` (..., 3), for ``levels``, a run of consecutive
     level numbers; ``ValueError`` if a column is not finite or is zero
-    (|xi| above about 1e77).  Only the requested columns are computed, each
-    the same bit for bit as in the three-level call."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    (|xi| above about 1e77 or below 1e-81).  Only the requested columns are
+    computed, each the same bit for bit as in the three-level call."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = _eigenvector_columns(octet_to_matrix(xi), e[..., levels[0] - 1:levels[-1]])
-    # Past about |xi| = 1e77 the squared cross products in _norm overflow and
-    # the columns come out zero or NaN.  Unit columns put 1 per column and
-    # point into the sum of all squared magnitudes, which a zero or NaN
-    # column breaks; that sum costs a few microseconds per block, a
-    # per-column test 40 times as much.
+    # Past about |xi| = 1e77 the squared cross products in _norm overflow, and
+    # below 1e-81 they underflow: the columns come out zero or NaN.  Unit
+    # columns put 1 per column and point into the sum of all squared
+    # magnitudes, which a zero or NaN column breaks; that sum costs a few
+    # microseconds per block, a per-column test 40 times as much.
     if not abs(np.vdot(a, a).real - a.size // 3) < 0.5:
         ok = np.isfinite(a).all(axis=(-2, -1)) & (a != 0).any(axis=-2).all(axis=-1)
         raise ValueError("the eigenvector frames are not finite at "
@@ -430,6 +430,6 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
     ValueError
         If ``pivots`` is not two row indices in 0..2, or names a zero
         component of its column, whose phase is then undefined; or if the
-        eigenvectors overflow (|xi| above about 1e77).
+        eigenvectors overflow or underflow (|xi| above 1e77 or below 1e-81).
     """
     return _generic_frames(xi, tol, "diagonalizer", pivots)[2]

@@ -1,11 +1,12 @@
 """Shared test utilities: random matrix factories, angle wrapping, the
 dense reference kernels, the gauge-fixed frames and the sum-over-states
-curvature, mpmath flux-density and curvature references and a point whose
-closed form overflows."""
+curvature, the whole-loop transport, mpmath flux-density and curvature
+references and a point whose closed form overflows."""
 import mpmath
 import numpy as np
 
-from su3holo import spectrum
+from su3holo import UnderResolvedPath, spectrum
+from su3holo.holonomy import OVERLAP_GUARD
 from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix, octet_to_matrix
 from su3holo.spectrum import energy_gaps, octet_norm
 
@@ -111,6 +112,31 @@ def gauge_fixed_frames(xi, pivots=None) -> tuple[np.ndarray, np.ndarray]:
     """``gauge_fixed_frames_at`` with the closed-form levels of ``xi``."""
     xi = np.asarray(xi, dtype=float)
     return gauge_fixed_frames_at(xi, spectrum._closed_form(xi).levels, pivots)
+
+
+def whole_loop_phase(vecs: np.ndarray) -> float:
+    """Reference loop phase of one level's (N, 3) eigenvector samples, the
+    whole loop at once: minus the argument of the cyclic product of
+    consecutive overlaps, each renormalized in step order, or
+    ``UnderResolvedPath`` naming the smallest overlap (the first on a tie)
+    and its step if any is at or below the guard.  The library's blocked
+    transport must equal it bit for bit."""
+    overlaps = np.einsum("ki,ki->k", vecs.conj(), np.roll(vecs, -1, axis=0))
+    mags = np.abs(overlaps)
+    if np.any(mags <= OVERLAP_GUARD):
+        k = int(np.argmin(mags))
+        raise UnderResolvedPath(f"overlap magnitude {mags[k]:.3f} at step {k} is below the guard")
+    prod = complex(1.0, 0.0)
+    for z in overlaps:
+        prod *= z / abs(z)
+    return float(-np.angle(prod))
+
+
+def whole_loop_phases(path, levels=(1, 2, 3)) -> list:
+    """``whole_loop_phase`` of each of ``levels`` from one evaluation of the
+    whole loop's frames."""
+    frames = spectrum._block_frames(path.samples, path.tol, "loop passes through a degeneracy")[1]
+    return [whole_loop_phase(frames[..., a - 1]) for a in levels]
 
 
 def sum_over_states_coeffs(e: np.ndarray, a_mat: np.ndarray, level: int) -> np.ndarray:

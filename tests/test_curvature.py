@@ -20,6 +20,7 @@ from su3holo.curvature import (
     symplectic_two_form_fd,
     weighted_sum,
 )
+from su3holo.holonomy import circle_loop, loop_phase
 from su3holo.spectrum import _block_frames, diagonalizer, eigenvalues, energy_gaps
 from su3holo.tensors import curvature_from_parts
 
@@ -267,6 +268,19 @@ def test_overflowing_frames_are_a_typed_error(name, scale):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"not finite at |xi| = {scale:.6g}")):
             SINGLE_POINT[name][0](scale * DIRECTION)
+
+
+def test_underflowing_frames_are_a_typed_error():
+    # below about 1e-81 the squared cross products behind the eigenvectors
+    # underflow to zero; only a tol below |xi| lets such a point through
+    xi = 1e-100 * DIRECTION
+    path = circle_loop(xi, e(1), e(2), 1e-108, 50, tol=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: curvature_spectral(xi, 1, tol=1e-300),
+                     lambda: diagonalizer(xi, tol=1e-300), lambda: loop_phase(path, 1)):
+            with pytest.raises(ValueError, match=re.escape("not finite at |xi| = 1e-100")):
+                call()
 
 
 def test_frames_below_the_overflow_are_unchanged():

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import gauge_fixed_frames, random_generic_octet, sum_over_states_coeffs, wrap_angle
+from helpers import (gauge_fixed_frames, random_generic_octet, sum_over_states_coeffs,
+                     whole_loop_phases, wrap_angle)
 from su3holo import DegenerateInput, UnderResolvedPath, holonomy
 from su3holo.algebra import matrix_to_octet, octet_to_matrix
 from su3holo.holonomy import (
@@ -105,6 +106,86 @@ def test_overlap_guard_trips_on_level_crossing_jump():
     path = LoopPath(np.stack([a, b, a, b]))
     with pytest.raises(UnderResolvedPath):
         loop_phase(path, 1)
+
+
+def random_circle(samples: int) -> LoopPath:
+    rng = np.random.default_rng(samples)
+    axes, _ = np.linalg.qr(rng.standard_normal((8, 2)))
+    return circle_loop(rest_point(), axes[:, 0], axes[:, 1], 0.3, samples)
+
+
+@pytest.mark.parametrize("samples, budget", [
+    (800, 100),  # eight blocks
+    (800, 400),  # an exact multiple of the block
+    (800, 799),  # a one-sample last block
+    (8000, None),  # seven 1024-sample blocks and an 832-sample one
+])
+def test_blocked_loop_phases_are_the_whole_loop_phases(monkeypatch, samples, budget):
+    path = random_circle(samples)
+    if budget is not None:
+        monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", budget)
+    want = [phase.hex() for phase in whole_loop_phases(path)]
+    assert [loop_phase(path, a).hex() for a in (1, 2, 3)] == want
+    assert [phase.hex() for phase in phase_sum_rule_check(path)[0]] == want
+
+
+def turned(xi: np.ndarray, angle: float) -> np.ndarray:
+    # xi with its level-1 and level-2 eigenvectors turned by angle: at a rest
+    # point the overlaps of both levels with xi's are cos(angle)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return matrix_to_octet(rot @ octet_to_matrix(xi) @ rot.T)
+
+
+@pytest.mark.parametrize("angles, step", [
+    ((1.50, 1.52), 649),  # the smaller overlap in the later block
+    ((1.52, 1.50), 99),  # in the earlier block, across a block boundary
+])
+def test_guard_names_the_smallest_overlap_across_blocks(monkeypatch, angles, step):
+    # two samples turned past the guard (overlaps 0.071 and 0.051), in
+    # different 100-sample blocks: steps 99 and 649 are the first of each pair
+    pts = np.tile(rest_point(), (800, 1))
+    for k, angle in zip((100, 650), angles):
+        pts[k] = turned(pts[k], angle)
+    path = LoopPath(pts)
+    monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", 100)
+    for level in (1, 2):
+        with pytest.raises(UnderResolvedPath) as want:
+            whole_loop_phases(path, (level,))
+        assert f"overlap magnitude 0.051 at step {step} " in str(want.value)
+        with pytest.raises(UnderResolvedPath) as got:
+            loop_phase(path, level)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(UnderResolvedPath) as got:
+        phase_sum_rule_check(path)
+    assert str(got.value) == str(want.value)
+    assert loop_phase(path, 3) == 0.0
+
+
+def loop_samples(samples: int) -> np.ndarray:
+    angles = 2.0 * np.pi * np.arange(samples) / samples
+    return rest_point() + 0.2 * (np.cos(angles)[:, None] * np.eye(8)[0]
+                                 + np.sin(angles)[:, None] * np.eye(8)[4])
+
+
+@pytest.mark.parametrize("samples, run, mib", [
+    (80_000, lambda pts, path: LoopPath(pts), 0.25),
+    (80_000, lambda pts, path: loop_phase(path, 2), 1.0),
+    (80_000, lambda pts, path: phase_sum_rule_check(path), 1.5),
+    # stokes' 800-sample boundary loop stays below the one-block flux bound
+    (800, lambda pts, path: phase_sum_rule_check(path), 0.55),
+], ids=["construction", "loop_phase", "phase_sum_rule_check", "phase_sum_rule_check-800"])
+def test_loop_working_set_is_about_one_block(samples, run, mib):
+    # the samples array itself is allocated before tracing starts
+    pts = loop_samples(samples)
+    path = LoopPath(pts)
+    tracemalloc.start()
+    try:
+        run(pts, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
 
 
 def test_zero_area_patch_has_zero_flux():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import random_special_unitary
-from su3holo import DegenerateInput, UnderResolvedPath, limits
+from su3holo import DegenerateInput, UnderResolvedPath, holonomy, limits
 from su3holo.algebra import adjoint_matrix
 from su3holo.curvature import curvature_spectral
 from su3holo.limits import gap_asymptotic, monopole_flux, singular_expansion
@@ -178,9 +178,10 @@ def test_monopole_flux_raises_when_orders_never_agree(monkeypatch):
         phi = (np.arange(2 * order) + 0.5) * np.pi / order
         return theta, np.full(order, np.pi / order), phi, np.full(2 * order, np.pi / order)
 
-    monkeypatch.setattr(limits, "_flux_density", drifting_density)
+    # the block density of monopole_flux is holonomy's, shared with surface_flux
+    monkeypatch.setattr(holonomy, "_flux_density", drifting_density)
     monkeypatch.setattr(limits, "_sphere_quadrature", flat_quadrature)
-    monkeypatch.setattr(limits, "_block_frames",
+    monkeypatch.setattr(holonomy, "_block_frames",
                         lambda xi, tol, message, levels: (None, np.zeros(xi.shape[:-1] + (3, 1))))
     with pytest.raises(UnderResolvedPath, match="order 384") as exc:
         monopole_flux(e(8), 1e-3, 1)

@@ -68,6 +68,22 @@ def test_phase_sum_rule_check_evaluates_the_loop_once(cubic_calls):
     assert phases == tuple(holonomy.loop_phase(loop, a) for a in (1, 2, 3))
 
 
+@pytest.mark.parametrize("budget, blocks", [
+    (100, [100] * 8),
+    (400, [400, 400]),
+    (799, [799, 1]),
+])
+def test_loops_evaluate_the_closed_form_once_per_block(cubic_calls, monkeypatch, budget, blocks):
+    loop = holonomy.circle_loop(np.eye(8)[7], np.eye(8)[0], np.eye(8)[1], 1e-3, 800)
+    assert sum(blocks) == len(loop.samples)
+    monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", budget)
+    for call in (lambda: holonomy.LoopPath(loop.samples), lambda: holonomy.loop_phase(loop, 2),
+                 lambda: holonomy.phase_sum_rule_check(loop)):
+        cubic_calls.clear()
+        call()
+        assert cubic_calls == [(size, 8) for size in blocks]
+
+
 def _rest(e12: float, e23: float) -> np.ndarray:
     xi = np.zeros(8)
     xi[2], xi[7] = e12, (e12 + 2.0 * e23) / np.sqrt(3.0)
