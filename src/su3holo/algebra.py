@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_positive
+
 __all__ = [
     "GELL_MANN",
     "CoordinateForm",
@@ -236,7 +238,9 @@ def invariants(xi) -> tuple[float, float]:
 
 
 def is_special_unitary(a, tol: float = 1e-8) -> bool:
-    """Check ``A^dagger A = I`` and ``det A = 1`` within tolerance."""
+    """Check ``A^dagger A = I`` and ``det A = 1`` within tolerance;
+    ``ValueError`` if ``tol`` is not positive and finite."""
+    tol = check_positive("tol", tol)
     m = np.asarray(a, dtype=complex)
     if m.shape != (3, 3):
         return False
@@ -255,7 +259,8 @@ def adjoint_matrix(a, tol: float = 1e-8) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the input fails the unitarity/determinant check beyond ``tol``.
+        If the input fails the unitarity/determinant check beyond ``tol``,
+        or ``tol`` is not positive and finite.
     """
     m = np.asarray(a, dtype=complex)
     if not is_special_unitary(m, tol):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import _L8_11, _L8_33, GELL_MANN, adjoint_matrix
-from .errors import DegenerateInput
+from .errors import DegenerateInput, check_level
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
@@ -45,14 +45,15 @@ __all__ = [
 
 @dataclass
 class CurvatureTwoForm:
-    """Level label plus the real antisymmetric coefficient array ``V_rs``."""
+    """Level label plus the real antisymmetric coefficient array ``V_rs``;
+    ``ValueError`` if the level is not 1, 2 or 3 (``errors.check_level``)
+    or the array is not 8 x 8."""
 
     level: int
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.level not in (1, 2, 3):
-            raise ValueError(f"level must be 1, 2 or 3, got {self.level}")
+        self.level = check_level(self.level)
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (8, 8):
             raise ValueError(f"coefficients must be 8x8, got shape {c.shape}")
@@ -152,9 +153,16 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
 
     evaluated through the reduced resolvent from the level's closed-form
     eigenvector alone (``_tables``).  The value is independent of the
-    eigenvector gauge."""
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    eigenvector gauge.
+
+    Raises
+    ------
+    ValueError
+        If ``level`` is not 1, 2 or 3 or ``tol`` is not positive and finite,
+        checked first, or the frames overflow or underflow.
+    DegenerateInput
+        If ``xi`` is not Generic at ``tol``."""
+    level = check_level(level)
     xi, s, a = _generic_columns(xi, tol, "curvature_spectral", (level,))
     return CurvatureTwoForm(level, _tables(xi, s.energies, a[:, 0], level - 1))
 
@@ -172,7 +180,11 @@ def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm
     2         -1/(2 E12^2)   0               1/(2 E23^2)
     3         0              -1/(2 E13^2)   -1/(2 E23^2)
     ========  ============   ============   ============
+
+    ``ValueError`` if ``level`` is not 1, 2 or 3, checked first;
+    ``DegenerateInput`` if the spectrum is not Generic.
     """
+    level = check_level(level)
     if spectral.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput(
             f"rest-frame table requires nonzero gaps, got {spectral.degeneracy.value}"
@@ -185,11 +197,9 @@ def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm
     elif level == 2:
         v[0, 1] = -1.0 / (2.0 * e12**2)
         v[5, 6] = 1.0 / (2.0 * e23**2)
-    elif level == 3:
+    else:
         v[3, 4] = -1.0 / (2.0 * e13**2)
         v[5, 6] = -1.0 / (2.0 * e23**2)
-    else:
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
     return CurvatureTwoForm(level, v - v.T)
 
 
@@ -199,7 +209,8 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
 
     Well defined despite the residual torus gauge freedom of the
     diagonalizer (the rest-frame table is torus-invariant), and equal to
-    the spectral route."""
+    the spectral route.  Raises as ``curvature_spectral`` does."""
+    level = check_level(level)
     _, s, a_mat = _generic_frames(xi, tol, "curvature_transported")
     v0 = curvature_rest_frame(s, level)
     d = adjoint_matrix(a_mat)
@@ -219,13 +230,16 @@ def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     it equals the orbit symplectic two-form (see
     ``symplectic_two_form_fd``).  Evaluated as ``sum_a (E_a - E_2) V^(a)``
     (the ``V^(a)`` sum to zero): near a cone only one of the two forms that
-    carry the small gap's error then enters, weighted by the small gap."""
+    carry the small gap's error then enters, weighted by the small gap.
+    ``ValueError`` if ``tol`` is not positive and finite, ``DegenerateInput``
+    if ``xi`` is not Generic."""
     s, stack = _all_levels(xi, tol)
     return s.e12 * stack[0] - s.e23 * stack[2]
 
 
 def level_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
-    """Unweighted level sum ``sum_a V^(a)(xi)``; vanishes identically."""
+    """Unweighted level sum ``sum_a V^(a)(xi)``; vanishes identically.
+    Raises as ``weighted_sum`` does."""
     _, stack = _all_levels(xi, tol)
     return stack.sum(axis=0)
 
@@ -242,7 +256,8 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     (both give ``+1/(2 E12)`` at rest-frame slot (1,2)).  The diagonalizer
     gauge is pinned to the center point's pivot rows so the rule stays
     smooth across the stencil.  Default step: ``1e-5 * |xi|``; a given
-    step must be nonzero and finite.
+    step must be nonzero and finite, and ``tol`` positive and finite
+    (``ValueError`` otherwise).
     """
     if step is not None and not (np.isfinite(step) and step != 0):
         raise ValueError(f"step must be nonzero and finite, got {step!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import _flux_density
-from .errors import UnderResolvedPath
+from .errors import UnderResolvedPath, check_level, check_positive
 from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, _generic_closed_form
 
 __all__ = [
@@ -62,7 +62,8 @@ class LoopPath:
     """Closed loop given by N octet-vector samples (the last connects back
     to the first).  Every sample must be generic and have a finite closed
     form (``ValueError`` otherwise, checked first within each block of about
-    1024 samples, as ``SurfacePatch`` checks its grid)."""
+    1024 samples, as ``SurfacePatch`` checks its grid), and ``tol`` must be
+    positive and finite (``ValueError`` before any sample is evaluated)."""
 
     samples: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -86,7 +87,8 @@ class SurfacePatch:
     and have a finite closed form (``ValueError`` otherwise, checked
     first); the check runs over blocks of whole grid rows (about 1024
     points, at least one row), like the ``surface_flux`` quadrature, so its
-    working set is bounded whatever the grid size."""
+    working set is bounded whatever the grid size.  ``tol`` must be positive
+    and finite (``ValueError`` before any grid point is evaluated)."""
 
     grid: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -107,8 +109,10 @@ class SurfacePatch:
         Raises
         ------
         ValueError
-            If a sampled value does not have shape (8,).
+            If a sampled value does not have shape (8,), or ``tol`` is not
+            positive and finite (checked before ``fn`` is called).
         """
+        tol = check_positive("tol", tol)
         nu, nv = shape
         us = np.linspace(0.0, 1.0, nu)
         vs = np.linspace(0.0, 1.0, nv)
@@ -153,10 +157,10 @@ def circle_loop(center, axis_a, axis_b, radius: float, samples: int,
     Raises
     ------
     ValueError
-        If ``radius`` is not positive and finite, a vector does not have 8
-        finite components, or the axes are not orthonormal.
+        If ``radius`` or ``tol`` is not positive and finite, a vector does
+        not have 8 finite components, or the axes are not orthonormal.
     """
-    _check_radius(radius)
+    radius = check_positive("radius", radius)
     center = np.asarray(center, dtype=float)
     ea = np.asarray(axis_a, dtype=float)
     eb = np.asarray(axis_b, dtype=float)
@@ -181,11 +185,11 @@ def spherical_patch(center, frame, radius: float,
     Raises
     ------
     ValueError
-        If ``radius`` is not positive and finite, ``theta_range``,
-        ``center`` or ``frame`` is not finite, or ``frame`` is not three
-        orthonormal 8-vectors.
+        If ``radius`` or ``tol`` is not positive and finite,
+        ``theta_range``, ``center`` or ``frame`` is not finite, or ``frame``
+        is not three orthonormal 8-vectors.
     """
-    _check_radius(radius)
+    radius = check_positive("radius", radius)
     t0, t1 = theta_range
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"theta_range must be finite, got ({t0}, {t1})")
@@ -210,12 +214,6 @@ def spherical_patch(center, frame, radius: float,
     return SurfacePatch(grid, tol)
 
 
-def _check_radius(radius: float) -> None:
-    # NaN fails every comparison, so it would otherwise reach the generic check
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-
-
 def loop_phase(path: LoopPath, level: int) -> float:
     """Discrete geometric phase of one level around a closed loop, in
     ``(-pi, pi]``: minus the argument of the cyclic product of consecutive
@@ -229,11 +227,10 @@ def loop_phase(path: LoopPath, level: int) -> float:
         If any consecutive overlap magnitude drops to ``0.1`` or below
         (under-resolved sampling or a level crossing en route).
     ValueError
-        If the eigenvector frames overflow or underflow (|xi| above about 1e77 or below 1e-81).
+        If ``level`` is not 1, 2 or 3, checked first, or the eigenvector
+        frames overflow or underflow (|xi| above about 1e77 or below 1e-77).
     """
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    return _loop_phases(path, (level,))[0]
+    return _loop_phases(path, (check_level(level),))[0]
 
 
 def _loop_phases(path: LoopPath, levels: tuple[int, ...]) -> list[float]:
@@ -290,9 +287,9 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
     DegenerateInput
         If a cell center is not Generic.
     ValueError
-        If the eigenvector frames overflow or underflow (|xi| above about 1e77 or below 1e-81)."""
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+        If ``level`` is not 1, 2 or 3, checked first, or the eigenvector
+        frames overflow or underflow (|xi| above about 1e77 or below 1e-77)."""
+    level = check_level(level)
     g = patch.grid
     total = 0.0
     for rows in _row_blocks(g.shape[0] - 1, g.shape[1] - 1):

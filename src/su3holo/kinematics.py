@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive
+
 __all__ = [
     "OrbitDescriptor",
     "hermitian",
@@ -39,7 +41,14 @@ def hermitian(matrix, tol: float = 1e-12) -> np.ndarray:
     -------
     ndarray
         ``(M + M^dagger)/2``, exactly Hermitian.
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` is not positive and finite (checked first), the array is
+        not square, or it is not Hermitian within ``tol``.
     """
+    tol = check_positive("tol", tol)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -153,10 +162,10 @@ def orbit_type(h, tol: float = 1e-9) -> OrbitDescriptor:
 
     Eigenvalues with relative gap below ``tol * max(1, spectral radius)``
     are clustered into one multiplicity group.  The result is invariant
-    under ``H -> H + c I``.
+    under ``H -> H + c I``.  ``ValueError`` if ``tol`` is not positive and
+    finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = check_positive("tol", tol)
     m = np.asarray(h, dtype=complex)
     n = m.shape[0]
     evals = np.linalg.eigvalsh(m)[::-1]
@@ -176,10 +185,10 @@ def orbit_type(h, tol: float = 1e-9) -> OrbitDescriptor:
 def same_orbit(h1, h2, tol: float = 1e-9) -> bool:
     """True iff the two matrices lie on the same conjugation orbit, i.e.
     all characteristic-polynomial coefficients agree within ``tol`` scaled
-    by coefficient magnitude."""
+    by coefficient magnitude.  ``ValueError`` if ``tol`` is not positive
+    and finite (checked first) or the matrices are not a Hermitian pair."""
+    tol = check_positive("tol", tol)
     a, b = _pair(h1, h2)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     ca, cb = char_poly_coeffs(a), char_poly_coeffs(b)
     scale = np.maximum(1.0, np.maximum(np.abs(ca), np.abs(cb)))
     return bool(np.all(np.abs(ca - cb) <= tol * scale))

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
-from .errors import DegenerateInput, UnderResolvedPath
-from .holonomy import _block_density, _check_radius, _row_blocks
+from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
+from .holonomy import _block_density, _row_blocks
 from .spectrum import DEFAULT_CLASSIFY_TOL, energy_gaps, octet_norm, phase_angle
 
 __all__ = [
@@ -45,7 +45,8 @@ class SingularExpansion:
     """Leading singular coefficients of the curvature near the upper
     degeneracy, per slot, for the octet piece, the decouplet piece and
     their total.  Slots are keyed (1,2), (4,5), (6,7); entries are the
-    coefficient of the leading ``1/eps^2`` term evaluated at ``eps``."""
+    coefficient of the leading ``1/eps^2`` term evaluated at ``eps``.
+    ``ValueError`` if the level is not 1, 2 or 3 (``errors.check_level``)."""
 
     level: int
     epsilon: float
@@ -53,6 +54,9 @@ class SingularExpansion:
     octet: dict
     decouplet: dict
     total: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "level", check_level(self.level))
 
 
 def gap_asymptotic(xi) -> GapAsymptotic:
@@ -95,9 +99,11 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
     ``1/(6 eps^2)`` and ``-+1/(6 eps^2)``; the totals are ``1/(2 eps^2)``
     at (1,2) and exact cancellation elsewhere.  Level 2 is the negative of
     level 1; level 3 has no singular terms at all.
+
+    ``ValueError`` if ``level`` is not 1, 2 or 3 (checked first), or if
+    ``epsilon`` is not positive, finite and below ``e13 / 10``.
     """
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    level = check_level(level)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not (np.isfinite(epsilon) and np.isfinite(e13)):
@@ -224,31 +230,31 @@ def monopole_flux(direction, radius: float, level: int,
     Raises
     ------
     ValueError
-        If ``direction`` is not a unit vector on the upper degeneracy cone
-        (cubic invariant -1) within 1e-9, ``radius`` is not positive and
-        finite, the sphere is large enough to reach the lower degeneracy, or
-        ``rel_tol`` is not positive and finite.
+        If ``radius``, ``rel_tol`` or ``tol`` is not positive and finite or
+        ``level`` is not 1, 2 or 3 (checked first, in that order of the
+        signature), if ``direction`` is not a unit vector on the upper
+        degeneracy cone (cubic invariant -1) within 1e-9, or if the sphere
+        is large enough to reach the lower degeneracy.
     DegenerateInput
         If the sphere passes within ``tol`` of the degenerate point:
         ``abs(norm(center_offset) - radius) <= tol``.
     UnderResolvedPath
         If no two refinements up to order 384 agree within the tolerance.
     """
+    radius = check_positive("radius", radius)
+    level = check_level(level)
+    rel_tol = check_positive("rel_tol", rel_tol)
+    tol = check_positive("tol", tol)
     direction = np.asarray(direction, dtype=float)
     quad, cubic = invariants(direction)
     if not (abs(quad - 1.0) <= 1e-9 and abs(cubic + 1.0) <= 1e-9):
         raise ValueError(
             "direction must be a unit octet vector on the upper degeneracy cone"
         )
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    if not (np.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     offset = np.zeros(3) if center_offset is None else np.asarray(center_offset, float)
     if offset.shape != (3,) or not np.isfinite(offset).all():
         raise ValueError("center_offset must have 3 finite components")
     _, e23_dir, _ = energy_gaps(direction)
-    _check_radius(radius)
     if np.linalg.norm(offset) + radius > 0.25 * e23_dir:
         raise ValueError("sphere too large: it approaches the lower degeneracy")
     # E12 is the distance from the degenerate point (a unit direction): nearer

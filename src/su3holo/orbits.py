@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import GELL_MANN, invariants
+from .algebra import F_CONST, GELL_MANN, invariants
+from .errors import check_positive
 from .spectrum import DEFAULT_CLASSIFY_TOL, DegeneracyClass, classify
 
 __all__ = [
@@ -69,11 +70,11 @@ def symplectic_kernel_dim(h, tol: float = 1e-9) -> int:
     """Dimension of the kernel of the symplectic pairing at ``H``, i.e.
     the rank deficiency of ``M_uv = Im Tr(H [lambda_u, lambda_v])`` at
     relative threshold ``tol``.  Equals ``8 - (orbit dimension)`` for
-    traceless ``H``."""
+    traceless ``H``.  ``ValueError`` if ``tol`` is not positive and finite."""
+    tol = check_positive("tol", tol)
     hm = np.asarray(h, dtype=complex)
-    prod = np.einsum("uij,vjk->uvik", GELL_MANN, GELL_MANN)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    gram = np.einsum("ij,uvji->uv", hm, comm).imag
+    # [lambda_u, lambda_v] = 2i f_uvt lambda_t, so M_uv = 2 f_uvt Re Tr(H lambda_t)
+    gram = 2.0 * F_CONST @ np.einsum("ij,tji->t", hm, GELL_MANN).real
     svals = np.linalg.svd(gram, compute_uv=False)
     top = svals.max(initial=0.0)
     if top == 0.0:
@@ -98,6 +99,8 @@ def orbit_invariants(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitInvariants:
     """The orbit-defining data of an octet vector: quadratic and cubic
     invariants plus the orbit dimension (6 generic, 4 doubly degenerate,
     0 at the origin).  Two vectors with equal invariants lie on the same
-    adjoint orbit."""
+    adjoint orbit.  Raises ``ValueError`` where ``spectrum.classify`` does,
+    before the invariants are evaluated."""
+    dimension = _ORBIT_DIMS[classify(xi, tol)]
     quad, cubic = invariants(xi)
-    return OrbitInvariants(quad, cubic, _ORBIT_DIMS[classify(xi, tol)])
+    return OrbitInvariants(quad, cubic, dimension)

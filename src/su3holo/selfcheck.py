@@ -224,11 +224,12 @@ def _check_stokes(rng) -> CheckResult:
             return center + size * ((u - 0.5) * basis[0] + (v - 0.5) * basis[1])
 
         patch = holonomy.SurfacePatch.from_function(mapping, (201, 201))
-        for level in (1, 2, 3):
+        # the three loop phases from one walk of the boundary, each equal to
+        # its loop_phase bit for bit
+        phases, total = holonomy.phase_sum_rule_check(patch.boundary())
+        for level, phase in zip((1, 2, 3), phases):
             flux = holonomy.surface_flux(patch, level)
-            phase = holonomy.loop_phase(patch.boundary(), level)
             worst = max(worst, abs(np.angle(np.exp(1j * (phase - flux)))))
-        _, total = holonomy.phase_sum_rule_check(patch.boundary())
         worst_sum = max(worst_sum, abs(total))
     ok = worst < 1e-3 and worst_sum < 1e-3
     return CheckResult("stokes_consistency", ok,

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import _octet, cubic_invariant, octet_to_matrix
-from .errors import DegenerateInput
+from .errors import DegenerateInput, check_positive
 
 __all__ = [
     "DEFAULT_CLASSIFY_TOL",
@@ -151,9 +151,9 @@ def _resolved(norm: np.ndarray, gaps: np.ndarray, tol: float):
 def _point(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData]:
     """Validate a single octet vector and return it with its spectral record,
     from one closed-form evaluation.  A point with ``|xi| > tol`` whose
-    closed form is not finite raises ``ValueError``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    closed form is not finite raises ``ValueError``, as does a ``tol`` that
+    is not positive and finite (``check_positive``), before anything else."""
+    tol = check_positive("tol", tol)
     xi = _octet(xi)
     if xi.ndim != 1:
         raise ValueError(f"{caller} takes a single octet vector")
@@ -207,8 +207,8 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
     Raises
     ------
     ValueError
-        If ``tol`` is not positive, ``xi`` has a NaN or infinite component,
-        or ``|xi| > tol`` and the closed form overflows.
+        If ``tol`` is not positive and finite, ``xi`` has a NaN or infinite
+        component, or ``|xi| > tol`` and the closed form overflows.
     """
     return _point(xi, tol, "classify")[1].degeneracy
 
@@ -216,7 +216,9 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
 def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     """Boolean mask over a batch of octet vectors: True where Generic.  A
     point whose closed form is not finite, where ``classify`` raises, is
-    False, and no warning is raised."""
+    False, and no warning is raised.  ``ValueError`` if ``tol`` is not
+    positive and finite."""
+    tol = check_positive("tol", tol)
     c, gaps, mask = _checked_closed_form(_octet(xis))
     for flag in _resolved(c.norm, gaps, tol):
         mask &= flag  # in place: the mask starts as the finiteness flags
@@ -224,7 +226,8 @@ def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
 
 
 def eigenvalues(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> SpectralData:
-    """Full closed-form spectral record for a single octet vector."""
+    """Full closed-form spectral record for a single octet vector; raises
+    ``ValueError`` where ``classify`` does."""
     return _point(xi, tol, "eigenvalues")[1]
 
 
@@ -250,6 +253,9 @@ def _rest_from_levels(e: np.ndarray) -> np.ndarray:
 # one at a time, which holds a third of the candidate buffers; smaller ones
 # take all three at once, in a third of the numpy calls.
 _LEVELWISE_POINTS = 64
+
+# The least cross-product norm whose squared components are normal numbers.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -288,6 +294,10 @@ def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
             take = ~((n <= nbest) | np.isnan(nbest))  # argmax: first max, first NaN
             np.copyto(best, c, where=take)
             np.copyto(nbest, n, where=take)
+        # below sqrt(tiny) the squares summed in _norm are subnormal and the
+        # norm has lost precision silently: such a column becomes non-finite
+        # like one whose norm underflows to zero, and _columns reports it
+        np.copyto(nbest, 0.0, where=nbest < _SQRT_TINY)
         np.divide(best, nbest, out=best)
     return out
 
@@ -338,12 +348,12 @@ def _columns(xi: np.ndarray, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarr
     """The unit eigenvector columns (..., 3, len(levels)) of octet vectors
     (..., 8) with levels ``e`` (..., 3), for ``levels``, a run of consecutive
     level numbers; ``ValueError`` if a column is not finite or is zero
-    (|xi| above about 1e77 or below 1e-81).  Only the requested columns are
+    (|xi| above about 1e77 or below about 1e-77).  Only the requested columns are
     computed, each the same bit for bit as in the three-level call."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = _eigenvector_columns(octet_to_matrix(xi), e[..., levels[0] - 1:levels[-1]])
     # Past about |xi| = 1e77 the squared cross products in _norm overflow, and
-    # below 1e-81 they underflow: the columns come out zero or NaN.  Unit
+    # below about 1e-77 they are subnormal: the columns come out non-finite.  Unit
     # columns put 1 per column and point into the sum of all squared
     # magnitudes, which a zero or NaN column breaks; that sum costs a few
     # microseconds per block, a per-column test 40 times as much.
@@ -387,7 +397,9 @@ def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedFor
     ``_point`` checks one point, with no warning: ``ValueError`` if a point
     not within ``tol`` of zero has a closed form that is not finite (above
     about |xi| = 5.6e102, or a non-finite component), then
-    ``DegenerateInput(message)`` if a point is not Generic at ``tol``."""
+    ``DegenerateInput(message)`` if a point is not Generic at ``tol``.  A
+    ``tol`` that is not positive and finite is a ``ValueError`` first."""
+    tol = check_positive("tol", tol)
     c, gaps, finite = _checked_closed_form(xi)
     bad = ~finite & ~(c.norm <= tol)
     if bad.any():
@@ -429,7 +441,8 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
         mixing are not determined on the degeneracy surfaces.
     ValueError
         If ``pivots`` is not two row indices in 0..2, or names a zero
-        component of its column, whose phase is then undefined; or if the
-        eigenvectors overflow or underflow (|xi| above 1e77 or below 1e-81).
+        component of its column, whose phase is then undefined; if ``tol``
+        is not positive and finite; or if the eigenvectors overflow or
+        underflow (|xi| above about 1e77 or below about 1e-77).
     """
     return _generic_frames(xi, tol, "diagonalizer", pivots)[2]

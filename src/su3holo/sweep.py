@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from . import algebra, spectrum
+from .errors import check_positive
 
 BASE_COLUMNS = [
     "index", "xi1", "xi2", "xi3", "xi4", "xi5", "xi6", "xi7", "xi8",
@@ -47,6 +48,12 @@ def rest_frame_points(rng, count: int, gaps: tuple[float, float]) -> np.ndarray:
 
 
 def _points(args) -> np.ndarray:
+    # every option is checked before any point is drawn, whichever the generator
+    if args.count < 0:
+        raise ValueError(f"--count must be 0 or more, got {args.count}")
+    check_positive("tol", args.classify_tol)
+    check_positive("--delta-start", args.delta_start)
+    check_positive("--delta-stop", args.delta_stop)
     rng = np.random.default_rng(args.seed)
     if args.generator == "ray":
         if args.ray_from is None or args.toward is None:

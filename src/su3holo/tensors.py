@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import F_CONST, GELL_MANN, octet_star
 from .curvature import CurvatureTwoForm
-from .errors import DegenerateInput
+from .errors import DegenerateInput, check_level, check_positive
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
@@ -114,7 +114,9 @@ def octet_matrix(x) -> np.ndarray:
 def octet_components(m, tol: float = 1e-10) -> np.ndarray:
     """Inverse of ``octet_matrix``: ``X_r = Tr(X l_r)/2``.
 
-    Rejects input whose trace exceeds ``tol`` (relative)."""
+    Rejects input whose trace exceeds ``tol`` (relative) with ``ValueError``,
+    as it does a ``tol`` that is not positive and finite."""
+    tol = check_positive("tol", tol)
     mat = np.asarray(m, dtype=complex)
     if mat.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
@@ -238,15 +240,15 @@ def _require_rest_frame(xi) -> np.ndarray:
 def decouplet_weight(level: int, e12: float, e23: float) -> float:
     """Scalar weight of the decouplet piece of the level-``a`` curvature:
     ``v1 = 1/E13^2 - 1/E12^2``, ``v2 = 1/E12^2 - 1/E23^2``,
-    ``v3 = 1/E23^2 - 1/E13^2``.  The three weights sum to zero."""
+    ``v3 = 1/E23^2 - 1/E13^2``.  The three weights sum to zero.
+    ``ValueError`` if ``level`` is not 1, 2 or 3."""
+    level = check_level(level)
     e13 = e12 + e23
     if level == 1:
         return 1.0 / e13**2 - 1.0 / e12**2
     if level == 2:
         return 1.0 / e12**2 - 1.0 / e23**2
-    if level == 3:
-        return 1.0 / e23**2 - 1.0 / e13**2
-    raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    return 1.0 / e23**2 - 1.0 / e13**2
 
 
 def octet_coefficients(level: int, rest_xi,
@@ -262,11 +264,13 @@ def octet_coefficients(level: int, rest_xi,
 
     Raises
     ------
+    ValueError
+        If ``level`` is not 1, 2 or 3 (checked first), ``rest_xi`` is not a
+        rest-frame vector, or ``tol`` is not positive and finite.
     DegenerateInput
         When the spectrum is not generic (the prefactor is singular).
     """
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    level = check_level(level)
     xi, s = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients")
     if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
@@ -293,7 +297,8 @@ def delta_tensors(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DecoupletField:
     diagonalizer, and the conjugate transport for the antidecouplet.
 
     Independent of the residual torus gauge: a right torus factor multiplies
-    each term by a unit phase of total charge zero.
+    each term by a unit phase of total charge zero.  Raises as
+    ``spectrum.diagonalizer`` does.
     """
     return _decouplet_field(diagonalizer(xi, tol))
 
@@ -312,8 +317,10 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     ``X^(a)(xi) = -(lambda^(a) xi + mu^(a) eta) / (4 E12 E13 E23)``, the
     decouplet pieces are ``i v^(a) Delta(xi)`` and its conjugate, and the
     pieces are reassembled and converted back to coefficients.  Agrees with
-    the spectral and transported routes.
+    the spectral and transported routes.  Raises as
+    ``curvature.curvature_spectral`` does.
     """
+    level = check_level(level)
     xi, s, a_mat = _generic_frames(xi, tol, "curvature_from_parts")
     e12, e23, e13 = s.e12, s.e23, s.e13
     lam, mu = octet_coefficients(level, _rest_from_levels(s.energies), tol)

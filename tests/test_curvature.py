@@ -271,16 +271,23 @@ def test_overflowing_frames_are_a_typed_error(name, scale):
 
 
 def test_underflowing_frames_are_a_typed_error():
-    # below about 1e-81 the squared cross products behind the eigenvectors
-    # underflow to zero; only a tol below |xi| lets such a point through
-    xi = 1e-100 * DIRECTION
-    path = circle_loop(xi, e(1), e(2), 1e-108, 50, tol=1e-300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in (lambda: curvature_spectral(xi, 1, tol=1e-300),
-                     lambda: diagonalizer(xi, tol=1e-300), lambda: loop_phase(path, 1)):
-            with pytest.raises(ValueError, match=re.escape("not finite at |xi| = 1e-100")):
-                call()
+    # below about 1e-77 the squared cross products behind the eigenvectors
+    # are subnormal (and below 1e-81 zero), so the frames lose precision;
+    # only a tol below |xi| lets such a point through
+    for scale in (1e-78, 1e-79, 1e-80, 1e-100):
+        xi = scale * DIRECTION
+        path = circle_loop(xi, e(1), e(2), 1e-8 * scale, 50, tol=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: curvature_spectral(xi, 1, tol=1e-300),
+                         lambda: diagonalizer(xi, tol=1e-300), lambda: loop_phase(path, 1)):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"not finite at |xi| = {scale:.6g}")):
+                    call()
+    # one decade above, the frames keep full precision
+    unit = diagonalizer(DIRECTION)
+    np.testing.assert_allclose(diagonalizer(1e-76 * DIRECTION, tol=1e-300), unit,
+                               rtol=0, atol=1e-15)
 
 
 def test_frames_below_the_overflow_are_unchanged():
