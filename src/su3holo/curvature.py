@@ -60,6 +60,16 @@ class CurvatureTwoForm:
         self.coeffs = (c - c.T) / 2.0  # exactly antisymmetric
 
 
+# The level pairs (b, c) in gap order E12, E13, E23 with their rest-frame slots:
+# every per-level closed form sums over them, weighted by p_b - p_c (p_a = 1).
+_PAIRS = (((0, 1), (0, 1)), ((0, 2), (3, 4)), ((1, 2), (5, 6)))
+
+
+def _pair_weights(level: int) -> tuple[float, float, float]:
+    """The level's pair weights ``p_b - p_c`` in gap order: +1, 0 or -1."""
+    return tuple(float((b == level - 1) - (c == level - 1)) for (b, c), _ in _PAIRS)
+
+
 def _resolvent(xi, e: np.ndarray, idx) -> tuple:
     """``1 / (E_ab E_ac)`` and ``2 (H + 2 E_a)`` as ``_doubled_entries``
     for level index ``idx``, or for an array of them on a trailing axis."""
@@ -189,17 +199,11 @@ def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm
         raise DegenerateInput(
             f"rest-frame table requires nonzero gaps, got {spectral.degeneracy.value}"
         )
-    e12, e23, e13 = spectral.e12, spectral.e23, spectral.e13
     v = np.zeros((8, 8))
-    if level == 1:
-        v[0, 1] = 1.0 / (2.0 * e12**2)
-        v[3, 4] = 1.0 / (2.0 * e13**2)
-    elif level == 2:
-        v[0, 1] = -1.0 / (2.0 * e12**2)
-        v[5, 6] = 1.0 / (2.0 * e23**2)
-    else:
-        v[3, 4] = -1.0 / (2.0 * e13**2)
-        v[5, 6] = -1.0 / (2.0 * e23**2)
+    gaps = (spectral.e12, spectral.e13, spectral.e23)
+    for w, (_, slot), e in zip(_pair_weights(level), _PAIRS, gaps):
+        if w:
+            v[slot] = w / (2.0 * e**2)
     return CurvatureTwoForm(level, v - v.T)
 
 

@@ -8,14 +8,27 @@ three commands import this module.
 import numpy as np
 
 
-def _points_from_args(args, what: str, file_option: str, names: tuple) -> np.ndarray | None:
-    """The points in the ``--FILE_OPTION`` JSON file, or None once all of ``names`` are set."""
+def _points_from_args(args, what: str, file_option: str, names: tuple,
+                      holds: str) -> np.ndarray | None:
+    """The points in the ``--FILE_OPTION`` JSON file, which ``holds`` them,
+    or None once all of ``names`` are set.  The file and ``names`` exclude
+    each other."""
     path = getattr(args, file_option.replace("-", "_"))
     if path:
+        for name in names:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{file_option} cannot be given with --{name}")
         import json
 
         with open(path, encoding="utf-8") as fh:
-            return np.array(json.load(fh), dtype=float)
+            try:
+                points = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"cannot read --{file_option}: {exc}") from None
+        try:
+            return np.array(points, dtype=float)
+        except (TypeError, ValueError):  # an object, a ragged list, a string
+            raise ValueError(f"--{file_option}: expected {holds}") from None
     for name in names:
         if getattr(args, name) is None:
             raise ValueError(f"{what} generator needs --{name} (or --{file_option})")
@@ -25,7 +38,8 @@ def _points_from_args(args, what: str, file_option: str, names: tuple) -> np.nda
 def cmd_loop_phase(args) -> dict:
     from . import holonomy
 
-    path = _points_from_args(args, "loop", "path-file", ("center", "axis1", "axis2", "radius"))
+    path = _points_from_args(args, "loop", "path-file", ("center", "axis1", "axis2", "radius"),
+                             "a JSON list of 8-component points")
     if path is not None:
         loop = holonomy.LoopPath(path, args.classify_tol)
     else:
@@ -46,7 +60,8 @@ def cmd_surface_flux(args) -> dict:
     from . import holonomy
 
     grid = _points_from_args(args, "patch", "patch-file",
-                             ("center", "frame1", "frame2", "frame3", "radius"))
+                             ("center", "frame1", "frame2", "frame3", "radius"),
+                             "a JSON (nu, nv, 8) grid of numbers")
     if grid is not None:
         patch = holonomy.SurfacePatch(grid, args.classify_tol)
     else:

@@ -23,6 +23,7 @@ negatively with respect to the (u, v) parameterization, which makes
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,21 @@ OVERLAP_GUARD = 0.1
 # about 0.49 MiB of temporaries, against 1.9 MiB at 4096 and 0.23 MiB at
 # 512; smaller blocks cost time, from the kernels' fixed cost per call.
 _FLUX_BLOCK_CELLS = 1024
+
+
+_GRID_RULE = "a patch needs an (nu, nv, 8) grid with nu, nv >= 2"
+
+
+def _grid_shape(shape) -> tuple[int, int]:
+    """``shape`` as two ints ``nu, nv``, each 2 or more; ``ValueError`` with
+    the grid rule otherwise, before any grid is built."""
+    try:
+        nu, nv = map(operator.index, shape)
+    except (TypeError, ValueError):
+        raise ValueError(_GRID_RULE) from None
+    if nu < 2 or nv < 2:
+        raise ValueError(_GRID_RULE)
+    return nu, nv
 
 
 def _row_blocks(rows: int, width: int):
@@ -96,7 +112,7 @@ class SurfacePatch:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 3 or g.shape[2] != 8 or g.shape[0] < 2 or g.shape[1] < 2:
-            raise ValueError("a patch needs an (nu, nv, 8) grid with nu, nv >= 2")
+            raise ValueError(_GRID_RULE)
         for rows in _row_blocks(*g.shape[:2]):
             _generic_closed_form(g[rows], self.tol, "patch contains a degenerate grid point")
         self.grid = g
@@ -110,10 +126,11 @@ class SurfacePatch:
         ------
         ValueError
             If a sampled value does not have shape (8,), or ``tol`` is not
-            positive and finite (checked before ``fn`` is called).
+            positive and finite or ``shape`` not two integers of 2 or more
+            (both checked before ``fn`` is called).
         """
         tol = check_positive("tol", tol)
-        nu, nv = shape
+        nu, nv = _grid_shape(shape)
         us = np.linspace(0.0, 1.0, nu)
         vs = np.linspace(0.0, 1.0, nv)
         grid = np.empty((nu, nv, 8))
@@ -185,23 +202,26 @@ def spherical_patch(center, frame, radius: float,
     Raises
     ------
     ValueError
-        If ``radius`` or ``tol`` is not positive and finite,
-        ``theta_range``, ``center`` or ``frame`` is not finite, or ``frame``
+        If ``radius`` or ``tol`` is not positive and finite, ``shape`` is
+        not two integers of 2 or more, ``theta_range``, ``center`` or
+        ``frame`` is not finite, ``center`` is not an 8-vector, or ``frame``
         is not three orthonormal 8-vectors.
     """
     radius = check_positive("radius", radius)
+    nu, nv = _grid_shape(shape)
     t0, t1 = theta_range
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"theta_range must be finite, got ({t0}, {t1})")
     center = np.asarray(center, dtype=float)
     frame = np.asarray(frame, dtype=float)
+    if center.shape != (8,):
+        raise ValueError(f"center must have 8 components, got shape {center.shape}")
     if frame.shape != (3, 8):
         raise ValueError("frame must hold three 8-component vectors")
     if not (np.isfinite(center).all() and np.isfinite(frame).all()):
         raise ValueError("center and frame must be finite")
     if np.abs(frame @ frame.T - np.eye(3)).max() > 1e-9:
         raise ValueError("frame vectors must be orthonormal")
-    nu, nv = shape
     thetas = np.linspace(t0, t1, nu)
     phis = np.linspace(0.0, 2.0 * np.pi, nv)
     th = thetas[:, None, None]

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import adjoint_matrix, invariants, octet_to_matrix
+from .curvature import _PAIRS, _pair_weights
 from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
 from .holonomy import _block_density, _row_blocks
 from .spectrum import DEFAULT_CLASSIFY_TOL, energy_gaps, octet_norm, phase_angle
@@ -31,7 +32,7 @@ __all__ = [
     "monopole_flux",
 ]
 
-_SLOTS = ((1, 2), (4, 5), (6, 7))
+_SLOTS = tuple((i + 1, j + 1) for _, (i, j) in _PAIRS)  # keyed from 1
 _WINDOW = 0.1
 
 
@@ -114,17 +115,9 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
     if level == 3:
         zero = {slot: 0.0 for slot in _SLOTS}
         return SingularExpansion(level, epsilon, e13, dict(zero), dict(zero), dict(zero))
-    sign = 1.0 if level == 1 else -1.0
-    octet = {
-        (1, 2): sign * lead / 3.0,
-        (4, 5): sign * lead / 6.0,
-        (6, 7): -sign * lead / 6.0,
-    }
-    decouplet = {
-        (1, 2): sign * lead / 6.0,
-        (4, 5): -sign * lead / 6.0,
-        (6, 7): sign * lead / 6.0,
-    }
+    sign = _pair_weights(level)[0]  # w12: +1 for level 1, -1 for level 2
+    octet = dict(zip(_SLOTS, (sign * lead / 3.0, sign * lead / 6.0, -sign * lead / 6.0)))
+    decouplet = dict(zip(_SLOTS, (sign * lead / 6.0, -sign * lead / 6.0, sign * lead / 6.0)))
     total = {slot: octet[slot] + decouplet[slot] for slot in _SLOTS}
     return SingularExpansion(level, epsilon, e13, octet, decouplet, total)
 
@@ -232,8 +225,8 @@ def monopole_flux(direction, radius: float, level: int,
     ValueError
         If ``radius``, ``rel_tol`` or ``tol`` is not positive and finite or
         ``level`` is not 1, 2 or 3 (checked first, in that order of the
-        signature), if ``direction`` is not a unit vector on the upper
-        degeneracy cone (cubic invariant -1) within 1e-9, or if the sphere
+        signature), if ``direction`` is not an 8-vector, or not a unit vector
+        on the upper degeneracy cone (cubic invariant -1) within 1e-9, or if the sphere
         is large enough to reach the lower degeneracy.
     DegenerateInput
         If the sphere passes within ``tol`` of the degenerate point:
@@ -246,6 +239,8 @@ def monopole_flux(direction, radius: float, level: int,
     rel_tol = check_positive("rel_tol", rel_tol)
     tol = check_positive("tol", tol)
     direction = np.asarray(direction, dtype=float)
+    if direction.shape != (8,):
+        raise ValueError(f"direction must have 8 components, got shape {direction.shape}")
     quad, cubic = invariants(direction)
     if not (abs(quad - 1.0) <= 1e-9 and abs(cubic + 1.0) <= 1e-9):
         raise ValueError(

@@ -13,6 +13,8 @@ from . import algebra, spectrum
 def _xi_from_args(args) -> np.ndarray:
     if args.xi is None and args.rest is None:
         raise ValueError("one of --xi or --rest is required")
+    if args.xi is not None and args.rest is not None:
+        raise ValueError("--xi cannot be given with --rest")
     return args.rest if args.xi is None else args.xi
 
 

@@ -158,7 +158,7 @@ def _point(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData]:
     if xi.ndim != 1:
         raise ValueError(f"{caller} takes a single octet vector")
     if not np.all(np.isfinite(xi)):
-        raise ValueError("classify requires finite octet components")
+        raise ValueError(f"{caller} requires finite octet components")
     c, gaps, finite = _checked_closed_form(xi)
     nonzero, upper, lower = _resolved(c.norm, gaps, tol)
     if nonzero and not finite:

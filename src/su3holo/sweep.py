@@ -62,6 +62,9 @@ def _points(args) -> np.ndarray:
             math.log10(args.delta_start), math.log10(args.delta_stop), args.count
         )
         return args.ray_from + deltas[:, None] * args.toward
+    for option, value in (("--ray-from", args.ray_from), ("--toward", args.toward)):
+        if value is not None:
+            raise ValueError(f"the {args.generator} generator takes no {option}")
     if args.generator == "random":
         return random_generic(rng, args.count, args.classify_tol, args.scale)
     return rest_frame_points(rng, args.count, (0.2, 2.0))  # the one other kind allowed
@@ -82,8 +85,8 @@ def _lines(points: np.ndarray, level: int | None, tol: float) -> list[str]:
         if level is not None:
             if s.degeneracy is spectrum.DegeneracyClass.GENERIC:
                 v = curvature.curvature_spectral(xi, level, tol).coeffs
-                fields += [repr(float(v[0, 1])), repr(float(v[3, 4])), repr(float(v[5, 6])),
-                           repr(float(v[2, 7])), repr(float(np.abs(v).max()))]
+                fields += [repr(float(v[slot])) for _, slot in curvature._PAIRS]
+                fields += [repr(float(v[2, 7])), repr(float(np.abs(v).max()))]
             else:
                 fields += ["nan"] * 5
         lines.append(",".join(fields))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import F_CONST, GELL_MANN, octet_star
-from .curvature import CurvatureTwoForm
+from .curvature import CurvatureTwoForm, _pair_weights
 from .errors import DegenerateInput, check_level, check_positive
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -237,18 +237,20 @@ def _require_rest_frame(xi) -> np.ndarray:
     return xi
 
 
+def _pair_sum(level: int, gaps: tuple, numerators: tuple, factors=(1.0, 1.0, 1.0)) -> float:
+    """``sum_bc w_bc n_bc / (f_bc E_bc^2)`` over the level's two pairs of nonzero weight."""
+    first, second = (w * n / (f * e**2) for w, e, n, f
+                     in zip(_pair_weights(level), gaps, numerators, factors) if w)
+    return first + second
+
+
 def decouplet_weight(level: int, e12: float, e23: float) -> float:
-    """Scalar weight of the decouplet piece of the level-``a`` curvature:
+    """Scalar weight ``w13/E13^2 - w12/E12^2 - w23/E23^2`` of the decouplet
+    piece of the level-``a`` curvature, ``w_bc = p_b - p_c`` its pair weights:
     ``v1 = 1/E13^2 - 1/E12^2``, ``v2 = 1/E12^2 - 1/E23^2``,
-    ``v3 = 1/E23^2 - 1/E13^2``.  The three weights sum to zero.
-    ``ValueError`` if ``level`` is not 1, 2 or 3."""
+    ``v3 = 1/E23^2 - 1/E13^2``; they sum to zero.  ``ValueError`` if ``level`` is not 1, 2 or 3."""
     level = check_level(level)
-    e13 = e12 + e23
-    if level == 1:
-        return 1.0 / e13**2 - 1.0 / e12**2
-    if level == 2:
-        return 1.0 / e12**2 - 1.0 / e23**2
-    return 1.0 / e23**2 - 1.0 / e13**2
+    return _pair_sum(level, (e12, e12 + e23, e23), (-1.0, 1.0, -1.0))
 
 
 def octet_coefficients(level: int, rest_xi,
@@ -258,9 +260,9 @@ def octet_coefficients(level: int, rest_xi,
 
         ``X^(a) = [xi3 (xi3^2 - 3 xi8^2)]^(-1) (lambda^(a) xi + mu^(a) eta)``
 
-    with the prefactor identically equal to ``-1/(4 E12 E13 E23)``.  The
-    expansion is frame-covariant, so the same scalars apply to a general
-    ``xi`` with ``eta = xi * xi``.
+    with the prefactor identically equal to ``-1/(4 E12 E13 E23)``, each a
+    pair sum as in ``decouplet_weight``.  The expansion is frame-covariant,
+    so the same scalars apply to a general ``xi`` with ``eta = xi * xi``.
 
     Raises
     ------
@@ -274,20 +276,13 @@ def octet_coefficients(level: int, rest_xi,
     xi, s = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients")
     if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
-    e12, e23, e13 = s.e12, s.e23, s.e13
     x3, x8 = xi[2], xi[7]
     eta = octet_star(xi, xi)
     eta3, eta8 = eta[2], eta[7]
     s3 = np.sqrt(3.0)
-    if level == 1:
-        lam = (s3 * eta3 - eta8) / (2.0 * e13**2) - eta8 / e12**2
-        mu = x8 / e12**2 + (x8 - s3 * x3) / (2.0 * e13**2)
-    elif level == 2:
-        lam = (s3 * eta3 + eta8) / (2.0 * e23**2) + eta8 / e12**2
-        mu = -x8 / e12**2 - (x8 + s3 * x3) / (2.0 * e23**2)
-    else:
-        lam = (eta8 - s3 * eta3) / (2.0 * e13**2) - (eta8 + s3 * eta3) / (2.0 * e23**2)
-        mu = (s3 * x3 - x8) / (2.0 * e13**2) + (s3 * x3 + x8) / (2.0 * e23**2)
+    gaps, factors = (s.e12, s.e13, s.e23), (1.0, 2.0, 2.0)
+    lam = _pair_sum(level, gaps, (-eta8, s3 * eta3 - eta8, s3 * eta3 + eta8), factors)
+    mu = _pair_sum(level, gaps, (x8, x8 - s3 * x3, -(x8 + s3 * x3)), factors)
     return float(lam), float(mu)
 
 

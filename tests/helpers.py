@@ -1,13 +1,14 @@
 """Shared test utilities: random matrix factories, angle wrapping, the
 dense reference kernels, the gauge-fixed frames and the sum-over-states
 curvature, the whole-loop transport, mpmath flux-density and curvature
-references and a point whose closed form overflows."""
+references, a point whose closed form overflows, and the per-level closed
+forms written out level by level."""
 import mpmath
 import numpy as np
 
 from su3holo import UnderResolvedPath, spectrum
 from su3holo.holonomy import OVERLAP_GUARD
-from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix, octet_to_matrix
+from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix, octet_star, octet_to_matrix
 from su3holo.spectrum import energy_gaps, octet_norm
 
 # Past |xi| of about 5.6e102, |xi|^3 overflows: along this direction the cubic
@@ -216,3 +217,75 @@ def mpmath_curvature(xi, level: int, digits: int = 50) -> np.ndarray:
         return np.array([[float(sum(weight * mpmath.im(p[r] * mpmath.conj(p[s]))
                                     for weight, p in terms))
                           for s in range(8)] for r in range(8)])
+
+
+# The per-level closed forms, one branch per level.  The library sums each
+# over the level pairs instead and must equal these bit for bit.
+
+def ladder_rest_frame(spectral, level: int) -> np.ndarray:
+    """Reference rest-frame curvature table ``v - v.T`` (8, 8), before the
+    antisymmetrization of ``CurvatureTwoForm``."""
+    e12, e23, e13 = spectral.e12, spectral.e23, spectral.e13
+    v = np.zeros((8, 8))
+    if level == 1:
+        v[0, 1] = 1.0 / (2.0 * e12**2)
+        v[3, 4] = 1.0 / (2.0 * e13**2)
+    elif level == 2:
+        v[0, 1] = -1.0 / (2.0 * e12**2)
+        v[5, 6] = 1.0 / (2.0 * e23**2)
+    else:
+        v[3, 4] = -1.0 / (2.0 * e13**2)
+        v[5, 6] = -1.0 / (2.0 * e23**2)
+    return v - v.T
+
+
+def ladder_decouplet_weight(level: int, e12, e23):
+    """Reference decouplet weight of one level."""
+    e13 = e12 + e23
+    if level == 1:
+        return 1.0 / e13**2 - 1.0 / e12**2
+    if level == 2:
+        return 1.0 / e12**2 - 1.0 / e23**2
+    return 1.0 / e23**2 - 1.0 / e13**2
+
+
+def ladder_octet_coefficients(level: int, xi: np.ndarray, s) -> tuple[float, float]:
+    """Reference octet coefficients (lambda, mu) of one level at the
+    rest-frame vector ``xi`` with spectral record ``s``."""
+    e12, e23, e13 = s.e12, s.e23, s.e13
+    x3, x8 = xi[2], xi[7]
+    eta = octet_star(xi, xi)
+    eta3, eta8 = eta[2], eta[7]
+    s3 = np.sqrt(3.0)
+    if level == 1:
+        lam = (s3 * eta3 - eta8) / (2.0 * e13**2) - eta8 / e12**2
+        mu = x8 / e12**2 + (x8 - s3 * x3) / (2.0 * e13**2)
+    elif level == 2:
+        lam = (s3 * eta3 + eta8) / (2.0 * e23**2) + eta8 / e12**2
+        mu = -x8 / e12**2 - (x8 + s3 * x3) / (2.0 * e23**2)
+    else:
+        lam = (eta8 - s3 * eta3) / (2.0 * e13**2) - (eta8 + s3 * eta3) / (2.0 * e23**2)
+        mu = (s3 * x3 - x8) / (2.0 * e13**2) + (s3 * x3 + x8) / (2.0 * e23**2)
+    return float(lam), float(mu)
+
+
+def ladder_singular_expansion(epsilon: float, level: int) -> tuple[dict, dict, dict]:
+    """Reference octet, decouplet and total singular coefficients."""
+    lead = 1.0 / epsilon**2
+    slots = ((1, 2), (4, 5), (6, 7))
+    if level == 3:
+        zero = {slot: 0.0 for slot in slots}
+        return dict(zero), dict(zero), dict(zero)
+    sign = 1.0 if level == 1 else -1.0
+    octet = {
+        (1, 2): sign * lead / 3.0,
+        (4, 5): sign * lead / 6.0,
+        (6, 7): -sign * lead / 6.0,
+    }
+    decouplet = {
+        (1, 2): sign * lead / 6.0,
+        (4, 5): -sign * lead / 6.0,
+        (6, 7): sign * lead / 6.0,
+    }
+    total = {slot: octet[slot] + decouplet[slot] for slot in slots}
+    return octet, decouplet, total

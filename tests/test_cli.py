@@ -871,3 +871,82 @@ def test_overflowing_loop_and_patch_closed_form_exit_1(tmp_path, capsys, desc, a
     # the first sample or grid point, one radius away from the center
     assert from_cli.err == ("su3holo: error: the closed form is not finite at "
                             "|xi| = 1.43182e+111\n")
+
+
+def _point_files(tmp_path) -> dict:
+    """A valid loop file and a valid patch file, by option."""
+    from su3holo import holonomy
+
+    frame = np.eye(8)[:3]
+    loop = holonomy.circle_loop(np.eye(8)[7], frame[0], frame[1], 1e-3, 50).samples
+    patch = holonomy.spherical_patch(np.eye(8)[7], frame, 1e-3, shape=(9, 17)).grid
+    files = {"path-file": tmp_path / "loop.json", "patch-file": tmp_path / "patch.json"}
+    files["path-file"].write_text(json.dumps(loop.tolist()))
+    files["patch-file"].write_text(json.dumps(patch.tolist()))
+    return files
+
+
+POINT_FILES = [("loop-phase", "path-file", "a JSON list of 8-component points"),
+               ("surface-flux", "patch-file", "a JSON (nu, nv, 8) grid of numbers")]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "cannot read --{option}: Expecting value: line 1 column 1 (char 0)"),
+    ('{"a": 1}', "--{option}: expected {holds}"),
+    ("[[1, 2], [3]]", "--{option}: expected {holds}"),
+    ('"points"', "--{option}: expected {holds}"),
+])
+@pytest.mark.parametrize("command, option, holds", POINT_FILES)
+def test_an_unreadable_point_file_names_its_option(tmp_path, capsys, command, option, holds,
+                                                   text, message):
+    path = tmp_path / "points.json"
+    path.write_text(text)
+    assert main([command, f"--{option}", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"su3holo: error: {message.format(option=option, holds=holds)}\n"
+
+
+@pytest.mark.parametrize("command, option, extra", [
+    ("loop-phase", "path-file", ["--center", E8]),
+    ("loop-phase", "path-file", ["--axis2", "0,1,0,0,0,0,0,0"]),
+    ("loop-phase", "path-file", ["--radius", "1e-3"]),
+    ("surface-flux", "patch-file", ["--frame3", "0,0,1,0,0,0,0,0"]),
+    ("surface-flux", "patch-file", ["--radius", "1e-3"]),
+])
+def test_a_point_file_with_a_generator_option_exits_1(tmp_path, capsys, command, option, extra):
+    path = str(_point_files(tmp_path)[option])
+    assert main([command, f"--{option}", path]) == 0
+    capsys.readouterr()
+    assert main([command, f"--{option}", path, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"su3holo: error: --{option} cannot be given with {extra[0]}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--xi", REST, "--rest", "0.6,1.3"], "--xi cannot be given with --rest"),
+    (["curvature", "--rest", "0.6,1.3", "--xi", REST, "--level", "1"],
+     "--xi cannot be given with --rest"),
+    (["sweep", "--generator", "random", f"--ray-from={E8}"],
+     "the random generator takes no --ray-from"),
+    (["sweep", "--generator", "rest-frame", "--toward=0,0,1,0,0,0,0,0"],
+     "the rest-frame generator takes no --toward"),
+])
+def test_an_option_the_input_mode_does_not_read_exits_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"su3holo: error: {message}\n"
+
+
+@pytest.mark.parametrize("grid", [[-3, 5], [1, 5], [5, 0]])
+def test_a_bad_grid_exits_1_with_the_grid_rule(tmp_path, capsys, grid):
+    message = "su3holo: error: a patch needs an (nu, nv, 8) grid with nu, nv >= 2\n"
+    assert main(["surface-flux", *SPHERE[:-2], f"--grid={grid[0]}x{grid[1]}"]) == 1
+    assert capsys.readouterr() == ("", message)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schema": "su3holo/1", "command": "surface-flux",
+                                "generator": {**SPHERE_GENERATOR, "grid": grid}}))
+    assert main(["job", str(path)]) == 1
+    assert capsys.readouterr() == ("", message)

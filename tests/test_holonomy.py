@@ -469,3 +469,24 @@ def test_overflowing_patch_frames_are_a_typed_error():
         for level in (1, 2, 3):
             with pytest.raises(ValueError, match=r"frames are not finite at \|xi\| = 1\.4"):
                 surface_flux(patch, level)
+
+
+GRID_RULE = "a patch needs an (nu, nv, 8) grid with nu, nv >= 2"
+
+
+@pytest.mark.parametrize("shape", [(-3, 5), (1, 5), (5, 1), (0, 0), (2.0, 5), (5,), (2, 3, 4), 7])
+def test_a_bad_grid_shape_is_rejected_before_anything_is_built(shape):
+    calls = []
+    with pytest.raises(ValueError) as info:
+        SurfacePatch.from_function(lambda u, v: calls.append((u, v)) or rest_point(), shape)
+    assert str(info.value) == GRID_RULE
+    assert calls == []
+    with pytest.raises(ValueError) as info:
+        spherical_patch(E8, FRAME123, 1e-3, (0.0, np.pi), shape)
+    assert str(info.value) == GRID_RULE
+
+
+def test_spherical_patch_rejects_a_center_that_is_not_an_8_vector():
+    with pytest.raises(ValueError) as info:
+        spherical_patch(np.zeros(7), FRAME123, 1e-3, (0.0, np.pi), (5, 9))
+    assert str(info.value) == "center must have 8 components, got shape (7,)"

@@ -363,3 +363,10 @@ def test_monopole_flux_sphere_grazing_the_degenerate_point_is_degenerate(d):
 def test_monopole_flux_just_off_the_degenerate_point(d, winding):
     flux = monopole_flux(e(8), 1e-3, 1, center_offset=[0.0, 0.0, 1e-3 + d])
     assert flux / TWO_PI == pytest.approx(winding, abs=1e-5)
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (7,), (9,)])
+def test_monopole_flux_rejects_a_direction_that_is_not_an_8_vector(shape):
+    with pytest.raises(ValueError) as info:
+        monopole_flux(np.zeros(shape), 1e-3, 1)
+    assert str(info.value) == f"direction must have 8 components, got shape {shape}"

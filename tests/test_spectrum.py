@@ -247,3 +247,14 @@ def test_overflow_check_keeps_small_and_finite_points():
         # form would give phi = pi/3 and levels off by 3 % of |xi|
         with pytest.raises(ValueError, match="not finite"):
             eigenvalues(7e102 * xi)
+
+
+def test_non_finite_input_names_the_caller():
+    from su3holo.curvature import curvature_spectral
+
+    xi = [np.nan] + [0.0] * 7
+    for name, call in (("classify", classify), ("eigenvalues", eigenvalues),
+                       ("curvature_spectral", lambda x: curvature_spectral(x, 1))):
+        with pytest.raises(ValueError) as info:
+            call(xi)
+        assert str(info.value) == f"{name} requires finite octet components"
