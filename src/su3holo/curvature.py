@@ -119,11 +119,13 @@ def _flux_density(xi: np.ndarray, e: np.ndarray, a: np.ndarray, du: np.ndarray,
 def _tables(xi: np.ndarray, e: np.ndarray, a: np.ndarray, idx) -> np.ndarray:
     """``V_rs`` at one octet vector with levels ``e`` (3,), from the images
     of the unit tangents (``2 M(e_r)`` is ``lambda_r``), for level index
-    ``idx`` and its eigenvector ``a`` (3,), shape (8, 8), or in one pass
-    for an array of level indices and their columns ``a`` (3, k), (k, 8, 8)."""
+    ``idx`` and its eigenvector ``a`` (3,), shape (8, 8).  In one pass, for
+    an array of level indices and their columns ``a`` (3, k), (k, 8, 8); or
+    for points (n, 8) with levels (n, 3) and columns ``a`` (3, n), (n, 8, 8),
+    each table the same bit for bit as the point's own."""
     scale, shifted = _resolvent(xi, e, idx)
     images = _image(list(np.swapaxes(GELL_MANN @ a, 0, 1)), list(a), shifted)
-    # ([level,] tangent, component), each image scaled once by 1 / (E_ab E_ac)
+    # ([level or point,] tangent, component), each image scaled once by 1 / (E_ab E_ac)
     g = np.array(images).T * np.asarray(scale)[..., None, None]
     return (g.conj() @ np.swapaxes(g, -1, -2)).imag / 8.0
 
@@ -172,9 +174,14 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
         checked first, or the frames overflow or underflow.
     DegenerateInput
         If ``xi`` is not Generic at ``tol``."""
+    return _spectral(xi, level, tol)[1]
+
+
+def _spectral(xi, level: int, tol: float) -> tuple[SpectralData, CurvatureTwoForm]:
+    # curvature_spectral and the point's spectral record, from one evaluation
     level = check_level(level)
     xi, s, a = _generic_columns(xi, tol, "curvature_spectral", (level,))
-    return CurvatureTwoForm(level, _tables(xi, s.energies, a[:, 0], level - 1))
+    return s, CurvatureTwoForm(level, _tables(xi, s.energies, a[:, 0], level - 1))
 
 
 def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm:

@@ -18,11 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import adjoint_matrix, invariants, octet_to_matrix
+from .algebra import _octet, adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _PAIRS, _pair_weights
 from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
 from .holonomy import _block_density, _row_blocks
-from .spectrum import DEFAULT_CLASSIFY_TOL, energy_gaps, octet_norm, phase_angle
+from .spectrum import DEFAULT_CLASSIFY_TOL, _closed_form, energy_gaps
 
 __all__ = [
     "GapAsymptotic",
@@ -69,24 +69,16 @@ def gap_asymptotic(xi) -> GapAsymptotic:
 
     and the mirror law with a minus sign for ``E23`` near the lower surface
     (``phi`` within 0.1 of pi/2).  The relative error vanishes as the
-    surface is approached.
-
-    Raises
-    ------
-    ValueError
-        If ``xi`` is not near either degeneracy surface.
-    """
-    xi = np.asarray(xi, dtype=float)
-    norm = octet_norm(xi)
-    phi = phase_angle(xi)
-    _, cubic = invariants(xi)
-    e12, e23, _ = energy_gaps(xi)
-    if abs(phi - np.pi / 6.0) <= _WINDOW:
-        predicted = (np.sqrt(2.0) / 3.0) * np.sqrt(max(norm**3 + cubic, 0.0) / norm)
-        return GapAsymptotic(float(predicted), float(e12))
-    if abs(phi - np.pi / 2.0) <= _WINDOW:
-        predicted = (np.sqrt(2.0) / 3.0) * np.sqrt(max(norm**3 - cubic, 0.0) / norm)
-        return GapAsymptotic(float(predicted), float(e23))
+    surface is approached.  ``ValueError`` if ``xi`` is the zero vector or is
+    not near either degeneracy surface."""
+    c = _closed_form(_octet(xi))  # norm, its cube, cubic invariant, angle and gaps
+    if c.norm == 0.0:
+        raise ValueError("phase angle is undefined for the zero vector")
+    norm, phi = float(c.norm), float(c.phi)
+    for surface, sign, gap in zip((np.pi / 6.0, np.pi / 2.0), (1.0, -1.0), c.gaps):
+        if abs(phi - surface) <= _WINDOW:
+            predicted = (np.sqrt(2.0) / 3.0) * np.sqrt(max(c.cube + sign * c.cubic, 0.0) / norm)
+            return GapAsymptotic(float(predicted), float(gap))
     raise ValueError(
         f"input is not near either degeneracy surface (phi = {phi:.6f})"
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import F_CONST, GELL_MANN, invariants
 from .errors import check_positive
-from .spectrum import DEFAULT_CLASSIFY_TOL, DegeneracyClass, classify
+from .spectrum import _LADDER, DEFAULT_CLASSIFY_TOL, classify
 
 __all__ = [
     "OrbitInvariants",
@@ -26,12 +26,8 @@ __all__ = [
     "orbit_invariants",
 ]
 
-_ORBIT_DIMS = {
-    DegeneracyClass.GENERIC: 6,
-    DegeneracyClass.UPPER_DEGENERATE: 4,
-    DegeneracyClass.LOWER_DEGENERATE: 4,
-    DegeneracyClass.TRIPLE_DEGENERATE: 0,
-}
+# the orbit dimension of each class: triple, upper, lower degenerate, generic
+_ORBIT_DIMS = dict(zip(_LADDER, (0, 4, 4, 6)))
 
 
 class OrbitInvariants(NamedTuple):

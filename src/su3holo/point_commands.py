@@ -15,7 +15,10 @@ def _xi_from_args(args) -> np.ndarray:
         raise ValueError("one of --xi or --rest is required")
     if args.xi is not None and args.rest is not None:
         raise ValueError("--xi cannot be given with --rest")
-    return args.rest if args.xi is None else args.xi
+    option, xi = ("--rest", args.rest) if args.xi is None else ("--xi", args.xi)
+    if not np.all(np.isfinite(xi)):
+        raise ValueError(f"{option} must have finite components")
+    return xi
 
 
 def cmd_classify(args) -> dict:
@@ -31,7 +34,7 @@ def cmd_spectrum(args) -> dict:
     quad, cubic = algebra.invariants(xi)
     return {"xi": xi, "energies": [s.e1, s.e2, s.e3], "phi": s.phi,
             "gaps": {"e12": s.e12, "e23": s.e23, "e13": s.e13}, "class": s.degeneracy.value,
-            "rest_frame": spectrum.rest_frame(xi),
+            "rest_frame": spectrum._rest_from_levels(s.energies),
             "invariants": {"quadratic": quad, "cubic": cubic}}
 
 
@@ -61,12 +64,11 @@ def cmd_curvature(args) -> dict:
 def cmd_decompose(args) -> dict:
     from . import curvature, tensors
 
-    xi = _xi_from_args(args)
-    level = args.level
-    form = curvature.curvature_spectral(xi, level, args.classify_tol)
+    xi, level = _xi_from_args(args), args.level
+    s, form = curvature._spectral(xi, level, args.classify_tol)
     parts = tensors.project_irreducible(form.coeffs)
-    s = spectrum.eigenvalues(xi, args.classify_tol)
-    lam, mu = tensors.octet_coefficients(level, spectrum.rest_frame(xi), args.classify_tol)
+    rest = spectrum._rest_from_levels(s.energies)
+    lam, mu = tensors.octet_coefficients(level, rest, args.classify_tol)
     return {
         "xi": xi,
         "level": level,

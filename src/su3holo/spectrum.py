@@ -17,10 +17,10 @@ interval endpoints ``phi = pi/6`` / ``phi = pi/2`` (equivalently where the
 cubic invariant reaches -|xi|^3 / +|xi|^3), and the triple degeneracy only
 at ``xi = 0``.
 
-The functions here are thin wrappers over one private core, which evaluates
-norm, cubic invariant and ``phi`` once per call and the levels and gaps from
-them, and over one rule for Generic points: ``|xi| > tol``,
-``E12 > tol |xi|``, ``E23 > tol |xi|``.
+The functions here wrap one private core, which evaluates norm, cubic
+invariant and ``phi`` once per call, the same bits for a point alone as in a
+block, and one Generic rule, ``|xi| > tol``, ``E12 > tol |xi|``,
+``E23 > tol |xi|``, whose first failing condition names the class.
 
 Eigenvectors are likewise computed from the closed-form eigenvalues, by
 null-space extraction on ``H - E_a I`` (cross product of the two most
@@ -99,11 +99,12 @@ def octet_norm(xi) -> float | np.ndarray:
 
 
 class _ClosedForm(NamedTuple):
-    """Norm and angle of octet vectors (..., 8).  The levels and gaps are
-    computed from them on each access (callers that need only one of the
-    two never allocate the other), so read each at most once."""
+    """Norm, its cube, cubic invariant and angle of octet vectors (..., 8).
+    The levels and gaps are computed on each access, so read each once."""
 
     norm: np.ndarray
+    cube: np.ndarray
+    cubic: np.ndarray
     phi: np.ndarray
 
     @property
@@ -118,67 +119,62 @@ class _ClosedForm(NamedTuple):
 
 
 def _closed_form(xi: np.ndarray) -> _ClosedForm:
-    """The closed form of octet vectors (..., 8).  The zero vector gets
-    ``phi = pi/3`` and zero levels and gaps.  A single point stays scalar:
-    ``norm**3`` can differ in the last bit between a scalar and an array."""
+    """The closed form of octet vectors (..., 8), the same bits for a point
+    alone or as a row of a block: ``np.float_power`` cubes a 0-d and an n-d
+    norm alike, where ``**`` on an array can differ in the last bit from
+    ``**`` on a scalar.  The zero vector gets ``phi = pi/3``, zero levels."""
     norm = np.linalg.norm(xi, axis=-1)
+    cube = np.float_power(norm, 3)
     # sin(3 phi) = -cubic / |xi|^3 with 3 phi in [pi/2, 3 pi/2], where the
     # sine is monotone, so phi = (pi - arcsin(.)) / 3 is the unique solution.
     with np.errstate(divide="ignore", invalid="ignore"):
-        s3 = np.where(norm > 0.0, -cubic_invariant(xi) / norm**3, 0.0)
-    return _ClosedForm(norm, (np.pi - np.arcsin(np.clip(s3, -1.0, 1.0))) / 3.0)
+        cubic = cubic_invariant(xi)
+        s3 = np.where(norm > 0.0, -cubic / cube, 0.0)
+    return _ClosedForm(norm, cube, cubic, (np.pi - np.arcsin(np.clip(s3, -1.0, 1.0))) / 3.0)
 
 
-def _checked_closed_form(xi: np.ndarray) -> tuple[_ClosedForm, np.ndarray, np.ndarray]:
-    """The closed form of octet vectors, its gaps, and where it is finite,
-    with no warning.  Above about |xi| = 5.6e102 ``|xi|**3`` overflows, and
-    ``phi`` is NaN or, where the cubic invariant stays finite, wrongly
-    ``pi/3``; a non-finite component makes it NaN."""
+# The classes by rank: the number of the Generic rule's conditions, ``|xi| > tol``,
+# ``E12 > tol |xi|``, ``E23 > tol |xi|``, that hold before the first that fails.
+_LADDER = (DegeneracyClass.TRIPLE_DEGENERATE, DegeneracyClass.UPPER_DEGENERATE,
+           DegeneracyClass.LOWER_DEGENERATE, DegeneracyClass.GENERIC)
+_GENERIC = _LADDER.index(DegeneracyClass.GENERIC)
+
+
+def _classified(xi: np.ndarray, tol: float):
+    """The closed form of octet vectors (..., 8), its gaps, each point's rank
+    on ``_LADDER`` at tolerance ``tol`` and whether ``_point`` rejects it,
+    with no warning: a point with a non-finite component, or one with
+    ``|xi| > tol`` whose closed form is not finite (above about |xi| =
+    5.6e102 ``|xi|**3`` overflows, and ``phi`` is NaN or wrongly ``pi/3``).
+    A ``tol`` that is not positive and finite is a ``ValueError`` first."""
+    tol = check_positive("tol", tol)
     with np.errstate(over="ignore", invalid="ignore"):
         c = _closed_form(xi)
         gaps = c.gaps
-        finite = np.isfinite(c.norm**3) & np.isfinite(c.phi)
-    return c, gaps, finite
-
-
-def _resolved(norm: np.ndarray, gaps: np.ndarray, tol: float):
-    """The Generic rule at relative tolerance ``tol``, one flag per condition:
-    ``|xi| > tol``, ``E12 > tol |xi|``, ``E23 > tol |xi|``."""
-    scale = tol * norm
-    return norm > tol, gaps[..., 0] > scale, gaps[..., 1] > scale
+        rejected = ~(np.isfinite(c.cube) & np.isfinite(c.phi)) & ~(c.norm <= tol)
+    scale = tol * c.norm
+    nonzero, upper, lower = c.norm > tol, gaps[..., 0] > scale, gaps[..., 1] > scale
+    return c, gaps, nonzero * (1 + upper * (np.uint8(1) + lower)), rejected
 
 
 def _point(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData]:
     """Validate a single octet vector and return it with its spectral record,
-    from one closed-form evaluation.  A point with ``|xi| > tol`` whose
-    closed form is not finite raises ``ValueError``, as does a ``tol`` that
-    is not positive and finite (``check_positive``), before anything else."""
-    tol = check_positive("tol", tol)
+    from one closed-form evaluation: ``ValueError`` for a point that
+    ``_classified`` rejects, or where it raises."""
     xi = _octet(xi)
     if xi.ndim != 1:
         raise ValueError(f"{caller} takes a single octet vector")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError(f"{caller} requires finite octet components")
-    c, gaps, finite = _checked_closed_form(xi)
-    nonzero, upper, lower = _resolved(c.norm, gaps, tol)
-    if nonzero and not finite:
-        raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*xi):.6g}")
-    klass = (DegeneracyClass.TRIPLE_DEGENERATE if not nonzero
-             else DegeneracyClass.UPPER_DEGENERATE if not upper
-             else DegeneracyClass.LOWER_DEGENERATE if not lower
-             else DegeneracyClass.GENERIC)
+    c, gaps, rank, rejected = _classified(xi, tol)
+    if rejected:
+        raise ValueError(f"{caller} requires finite octet components" if not np.isfinite(xi).all()
+                         else f"the closed form is not finite at |xi| = {math.hypot(*xi):.6g}")
     phi = float(c.phi) if c.norm > 0.0 else float("nan")
-    return xi, SpectralData(*map(float, c.levels), phi, *map(float, gaps), klass)
+    return xi, SpectralData(*map(float, c.levels), phi, *map(float, gaps), _LADDER[rank])
 
 
 def phase_angle(xi) -> float | np.ndarray:
-    """Adjoint-invariant spectral angle ``phi`` in ``[pi/6, pi/2]``.
-
-    Raises
-    ------
-    ValueError
-        For the zero vector, where the angle is undefined.
-    """
+    """Adjoint-invariant spectral angle ``phi`` in ``[pi/6, pi/2]``;
+    ``ValueError`` for the zero vector, where the angle is undefined."""
     c = _closed_form(_octet(xi))
     if np.any(c.norm == 0.0):
         raise ValueError("phase angle is undefined for the zero vector")
@@ -186,10 +182,8 @@ def phase_angle(xi) -> float | np.ndarray:
 
 
 def energy_levels(xi) -> np.ndarray:
-    """Closed-form eigenvalues of ``H(xi)``, shape (..., 3), descending.
-
-    The zero vector yields ``(0, 0, 0)``.
-    """
+    """Closed-form eigenvalues of ``H(xi)``, shape (..., 3), descending; the
+    zero vector yields ``(0, 0, 0)``."""
     return _closed_form(_octet(xi)).levels
 
 
@@ -199,17 +193,11 @@ def energy_gaps(xi) -> np.ndarray:
 
 
 def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
-    """Degeneracy class of a single octet vector at relative tolerance ``tol``.
-
-    Triple-degenerate if ``|xi| <= tol``; otherwise upper/lower degenerate
-    when the corresponding gap falls below ``tol * |xi|``.
-
-    Raises
-    ------
-    ValueError
-        If ``tol`` is not positive and finite, ``xi`` has a NaN or infinite
-        component, or ``|xi| > tol`` and the closed form overflows.
-    """
+    """Degeneracy class of a single octet vector at relative tolerance ``tol``:
+    triple-degenerate if ``|xi| <= tol``, otherwise upper/lower degenerate
+    when the corresponding gap falls below ``tol * |xi|``.  ``ValueError`` if
+    ``tol`` is not positive and finite, ``xi`` has a NaN or infinite
+    component, or ``|xi| > tol`` and the closed form overflows."""
     return _point(xi, tol, "classify")[1].degeneracy
 
 
@@ -218,11 +206,8 @@ def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     point whose closed form is not finite, where ``classify`` raises, is
     False, and no warning is raised.  ``ValueError`` if ``tol`` is not
     positive and finite."""
-    tol = check_positive("tol", tol)
-    c, gaps, mask = _checked_closed_form(_octet(xis))
-    for flag in _resolved(c.norm, gaps, tol):
-        mask &= flag  # in place: the mask starts as the finiteness flags
-    return mask
+    _, _, ranks, rejected = _classified(_octet(xis), tol)
+    return (ranks == _GENERIC) & ~rejected
 
 
 def eigenvalues(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> SpectralData:
@@ -393,18 +378,15 @@ def _generic_frames(xi, tol: float, caller: str,
 
 
 def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedForm:
-    """The closed form of a block of octet vectors (..., 8), checked as
-    ``_point`` checks one point, with no warning: ``ValueError`` if a point
-    not within ``tol`` of zero has a closed form that is not finite (above
-    about |xi| = 5.6e102, or a non-finite component), then
-    ``DegenerateInput(message)`` if a point is not Generic at ``tol``.  A
-    ``tol`` that is not positive and finite is a ``ValueError`` first."""
-    tol = check_positive("tol", tol)
-    c, gaps, finite = _checked_closed_form(xi)
-    bad = ~finite & ~(c.norm <= tol)
-    if bad.any():
-        raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*xi[bad][0]):.6g}")
-    if not np.all(_resolved(c.norm, gaps, tol)):
+    """The closed form of a block of octet vectors (..., 8), with no warning:
+    ``ValueError`` for a ``tol`` that is not positive and finite, then one
+    naming the closed form at the first point ``_classified`` rejects, then
+    ``DegenerateInput(message)`` if a point is not Generic at ``tol``."""
+    c, _, ranks, rejected = _classified(xi, tol)
+    if rejected.any():
+        norm = math.hypot(*xi[rejected][0])
+        raise ValueError(f"the closed form is not finite at |xi| = {norm:.6g}")
+    if not np.all(ranks == _GENERIC):
         raise DegenerateInput(message)
     return c
 
@@ -413,11 +395,9 @@ def _block_frames(xi: np.ndarray, tol: float, message: str,
                   levels: tuple[int, ...] = (1, 2, 3)) -> tuple[np.ndarray, np.ndarray]:
     """All three levels (..., 3) of a block of octet vectors (..., 8) and
     the unit eigenvector columns (..., 3, len(levels)) of ``levels``, as
-    ``_columns`` gives them, from one closed-form evaluation that also
-    serves the checks of ``_generic_closed_form``.
-
-    The columns are not gauge fixed: every caller contracts each eigenvector
-    once as a bra and once as a ket, so its phase drops out."""
+    ``_columns`` gives them, from the closed form ``_generic_closed_form``
+    checks.  The columns are not gauge fixed: every caller contracts each
+    eigenvector once as a bra and once as a ket, so its phase drops out."""
     e = _generic_closed_form(xi, tol, message).levels
     return e, _columns(xi, e, levels)
 

@@ -1,5 +1,8 @@
 """The ``sweep`` command: point generators and the CSV rows.
 
+The rows are evaluated in blocks of ``_BLOCK_ROWS`` points: per block one
+closed form and, at a level, one eigenvector and one curvature pass over the
+Generic rows, each field the same bits as the single-point API gives.
 Columns come in the fixed order ``BASE_COLUMNS``, followed by
 ``CURVATURE_COLUMNS`` when a level is given.  Every field is an int, a
 ``repr`` float, a class name, ``""`` or ``"nan"``: none holds a comma, quote
@@ -22,17 +25,18 @@ CURVATURE_COLUMNS = ["v12", "v45", "v67", "v38", "vmax"]
 
 def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarray:
     """``count`` draws of ``scale`` times a standard-normal octet vector that
-    are Generic at tolerance ``tol``; ``ValueError`` if ``100 * count`` draws
-    hold fewer.  Draws are classified in blocks of the number still missing,
-    so the seed is consumed exactly as one draw at a time would."""
+    are Generic at tolerance ``tol``, classified in blocks of the number still
+    missing, so the seed is consumed exactly as one draw at a time would;
+    ``ValueError`` where ``classify`` raises, or if ``100 * count`` draws
+    hold fewer."""
     pts, tries, cap = [], 0, 100 * count
     while len(pts) < count and tries < cap:
         block = scale * rng.standard_normal((min(count - len(pts), cap - tries), 8))
         tries += len(block)
-        generic = spectrum.generic_mask(block, tol)
-        for xi in block[~generic]:
-            spectrum.classify(xi, tol)  # raises where the closed form is not finite
-        pts.extend(block[generic])
+        _, _, ranks, rejected = spectrum._classified(block, tol)
+        if rejected.any():
+            spectrum.classify(block[rejected][0], tol)  # raises, as for one draw at a time
+        pts.extend(block[ranks == spectrum._GENERIC])
     if len(pts) < count:
         raise ValueError(f"random generator found {len(pts)} of {count} generic points")
     return np.array(pts)
@@ -58,10 +62,12 @@ def _points(args) -> np.ndarray:
     if args.generator == "ray":
         if args.ray_from is None or args.toward is None:
             raise ValueError("ray sweep needs --ray-from and --toward")
-        deltas = np.logspace(
-            math.log10(args.delta_start), math.log10(args.delta_stop), args.count
-        )
-        return args.ray_from + deltas[:, None] * args.toward
+        for option, value in (("--ray-from", args.ray_from), ("--toward", args.toward)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{option} must have finite components")
+        deltas = np.logspace(math.log10(args.delta_start), math.log10(args.delta_stop), args.count)
+        with np.errstate(over="ignore"):  # a point past the float range fails in _lines
+            return args.ray_from + deltas[:, None] * args.toward
     for option, value in (("--ray-from", args.ray_from), ("--toward", args.toward)):
         if value is not None:
             raise ValueError(f"the {args.generator} generator takes no {option}")
@@ -70,33 +76,43 @@ def _points(args) -> np.ndarray:
     return rest_frame_points(rng, args.count, (0.2, 2.0))  # the one other kind allowed
 
 
-def _lines(points: np.ndarray, level: int | None, tol: float) -> list[str]:
-    """One CSV line per point, its fields in column order."""
+# The working set is one block's, whatever --count: a 1000-row sweep at level
+# 1 peaks at 1.5 MiB (tracemalloc) in 512-row blocks, 2.5 MiB in one block.
+_BLOCK_ROWS = 512
+
+
+def _lines(xi: np.ndarray, first: int, level: int | None, tol: float) -> list[str]:
+    """The CSV lines of points (n, 8) numbered from ``first``.  Of the rows
+    whose point, closed form or frames are not finite, the first raises."""
+    c, gaps, ranks, rejected = spectrum._classified(xi, tol)
+    if rejected.any():
+        stop = int(np.argmax(rejected))
+        _lines(xi[:stop], first, level, tol)  # an earlier row's frames fail first
+        spectrum._point(xi[stop], tol, "sweep")  # raises
+    numbers = [xi, c.norm, c.phi, gaps, algebra.quadratic_invariant(xi), c.cubic]
     if level is not None:
         from . import curvature
+
+        generic = ranks == spectrum._GENERIC
+        g, e = xi[generic], c.levels[generic]
+        t = curvature._tables(g, e, spectrum._columns(g, e, (level,))[..., 0].T, level - 1)
+        v = np.full((len(xi), 8, 8), np.nan)  # as curvature_spectral gives it, on Generic rows
+        v[generic] = (t - np.swapaxes(t, -1, -2)) / 2.0  # as CurvatureTwoForm
+        numbers += [*(v[:, i, j] for _, (i, j) in curvature._PAIRS), v[:, 2, 7],
+                    np.abs(v).max(axis=(1, 2))]
     lines = []
-    for index, xi in enumerate(points):
-        s = spectrum.eigenvalues(xi, tol)
-        quad, cubic = algebra.invariants(xi)
-        fields = [str(index), *[repr(float(v)) for v in xi],
-                  repr(float(spectrum.octet_norm(xi))),
-                  "" if math.isnan(s.phi) else repr(s.phi), s.degeneracy.value,
-                  repr(s.e12), repr(s.e23), repr(s.e13), repr(quad), repr(cubic)]
-        if level is not None:
-            if s.degeneracy is spectrum.DegeneracyClass.GENERIC:
-                v = curvature.curvature_spectral(xi, level, tol).coeffs
-                fields += [repr(float(v[slot])) for _, slot in curvature._PAIRS]
-                fields += [repr(float(v[2, 7])), repr(float(np.abs(v).max()))]
-            else:
-                fields += ["nan"] * 5
-        lines.append(",".join(fields))
+    for index, (row, rank) in enumerate(zip(np.column_stack(numbers), ranks.tolist()), first):
+        fields = [repr(x) for x in row.tolist()]
+        fields[9] = fields[9] if row[8] > 0.0 else ""  # phi is undefined at the zero vector
+        fields.insert(10, spectrum._LADDER[rank].value)
+        lines.append(",".join([str(index), *fields]))
     return lines
 
 
 def cmd_sweep(args) -> str:
     """The sweep's CSV text, header line first."""
-    # Rows are computed one by one on this thread: a thread pool measured
-    # about 2x slower.
     columns = BASE_COLUMNS + (CURVATURE_COLUMNS if args.level is not None else [])
-    lines = [",".join(columns), *_lines(_points(args), args.level, args.classify_tol)]
+    points, lines = _points(args), [",".join(columns)]
+    for first in range(0, len(points), _BLOCK_ROWS):
+        lines += _lines(points[first:first + _BLOCK_ROWS], first, args.level, args.classify_tol)
     return "\n".join(lines) + "\n"

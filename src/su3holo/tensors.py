@@ -244,13 +244,23 @@ def _pair_sum(level: int, gaps: tuple, numerators: tuple, factors=(1.0, 1.0, 1.0
     return first + second
 
 
-def decouplet_weight(level: int, e12: float, e23: float) -> float:
+def decouplet_weight(level: int, e12, e23):
     """Scalar weight ``w13/E13^2 - w12/E12^2 - w23/E23^2`` of the decouplet
     piece of the level-``a`` curvature, ``w_bc = p_b - p_c`` its pair weights:
     ``v1 = 1/E13^2 - 1/E12^2``, ``v2 = 1/E12^2 - 1/E23^2``,
-    ``v3 = 1/E23^2 - 1/E13^2``; they sum to zero.  ``ValueError`` if ``level`` is not 1, 2 or 3."""
+    ``v3 = 1/E23^2 - 1/E13^2``; they sum to zero.  Takes gaps or arrays of
+    them.  ``ValueError`` if ``level`` is not 1, 2 or 3, checked first, if a
+    gap is not positive and finite, or if a squared gap that the level reads
+    overflows or underflows to zero."""
     level = check_level(level)
-    return _pair_sum(level, (e12, e12 + e23, e23), (-1.0, 1.0, -1.0))
+    for name, gaps in (("e12", e12), ("e23", e23)):
+        for gap in np.ravel(gaps).tolist():
+            check_positive(name, gap)
+    try:  # arithmetic errors of floats and, raised here, of numpy
+        with np.errstate(over="raise", divide="raise"):
+            return _pair_sum(level, (e12, e12 + e23, e23), (-1.0, 1.0, -1.0))
+    except ArithmeticError:
+        raise ValueError("a squared gap is outside the float range") from None
 
 
 def octet_coefficients(level: int, rest_xi,

@@ -1,12 +1,14 @@
 """Shared test utilities: random matrix factories, angle wrapping, the
 dense reference kernels, the gauge-fixed frames and the sum-over-states
 curvature, the whole-loop transport, mpmath flux-density and curvature
-references, a point whose closed form overflows, and the per-level closed
-forms written out level by level."""
+references, a point whose closed form overflows, the per-level closed
+forms written out level by level, and the sweep's rows one point at a time."""
+import math
+
 import mpmath
 import numpy as np
 
-from su3holo import UnderResolvedPath, spectrum
+from su3holo import UnderResolvedPath, algebra, curvature, spectrum
 from su3holo.holonomy import OVERLAP_GUARD
 from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix, octet_star, octet_to_matrix
 from su3holo.spectrum import energy_gaps, octet_norm
@@ -289,3 +291,26 @@ def ladder_singular_expansion(epsilon: float, level: int) -> tuple[dict, dict, d
     }
     total = {slot: octet[slot] + decouplet[slot] for slot in slots}
     return octet, decouplet, total
+
+
+def per_row_sweep_lines(points: np.ndarray, level, tol: float) -> list[str]:
+    """Reference sweep rows: one CSV line per point, its fields in column
+    order, each point through the single-point API on its own.  The
+    batched sweep must equal it byte for byte, its errors included."""
+    lines = []
+    for index, xi in enumerate(points):
+        s = spectrum.eigenvalues(xi, tol)
+        quad, cubic = algebra.invariants(xi)
+        fields = [str(index), *[repr(float(v)) for v in xi],
+                  repr(float(spectrum.octet_norm(xi))),
+                  "" if math.isnan(s.phi) else repr(s.phi), s.degeneracy.value,
+                  repr(s.e12), repr(s.e23), repr(s.e13), repr(quad), repr(cubic)]
+        if level is not None:
+            if s.degeneracy is spectrum.DegeneracyClass.GENERIC:
+                v = curvature.curvature_spectral(xi, level, tol).coeffs
+                fields += [repr(float(v[slot])) for _, slot in curvature._PAIRS]
+                fields += [repr(float(v[2, 7])), repr(float(np.abs(v).max()))]
+            else:
+                fields += ["nan"] * 5
+        lines.append(",".join(fields))
+    return lines

@@ -7,6 +7,7 @@ import inspect
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,3 +285,46 @@ def test_the_rules_return_python_numbers_and_load_no_numpy():
     # the rules sit on the path of ``import su3holo.cli``
     code = "import sys, su3holo.errors; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+NON_FINITE_POINTS = [
+    (["classify", "--xi", "nan,0,0,0,0,0,0,1"], "--xi"),
+    (["spectrum", "--rest", "inf,1"], "--rest"),
+    (["curvature", "--level", "1", "--xi", "0,0,inf,0,0,0,0,1"], "--xi"),
+    (["decompose", "--level", "2", "--rest", "0.6,nan"], "--rest"),
+    (["sweep", *RAY[:1], "nan,0,0,0,0,0,0,1", *RAY[2:]], "--ray-from"),
+    (["sweep", *RAY[:3], "0,0,-inf,0,0,0,0,0"], "--toward"),
+]
+
+
+@pytest.mark.parametrize("argv, option", NON_FINITE_POINTS,
+                         ids=[f"{argv[0]}{option}" for argv, option in NON_FINITE_POINTS])
+def test_a_non_finite_point_option_is_named(capsys, argv, option):
+    if argv[0] == "sweep":
+        argv = [argv[0], "--generator", "ray", *argv[1:]]
+    _exits_1_with(capsys, argv, f"{option} must have finite components")
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum", "curvature", "decompose"])
+def test_a_non_finite_point_in_a_descriptor_is_named(tmp_path, capsys, command):
+    desc = {"schema": "su3holo/1", "command": command, "xi": [0, 0, float("nan"), 0, 0, 0, 0, 1]}
+    text = json.dumps({**desc, "level": 1} if command in ("curvature", "decompose") else desc)
+    assert "NaN" in text  # Python's json reads and writes NaN
+    (tmp_path / "job.json").write_text(text)
+    _exits_1_with(capsys, ["job", str(tmp_path / "job.json")], "--xi must have finite components")
+
+
+@pytest.mark.parametrize("field, option", [("from8", "--ray-from"), ("toward8", "--toward")])
+def test_a_non_finite_ray_in_a_descriptor_is_named(tmp_path, capsys, field, option):
+    gen = {"kind": "ray", **RAY_FIELDS}
+    gen[field] = [float("inf")] + gen[field][1:]
+    _exits_1_with(capsys, _sweep_job(tmp_path, gen), f"{option} must have finite components")
+
+
+def test_a_ray_past_the_float_range_exits_1_without_a_warning(capsys):
+    argv = ["sweep", "--generator", "ray", "--ray-from", "1e308,0,0,0,0,0,0,0",
+            "--toward", "1e308,0,0,0,0,0,0,0", "--delta-start", "1", "--delta-stop", "2",
+            "--count", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _exits_1_with(capsys, argv, "sweep requires finite octet components")

@@ -8,8 +8,9 @@ import pytest
 
 from helpers import (OVERFLOWING, copying_fix_gauge, gauge_fixed_frames_at, random_generic_octet,
                      random_rest_frame, random_special_unitary, stacked_eigenvector_columns)
-from su3holo import curvature, holonomy, spectrum, tensors
+from su3holo import curvature, holonomy, limits, spectrum, tensors
 from su3holo.algebra import adjoint_matrix, octet_to_matrix
+from su3holo.cli import main
 from su3holo.spectrum import DegeneracyClass, classify, generic_mask
 
 rng = np.random.default_rng(4242)
@@ -46,6 +47,24 @@ def test_single_point_functions_evaluate_the_closed_form_once(cubic_calls, call,
     cubic_calls.clear()
     call(xi)
     assert cubic_calls == [(8,)] * evaluations
+
+
+@pytest.mark.parametrize("argv, evaluations", [
+    (["spectrum", "--xi", "0.3,-0.2,0.6,0.1,-0.4,0.25,0.15,1.3"], 1),
+    # xi itself, then its rest-frame representative inside octet_coefficients
+    (["decompose", "--xi", "0.3,-0.2,0.6,0.1,-0.4,0.25,0.15,1.3", "--level", "2"], 2),
+], ids=["spectrum", "decompose"])
+def test_point_commands_evaluate_the_closed_form_once_per_point(cubic_calls, capsys, argv,
+                                                                evaluations):
+    assert main(argv) == 0
+    assert cubic_calls == [(8,)] * evaluations
+
+
+def test_gap_asymptotic_evaluates_the_closed_form_once(cubic_calls):
+    xi = np.zeros(8)
+    xi[2], xi[7] = 1e-3, 1.0
+    limits.gap_asymptotic(xi)
+    assert cubic_calls == [(8,)]
 
 
 def test_surface_flux_evaluates_the_closed_form_once_per_block(cubic_calls, monkeypatch):

@@ -262,3 +262,16 @@ def test_curvature_from_parts_matches_other_routes():
             assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
     with pytest.raises(DegenerateInput):
         curvature_from_parts(e(8), 1)
+
+
+@pytest.mark.parametrize("level, e12, e23, message", [
+    (2, 0.0, 1.0, "e12 must be positive and finite, got 0.0"),
+    (2, 1.0, float("nan"), "e23 must be positive and finite, got nan"),
+    (2, 1e200, 1.0, "a squared gap is outside the float range"),  # E12**2 overflows
+    (1, 1e-170, 1.0, "a squared gap is outside the float range"),  # E12**2 underflows to 0
+    (1, np.array([0.5, 1e-170]), 1.0, "a squared gap is outside the float range"),
+], ids=["zero", "nan", "overflow", "underflow", "array-underflow"])
+def test_decouplet_weight_raises_a_typed_error(level, e12, e23, message):
+    with pytest.raises(ValueError) as info:
+        decouplet_weight(level, e12, e23)
+    assert type(info.value) is ValueError and str(info.value) == message
