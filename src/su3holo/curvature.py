@@ -26,9 +26,11 @@ from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
     SpectralData,
-    _generic_columns,
-    _generic_frames,
-    diagonalizer,
+    _block_frames,
+    _columns,
+    _fix_gauge,
+    _pin_gauge,
+    _point,
     octet_norm,
 )
 
@@ -180,8 +182,9 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
 def _spectral(xi, level: int, tol: float) -> tuple[SpectralData, CurvatureTwoForm]:
     # curvature_spectral and the point's spectral record, from one evaluation
     level = check_level(level)
-    xi, s, a = _generic_columns(xi, tol, "curvature_spectral", (level,))
-    return s, CurvatureTwoForm(level, _tables(xi, s.energies, a[:, 0], level - 1))
+    xi, s = _point(xi, tol, "curvature_spectral", generic=True)
+    a = _columns(xi, s.energies, (level,))[:, 0]
+    return s, CurvatureTwoForm(level, _tables(xi, s.energies, a, level - 1))
 
 
 def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm:
@@ -222,15 +225,15 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     diagonalizer (the rest-frame table is torus-invariant), and equal to
     the spectral route.  Raises as ``curvature_spectral`` does."""
     level = check_level(level)
-    _, s, a_mat = _generic_frames(xi, tol, "curvature_transported")
+    xi, s = _point(xi, tol, "curvature_transported", generic=True)
     v0 = curvature_rest_frame(s, level)
-    d = adjoint_matrix(a_mat)
+    d = adjoint_matrix(_fix_gauge(_columns(xi, s.energies, (1, 2, 3))))
     return CurvatureTwoForm(level, d @ v0.coeffs @ d.T)
 
 
 def _all_levels(xi, tol: float) -> tuple[SpectralData, np.ndarray]:
-    xi, s, a = _generic_columns(xi, tol, "curvature")
-    return s, _tables(xi, s.energies, a, np.arange(3))
+    xi, s = _point(xi, tol, "curvature", generic=True)
+    return s, _tables(xi, s.energies, _columns(xi, s.energies, (1, 2, 3)), np.arange(3))
 
 
 def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -266,24 +269,21 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     The sign convention is fixed so that ``S`` matches ``weighted_sum``
     (both give ``+1/(2 E12)`` at rest-frame slot (1,2)).  The diagonalizer
     gauge is pinned to the center point's pivot rows so the rule stays
-    smooth across the stencil.  Default step: ``1e-5 * |xi|``; a given
-    step must be nonzero and finite, and ``tol`` positive and finite
-    (``ValueError`` otherwise).
+    smooth across the stencil, one block of 16 points.  Default step:
+    ``1e-5 * |xi|``; a given step must be nonzero and finite, and ``tol``
+    positive and finite (``ValueError`` otherwise).
     """
     if step is not None and not (np.isfinite(step) and step != 0):
         raise ValueError(f"step must be nonzero and finite, got {step!r}")
-    xi, s, a0 = _generic_frames(xi, tol, "symplectic_two_form_fd")
+    xi, s = _point(xi, tol, "symplectic_two_form_fd", generic=True)
+    a0 = _fix_gauge(_columns(xi, s.energies, (1, 2, 3)))
     if step is None:
         step = 1e-5 * octet_norm(xi)
-    h0 = np.diag(s.energies)
     pivots = (int(np.argmax(np.abs(a0[:, 0]))), int(np.argmax(np.abs(a0[:, 1]))))
-    thetas = np.empty((8, 3, 3), dtype=complex)
-    for r in range(8):
-        offset = np.zeros(8)
-        offset[r] = step
-        a_plus = diagonalizer(xi + offset, tol, pivots)
-        a_minus = diagonalizer(xi - offset, tol, pivots)
-        thetas[r] = a0.conj().T @ ((a_plus - a_minus) / (2.0 * step))
+    offsets = np.diag(np.full(8, step))
+    stencil = np.stack([xi + offsets, xi - offsets], axis=1)  # (r, +/-, 8)
+    a = _pin_gauge(_block_frames(stencil, tol, "stencil passes through a degeneracy")[1], pivots)
+    thetas = a0.conj().T @ ((a[:, 0] - a[:, 1]) / (2.0 * step))
     prod = np.einsum("rij,sjk->rsik", thetas, thetas)
     comm = prod - prod.transpose(1, 0, 2, 3)
-    return -np.einsum("ij,rsji->rs", h0, comm).imag
+    return -np.einsum("ij,rsji->rs", np.diag(s.energies), comm).imag

@@ -76,9 +76,9 @@ def _row_blocks(rows: int, width: int):
 @dataclass
 class LoopPath:
     """Closed loop given by N octet-vector samples (the last connects back
-    to the first).  Every sample must be generic and have a finite closed
-    form (``ValueError`` otherwise, checked first within each block of about
-    1024 samples, as ``SurfacePatch`` checks its grid), and ``tol`` must be
+    to the first).  Every sample must be finite, generic and have a finite
+    closed form (``ValueError`` otherwise, checked first within each block
+    of about 1024 samples, as ``SurfacePatch`` checks its grid), and ``tol``
     positive and finite (``ValueError`` before any sample is evaluated)."""
 
     samples: np.ndarray = field(repr=False)
@@ -89,6 +89,8 @@ class LoopPath:
         if pts.ndim != 2 or pts.shape[1] != 8 or pts.shape[0] < 3:
             raise ValueError("a loop needs at least 3 samples of 8 components")
         for rows in _row_blocks(len(pts), 1):
+            if not np.isfinite(pts[rows]).all():
+                raise ValueError("a loop sample has a non-finite component")
             _generic_closed_form(pts[rows], self.tol, "loop passes through a degeneracy")
         self.samples = pts
 
@@ -99,8 +101,8 @@ class LoopPath:
 @dataclass
 class SurfacePatch:
     """Two-surface sampled on a (u, v) grid over [0, 1]^2 with bilinear
-    interpolation between grid points.  Every grid point must be generic
-    and have a finite closed form (``ValueError`` otherwise, checked
+    interpolation between grid points.  Every grid point must be finite,
+    generic and have a finite closed form (``ValueError`` otherwise, checked
     first); the check runs over blocks of whole grid rows (about 1024
     points, at least one row), like the ``surface_flux`` quadrature, so its
     working set is bounded whatever the grid size.  ``tol`` must be positive
@@ -114,6 +116,8 @@ class SurfacePatch:
         if g.ndim != 3 or g.shape[2] != 8 or g.shape[0] < 2 or g.shape[1] < 2:
             raise ValueError(_GRID_RULE)
         for rows in _row_blocks(*g.shape[:2]):
+            if not np.isfinite(g[rows]).all():
+                raise ValueError("a patch grid point has a non-finite component")
             _generic_closed_form(g[rows], self.tol, "patch contains a degenerate grid point")
         self.grid = g
 

@@ -17,17 +17,17 @@ interval endpoints ``phi = pi/6`` / ``phi = pi/2`` (equivalently where the
 cubic invariant reaches -|xi|^3 / +|xi|^3), and the triple degeneracy only
 at ``xi = 0``.
 
-The functions here wrap one private core, which evaluates norm, cubic
-invariant and ``phi`` once per call, the same bits for a point alone as in a
-block, and one Generic rule, ``|xi| > tol``, ``E12 > tol |xi|``,
-``E23 > tol |xi|``, whose first failing condition names the class.
+Single points and blocks alike take one closed-form evaluation per call,
+the same bits for a point alone as in a block, and one Generic rule,
+``|xi| > tol``, ``E12 > tol |xi|``, ``E23 > tol |xi|``, whose first failing
+condition names the class; one rule, ``_reject``, words their rejections.
 
 Eigenvectors are likewise computed from the closed-form eigenvalues, by
 null-space extraction on ``H - E_a I`` (cross product of the two most
-independent rows), not by a generic eigensolver.  Single points and
-batches alike get the unit columns as they are, only those of the levels
-they read, since every quantity read off them is gauge invariant; only
-``diagonalizer`` and the routes that conjugate by it fix their phases.
+independent rows), not by a generic eigensolver.  One kernel,
+``_columns``, gives the unit columns of a point and of a block, only those
+of the levels read, since every quantity read off them is gauge invariant;
+only ``diagonalizer`` and the routes that conjugate by it fix their phases.
 """
 from __future__ import annotations
 
@@ -157,17 +157,30 @@ def _classified(xi: np.ndarray, tol: float):
     return c, gaps, nonzero * (1 + upper * (np.uint8(1) + lower)), rejected
 
 
-def _point(xi, tol: float, caller: str) -> tuple[np.ndarray, SpectralData]:
+def _reject(xi: np.ndarray, rejected, ranks=None, caller=None, message=None) -> None:
+    """The one rule that words a rejection of octet vectors (..., 8) by
+    ``rejected`` and ``ranks`` from ``_classified``: ``ValueError`` for the
+    first rejected point, then, given ``ranks``, ``DegenerateInput`` if a
+    point is not Generic; a single point's messages name its ``caller``."""
+    if rejected.any():
+        bad = xi[rejected][0]
+        if caller is not None and not np.isfinite(bad).all():
+            raise ValueError(f"{caller} requires finite octet components")
+        raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*bad):.6g}")
+    if ranks is not None and not np.all(ranks == _GENERIC):
+        raise DegenerateInput(message or f"{caller} requires a generic spectrum, "
+                                         f"got {_LADDER[ranks].value}")
+
+
+def _point(xi, tol: float, caller: str, generic: bool) -> tuple[np.ndarray, SpectralData]:
     """Validate a single octet vector and return it with its spectral record,
-    from one closed-form evaluation: ``ValueError`` for a point that
-    ``_classified`` rejects, or where it raises."""
+    from one closed-form evaluation: ``ValueError`` naming ``caller`` unless
+    ``xi`` is one, then ``_reject``'s errors, its Generic check if ``generic``."""
     xi = _octet(xi)
     if xi.ndim != 1:
         raise ValueError(f"{caller} takes a single octet vector")
     c, gaps, rank, rejected = _classified(xi, tol)
-    if rejected:
-        raise ValueError(f"{caller} requires finite octet components" if not np.isfinite(xi).all()
-                         else f"the closed form is not finite at |xi| = {math.hypot(*xi):.6g}")
+    _reject(xi, rejected, rank if generic else None, caller)
     phi = float(c.phi) if c.norm > 0.0 else float("nan")
     return xi, SpectralData(*map(float, c.levels), phi, *map(float, gaps), _LADDER[rank])
 
@@ -198,7 +211,7 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
     when the corresponding gap falls below ``tol * |xi|``.  ``ValueError`` if
     ``tol`` is not positive and finite, ``xi`` has a NaN or infinite
     component, or ``|xi| > tol`` and the closed form overflows."""
-    return _point(xi, tol, "classify")[1].degeneracy
+    return _point(xi, tol, "classify", generic=False)[1].degeneracy
 
 
 def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -213,7 +226,7 @@ def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
 def eigenvalues(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> SpectralData:
     """Full closed-form spectral record for a single octet vector; raises
     ``ValueError`` where ``classify`` does."""
-    return _point(xi, tol, "eigenvalues")[1]
+    return _point(xi, tol, "eigenvalues", generic=False)[1]
 
 
 def rest_frame(xi) -> np.ndarray:
@@ -329,6 +342,14 @@ def _fix_gauge(a: np.ndarray, pivots=None) -> np.ndarray:
     return a
 
 
+def _pin_gauge(a: np.ndarray, pivots) -> np.ndarray:
+    # _fix_gauge(a, pivots), refusing a pivot component that is zero anywhere in a
+    if pivots is not None and any(np.any(a[..., p, k] == 0) for k, p in enumerate(pivots)):
+        raise ValueError(f"pivots {tuple(pivots)!r}: a pivot component of the "
+                         "eigenvectors is zero at this point")
+    return _fix_gauge(a, pivots)
+
+
 def _columns(xi: np.ndarray, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
     """The unit eigenvector columns (..., 3, len(levels)) of octet vectors
     (..., 8) with levels ``e`` (..., 3), for ``levels``, a run of consecutive
@@ -349,45 +370,12 @@ def _columns(xi: np.ndarray, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarr
     return a
 
 
-def _generic_columns(xi, tol: float, caller: str,
-                     levels=(1, 2, 3)) -> tuple[np.ndarray, SpectralData, np.ndarray]:
-    """``_point(xi, tol, caller)`` and the point's unit eigenvector columns
-    (3, len(levels)) of ``levels``, as ``_columns`` gives them, not gauge
-    fixed: ``DegenerateInput`` naming ``caller`` if the point is not
-    Generic."""
-    xi, s = _point(xi, tol, caller)
-    if s.degeneracy is not DegeneracyClass.GENERIC:
-        raise DegenerateInput(f"{caller} requires a generic spectrum, got {s.degeneracy.value}")
-    return xi, s, _columns(xi, s.energies, levels)
-
-
-def _generic_frames(xi, tol: float, caller: str,
-                    pivots=None) -> tuple[np.ndarray, SpectralData, np.ndarray]:
-    """``_generic_columns(xi, tol, caller)`` with the eigenvector matrix
-    gauge fixed as in ``diagonalizer``; ``ValueError`` if ``pivots`` is
-    invalid."""
-    xi, s, a = _generic_columns(xi, tol, caller)
-    if pivots is not None:
-        if not (len(pivots) == 2 and all(isinstance(p, (int, np.integer)) and 0 <= p < 3
-                                         for p in pivots)):
-            raise ValueError(f"pivots {tuple(pivots)!r}: expected two row indices in 0..2")
-        if any(a[p, k] == 0 for k, p in enumerate(pivots)):
-            raise ValueError(f"pivots {tuple(pivots)!r}: a pivot component of the "
-                             "eigenvectors is zero at this point")
-    return xi, s, _fix_gauge(a, pivots)
-
-
 def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedForm:
     """The closed form of a block of octet vectors (..., 8), with no warning:
-    ``ValueError`` for a ``tol`` that is not positive and finite, then one
-    naming the closed form at the first point ``_classified`` rejects, then
-    ``DegenerateInput(message)`` if a point is not Generic at ``tol``."""
+    ``ValueError`` for a ``tol`` that is not positive and finite, then the
+    errors of ``_reject``, with ``DegenerateInput(message)``."""
     c, _, ranks, rejected = _classified(xi, tol)
-    if rejected.any():
-        norm = math.hypot(*xi[rejected][0])
-        raise ValueError(f"the closed form is not finite at |xi| = {norm:.6g}")
-    if not np.all(ranks == _GENERIC):
-        raise DegenerateInput(message)
+    _reject(xi, rejected, ranks, message=message)
     return c
 
 
@@ -425,4 +413,8 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
         is not positive and finite; or if the eigenvectors overflow or
         underflow (|xi| above about 1e77 or below about 1e-77).
     """
-    return _generic_frames(xi, tol, "diagonalizer", pivots)[2]
+    if pivots is not None and not (len(pivots) == 2 and all(
+            isinstance(p, (int, np.integer)) and 0 <= p < 3 for p in pivots)):
+        raise ValueError(f"pivots {tuple(pivots)!r}: expected two row indices in 0..2")
+    xi, s = _point(xi, tol, "diagonalizer", generic=True)
+    return _pin_gauge(_columns(xi, s.energies, (1, 2, 3)), pivots)

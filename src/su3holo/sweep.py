@@ -34,8 +34,7 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
         block = scale * rng.standard_normal((min(count - len(pts), cap - tries), 8))
         tries += len(block)
         _, _, ranks, rejected = spectrum._classified(block, tol)
-        if rejected.any():
-            spectrum.classify(block[rejected][0], tol)  # raises, as for one draw at a time
+        spectrum._reject(block, rejected, caller="classify")  # as for one draw at a time
         pts.extend(block[ranks == spectrum._GENERIC])
     if len(pts) < count:
         raise ValueError(f"random generator found {len(pts)} of {count} generic points")
@@ -58,6 +57,8 @@ def _points(args) -> np.ndarray:
     check_positive("tol", args.classify_tol)
     check_positive("--delta-start", args.delta_start)
     check_positive("--delta-stop", args.delta_stop)
+    if not math.isfinite(args.scale):
+        raise ValueError(f"--scale must be finite, got {args.scale!r}")
     rng = np.random.default_rng(args.seed)
     if args.generator == "ray":
         if args.ray_from is None or args.toward is None:
@@ -88,7 +89,7 @@ def _lines(xi: np.ndarray, first: int, level: int | None, tol: float) -> list[st
     if rejected.any():
         stop = int(np.argmax(rejected))
         _lines(xi[:stop], first, level, tol)  # an earlier row's frames fail first
-        spectrum._point(xi[stop], tol, "sweep")  # raises
+        spectrum._reject(xi, rejected, caller="sweep")
     numbers = [xi, c.norm, c.phi, gaps, algebra.quadratic_invariant(xi), c.cubic]
     if level is not None:
         from . import curvature

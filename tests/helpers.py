@@ -2,7 +2,8 @@
 dense reference kernels, the gauge-fixed frames and the sum-over-states
 curvature, the whole-loop transport, mpmath flux-density and curvature
 references, a point whose closed form overflows, the per-level closed
-forms written out level by level, and the sweep's rows one point at a time."""
+forms written out level by level, the sweep's rows one point at a time and
+the finite-difference symplectic form one stencil point at a time."""
 import math
 
 import mpmath
@@ -314,3 +315,25 @@ def per_row_sweep_lines(points: np.ndarray, level, tol: float) -> list[str]:
                 fields += ["nan"] * 5
         lines.append(",".join(fields))
     return lines
+
+
+def per_point_symplectic_two_form_fd(xi, step=None, tol: float = 1e-9) -> np.ndarray:
+    """Reference ``curvature.symplectic_two_form_fd``: the 16 stencil frames
+    from one pinned ``diagonalizer`` call each.  The batched stencil must
+    equal it byte for byte."""
+    xi = np.asarray(xi, dtype=float)
+    a0 = spectrum.diagonalizer(xi, tol)
+    if step is None:
+        step = 1e-5 * octet_norm(xi)
+    h0 = np.diag(spectrum.eigenvalues(xi, tol).energies)
+    pivots = (int(np.argmax(np.abs(a0[:, 0]))), int(np.argmax(np.abs(a0[:, 1]))))
+    thetas = np.empty((8, 3, 3), dtype=complex)
+    for r in range(8):
+        offset = np.zeros(8)
+        offset[r] = step
+        a_plus = spectrum.diagonalizer(xi + offset, tol, pivots)
+        a_minus = spectrum.diagonalizer(xi - offset, tol, pivots)
+        thetas[r] = a0.conj().T @ ((a_plus - a_minus) / (2.0 * step))
+    prod = np.einsum("rij,sjk->rsik", thetas, thetas)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    return -np.einsum("ij,rsji->rs", h0, comm).imag

@@ -143,10 +143,14 @@ def test_closed_form_overflow_is_checked_before_the_generic_rule(build, scale):
     assert str(exc.value).endswith(f"|xi| = {np.linalg.norm(scale * OVERFLOWING):.6g}")
 
 
+@pytest.mark.parametrize("build, sample", [
+    (LoopPath, "a loop sample"),
+    (lambda pts: SurfacePatch(pts.reshape(2, 2, 8)), "a patch grid point"),
+], ids=["loop", "patch"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_a_non_finite_sample_is_not_reported_as_a_degeneracy(bad):
+def test_a_non_finite_sample_is_not_reported_as_a_degeneracy(build, sample, bad):
     pts = np.array([random_generic_octet(np.random.default_rng(1))] * 4)
     pts[2, 5] = bad
-    with pytest.raises(ValueError, match="the closed form is not finite at") as exc:
-        LoopPath(pts)
+    with pytest.raises(ValueError, match=f"{sample} has a non-finite component") as exc:
+        build(pts)
     assert not isinstance(exc.value, DegenerateInput)

@@ -907,6 +907,19 @@ def test_an_unreadable_point_file_names_its_option(tmp_path, capsys, command, op
     assert captured.err == f"su3holo: error: {message.format(option=option, holds=holds)}\n"
 
 
+@pytest.mark.parametrize("command, option, sample", [
+    ("loop-phase", "path-file", "a loop sample"),
+    ("surface-flux", "patch-file", "a patch grid point"),
+])
+def test_a_non_finite_point_in_a_point_file_is_named(tmp_path, capsys, command, option, sample):
+    path = _point_files(tmp_path)[option]
+    points = np.array(json.loads(path.read_text()))
+    points[(1,) * (points.ndim - 1) + (6,)] = np.nan
+    path.write_text(json.dumps(points.tolist()))
+    assert main([command, f"--{option}", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"su3holo: error: {sample} has a non-finite component\n")
+
+
 @pytest.mark.parametrize("command, option, extra", [
     ("loop-phase", "path-file", ["--center", E8]),
     ("loop-phase", "path-file", ["--axis2", "0,1,0,0,0,0,0,0"]),

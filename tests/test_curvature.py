@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import (gauge_fixed_frames, mpmath_curvature, mpmath_flux_density, near_cone_points,
-                     random_generic_octet, random_rest_frame, random_special_unitary,
-                     sum_over_states_coeffs)
+                     per_point_symplectic_two_form_fd, random_generic_octet, random_rest_frame,
+                     random_special_unitary, sum_over_states_coeffs)
 from su3holo import DegenerateInput
 from su3holo.algebra import adjoint_matrix
 from su3holo.curvature import (
@@ -213,6 +213,26 @@ def test_weighted_sum_matches_finite_difference_symplectic_form():
         w = weighted_sum(xi)
         fd = symplectic_two_form_fd(xi)
         assert np.abs(w - fd).max() < 1e-5 * np.abs(w).max()
+
+
+def test_symplectic_fd_stencil_block_equals_the_per_point_reference_bytes():
+    # the 16 stencil frames are one block: the same bits as one pinned
+    # diagonalizer call per stencil point, at |xi| from 1e-3 to 1e3
+    draws = np.random.default_rng(58)
+    for _ in range(200):
+        xi = random_generic_octet(draws) * 10.0 ** draws.uniform(-3.0, 3.0)
+        want = per_point_symplectic_two_form_fd(xi)
+        assert symplectic_two_form_fd(xi).tobytes() == want.tobytes()
+    for step in (1e-3, -2e-4):  # a given step, of either sign
+        xi = random_generic_octet(draws)
+        got = symplectic_two_form_fd(xi, step=step)
+        assert got.tobytes() == per_point_symplectic_two_form_fd(xi, step=step).tobytes()
+
+
+def test_symplectic_fd_rejects_a_stencil_through_a_cone():
+    # xi - step e3 is e8, on the upper cone, while xi itself is Generic
+    with pytest.raises(DegenerateInput, match="stencil passes through a degeneracy"):
+        symplectic_two_form_fd(1e-3 * e(3) + e(8), step=1e-3)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf, -np.inf])

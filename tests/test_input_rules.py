@@ -267,6 +267,16 @@ def test_a_bad_delta_exits_1(capsys, option, value):
                   f"{option} must be positive and finite, got {float(value)!r}")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_a_non_finite_scale_exits_1(tmp_path, capsys, value):
+    # checked where it is read, before any draw; a zero or negative scale is allowed
+    message = f"--scale must be finite, got {float(value)!r}"
+    _exits_1_with(capsys, ["sweep", "--generator", "random", "--count", "2", f"--scale={value}"],
+                  message)
+    gen = {"kind": "random", "count": 2, "scale": float(value)}
+    _exits_1_with(capsys, _sweep_job(tmp_path, gen), message)
+
+
 def test_a_bad_delta_range_in_a_descriptor_exits_1(tmp_path, capsys):
     gen = {"kind": "ray", **RAY_FIELDS, "delta_range": [1e-3, -0.1]}
     _exits_1_with(capsys, _sweep_job(tmp_path, gen),
