@@ -27,11 +27,14 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
     """``count`` draws of ``scale`` times a standard-normal octet vector that
     are Generic at tolerance ``tol``, classified in blocks of the number still
     missing, so the seed is consumed exactly as one draw at a time would;
-    ``ValueError`` where ``classify`` raises, or if ``100 * count`` draws
-    hold fewer."""
+    ``ValueError`` where ``classify`` raises, where a finite ``scale`` takes
+    a draw past the float range, or if ``100 * count`` draws hold fewer."""
     pts, tries, cap = [], 0, 100 * count
     while len(pts) < count and tries < cap:
-        block = scale * rng.standard_normal((min(count - len(pts), cap - tries), 8))
+        with np.errstate(over="ignore"):  # a finite scale that overflows is named below
+            block = scale * rng.standard_normal((min(count - len(pts), cap - tries), 8))
+        if math.isfinite(scale) and not np.isfinite(block).all():
+            raise ValueError(f"--scale {scale!r} takes a drawn point past the float range")
         tries += len(block)
         _, _, ranks, rejected = spectrum._classified(block, tol)
         spectrum._reject(block, rejected, caller="classify")  # as for one draw at a time
@@ -57,8 +60,11 @@ def _points(args) -> np.ndarray:
     check_positive("tol", args.classify_tol)
     check_positive("--delta-start", args.delta_start)
     check_positive("--delta-stop", args.delta_stop)
-    if not math.isfinite(args.scale):
-        raise ValueError(f"--scale must be finite, got {args.scale!r}")
+    scale = 1.0 if args.scale is None else args.scale
+    if not math.isfinite(scale):
+        raise ValueError(f"--scale must be finite, got {scale!r}")
+    if args.scale is not None and args.generator != "random":
+        raise ValueError(f"the {args.generator} generator takes no --scale")
     rng = np.random.default_rng(args.seed)
     if args.generator == "ray":
         if args.ray_from is None or args.toward is None:
@@ -73,7 +79,7 @@ def _points(args) -> np.ndarray:
         if value is not None:
             raise ValueError(f"the {args.generator} generator takes no {option}")
     if args.generator == "random":
-        return random_generic(rng, args.count, args.classify_tol, args.scale)
+        return random_generic(rng, args.count, args.classify_tol, scale)
     return rest_frame_points(rng, args.count, (0.2, 2.0))  # the one other kind allowed
 
 

@@ -231,7 +231,8 @@ def test_cli_import_defers_unused_modules():
     # A fresh interpreter: pytest itself has loaded some of these modules.
     src = Path(__file__).resolve().parent.parent / "src"
     deferred = ["concurrent.futures", "csv", "numpy.polynomial", "su3holo.selfcheck",
-                "su3holo.point_commands", "su3holo.geometry_commands", "su3holo.sweep"]
+                "su3holo.point_commands", "su3holo.geometry_commands", "su3holo.sweep",
+                "argparse", "gettext", "su3holo.parser"]
     code = ("import sys, su3holo, su3holo.cli\n"
             f"print([m for m in {deferred!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -279,15 +280,46 @@ def test_job_run_as_a_module_imports_no_second_cli(tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["class"] == "generic"
 
 
+def _fresh_run(code: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def test_two_calls_in_one_process_build_the_parser_once():
+    done = _fresh_run(
+        "import su3holo.cli as cli\n"
+        f"assert cli.main(['classify', '--xi', {REST!r}]) == 0\n"
+        "assert cli.main(['sweep', '--generator', 'rest-frame', '--count', '2']) == 0\n"
+        "info = cli._build_parser.cache_info()\n"
+        "assert (info.misses, info.hits) == (1, 1), info")
+    assert done.stdout.count('"schema"') == 1 and done.stdout.count("index,xi1") == 1
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys):
+    bad = ["sweep", "--generator", "random", "--bogus"]
+    good = ["classify", "--xi", REST]
+    done = _fresh_run(
+        "import sys, su3holo.cli as cli\n"
+        "for argv in (%r, %r, %r):\n"
+        "    try:\n"
+        "        cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 1\n" % (bad, good, bad))
+    with pytest.raises(SystemExit):
+        main(bad)
+    assert main(good) == 0
+    alone = capsys.readouterr()
+    assert done.stdout == alone.out
+    assert done.stderr == 2 * alone.err and alone.err.startswith("usage: su3holo sweep ")
+
+
 def _fresh_su3holo_modules(code: str) -> list[str]:
     """The su3holo modules loaded after ``code`` runs in a fresh interpreter."""
-    src = Path(__file__).resolve().parent.parent / "src"
     code += ("\nimport json\nprint(json.dumps(sorted(m for m in sys.modules"
              " if m.startswith('su3holo'))), file=sys.stderr)")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    return json.loads(done.stderr.strip().splitlines()[-1])
+    return json.loads(_fresh_run(code).stderr.strip().splitlines()[-1])
 
 
 def test_package_and_cli_import_load_no_library_module():
@@ -300,7 +332,7 @@ def test_classify_loads_only_the_spectrum():
         "import sys\nfrom su3holo.cli import main\n"
         f"assert main(['classify', '--xi', {REST!r}]) == 0")
     assert loaded == ["su3holo", "su3holo.algebra", "su3holo.cli", "su3holo.errors",
-                      "su3holo.point_commands", "su3holo.spectrum"]
+                      "su3holo.parser", "su3holo.point_commands", "su3holo.spectrum"]
     for name in ("curvature", "tensors", "holonomy", "limits", "kinematics", "orbits",
                  "selfcheck"):
         assert f"su3holo.{name}" not in loaded

@@ -277,6 +277,25 @@ def test_a_non_finite_scale_exits_1(tmp_path, capsys, value):
     _exits_1_with(capsys, _sweep_job(tmp_path, gen), message)
 
 
+def test_a_scale_that_overflows_a_draw_exits_1_naming_it(tmp_path, capsys):
+    # under the suite's warnings-as-errors filter: the overflow warns no more
+    message = "--scale 1e+308 takes a drawn point past the float range"
+    _exits_1_with(capsys, ["sweep", "--generator", "random", "--count", "3", "--scale=1e308"],
+                  message)
+    _exits_1_with(capsys, _sweep_job(tmp_path, {"kind": "random", "count": 3, "scale": 1e308}),
+                  message)
+
+
+@pytest.mark.parametrize("kind", ["ray", "rest-frame"])
+def test_a_scale_the_generator_does_not_read_exits_1(tmp_path, capsys, kind):
+    message = f"the {kind} generator takes no --scale"
+    _exits_1_with(capsys, ["sweep", "--generator", kind, *GENERATORS[kind], "--scale=5"],
+                  message)
+    fields = RAY_FIELDS if kind == "ray" else {}
+    _exits_1_with(capsys, _sweep_job(tmp_path, {"kind": kind, **fields, "scale": 1e308}),
+                  message)
+
+
 def test_a_bad_delta_range_in_a_descriptor_exits_1(tmp_path, capsys):
     gen = {"kind": "ray", **RAY_FIELDS, "delta_range": [1e-3, -0.1]}
     _exits_1_with(capsys, _sweep_job(tmp_path, gen),
