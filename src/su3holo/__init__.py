@@ -22,8 +22,7 @@ _EXPORTS = {
     "errors": "DegenerateInput UnderResolvedPath",
     "holonomy": "LoopPath SurfacePatch circle_loop loop_phase phase_sum_rule_check "
                 "spherical_patch surface_flux",
-    "kinematics": "OrbitDescriptor char_poly_coeffs hermitian hermitian_basis jordan_product "
-                  "lie_wedge orbit_type same_orbit trace_inner",
+    "kinematics": "OrbitDescriptor hermitian orbit_type",
     "limits": "GapAsymptotic SingularExpansion gap_asymptotic monopole_flux singular_expansion",
     "orbits": "OrbitInvariants orbit_invariants orbit_metric_eval symplectic_eval "
               "symplectic_kernel_dim",

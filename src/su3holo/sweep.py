@@ -27,8 +27,9 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
     """``count`` draws of ``scale`` times a standard-normal octet vector that
     are Generic at tolerance ``tol``, classified in blocks of the number still
     missing, so the seed is consumed exactly as one draw at a time would;
-    ``ValueError`` where ``classify`` raises, where a finite ``scale`` takes
-    a draw past the float range, or if ``100 * count`` draws hold fewer."""
+    ``ValueError`` where ``classify`` raises, naming a finite ``scale``, where
+    a finite ``scale`` takes a draw past the float range, or if ``100 *
+    count`` draws hold fewer."""
     pts, tries, cap = [], 0, 100 * count
     while len(pts) < count and tries < cap:
         with np.errstate(over="ignore"):  # a finite scale that overflows is named below
@@ -37,7 +38,13 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
             raise ValueError(f"--scale {scale!r} takes a drawn point past the float range")
         tries += len(block)
         _, _, ranks, rejected = spectrum._classified(block, tol)
-        spectrum._reject(block, rejected, caller="classify")  # as for one draw at a time
+        try:
+            spectrum._reject(block, rejected, caller="classify")  # as for one draw at a time
+        except ValueError as exc:
+            if not math.isfinite(scale):
+                raise
+            # the draws are finite, so their closed form is not
+            raise ValueError(f"--scale {scale!r} takes a drawn point out of range: {exc}") from exc
         pts.extend(block[ranks == spectrum._GENERIC])
     if len(pts) < count:
         raise ValueError(f"random generator found {len(pts)} of {count} generic points")

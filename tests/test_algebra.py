@@ -17,7 +17,6 @@ from su3holo.algebra import (
     structure_constants,
     to_coordinates,
 )
-from su3holo.kinematics import jordan_product, lie_wedge
 from su3holo.tensors import octet_matrix
 
 rng = np.random.default_rng(7)
@@ -48,6 +47,7 @@ def e(r):
 
 def test_gellmann_fixed_entries():
     np.testing.assert_array_equal(gellmann(1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    np.testing.assert_array_equal(gellmann(2), [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
     np.testing.assert_allclose(gellmann(8), np.diag([1, 1, -2]) / np.sqrt(3))
     assert np.trace(gellmann(4) @ gellmann(4)).real == pytest.approx(2.0)
     for r in range(1, 9):
@@ -117,8 +117,9 @@ def test_octet_wedge_fixed_values_and_matrix_oracle():
     np.testing.assert_allclose(octet_wedge(e(1), e(2)), -0.5 * e(3), atol=1e-15)
     for _ in range(50):
         x1, x2 = rng.standard_normal(8), rng.standard_normal(8)
-        # H(x1) wedge H(x2) = (x1 ^ x2) . lambda at matrix level
-        lhs = lie_wedge(octet_to_matrix(x1), octet_to_matrix(x2))
+        # H(x1) wedge H(x2) = i[H(x1), H(x2)] = (x1 ^ x2) . lambda at matrix level
+        h1, h2 = octet_to_matrix(x1), octet_to_matrix(x2)
+        lhs = 1j * (h1 @ h2 - h2 @ h1)
         np.testing.assert_allclose(lhs, octet_matrix(octet_wedge(x1, x2)), atol=1e-12)
 
 
@@ -131,7 +132,8 @@ def test_octet_star_fixed_values_and_matrix_oracle():
     for _ in range(50):
         x1, x2 = rng.standard_normal(8), rng.standard_normal(8)
         # traceless part of the symmetrized product carries the star product
-        lhs = jordan_product(octet_to_matrix(x1), octet_to_matrix(x2))
+        h1, h2 = octet_to_matrix(x1), octet_to_matrix(x2)
+        lhs = (h1 @ h2 + h2 @ h1) / 2
         rhs = (x1 @ x2) / 6.0 * np.eye(3) + octet_matrix(octet_star(x1, x2)) / (4 * np.sqrt(3))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -142,7 +144,7 @@ def test_trace_pairings_on_coordinates():
         x1, x2, x3v = (rng.standard_normal(8) for _ in range(3))
         h1, h2, h3 = (octet_to_matrix(x) for x in (x1, x2, x3v))
         worst1 = max(worst1, abs(np.trace(h1 @ h2).real - 0.5 * (x1 @ x2)))
-        lhs = np.trace(jordan_product(h1, h2) @ h3).real
+        lhs = np.trace((h1 @ h2 + h2 @ h1) / 2 @ h3).real
         rhs = (octet_star(x1, x2) @ x3v) / (4 * np.sqrt(3))
         worst3 = max(worst3, abs(lhs - rhs))
     assert worst1 < 1e-11

@@ -168,14 +168,21 @@ def test_short_random_sweep_exits_1(capsys, tmp_path):
 
 
 def _one_draw_at_a_time(rng, count, tol, scale):
-    # the random generator's reference: classify each draw as it is made
+    # the random generator's reference: classify each draw as it is made; a
+    # finite scale is named where the closed form of its finite draw overflows
     from su3holo.spectrum import DegeneracyClass, classify
 
     pts, tries = [], 0
     while len(pts) < count and tries < 100 * count:
         xi = scale * rng.standard_normal(8)
         tries += 1
-        if classify(xi, tol) is DegeneracyClass.GENERIC:
+        try:
+            kind = classify(xi, tol)
+        except ValueError as exc:
+            if not np.isfinite(scale):
+                raise
+            raise ValueError(f"--scale {scale!r} takes a drawn point out of range: {exc}") from exc
+        if kind is DegeneracyClass.GENERIC:
             pts.append(xi)
     if len(pts) < count:
         raise ValueError(f"random generator found {len(pts)} of {count} generic points")

@@ -64,7 +64,6 @@ CALLS = {
     "octet_components": lambda xi: {"m": octet_to_matrix(xi)},
     "orbit_invariants": lambda xi: {"xi": xi},
     "orbit_type": lambda xi: {"h": octet_to_matrix(xi)},
-    "same_orbit": lambda xi: {"h1": octet_to_matrix(xi), "h2": octet_to_matrix(xi)},
     "singular_expansion": lambda xi: {"epsilon": 1e-3, "e13": 1.0, "level": 1},
     "spherical_patch": lambda xi: {"center": xi, "frame": np.eye(8)[:3], "radius": 1e-2,
                                    "shape": (5, 9)},
@@ -283,6 +282,16 @@ def test_a_scale_that_overflows_a_draw_exits_1_naming_it(tmp_path, capsys):
     _exits_1_with(capsys, ["sweep", "--generator", "random", "--count", "3", "--scale=1e308"],
                   message)
     _exits_1_with(capsys, _sweep_job(tmp_path, {"kind": "random", "count": 3, "scale": 1e308}),
+                  message)
+
+
+def test_a_scale_whose_draw_the_closed_form_overflows_exits_1_naming_it(tmp_path, capsys):
+    # the draws are finite; above |xi| of about 5.6e102 their closed form is not
+    message = ("--scale 1e+200 takes a drawn point out of range: "
+               "the closed form is not finite at |xi| = 1.86265e+200")
+    _exits_1_with(capsys, ["sweep", "--generator", "random", "--count", "3", "--scale=1e200"],
+                  message)
+    _exits_1_with(capsys, _sweep_job(tmp_path, {"kind": "random", "count": 3, "scale": 1e200}),
                   message)
 
 

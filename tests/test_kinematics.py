@@ -1,18 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_unitary
-from su3holo import gellmann
-from su3holo.kinematics import (
-    char_poly_coeffs,
-    hermitian,
-    hermitian_basis,
-    jordan_product,
-    lie_wedge,
-    orbit_type,
-    same_orbit,
-    trace_inner,
-)
+from helpers import random_generic_octet, random_hermitian
+from su3holo.algebra import octet_to_matrix
+from su3holo.kinematics import hermitian, orbit_type
 
 rng = np.random.default_rng(2024)
 
@@ -26,129 +19,38 @@ def test_hermitian_constructor_symmetrizes_and_rejects():
         hermitian(np.zeros((2, 3)))
 
 
-def test_basis_counts_and_smallest_cases():
-    with pytest.raises(ValueError):
-        hermitian_basis(0)
-    assert len(hermitian_basis(1)) == 1
-    np.testing.assert_array_equal(hermitian_basis(1)[0], [[1.0]])
-    b2 = hermitian_basis(2)
-    assert len(b2) == 4
-    # the antisymmetric element is i(|1><2| - |2><1|)
-    np.testing.assert_array_equal(b2[3], [[0, 1j], [-1j, 0]])
+def test_hermitian_returns_an_exactly_hermitian_input_unchanged():
+    # so that orbit_type classifies the classifier's own inputs as before
+    proj = np.zeros((3, 3), complex)
+    proj[0, 0] = 1.0
+    for m in (octet_to_matrix(random_generic_octet(rng)), random_hermitian(rng, 4), proj,
+              2.5 * np.eye(3)):
+        assert np.array_equal(hermitian(m), m)
 
 
-def test_basis_is_hermitian_and_independent():
-    for n in (2, 3, 4):
-        basis = hermitian_basis(n)
-        assert len(basis) == n * n
-        gram = np.array([[trace_inner(a, b) for b in basis] for a in basis])
-        assert np.linalg.matrix_rank(gram) == n * n
-        for e in basis:
-            np.testing.assert_allclose(e, e.conj().T, atol=1e-15)
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([1.0, 1.0, np.inf]), "matrix entries must be finite"),
+    (np.diag([1.0, np.nan, 2.0]), "matrix entries must be finite"),
+    (np.diag([1.0, complex(0.0, np.nan), 2.0]), "matrix entries must be finite"),
+    # eigvalsh would read the lower triangle alone
+    ([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]],
+     "matrix is not Hermitian within tolerance"),
+    (np.zeros((0, 0)), "expected a nonempty square matrix, got shape (0, 0)"),
+    (np.ones((2, 3)), "expected a nonempty square matrix, got shape (2, 3)"),
+])
+def test_hermitian_and_orbit_type_reject_bad_input(bad, message):
+    for check in (hermitian, orbit_type):
+        with pytest.raises(ValueError) as info:
+            check(bad)
+        assert str(info.value) == message
 
 
-def test_gellmann_matrices_lie_in_basis_span():
-    basis = hermitian_basis(3)
-    flat = np.array([e.ravel() for e in basis]).T
-    stacked = np.concatenate([flat.real, flat.imag])
-    for r in range(1, 9):
-        target = gellmann(r).ravel()
-        rhs = np.concatenate([target.real, target.imag])
-        coef, res, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        recon = flat @ coef
-        np.testing.assert_allclose(recon, target.ravel(), atol=1e-12)
-    # lambda_2 is minus the antisymmetric basis element E'_12
-    eprime_12 = basis[6]
-    np.testing.assert_allclose(gellmann(2), -eprime_12, atol=1e-15)
-
-
-def test_jordan_product_identity_and_gellmann_value():
-    h = random_hermitian(rng)
-    np.testing.assert_allclose(jordan_product(np.eye(3), h), h, atol=1e-15)
-    got = jordan_product(gellmann(3), gellmann(3))
-    want = (2.0 / 3.0) * np.eye(3) + gellmann(8) / np.sqrt(3.0)
-    np.testing.assert_allclose(got, want, atol=1e-15)
-
-
-def test_jordan_product_matches_direct_arithmetic():
-    for _ in range(20):
-        a, b = random_hermitian(rng), random_hermitian(rng)
-        np.testing.assert_allclose(jordan_product(a, b), (a @ b + b @ a) / 2, atol=1e-14)
-        np.testing.assert_allclose(jordan_product(a, b), jordan_product(b, a), atol=1e-14)
-    with pytest.raises(ValueError):
-        jordan_product(np.eye(2), np.eye(3))
-
-
-def test_lie_wedge_properties():
-    h = random_hermitian(rng)
-    np.testing.assert_allclose(lie_wedge(h, h), np.zeros((3, 3)), atol=1e-14)
-    np.testing.assert_allclose(lie_wedge(np.eye(3), h), np.zeros((3, 3)), atol=1e-14)
-    np.testing.assert_allclose(lie_wedge(gellmann(1), gellmann(2)), -2 * gellmann(3), atol=1e-14)
-    for _ in range(20):
-        a, b = random_hermitian(rng), random_hermitian(rng)
-        w = lie_wedge(a, b)
-        np.testing.assert_allclose(w, w.conj().T, atol=1e-13)
-        np.testing.assert_allclose(w, -lie_wedge(b, a), atol=1e-13)
-
-
-def test_lie_wedge_jacobi_identity():
-    for _ in range(50):
-        a, b, c = (random_hermitian(rng) for _ in range(3))
-        total = (
-            lie_wedge(a, lie_wedge(b, c))
-            + lie_wedge(b, lie_wedge(c, a))
-            + lie_wedge(c, lie_wedge(a, b))
-        )
-        assert np.abs(total).max() < 1e-12
-
-
-def test_products_reconstruct_plain_matrix_product():
-    for _ in range(50):
-        a, b = random_hermitian(rng), random_hermitian(rng)
-        recon = jordan_product(a, b) - 0.5j * lie_wedge(a, b)
-        np.testing.assert_allclose(recon, a @ b, atol=1e-12)
-
-
-def test_trace_inner_basics():
-    for r in range(1, 9):
-        for s in range(1, 9):
-            want = 2.0 if r == s else 0.0
-            assert trace_inner(gellmann(r), gellmann(s)) == pytest.approx(want, abs=1e-14)
-    h = random_hermitian(rng)
-    assert trace_inner(h, np.zeros((3, 3))) == 0.0
-
-
-def test_conjugation_invariance_of_inner_and_char_poly():
-    worst_inner, worst_poly = 0.0, 0.0
-    for _ in range(1000):
-        h = random_hermitian(rng)
-        u = random_unitary(rng)
-        hc = u.conj().T @ h @ u
-        i0, i1 = trace_inner(h, h), trace_inner(hc, hc)
-        worst_inner = max(worst_inner, abs(i0 - i1) / max(1.0, abs(i0)))
-        c0, c1 = char_poly_coeffs(h), char_poly_coeffs(hc)
-        worst_poly = max(worst_poly, float(np.abs(c0 - c1).max() / max(1.0, np.abs(c0).max())))
-    assert worst_inner < 1e-10
-    assert worst_poly < 1e-10
-
-
-def test_char_poly_fixed_values():
-    np.testing.assert_allclose(char_poly_coeffs(np.zeros((3, 3))), [0, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(char_poly_coeffs(np.eye(3)), [-3, 3, -1], atol=1e-13)
-
-
-def test_char_poly_matches_eigensolver_polynomial():
-    for n in (2, 3, 5):
-        for _ in range(20):
-            h = random_hermitian(rng, n)
-            got = char_poly_coeffs(h)
-            want = np.poly(np.linalg.eigvalsh(h))[1:]
-            np.testing.assert_allclose(got, want, atol=1e-10 * max(1.0, np.abs(want).max()))
-            # P(x) = (-1)^n det(H - x I) at a sample point
-            x = 0.7
-            p = x**n + sum(got[k] * x ** (n - 1 - k) for k in range(n))
-            det = (-1) ** n * np.linalg.det(h - x * np.eye(n)).real
-            assert p == pytest.approx(det, rel=1e-9, abs=1e-9)
+def test_orbit_type_checks_hermiticity_at_its_own_tol():
+    off = np.diag([1.0, 1.0, -2.0]).astype(complex)
+    off[0, 1] = 1e-10  # within tol=1e-9 of Hermitian, not within 1e-12
+    assert orbit_type(off).multiplicities == (2, 1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        orbit_type(off, tol=1e-12)
 
 
 def test_orbit_type_signatures():
@@ -171,6 +73,33 @@ def test_orbit_type_signatures():
     assert desc.orbit_dimension == 0
 
 
+@pytest.mark.parametrize("h, mults, dim, stabilizer", [
+    ([[3.0]], (1,), 0, "U(1)"),
+    (np.diag([2.0, -1.0]), (1, 1), 2, "U(1)xU(1)"),
+    (np.eye(2), (2,), 0, "U(2)"),
+    (np.diag([1.0, 1.0, 0.0, 0.0]), (2, 2), 8, "U(2)xU(2)"),
+    (np.diag([0.0, 1.0, 0.0, 0.0]), (3, 1), 6, "U(3)xU(1)"),
+    (np.diag([4.0, 3.0, 2.0, 1.0]), (1, 1, 1, 1), 12, "U(1)xU(1)xU(1)xU(1)"),
+])
+def test_orbit_type_for_one_two_and_four_levels(h, mults, dim, stabilizer):
+    assert orbit_type(h) == orbit_type(np.asarray(h) - 0.5 * np.eye(len(h)))
+    desc = orbit_type(h)
+    assert (desc.multiplicities, desc.orbit_dimension, desc.stabilizer) == (mults, dim, stabilizer)
+
+
+def test_orbit_type_is_conjugation_invariant_at_four_levels():
+    psi = np.linalg.qr(random_hermitian(rng, 4))[0]  # a random unitary frame
+    h = psi @ np.diag([1.0, 1.0, 0.0, 0.0]) @ psi.conj().T
+    assert orbit_type(h).multiplicities == (2, 2)
+
+
+def test_orbit_type_at_the_float_range_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert orbit_type(np.diag([1.5e308, 1.5e308, -1e308])).multiplicities == (2, 1)
+        assert orbit_type(np.diag([1.7e308, -1.7e308, 0.0])).multiplicities == (1, 1, 1)
+
+
 def test_orbit_type_shift_invariance_and_dimension_formula():
     for _ in range(20):
         h = random_hermitian(rng)
@@ -178,13 +107,3 @@ def test_orbit_type_shift_invariance_and_dimension_formula():
         assert orbit_type(h) == orbit_type(h + c * np.eye(3))
     for mults, dim in [((1, 1, 1), 6), ((2, 1), 4), ((3,), 0)]:
         assert 9 - sum(m * m for m in mults) == dim
-
-
-def test_same_orbit():
-    h = random_hermitian(rng)
-    u = random_unitary(rng)
-    assert same_orbit(h, u.conj().T @ h @ u)
-    assert same_orbit(h, h)
-    assert not same_orbit(gellmann(3), gellmann(8))
-    with pytest.raises(ValueError):
-        same_orbit(np.eye(2), np.eye(3))
