@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_generic_octet, random_hermitian
-from su3holo.algebra import octet_to_matrix
+from helpers import random_generic_octet, random_hermitian, random_special_unitary
+from su3holo.algebra import adjoint_matrix, octet_to_matrix
 from su3holo.kinematics import hermitian, orbit_type
+from su3holo.spectrum import DegeneracyClass, classify
 
 rng = np.random.default_rng(2024)
 
@@ -43,6 +44,20 @@ def test_hermitian_and_orbit_type_reject_bad_input(bad, message):
         with pytest.raises(ValueError) as info:
             check(bad)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_hermitian_tolerance_is_relative_to_the_largest_entry(scale):
+    # |M - M^dagger| is the upper-triangle entry; the bound is tol * max(1, |M|_max)
+    bound = 1e-12 * max(1.0, 3.0 * scale)
+    for deviation, ok in ((0.5 * bound, True), (2.0 * bound, False)):
+        m = scale * np.diag([1.0, 2.0, 3.0]).astype(complex)
+        m[0, 1] = deviation
+        if ok:
+            np.testing.assert_array_equal(hermitian(m), (m + m.conj().T) / 2)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian(m)
 
 
 def test_orbit_type_checks_hermiticity_at_its_own_tol():
@@ -85,6 +100,27 @@ def test_orbit_type_for_one_two_and_four_levels(h, mults, dim, stabilizer):
     assert orbit_type(h) == orbit_type(np.asarray(h) - 0.5 * np.eye(len(h)))
     desc = orbit_type(h)
     assert (desc.multiplicities, desc.orbit_dimension, desc.stabilizer) == (mults, dim, stabilizer)
+
+
+E8 = np.eye(8)[7]
+SPECTRAL_POINTS = {
+    "generic": random_generic_octet(np.random.default_rng(7)),
+    "lambda3": np.eye(8)[2],
+    "upper-cone": E8,
+    "lower-cone": -E8,
+    "rotated-cone": adjoint_matrix(random_special_unitary(np.random.default_rng(11))) @ E8,
+    "origin": np.zeros(8),
+}
+MULTIPLICITIES = {DegeneracyClass.GENERIC: (1, 1, 1), DegeneracyClass.UPPER_DEGENERATE: (2, 1),
+                  DegeneracyClass.LOWER_DEGENERATE: (2, 1),
+                  DegeneracyClass.TRIPLE_DEGENERATE: (3,)}
+
+
+@pytest.mark.parametrize("name", SPECTRAL_POINTS)
+def test_orbit_type_agrees_with_the_spectral_class(name):
+    # the n-level eigensolver route against the su(3) closed form
+    xi = SPECTRAL_POINTS[name]
+    assert orbit_type(octet_to_matrix(xi)).multiplicities == MULTIPLICITIES[classify(xi)]
 
 
 def test_orbit_type_is_conjugation_invariant_at_four_levels():
