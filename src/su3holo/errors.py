@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the two input rules that
-every entry point applies to its arguments before it evaluates anything:
-``check_level`` for a level number and ``check_positive`` for a tolerance
-or a radius.  Both raise ``ValueError`` with one message each; the module
-imports no numpy, as it is on the path of ``import su3holo.cli``."""
+"""Exception types shared across the package, the default classification
+tolerance, and the two input rules every entry point applies to its arguments
+first: ``check_level`` for a level number and ``check_positive`` for a
+tolerance or a radius, each raising ``ValueError`` with one message.  No numpy:
+the parser, all that ``--help`` and ``--version`` load, reads the tolerance here."""
 import math
+
+DEFAULT_CLASSIFY_TOL = 1e-9  # spectrum.classify's tol, and the --classify-tol default
 
 
 class DegenerateInput(ValueError):

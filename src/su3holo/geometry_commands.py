@@ -1,8 +1,8 @@
 """Handlers of the loop, surface and sphere commands: loop-phase,
 surface-flux and monopole.
 
-Each takes the parsed ``su3holo.cli`` arguments and returns the command's
-JSON payload; ``cli.main`` adds the schema head and writes it.  Only these
+Each takes the parsed command-line arguments and returns the command's
+JSON payload; ``su3holo.parser.run`` adds the schema head and writes it.  Only these
 three commands import this module.
 """
 import numpy as np

@@ -2,12 +2,12 @@
 
 A ``su3holo/1`` descriptor is a JSON object naming a command, its point or
 generator, tolerances and output.  It is translated into the equivalent
-command line, which ``cli.main`` then parses and runs, so argparse stays the
-one validator and the one holder of defaults: a field becomes a flag only
-when given, and one whose command does not take its option fails there as an
-unrecognized argument.  Here each field is only checked to hold a JSON value
-of its type, and no option may come from two fields.  Only the ``job``
-command imports this module.
+command line, which the front end, ``su3holo.parser.run``, then parses and
+runs, so argparse stays the one validator and the one holder of defaults: a
+field becomes a flag only when given, and one whose command does not take its
+option fails there as an unrecognized argument.  Here each field is only
+checked to hold a JSON value of its type, and no option may come from two
+fields.  Only the ``job`` command imports this module.
 """
 import json
 

@@ -9,16 +9,18 @@ Every number emitted here is obtained through the library API; the CLI adds
 no computation of its own.  ``job FILE`` runs a ``su3holo/1`` JSON
 descriptor, which ``su3holo.job`` translates into the equivalent command.
 """
-# The parser, which ``su3holo.cli`` loads on its first parse; the docstring is
-# the ``--help`` text.  Under ``python -m su3holo.cli`` an import of
-# ``su3holo.cli`` here would compile and run the CLI a second time.
+# The front end that ``su3holo.cli.main`` loads on its first call: the parser
+# (the docstring is its ``--help`` text), the dispatch and the output writers.
+# numpy loads only with a vector option or a handler.  Under ``python -m
+# su3holo.cli`` an import of ``su3holo.cli`` here would run the CLI twice.
 import argparse
+import functools
 import math
+import sys
+from importlib import import_module
 
-import numpy as np
-
-from . import __version__
-from .spectrum import DEFAULT_CLASSIFY_TOL
+from . import SCHEMA, __version__
+from .errors import DEFAULT_CLASSIFY_TOL, DegenerateInput
 
 
 class _UsageError(ValueError):
@@ -47,21 +49,27 @@ class _CommandParser(_Parser):
         return args, extras
 
 
-def _vec8(text: str) -> np.ndarray:
+def _vec8(text: str) -> "np.ndarray":
+    import numpy as np
+
     parts = text.split(",")
     if len(parts) != 8:
         raise argparse.ArgumentTypeError("expected 8 comma-separated numbers")
     return np.array([float(p) for p in parts])
 
 
-def _vec3(text: str) -> np.ndarray:
+def _vec3(text: str) -> "np.ndarray":
+    import numpy as np
+
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected 3 comma-separated numbers")
     return np.array([float(p) for p in parts])
 
 
-def _rest_pair(text: str) -> np.ndarray:
+def _rest_pair(text: str) -> "np.ndarray":
+    import numpy as np
+
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected x3,x8")
@@ -77,9 +85,11 @@ def _grid_shape(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+@functools.cache
 def build() -> _Parser:
-    """The parser of every command: the one place that knows which options a
-    command takes, each only where its handler reads it, and their defaults."""
+    """The parser of every command, built once per process: the one place that
+    knows which options a command takes, each only where its handler reads
+    it, and their defaults."""
     parser = _Parser(prog="su3holo", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_CommandParser)
@@ -154,3 +164,79 @@ def build() -> _Parser:
     p.add_argument("file", help="JSON job descriptor")
 
     return parser
+
+
+# ``run`` imports the handler of the parsed command, ``cmd_<command>``, from
+# the module of its group below, so with no bytecode cache a run compiles only
+# the handlers it needs.  A handler returns its JSON payload, or the CSV text
+# of a sweep; ``run`` writes it.  Handler modules do not import this one.
+_HANDLER_MODULES = {
+    "classify": "point_commands",
+    "spectrum": "point_commands",
+    "curvature": "point_commands",
+    "decompose": "point_commands",
+    "loop-phase": "geometry_commands",
+    "surface-flux": "geometry_commands",
+    "monopole": "geometry_commands",
+    "sweep": "sweep",
+    "selfcheck": "selfcheck",
+}
+
+
+def _jsonable(value):
+    import numpy as np
+
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    if isinstance(value, np.generic):  # numpy scalars: bools from comparisons too
+        return _jsonable(value.item())
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
+
+
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def run(argv=None) -> int:
+    """``su3holo.cli.main``: parse ``argv``, run the command, write its result.
+    Returns 0, 1 on an error or failed selfcheck, 2 on degenerate input."""
+    parser = build()
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+        sys.exit(1)
+    try:
+        if args.cmd == "job":
+            from . import job
+
+            args = parser.parse_args(job.to_argv(args.file))
+        module = import_module(f"{__package__}.{_HANDLER_MODULES[args.cmd]}")
+        payload = getattr(module, "cmd_" + args.cmd.replace("-", "_"))(args)
+        if isinstance(payload, str):  # the CSV text of a sweep
+            _write(payload, args.output)
+            return 0
+        # every JSON result is written here, its schema and command first
+        if args.cmd != "selfcheck" or args.output:
+            import json
+
+            head = {"schema": SCHEMA, "command": args.cmd.replace("-", "_")}
+            _write(json.dumps(_jsonable({**head, **payload}), indent=2) + "\n", args.output)
+        return int(args.cmd == "selfcheck" and payload["passed"] < payload["total"])
+    except DegenerateInput as exc:
+        sys.stderr.write(f"su3holo: degenerate input: {exc}\n")
+        return 2
+    except (ValueError, TypeError, OSError) as exc:
+        sys.stderr.write(f"su3holo: error: {exc}\n")
+        return 1

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import _octet, cubic_invariant, octet_to_matrix
-from .errors import DegenerateInput, check_positive
+from .errors import DEFAULT_CLASSIFY_TOL, DegenerateInput, check_positive
 
 __all__ = [
     "DEFAULT_CLASSIFY_TOL",
@@ -55,8 +55,6 @@ __all__ = [
     "rest_frame",
     "diagonalizer",
 ]
-
-DEFAULT_CLASSIFY_TOL = 1e-9
 
 _SHIFTS = 2.0 * np.pi * np.arange(3) / 3.0
 

@@ -127,6 +127,13 @@ def cmd_sweep(args) -> str:
     """The sweep's CSV text, header line first."""
     columns = BASE_COLUMNS + (CURVATURE_COLUMNS if args.level is not None else [])
     points, lines = _points(args), [",".join(columns)]
-    for first in range(0, len(points), _BLOCK_ROWS):
-        lines += _lines(points[first:first + _BLOCK_ROWS], first, args.level, args.classify_tol)
+    try:
+        for i in range(0, len(points), _BLOCK_ROWS):
+            lines += _lines(points[i:i + _BLOCK_ROWS], i, args.level, args.classify_tol)
+    except ValueError as exc:
+        if args.generator != "random" or args.scale is None:
+            raise
+        # random_generic passed the draws and their closed form: their frames failed
+        raise ValueError(f"--scale {args.scale!r} takes a drawn point out of range: "
+                         f"{exc}") from exc
     return "\n".join(lines) + "\n"

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su3holo import cli
 from su3holo.cli import main
+from su3holo.parser import build
 
 E8 = "0,0,0,0,0,0,0,1"
 REST = "0,0,0.6,0,0,0,0,1.3"
@@ -239,7 +239,7 @@ def test_cli_import_defers_unused_modules():
     src = Path(__file__).resolve().parent.parent / "src"
     deferred = ["concurrent.futures", "csv", "numpy.polynomial", "su3holo.selfcheck",
                 "su3holo.point_commands", "su3holo.geometry_commands", "su3holo.sweep",
-                "argparse", "gettext", "su3holo.parser"]
+                "argparse", "gettext", "su3holo.parser", "numpy", "su3holo.errors"]
     code = ("import sys, su3holo, su3holo.cli\n"
             f"print([m for m in {deferred!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -299,7 +299,8 @@ def test_two_calls_in_one_process_build_the_parser_once():
         "import su3holo.cli as cli\n"
         f"assert cli.main(['classify', '--xi', {REST!r}]) == 0\n"
         "assert cli.main(['sweep', '--generator', 'rest-frame', '--count', '2']) == 0\n"
-        "info = cli._build_parser.cache_info()\n"
+        "from su3holo.parser import build\n"
+        "info = build.cache_info()\n"
         "assert (info.misses, info.hits) == (1, 1), info")
     assert done.stdout.count('"schema"') == 1 and done.stdout.count("index,xi1") == 1
 
@@ -331,7 +332,30 @@ def _fresh_su3holo_modules(code: str) -> list[str]:
 
 def test_package_and_cli_import_load_no_library_module():
     assert _fresh_su3holo_modules("import sys, su3holo, su3holo.cli") == [
-        "su3holo", "su3holo.cli", "su3holo.errors"]
+        "su3holo", "su3holo.cli"]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"],
+                                  ["sweep", "--generator", "random", "--bogus"]])
+def test_help_version_and_usage_errors_load_no_numpy(capsys, monkeypatch, argv):
+    # the console script in a fresh interpreter prints what main prints here,
+    # where numpy is loaded; COLUMNS fixes the help text's width for both
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "su3holo.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    timed = [line for line in done.stderr.splitlines(keepends=True)
+             if line.startswith("import time:")]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in timed]
+    assert "su3holo.parser" in imported and "numpy" not in imported
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    alone = capsys.readouterr()
+    assert done.returncode == exc.value.code
+    assert done.stdout == alone.out and (alone.out or alone.err)
+    assert "".join(line for line in done.stderr.splitlines(keepends=True)
+                   if line not in timed) == alone.err
 
 
 def test_classify_loads_only_the_spectrum():
@@ -746,7 +770,7 @@ OPTIONS = {
 def test_each_command_takes_only_the_options_it_reads():
     import argparse
 
-    parser = cli._build_parser()
+    parser = build()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     got = {name: {a.dest for a in p._actions if a.dest != "help"}
            for name, p in sub.choices.items()}
@@ -801,7 +825,7 @@ def test_monopole_sphere_through_the_degenerate_point_exits_2(capsys, offset):
     (["job", "job.json", "--bogus"], "--bogus"),
 ])
 def test_unrecognized_arguments_print_the_commands_usage(capsys, argv, extras):
-    usage = cli._build_parser().commands[argv[0]].format_usage()
+    usage = build().commands[argv[0]].format_usage()
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -811,7 +835,7 @@ def test_unrecognized_arguments_print_the_commands_usage(capsys, argv, extras):
 
 
 def test_unknown_option_before_the_command_is_reported_by_the_top_level_parser(capsys):
-    usage = cli._build_parser().format_usage()
+    usage = build().format_usage()
     with pytest.raises(SystemExit) as exc:
         main(["--bogus", "classify", "--xi", "0,0,0.6,0,0,0,0,1.3"])
     assert exc.value.code == 1

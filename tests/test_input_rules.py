@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import su3holo
-from su3holo import cli, spectrum
+from su3holo import spectrum
 from su3holo.algebra import octet_to_matrix
 from su3holo.cli import main
 from su3holo.errors import DegenerateInput
+from su3holo.parser import build
 
 GENERIC = np.array([0.3, -0.2, 0.6, 0.1, -0.4, 0.25, 0.15, 1.3])
 E8 = np.eye(8)[7]  # on the upper degeneracy cone
@@ -201,7 +202,7 @@ TOL_COMMANDS = {
 
 
 def test_the_cli_table_holds_every_command_with_classify_tol():
-    parsers = cli._build_parser().commands
+    parsers = build().commands
     taking = {name for name, p in parsers.items()
               if any("--classify-tol" in a.option_strings for a in p._actions)}
     assert taking == set(TOL_COMMANDS)
@@ -233,10 +234,10 @@ GENERATORS = {"random": [], "rest-frame": [], "ray": RAY}
 RAY_FIELDS = {"from8": [0, 0, 0, 0, 0, 0, 0, 1], "toward8": [0, 0, 1, 0, 0, 0, 0, 0]}
 
 
-def _sweep_job(tmp_path, generator: dict) -> list[str]:
+def _sweep_job(tmp_path, generator: dict, **fields) -> list[str]:
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"schema": "su3holo/1", "command": "sweep",
-                                "generator": generator}))
+                                "generator": generator, **fields}))
     return ["job", str(path)]
 
 
@@ -295,6 +296,17 @@ def test_a_scale_whose_draw_the_closed_form_overflows_exits_1_naming_it(tmp_path
                   message)
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e100])
+def test_a_scale_whose_draw_the_frames_overflow_exits_1_naming_it(tmp_path, capsys, scale):
+    # the draws and their closed form are finite; above |xi| of about 1e77 their frames are not
+    message = (f"--scale {scale!r} takes a drawn point out of range: "
+               f"the eigenvector frames are not finite at |xi| = {1.86265 * scale:.6g}")
+    _exits_1_with(capsys, ["sweep", "--generator", "random", "--count", "3", f"--scale={scale}",
+                           "--level", "1"], message)
+    _exits_1_with(capsys, _sweep_job(tmp_path, {"kind": "random", "count": 3, "scale": scale},
+                                     level=1), message)
+
+
 @pytest.mark.parametrize("kind", ["ray", "rest-frame"])
 def test_a_scale_the_generator_does_not_read_exits_1(tmp_path, capsys, kind):
     message = f"the {kind} generator takes no --scale"
@@ -320,7 +332,7 @@ def test_the_rules_return_python_numbers_and_load_no_numpy():
     assert type(check_positive("tol", 1)) is float and check_positive("tol", 1) == 1.0
     assert type(check_positive("radius", np.float64(1e-300))) is float
     assert type(check_level(np.int64(3))) is int and check_level(np.int64(3)) == 3
-    # the rules sit on the path of ``import su3holo.cli``
+    # the parser, all that ``--help`` loads, imports this module
     code = "import sys, su3holo.errors; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import near_cone_points, per_row_sweep_lines
-from su3holo import cli, curvature, spectrum, sweep
+from su3holo import curvature, spectrum, sweep
 from su3holo.cli import main
+from su3holo.parser import build
 
 E8 = "0,0,0,0,0,0,0,1"
 RAY = ["--generator", "ray", "--ray-from", E8, "--toward", "0,0,1,0,0,0,0,0"]
@@ -51,7 +52,7 @@ def test_a_point_alone_has_the_columns_and_curvature_of_its_row(level):
 
 def _reference(argv: list[str]) -> str:
     """The sweep's CSV text, or its error line, from the per-row reference."""
-    args = cli._build_parser().parse_args(["sweep", *argv])
+    args = build().parse_args(["sweep", *argv])
     try:
         lines = per_row_sweep_lines(sweep._points(args), args.level, args.classify_tol)
     except ValueError as exc:
@@ -102,8 +103,8 @@ def test_the_sweep_makes_no_per_row_call(monkeypatch):
     for name in ("_classified", "_point", "_columns"):
         counted(spectrum, name)
     counted(curvature, "_tables")
-    args = cli._build_parser().parse_args(["sweep", "--generator", "rest-frame", "--count",
-                                           str(2 * sweep._BLOCK_ROWS + 1), "--level", "1"])
+    args = build().parse_args(["sweep", "--generator", "rest-frame", "--count",
+                               str(2 * sweep._BLOCK_ROWS + 1), "--level", "1"])
     sweep.cmd_sweep(args)
     assert calls == {"_classified": 3, "_point": 0, "_columns": 3, "_tables": 3}
 
