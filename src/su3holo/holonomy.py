@@ -100,13 +100,13 @@ class LoopPath:
 
 @dataclass
 class SurfacePatch:
-    """Two-surface sampled on a (u, v) grid over [0, 1]^2 with bilinear
-    interpolation between grid points.  Every grid point must be finite,
-    generic and have a finite closed form (``ValueError`` otherwise, checked
-    first); the check runs over blocks of whole grid rows (about 1024
-    points, at least one row), like the ``surface_flux`` quadrature, so its
-    working set is bounded whatever the grid size.  ``tol`` must be positive
-    and finite (``ValueError`` before any grid point is evaluated)."""
+    """Two-surface sampled on a (u, v) grid over [0, 1]^2.  Every grid point
+    must be finite, generic and have a finite closed form (``ValueError``
+    otherwise, checked first); the check runs over blocks of whole grid rows
+    (about 1024 points, at least one row), like the ``surface_flux``
+    quadrature, so its working set is bounded whatever the grid size.
+    ``tol`` must be positive and finite (``ValueError`` before any grid
+    point is evaluated)."""
 
     grid: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -148,18 +148,6 @@ class SurfacePatch:
                 grid[i, j] = value
         return cls(grid, tol)
 
-    def value(self, u: float, v: float) -> np.ndarray:
-        """Bilinear interpolation at (u, v) in [0, 1]^2."""
-        nu, nv = self.grid.shape[:2]
-        fu = np.clip(u, 0.0, 1.0) * (nu - 1)
-        fv = np.clip(v, 0.0, 1.0) * (nv - 1)
-        i = min(int(fu), nu - 2)
-        j = min(int(fv), nv - 2)
-        s, t = fu - i, fv - j
-        g = self.grid
-        return ((1 - s) * (1 - t) * g[i, j] + s * (1 - t) * g[i + 1, j]
-                + (1 - s) * t * g[i, j + 1] + s * t * g[i + 1, j + 1])
-
     def boundary(self) -> LoopPath:
         """Boundary loop in the orientation for which the discrete phase
         equals the surface flux (negative with respect to (u, v))."""
@@ -188,8 +176,9 @@ def circle_loop(center, axis_a, axis_b, radius: float, samples: int,
     for v in (center, ea, eb):
         if v.shape != (8,) or not np.isfinite(v).all():
             raise ValueError("circle descriptors take finite 8-component vectors")
-    if abs(ea @ eb) > 1e-9 or abs(ea @ ea - 1) > 1e-9 or abs(eb @ eb - 1) > 1e-9:
-        raise ValueError("circle axes must be orthonormal")
+    with np.errstate(over="ignore"):  # an overflowing product reads inf: not orthonormal
+        if abs(ea @ eb) > 1e-9 or abs(ea @ ea - 1) > 1e-9 or abs(eb @ eb - 1) > 1e-9:
+            raise ValueError("circle axes must be orthonormal")
     angles = 2.0 * np.pi * np.arange(samples) / samples
     pts = center + radius * (np.cos(angles)[:, None] * ea + np.sin(angles)[:, None] * eb)
     return LoopPath(pts, tol)
@@ -224,8 +213,9 @@ def spherical_patch(center, frame, radius: float,
         raise ValueError("frame must hold three 8-component vectors")
     if not (np.isfinite(center).all() and np.isfinite(frame).all()):
         raise ValueError("center and frame must be finite")
-    if np.abs(frame @ frame.T - np.eye(3)).max() > 1e-9:
-        raise ValueError("frame vectors must be orthonormal")
+    with np.errstate(over="ignore"):  # an overflowing product reads inf: not orthonormal
+        if np.abs(frame @ frame.T - np.eye(3)).max() > 1e-9:
+            raise ValueError("frame vectors must be orthonormal")
     thetas = np.linspace(t0, t1, nu)
     phis = np.linspace(0.0, 2.0 * np.pi, nv)
     th = thetas[:, None, None]

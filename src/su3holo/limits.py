@@ -242,11 +242,13 @@ def monopole_flux(direction, radius: float, level: int,
     if offset.shape != (3,) or not np.isfinite(offset).all():
         raise ValueError("center_offset must have 3 finite components")
     _, e23_dir, _ = energy_gaps(direction)
-    if np.linalg.norm(offset) + radius > 0.25 * e23_dir:
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf: too large
+        distance = np.linalg.norm(offset)
+    if distance + radius > 0.25 * e23_dir:
         raise ValueError("sphere too large: it approaches the lower degeneracy")
     # E12 is the distance from the degenerate point (a unit direction): nearer
     # than the Generic rule's scale, the flux would look converged but be wrong
-    if abs(np.linalg.norm(offset) - radius) <= tol:
+    if abs(distance - radius) <= tol:
         raise DegenerateInput("sphere passes through a degeneracy")
 
     # Eigenbasis of the degenerate point; the U(2) block freedom only rotates

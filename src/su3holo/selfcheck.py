@@ -211,16 +211,15 @@ def _check_flux_quantization() -> CheckResult:
 
 def _check_stokes(rng) -> CheckResult:
     worst, worst_sum = 0.0, 0.0
+    # (u - 0.5) over the 201 grid values of u and of v, so the planar patch
+    # below has the bits of SurfacePatch.from_function on the same map
+    s = np.linspace(0.0, 1.0, 201) - 0.5
     for _ in range(5):
         center = random_generic(rng, 1, 0.25)[0]
         center /= spectrum.octet_norm(center)
         basis = np.linalg.qr(rng.standard_normal((8, 2)))[0].T
-        size = 0.05
-
-        def mapping(u, v):
-            return center + size * ((u - 0.5) * basis[0] + (v - 0.5) * basis[1])
-
-        patch = holonomy.SurfacePatch.from_function(mapping, (201, 201))
+        patch = holonomy.SurfacePatch(
+            center + 0.05 * (s[:, None, None] * basis[0] + s[None, :, None] * basis[1]))
         # the three loop phases from one walk of the boundary, each equal to
         # its loop_phase bit for bit
         phases, total = holonomy.phase_sum_rule_check(patch.boundary())

@@ -150,7 +150,7 @@ def _classified(xi: np.ndarray, tol: float):
         c = _closed_form(xi)
         gaps = c.gaps
         rejected = ~(np.isfinite(c.cube) & np.isfinite(c.phi)) & ~(c.norm <= tol)
-    scale = tol * c.norm
+        scale = tol * c.norm  # inf for a huge tol: no gap exceeds it
     nonzero, upper, lower = c.norm > tol, gaps[..., 0] > scale, gaps[..., 1] > scale
     return c, gaps, nonzero * (1 + upper * (np.uint8(1) + lower)), rejected
 

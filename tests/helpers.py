@@ -1,9 +1,9 @@
-"""Shared test utilities: random matrix factories, angle wrapping, the
-dense reference kernels, the gauge-fixed frames and the sum-over-states
-curvature, the whole-loop transport, mpmath flux-density and curvature
-references, a point whose closed form overflows, the per-level closed
-forms written out level by level, the sweep's rows one point at a time and
-the finite-difference symplectic form one stencil point at a time."""
+"""Shared test utilities: random matrix factories, planar patch grids, angle
+wrapping, the dense reference kernels, the gauge-fixed frames and the
+sum-over-states curvature, the whole-loop transport, mpmath flux-density and
+curvature references, a point whose closed form overflows, the per-level
+closed forms written out level by level, the sweep's rows one point at a
+time and the finite-difference symplectic form one stencil point at a time."""
 import math
 
 import mpmath
@@ -19,6 +19,16 @@ from su3holo.spectrum import energy_gaps, octet_norm
 # the point; scaled by 1e8 the cubic invariant overflows too.
 _DIRECTION = np.random.default_rng(3).standard_normal(8)
 OVERFLOWING = 6e102 * _DIRECTION / np.linalg.norm(_DIRECTION)
+
+
+def planar_grid(center, axes, size: float, shape, origin=(0.5, 0.5)) -> np.ndarray:
+    """The (nu, nv, 8) grid of the planar map ``center + size * ((u - u0) *
+    axes[0] + (v - v0) * axes[1])``, ``(u0, v0) = origin``, on the (u, v)
+    grid of ``SurfacePatch.from_function``, built by broadcasting: the same
+    bits as ``from_function`` on that map, with no call per grid point."""
+    su = np.linspace(0.0, 1.0, shape[0]) - origin[0]
+    sv = np.linspace(0.0, 1.0, shape[1]) - origin[1]
+    return center + size * (su[:, None, None] * axes[0] + sv[None, :, None] * axes[1])
 
 
 def wrap_angle(x: float) -> float:

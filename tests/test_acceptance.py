@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import random_generic_octet, wrap_angle
+from helpers import planar_grid, random_generic_octet, wrap_angle
 from su3holo import selfcheck
 from su3holo.algebra import octet_to_matrix, structure_constants
 from su3holo.curvature import (
@@ -232,12 +232,7 @@ def test_criterion_09_stokes_and_holonomy():
         center = random_generic_octet(rng, margin=0.25)
         center /= np.linalg.norm(center)
         basis = np.linalg.qr(rng.standard_normal((8, 2)))[0].T
-        size = 0.05
-
-        def mapping(u, v):
-            return center + size * ((u - 0.5) * basis[0] + (v - 0.5) * basis[1])
-
-        patch = SurfacePatch.from_function(mapping, (201, 201))
+        patch = SurfacePatch(planar_grid(center, basis, 0.05, (201, 201)))
         level = 1 + (k % 3)
         flux = surface_flux(patch, level)
         phase = loop_phase(patch.boundary(), level)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from su3holo.cli import main
-from su3holo.parser import build
+from su3holo.parser import _rest_pair, _vec3, _vec8, build
 
 E8 = "0,0,0,0,0,0,0,1"
 REST = "0,0,0.6,0,0,0,0,1.3"
@@ -1026,3 +1026,113 @@ def test_a_bad_grid_exits_1_with_the_grid_rule(tmp_path, capsys, grid):
                                 "generator": {**SPHERE_GENERATOR, "grid": grid}}))
     assert main(["job", str(path)]) == 1
     assert capsys.readouterr() == ("", message)
+
+
+# A product past the float range in a check that rejects the input: each of
+# these once printed a numpy RuntimeWarning before its message.
+OVERFLOWING_CHECKS = [
+    (["loop-phase", "--center", REST, "--axis1", "1e300,0,0,0,0,0,0,1",
+      "--axis2", "0,1,0,0,0,0,0,0", "--radius", "0.1", "--samples", "50"],
+     {"command": "loop-phase", "generator": {
+         "kind": "circle", "center8": [0, 0, 0.6, 0, 0, 0, 0, 1.3],
+         "axis_pair": [[1e300, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 0]],
+         "radius": 0.1, "samples": 50}},
+     "circle axes must be orthonormal"),
+    (["surface-flux", *SPHERE[:2], "--frame1", "1e300,0,0,0,0,0,0,0", *SPHERE[4:]],
+     {"command": "surface-flux", "generator": {
+         **SPHERE_GENERATOR, "grid": [9, 17],
+         "frame": [[1e300, 0, 0, 0, 0, 0, 0, 0], *SPHERE_GENERATOR["frame"][1:]]}},
+     "frame vectors must be orthonormal"),
+    (["monopole", "--direction", E8, "--radius", "1e-3", "--offset", "1e300,0,0"], None,
+     "sphere too large: it approaches the lower degeneracy"),
+    (["sweep", "--generator", "random", "--count", "3", "--level", "1",
+      "--classify-tol", "1e308"],
+     {"command": "sweep", "level": 1, "tolerances": {"classify": 1e308},
+      "generator": {"kind": "random", "count": 3}},
+     "random generator found 0 of 3 generic points"),
+]
+
+
+@pytest.mark.parametrize("argv, desc, message", OVERFLOWING_CHECKS,
+                         ids=["circle-axes", "sphere-frame", "monopole-offset",
+                              "sweep-classify-tol"])
+def test_an_overflowing_check_exits_1_with_no_warning(tmp_path, capsys, argv, desc, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"su3holo: error: {message}\n")
+        if desc is not None:  # the monopole's offset has no descriptor field
+            (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+            assert main(["job", str(tmp_path / "job.json")]) == 1
+            assert capsys.readouterr() == ("", f"su3holo: error: {message}\n")
+
+
+# The edge-value search: every float option of every command takes each of
+# EDGE_VALUES, and every vector option takes each in its first, then its last
+# component.  Only float and vector options are searched, so no size option
+# (--count, --samples, --grid, --seed) ever asks for a huge size.  An option
+# takes its value in the first of its command's EDGE_LINES that holds it, or
+# is added to the first line; each line is valid and cheap.
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e300"]
+REST_LINES = [["--xi", REST, "--level", "1"], ["--rest", "0.6,1.3", "--level", "1"]]
+EDGE_LINES = {
+    "classify": [line[:2] for line in REST_LINES],
+    "spectrum": [line[:2] for line in REST_LINES],
+    "curvature": REST_LINES,
+    "decompose": REST_LINES,
+    "loop-phase": [["--center", REST, "--axis1", "1,0,0,0,0,0,0,0", "--axis2", "0,1,0,0,0,0,0,0",
+                    "--radius", "0.1", "--samples", "50"]],
+    "surface-flux": [[*SPHERE[:-2], "--grid", "5x9", "--theta-min", "0", "--theta-max", "1"]],
+    "monopole": [["--direction", E8, "--radius", "1e-3", "--offset", "0,0,0", "--level", "1",
+                  "--quadrature-tol", "1e-4"]],
+    "sweep": [["--generator", "random", "--count", "3", "--level", "1", "--scale", "1"],
+              ["--generator", "ray", "--ray-from", E8, "--toward", "0,0,1,0,0,0,0,0",
+               "--count", "3", "--level", "1", "--delta-start", "1e-4", "--delta-stop", "0.1"]],
+}
+
+
+def _edge_cases() -> list:
+    """(command, option, value, component) of the search, walking the parser:
+    component is None for a float option, else the vector component set."""
+    cases = []
+    for command, p in build().commands.items():
+        for action in p._actions:
+            if action.type is float:
+                components = [None]
+            elif action.type in (_vec8, _vec3, _rest_pair):
+                components = [0, -1]
+            else:
+                continue
+            cases += [(command, action.option_strings[-1], value, component)
+                      for component in components for value in EDGE_VALUES]
+    return cases
+
+
+EDGE_CASES = _edge_cases()
+
+
+@pytest.mark.parametrize("command, option, value, component", EDGE_CASES,
+                         ids=[f"{c}{o}={v}" + ("" if k is None else f"@{k}")
+                              for c, o, v, k in EDGE_CASES])
+def test_edge_values_of_each_option_exit_cleanly(capsys, command, option, value, component):
+    lines = EDGE_LINES[command]
+    line = next((line for line in lines if option in line[::2]), lines[0])
+    given = dict(zip(line[::2], line[1::2]))
+    if component is not None:
+        assert option in given, f"no line of {command} holds the vector option {option}"
+        parts = given[option].split(",")
+        parts[component] = value
+        value = ",".join(parts)
+    given.pop(option, None)
+    argv = [command, *(text for pair in given.items() for text in pair), f"{option}={value}"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert "Traceback" not in err and "Warning" not in err
+        assert err.endswith("\n") and err.count("\n") == 1 and err.startswith("su3holo: ")

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (gauge_fixed_frames, random_generic_octet, sum_over_states_coeffs,
-                     whole_loop_phases, wrap_angle)
+from helpers import (gauge_fixed_frames, planar_grid, random_generic_octet,
+                     sum_over_states_coeffs, whole_loop_phases, wrap_angle)
 from su3holo import DegenerateInput, UnderResolvedPath, holonomy
 from su3holo.algebra import matrix_to_octet, octet_to_matrix
 from su3holo.holonomy import (
@@ -195,7 +195,7 @@ def test_zero_area_patch_has_zero_flux():
         assert surface_flux(patch, level) == 0.0
 
 
-def test_patch_validation_and_interpolation():
+def test_patch_validation_and_sampling():
     with pytest.raises(DegenerateInput):
         SurfacePatch(np.tile(E8, (3, 3, 1)))
     base = rest_point()
@@ -205,9 +205,25 @@ def test_patch_validation_and_interpolation():
         return base + 0.1 * (u * d1 + v * d2)
 
     patch = SurfacePatch.from_function(mapping, (9, 9))
-    np.testing.assert_allclose(patch.value(0.0, 0.0), mapping(0, 0), atol=1e-15)
-    np.testing.assert_allclose(patch.value(1.0, 1.0), mapping(1, 1), atol=1e-15)
-    np.testing.assert_allclose(patch.value(0.5, 0.25), mapping(0.5, 0.25), atol=1e-12)
+    # grid point (i, j) samples the map at (u, v) = (i / 8, j / 8)
+    for i, j in ((0, 0), (8, 8), (4, 2)):
+        np.testing.assert_array_equal(patch.grid[i, j], mapping(i / 8, j / 8))
+
+
+@pytest.mark.parametrize("origin", [(0.5, 0.5), (199.5 / 200, 0.5 / 200)])
+def test_from_function_on_a_planar_map_has_the_broadcast_grid_bits(origin):
+    local = np.random.default_rng(4242)
+    center = random_generic_octet(local, margin=0.25)
+    center /= np.linalg.norm(center)
+    basis = np.linalg.qr(local.standard_normal((8, 2)))[0].T
+    u0, v0 = origin
+
+    def mapping(u, v):
+        return center + 0.05 * ((u - u0) * basis[0] + (v - v0) * basis[1])
+
+    want = SurfacePatch.from_function(mapping, (201, 201)).grid
+    got = planar_grid(center, basis, 0.05, (201, 201), origin)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_closed_surface_flux_vanishes_in_generic_region():
@@ -230,11 +246,7 @@ def test_stokes_consistency_on_random_patches():
         center = random_generic_octet(rng, margin=0.25)
         center /= np.linalg.norm(center)
         basis = np.linalg.qr(rng.standard_normal((8, 2)))[0].T
-
-        def mapping(u, v):
-            return center + 0.05 * ((u - 0.5) * basis[0] + (v - 0.5) * basis[1])
-
-        patch = SurfacePatch.from_function(mapping, (201, 201))
+        patch = SurfacePatch(planar_grid(center, basis, 0.05, (201, 201)))
         level = 1 + (k % 3)
         flux = surface_flux(patch, level)
         phase = loop_phase(patch.boundary(), level)
@@ -306,13 +318,8 @@ def test_blocked_flux_matches_whole_patch_contraction(monkeypatch, shape, budget
 def test_degenerate_center_in_last_block_raises():
     nu, nv = 201, 201
     u0, v0 = (nu - 1.5) / (nu - 1), 0.5 / (nv - 1)
-    e1, e2 = np.eye(8)[0], np.eye(8)[1]
-
-    def mapping(u, v):
-        # only (u0, v0), the center of the last cell row's first cell, is degenerate
-        return E8 + 1e-2 * ((u - u0) * e1 + (v - v0) * e2)
-
-    patch = SurfacePatch.from_function(mapping, (nu, nv))
+    # only (u0, v0), the center of the last cell row's first cell, is degenerate
+    patch = SurfacePatch(planar_grid(E8, np.eye(8)[:2], 1e-2, (nu, nv), (u0, v0)))
     centers, _, _ = cell_quadrature(patch.grid)
     bad_rows = np.nonzero(~generic_mask(centers))[0]
     rows_per_block = holonomy._FLUX_BLOCK_CELLS // (nv - 1)

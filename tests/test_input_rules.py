@@ -5,6 +5,7 @@ every command that takes ``--classify-tol`` exits 1 with the rule's message."""
 import dataclasses
 import inspect
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -334,7 +335,9 @@ def test_the_rules_return_python_numbers_and_load_no_numpy():
     assert type(check_level(np.int64(3))) is int and check_level(np.int64(3)) == 3
     # the parser, all that ``--help`` loads, imports this module
     code = "import sys, su3holo.errors; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                   check=True)
 
 
 NON_FINITE_POINTS = [
