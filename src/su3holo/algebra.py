@@ -239,13 +239,15 @@ def invariants(xi) -> tuple[float, float]:
 
 def is_special_unitary(a, tol: float = 1e-8) -> bool:
     """Check ``A^dagger A = I`` and ``det A = 1`` within tolerance;
-    ``ValueError`` if ``tol`` is not positive and finite."""
+    ``ValueError`` if ``tol`` is not positive and finite.  A matrix with a
+    non-finite entry, or one whose products overflow, is not special-unitary."""
     tol = check_positive("tol", tol)
     m = np.asarray(a, dtype=complex)
     if m.shape != (3, 3):
         return False
-    unitary = np.abs(m.conj().T @ m - _IDENT3).max() <= tol
-    special = abs(np.linalg.det(m) - 1.0) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not within tol
+        unitary = np.abs(m.conj().T @ m - _IDENT3).max() <= tol
+        special = abs(np.linalg.det(m) - 1.0) <= tol
     return bool(unitary and special)
 
 
@@ -259,12 +261,12 @@ def adjoint_matrix(a, tol: float = 1e-8) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the input fails the unitarity/determinant check beyond ``tol``,
-        or ``tol`` is not positive and finite.
+        If ``a`` fails the unitarity/determinant check beyond ``tol`` (a
+        non-finite entry fails it), or ``tol`` is not positive and finite.
     """
     m = np.asarray(a, dtype=complex)
     if not is_special_unitary(m, tol):
-        raise ValueError("input is not special-unitary within tolerance")
+        raise ValueError("a must be special-unitary within tol")
     return 0.5 * np.einsum(
         "rij,jk,skl,li->rs", GELL_MANN, m, GELL_MANN, m.conj().T
     ).real

@@ -197,14 +197,17 @@ def spherical_patch(center, frame, radius: float,
     ValueError
         If ``radius`` or ``tol`` is not positive and finite, ``shape`` is
         not two integers of 2 or more, ``theta_range``, ``center`` or
-        ``frame`` is not finite, ``center`` is not an 8-vector, or ``frame``
-        is not three orthonormal 8-vectors.
+        ``frame`` is not finite, ``theta_range`` spans more than pi,
+        ``center`` is not an 8-vector, or ``frame`` is not three
+        orthonormal 8-vectors.
     """
     radius = check_positive("radius", radius)
     nu, nv = _grid_shape(shape)
     t0, t1 = theta_range
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"theta_range must be finite, got ({t0}, {t1})")
+    if abs(t1 - t0) > np.pi:  # past pi the patch covers part of the sphere twice
+        raise ValueError(f"theta_range must span at most pi, got ({t0}, {t1})")
     center = np.asarray(center, dtype=float)
     frame = np.asarray(frame, dtype=float)
     if center.shape != (8,):

@@ -3,55 +3,84 @@
 A ``su3holo/1`` descriptor is a JSON object naming a command, its point or
 generator, tolerances and output.  It is translated into the equivalent
 command line, which the front end, ``su3holo.parser.run``, then parses and
-runs, so argparse stays the one validator and the one holder of defaults: a
-field becomes a flag only when given, and one whose command does not take its
-option fails there as an unrecognized argument.  Here each field is only
-checked to hold a JSON value of its type, and no option may come from two
-fields.  Only the ``job`` command imports this module.
+runs, so argparse stays the one validator and the one holder of defaults.
+``_FIELDS`` holds every field the schema defines and the options it becomes;
+a field is translated only when given, and one whose command or generator
+does not take its option fails there, as that option fails on the command
+line.  Here a field is only checked to be defined, to hold a JSON value of
+its type, and to share no option with another.  Only the ``job`` command
+imports this module.
 """
 import json
 
 from . import SCHEMA
 
 
-def _require_field(obj: dict, name: str, kind=None):
-    if name not in obj:
-        raise ValueError(f"descriptor field {name!r} is missing")
-    if kind is not None and not isinstance(obj[name], kind):
-        raise ValueError(f"descriptor field {name!r} has the wrong type")
-    return obj[name]
-
-
-def _object_field(obj: dict, name: str) -> dict:
-    value = obj.get(name, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{name}: expected a JSON object")
-    return value
-
-
-def _pair(value, field: str, kind=float) -> list[str]:
-    """The argument texts of a list of two JSON numbers."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{field}: expected a list of two numbers")
-    return [_number(v, field, kind) for v in value]
-
-
-def _number(value, field: str, kind=float) -> str:
-    """The argument text of a JSON number; ``kind=int`` also requires an integral one."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{field}: expected {'an integer' if kind is int else 'a number'}")
+def _number(value, field: str) -> str:
+    """The argument text of a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field}: expected a number")
     try:
-        return str(int(value)) if kind is int else repr(float(value))
+        return repr(float(value))
     except OverflowError:  # a JSON integer beyond the float range
         raise ValueError(f"{field}: expected a number within the float range") from None
 
 
+def _integer(value, field: str) -> str:
+    """The argument text of an integral JSON number (``2.0`` is one)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field}: expected an integer")
+    return str(value)
+
+
+def _text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field}: expected a string")
+    return value
+
+
+def _items(value, field: str, read, n: int) -> list[str]:
+    """The argument texts of a JSON list of ``n`` values, each read by ``read``."""
+    if not (isinstance(value, list) and len(value) == n):
+        raise ValueError(f"{field}: expected a list of {n} {_NOUNS[read]}")
+    return [read(v, field) for v in value]
+
+
 def _vector(value, field: str) -> str:
-    """The argument text of a list of 8 JSON numbers."""
-    if not (isinstance(value, list) and len(value) == 8):
-        raise ValueError(f"{field}: expected a list of 8 numbers")
-    return ",".join(_number(v, field) for v in value)
+    return ",".join(_items(value, field, _number, 8))
+
+
+def _grid(value, field: str) -> str:
+    return "x".join(_items(value, field, _integer, 2))
+
+
+_NOUNS = {_number: "numbers", _integer: "integers", _vector: "8-vectors"}
+
+# Every field the schema defines, by the object that holds it (None: the
+# descriptor itself): the reader of its value and its options.  A field of
+# several options holds a list of their values.  A field marked None becomes
+# no option: it is read on its own.
+_FIELDS = {
+    None: {"schema": None, "command": None, "tolerances": None, "output": None,
+           "generator": None, "xi": (_vector, "--xi"), "radius": (_number, "--radius"),
+           "level": (_integer, "--level"), "seed": (_integer, "--seed")},
+    "tolerances": {"classify": (_number, "--classify-tol"),
+                   "quadrature": (_number, "--quadrature-tol")},
+    "output": {"format": None, "path": (_text, "--output")},
+    "generator": {
+        "kind": (_text, "--generator"), "center8": (_vector, "--center"),
+        "axis_pair": (_vector, "--axis1", "--axis2"),
+        "frame": (_vector, "--frame1", "--frame2", "--frame3"),
+        "radius": (_number, "--radius"), "samples": (_integer, "--samples"),
+        "theta_range": (_number, "--theta-min", "--theta-max"), "grid": (_grid, "--grid"),
+        "from8": (_vector, "--ray-from"), "toward8": (_vector, "--toward"),
+        "delta_range": (_number, "--delta-start", "--delta-stop"),
+        "count": (_integer, "--count"), "scale": (_number, "--scale")},
+}
+# a loop's and a patch's generator has one kind, which their commands imply
+_IMPLIED_KIND = {"loop-phase": "circle", "surface-flux": "sphere-patch"}
 
 
 def to_argv(path: str) -> list[str]:
@@ -63,83 +92,36 @@ def to_argv(path: str) -> list[str]:
         raise ValueError(f"cannot read descriptor: {exc}") from exc
     if not isinstance(desc, dict):
         raise ValueError("descriptor must be a JSON object")
-    if _require_field(desc, "schema", str) != SCHEMA:
+    if desc.get("schema") != SCHEMA:
         raise ValueError(f"schema: expected {SCHEMA!r}")
-    command = _require_field(desc, "command", str)
-    tolerances = _object_field(desc, "tolerances")
-    output = _object_field(desc, "output")
+    command = _text(desc.get("command"), "command")
+    if command.startswith("-"):  # an option such as --help is no command
+        raise ValueError(f"command: expected a command name, got {command!r}")
+    given = {}  # option -> argument text
+    for name, fields in _FIELDS.items():
+        obj = desc if name is None else desc.get(name, {})
+        if not isinstance(obj, dict):
+            raise ValueError(f"{name}: expected a JSON object")
+        for key, value in obj.items():
+            field = key if name in (None, "generator") else f"{name}.{key}"
+            if key not in fields:
+                raise ValueError(f"{field}: not a field of a {SCHEMA} descriptor")
+            if fields[key] is None or (key, value) == ("kind", _IMPLIED_KIND.get(command)):
+                continue
+            read, *options = fields[key]
+            n = len(options)
+            texts = _items(value, field, read, n) if n > 1 else [read(value, field)]
+            for option, text in zip(options, texts):
+                if command == "monopole" and option == "--xi":
+                    option = "--direction"
+                # argparse would keep the last of two values and drop the other silently
+                if option in given:
+                    raise ValueError(f"descriptor field {option[2:]!r} is given twice")
+                given[option] = text
     # the format a command writes is fixed, so the field only has to name it
-    writes = "csv" if command == "sweep" else "json"
-    if output.get("format") and output["format"] != writes:
-        raise ValueError(f"output.format: {command} writes {writes}, not {output['format']!r}")
-    argv = []  # flag, value, flag, value, ...
-    if "xi" in desc:
-        argv += ["--direction" if command == "monopole" else "--xi", _vector(desc["xi"], "xi")]
-    if "radius" in desc:
-        argv += ["--radius", _number(desc["radius"], "radius")]
-    if "level" in desc:
-        argv += ["--level", _number(desc["level"], "level", int)]
-    if "classify" in tolerances:
-        argv += ["--classify-tol", _number(tolerances["classify"], "tolerances.classify")]
-    if "quadrature" in tolerances:
-        argv += ["--quadrature-tol", _number(tolerances["quadrature"], "tolerances.quadrature")]
-    if "seed" in desc:
-        argv += ["--seed", _number(desc["seed"], "seed", int)]
-    if "path" in output and output["path"]:
-        argv += ["--output", str(output["path"])]
-    if "generator" in desc:
-        argv += _generator_argv(_object_field(desc, "generator"))
-    # argparse would keep the last of two values and drop the other silently
-    flags = argv[::2]
-    for flag in flags:
-        if flags.count(flag) > 1:
-            raise ValueError(f"descriptor field {flag[2:]!r} is given twice")
-    # ``--flag=value``: a value such as ``-1,0,...`` or ``-1e-05`` would
+    writes, named = "csv" if command == "sweep" else "json", desc.get("output", {}).get("format")
+    if named and named != writes:
+        raise ValueError(f"output.format: {command} writes {writes}, not {named!r}")
+    # ``--option=value``: a value such as ``-1,0,...`` or ``-1e-05`` would
     # otherwise be taken for an option flag
-    return [command, *(f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2]))]
-
-
-def _generator_argv(gen: dict) -> list[str]:
-    kind = _require_field(gen, "kind", str)
-    out: list[str] = []
-
-    def vec(name):
-        return _vector(_require_field(gen, name, list), name)
-
-    if kind == "circle":
-        out += ["--center", vec("center8")]
-        pair = _require_field(gen, "axis_pair", list)
-        if len(pair) != 2:
-            raise ValueError("axis_pair: expected two 8-vectors")
-        out += ["--axis1", _vector(pair[0], "axis_pair"),
-                "--axis2", _vector(pair[1], "axis_pair")]
-        out += ["--radius", _number(_require_field(gen, "radius"), "radius")]
-        if "samples" in gen:
-            out += ["--samples", _number(gen["samples"], "samples", int)]
-    elif kind == "sphere-patch":
-        out += ["--center", vec("center8")]
-        frame = _require_field(gen, "frame", list)
-        if len(frame) != 3:
-            raise ValueError("frame: expected three 8-vectors")
-        for k, v in enumerate(frame, 1):
-            out += [f"--frame{k}", _vector(v, "frame")]
-        out += ["--radius", _number(_require_field(gen, "radius"), "radius")]
-        if "theta_range" in gen:
-            theta = _pair(gen["theta_range"], "theta_range")
-            out += ["--theta-min", theta[0], "--theta-max", theta[1]]
-        if "grid" in gen:
-            out += ["--grid", "x".join(_pair(gen["grid"], "grid", int))]
-    elif kind in ("ray", "random", "rest-frame"):
-        out += ["--generator", kind]
-        if kind == "ray":
-            out += ["--ray-from", vec("from8"), "--toward", vec("toward8")]
-            if "delta_range" in gen:
-                deltas = _pair(gen["delta_range"], "delta_range")
-                out += ["--delta-start", deltas[0], "--delta-stop", deltas[1]]
-        if "count" in gen:
-            out += ["--count", _number(gen["count"], "count", int)]
-        if "scale" in gen:
-            out += ["--scale", _number(gen["scale"], "scale")]
-    else:
-        raise ValueError(f"generator.kind: unknown kind {kind!r}")
-    return out
+    return [command, *(f"{option}={text}" for option, text in given.items())]

@@ -36,13 +36,22 @@ class OrbitInvariants(NamedTuple):
     dimension: int
 
 
-def _check_direction(m) -> np.ndarray:
+def _check_matrix(m, name: str) -> np.ndarray:
+    """``m`` as a complex array; ``ValueError`` naming the argument ``name``
+    unless it is a 3x3 matrix with finite entries."""
     d = np.asarray(m, dtype=complex)
     if d.shape != (3, 3):
-        raise ValueError(f"tangent directions must be 3x3, got shape {d.shape}")
+        raise ValueError(f"{name} must be a 3x3 matrix, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError(f"{name} must have finite entries")
+    return d
+
+
+def _check_direction(m, name: str) -> np.ndarray:
+    d = _check_matrix(m, name)
     scale = max(1.0, float(np.abs(d).max(initial=0.0)))
     if abs(np.trace(d)) > 1e-10 * scale:
-        raise ValueError("tangent directions must be traceless")
+        raise ValueError(f"{name} must be traceless")
     return d
 
 
@@ -52,13 +61,13 @@ def symplectic_eval(h, direction_a, direction_b) -> float:
     ``Tr(H [A, B])`` is purely imaginary for Hermitian inputs (the
     commutator of Hermitians is anti-Hermitian), so the imaginary part is
     the only usable real pairing; it is antisymmetric in (A, B) and
-    vanishes whenever either direction commutes with ``H``.
+    vanishes whenever either direction commutes with ``H``.  ``ValueError``
+    naming the argument unless each is a 3x3 matrix with finite entries and
+    the directions are traceless.
     """
-    hm = np.asarray(h, dtype=complex)
-    if hm.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {hm.shape}")
-    a = _check_direction(direction_a)
-    b = _check_direction(direction_b)
+    hm = _check_matrix(h, "h")
+    a = _check_direction(direction_a, "direction_a")
+    b = _check_direction(direction_b, "direction_b")
     return float(np.trace(hm @ (a @ b - b @ a)).imag)
 
 
@@ -66,9 +75,10 @@ def symplectic_kernel_dim(h, tol: float = 1e-9) -> int:
     """Dimension of the kernel of the symplectic pairing at ``H``, i.e.
     the rank deficiency of ``M_uv = Im Tr(H [lambda_u, lambda_v])`` at
     relative threshold ``tol``.  Equals ``8 - (orbit dimension)`` for
-    traceless ``H``.  ``ValueError`` if ``tol`` is not positive and finite."""
+    traceless ``H``.  ``ValueError`` if ``tol`` is not positive and finite,
+    or ``h`` is not a 3x3 matrix with finite entries."""
     tol = check_positive("tol", tol)
-    hm = np.asarray(h, dtype=complex)
+    hm = _check_matrix(h, "h")
     # [lambda_u, lambda_v] = 2i f_uvt lambda_t, so M_uv = 2 f_uvt Re Tr(H lambda_t)
     gram = 2.0 * F_CONST @ np.einsum("ij,tji->t", hm, GELL_MANN).real
     svals = np.linalg.svd(gram, compute_uv=False)
@@ -80,12 +90,11 @@ def symplectic_kernel_dim(h, tol: float = 1e-9) -> int:
 
 def orbit_metric_eval(h, direction_a, direction_b) -> float:
     """Orbit metric ``Re Tr([H, A] [H, B]^dagger)``: symmetric, positive
-    semidefinite, with kernel equal to the commutant of ``H``."""
-    hm = np.asarray(h, dtype=complex)
-    if hm.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {hm.shape}")
-    a = _check_direction(direction_a)
-    b = _check_direction(direction_b)
+    semidefinite, with kernel equal to the commutant of ``H``.  Its inputs
+    are checked as ``symplectic_eval``'s."""
+    hm = _check_matrix(h, "h")
+    a = _check_direction(direction_a, "direction_a")
+    b = _check_direction(direction_b, "direction_b")
     ka = hm @ a - a @ hm
     kb = hm @ b - b @ hm
     return float(np.trace(ka @ kb.conj().T).real)

@@ -8,6 +8,8 @@ as JSON; sweeps as CSV with a fixed, documented column order.  Exit codes:
 Every number emitted here is obtained through the library API; the CLI adds
 no computation of its own.  ``job FILE`` runs a ``su3holo/1`` JSON
 descriptor, which ``su3holo.job`` translates into the equivalent command.
+A --grid (nu * nv points), --samples or --count may ask for at most
+10000000 points; a larger size exits 1 before anything is computed.
 """
 # The front end that ``su3holo.cli.main`` loads on its first call: the parser
 # (the docstring is its ``--help`` text), the dispatch and the output writers.
@@ -78,11 +80,33 @@ def _rest_pair(text: str) -> "np.ndarray":
     return xi
 
 
+# The most points a --grid (nu * nv), --samples or --count may ask for.  A
+# larger size is rejected as it is parsed, before any array is built, and as
+# input, not usage: with one message line and exit 1.
+MAX_POINTS = 10**7
+_CAPPED = f"at most {MAX_POINTS} points"
+
+
+def _capped(option: str, points: int) -> int:
+    if points > MAX_POINTS:
+        raise OverflowError(f"{option} asks for {points} points, more than {MAX_POINTS}")
+    return points
+
+
+def _size(option: str):
+    """The type of a size option: an int of at most ``MAX_POINTS``."""
+    def size(text: str) -> int:
+        return _capped(option, int(text))
+    return size
+
+
 def _grid_shape(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected NUxNV, e.g. 64x128")
-    return int(parts[0]), int(parts[1])
+    nu, nv = int(parts[0]), int(parts[1])
+    _capped("--grid", max(nu, 0) * max(nv, 0))
+    return nu, nv
 
 
 @functools.cache
@@ -126,7 +150,7 @@ def build() -> _Parser:
     p.add_argument("--axis1", type=_vec8)
     p.add_argument("--axis2", type=_vec8)
     p.add_argument("--radius", type=float)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_size("--samples"), default=1000, help=_CAPPED)
 
     p = command("surface-flux")
     p.add_argument("--level", type=int, choices=[1, 2, 3])
@@ -138,7 +162,7 @@ def build() -> _Parser:
     p.add_argument("--radius", type=float)
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=math.pi)
-    p.add_argument("--grid", type=_grid_shape, default=(64, 128))
+    p.add_argument("--grid", type=_grid_shape, default=(64, 128), help=_CAPPED)
 
     p = command("monopole")
     p.add_argument("--quadrature-tol", type=float, default=1e-4)
@@ -151,12 +175,13 @@ def build() -> _Parser:
     p = command("sweep", seed=True)
     p.add_argument("--generator", choices=["ray", "random", "rest-frame"], required=True)
     p.add_argument("--level", type=int, choices=[1, 2, 3])
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_size("--count"), default=50, help=_CAPPED)
     p.add_argument("--scale", type=float)  # the random generator's alone, 1.0 if not given
     p.add_argument("--ray-from", type=_vec8)
     p.add_argument("--toward", type=_vec8)
-    p.add_argument("--delta-start", type=float, default=1e-4)
-    p.add_argument("--delta-stop", type=float, default=1e-1)
+    # the ray generator's alone, 1e-4 and 1e-1 if not given
+    p.add_argument("--delta-start", type=float)
+    p.add_argument("--delta-stop", type=float)
 
     command("selfcheck", classify_tol=False, seed=True)
 
@@ -212,12 +237,12 @@ def run(argv=None) -> int:
     Returns 0, 1 on an error or failed selfcheck, 2 on degenerate input."""
     parser = build()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
-        sys.exit(1)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as exc:  # a job's is a descriptor error, below
+            exc.parser.print_usage(sys.stderr)
+            sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+            sys.exit(1)
         if args.cmd == "job":
             from . import job
 
@@ -237,6 +262,6 @@ def run(argv=None) -> int:
     except DegenerateInput as exc:
         sys.stderr.write(f"su3holo: degenerate input: {exc}\n")
         return 2
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, OverflowError) as exc:
         sys.stderr.write(f"su3holo: error: {exc}\n")
         return 1

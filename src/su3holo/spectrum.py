@@ -185,8 +185,12 @@ def _point(xi, tol: float, caller: str, generic: bool) -> tuple[np.ndarray, Spec
 
 def phase_angle(xi) -> float | np.ndarray:
     """Adjoint-invariant spectral angle ``phi`` in ``[pi/6, pi/2]``;
-    ``ValueError`` for the zero vector, where the angle is undefined."""
-    c = _closed_form(_octet(xi))
+    ``ValueError`` for the zero vector, where the angle is undefined, and
+    where ``_reject`` rejects a point: a non-finite component, or a closed
+    form that is not finite."""
+    xi = _octet(xi)
+    c, _, _, rejected = _classified(xi, DEFAULT_CLASSIFY_TOL)
+    _reject(xi, rejected, caller="phase_angle")
     if np.any(c.norm == 0.0):
         raise ValueError("phase angle is undefined for the zero vector")
     return float(c.phi) if c.phi.ndim == 0 else c.phi

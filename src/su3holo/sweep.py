@@ -65,8 +65,8 @@ def _points(args) -> np.ndarray:
     if args.count < 0:
         raise ValueError(f"--count must be 0 or more, got {args.count}")
     check_positive("tol", args.classify_tol)
-    check_positive("--delta-start", args.delta_start)
-    check_positive("--delta-stop", args.delta_stop)
+    start = check_positive("--delta-start", 1e-4 if args.delta_start is None else args.delta_start)
+    stop = check_positive("--delta-stop", 1e-1 if args.delta_stop is None else args.delta_stop)
     scale = 1.0 if args.scale is None else args.scale
     if not math.isfinite(scale):
         raise ValueError(f"--scale must be finite, got {scale!r}")
@@ -79,10 +79,11 @@ def _points(args) -> np.ndarray:
         for option, value in (("--ray-from", args.ray_from), ("--toward", args.toward)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{option} must have finite components")
-        deltas = np.logspace(math.log10(args.delta_start), math.log10(args.delta_stop), args.count)
+        deltas = np.logspace(math.log10(start), math.log10(stop), args.count)
         with np.errstate(over="ignore"):  # a point past the float range fails in _lines
             return args.ray_from + deltas[:, None] * args.toward
-    for option, value in (("--ray-from", args.ray_from), ("--toward", args.toward)):
+    for option, value in (("--ray-from", args.ray_from), ("--toward", args.toward),
+                          ("--delta-start", args.delta_start), ("--delta-stop", args.delta_stop)):
         if value is not None:
             raise ValueError(f"the {args.generator} generator takes no {option}")
     if args.generator == "random":

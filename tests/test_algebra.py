@@ -222,3 +222,11 @@ def test_adjoint_invariance_and_equivariance():
             d @ octet_wedge(x1, x2), octet_wedge(d @ x1, d @ x2), atol=1e-10
         )
         assert (d @ x1) @ (d @ x2) == pytest.approx(x1 @ x2, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]),
+                                 1e300 * np.eye(3)], ids=["nan", "inf", "overflow"])
+def test_adjoint_matrix_rejects_a_non_finite_matrix_with_no_warning(bad):
+    # det and matmul warned before the ValueError; the suite makes a warning an error
+    with pytest.raises(ValueError, match="^a must be special-unitary within tol$"):
+        adjoint_matrix(bad)

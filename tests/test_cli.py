@@ -1136,3 +1136,233 @@ def test_edge_values_of_each_option_exit_cleanly(capsys, command, option, value,
     else:
         assert "Traceback" not in err and "Warning" not in err
         assert err.endswith("\n") and err.count("\n") == 1 and err.startswith("su3holo: ")
+
+
+# The same search through job descriptors, walking the descriptor table:
+# every numeric field takes each of EDGE_VALUES (NaN and the infinities as
+# the JSON literals Python's json reads) in its first, then its last number.
+# A field takes its value in the first of EDGE_JOBS that holds it.
+EDGE_JOBS = [
+    {"command": "curvature", "xi": [0, 0, 0.6, 0, 0, 0, 0, 1.3], "level": 1,
+     "tolerances": {"classify": 1e-9}},
+    {"command": "monopole", "xi": [0, 0, 0, 0, 0, 0, 0, 1], "radius": 1e-3, "level": 1,
+     "tolerances": {"quadrature": 1e-4}},
+    {"command": "loop-phase", "level": 1, "generator": {
+        **CIRCLE_GENERATOR, "center8": [0, 0, 0.6, 0, 0, 0, 0, 1.3], "radius": 0.1,
+        "samples": 50}},
+    {"command": "surface-flux", "level": 1,
+     "generator": {**SPHERE_GENERATOR, "grid": [5, 9], "theta_range": [0, 1]}},
+    {"command": "sweep", "level": 1, "seed": 0,
+     "generator": {"kind": "random", "count": 3, "scale": 1}},
+    {"command": "sweep", "level": 1,
+     "generator": {**RAY_GENERATOR, "count": 3, "delta_range": [1e-4, 0.1]}},
+]
+EDGE_JSON_VALUES = [json.loads(value.replace("nan", "NaN").replace("inf", "Infinity"))
+                    for value in EDGE_VALUES]
+
+
+def _ends(value) -> list[tuple]:
+    """The index paths of the first and the last number in a nested list."""
+    if not isinstance(value, list):
+        return [()]
+    return [(0, *_ends(value[0])[0]), (-1, *_ends(value[-1])[-1])]
+
+
+def _edge_jobs() -> list:
+    """(id, descriptor) of the search, one per numeric field, end and value."""
+    from su3holo.job import _FIELDS, _grid, _integer, _number, _vector
+
+    cases = []
+    for name, fields in _FIELDS.items():
+        for key, spec in fields.items():
+            if spec is None or spec[0] not in (_number, _integer, _vector, _grid):
+                continue
+            base = next((job for job in EDGE_JOBS if key in job.get(name, {}) or
+                         name is None and key in job), None)
+            assert base is not None, f"no descriptor of EDGE_JOBS holds {name}.{key}"
+            field = key if name is None else f"{name}.{key}"
+            for end in _ends((base if name is None else base[name])[key]):
+                path = (key, *end)
+                for text, value in zip(EDGE_VALUES, EDGE_JSON_VALUES):
+                    desc = json.loads(json.dumps(base))
+                    target = desc if name is None else desc[name]
+                    for index in path[:-1]:
+                        target = target[index]
+                    target[path[-1]] = value
+                    cases.append((f"{base['command']}.{field}{list(end)}={text}", desc))
+    return cases
+
+
+EDGE_JOBS_CASES = _edge_jobs()
+
+
+@pytest.mark.parametrize("desc", [desc for _, desc in EDGE_JOBS_CASES],
+                         ids=[case_id for case_id, _ in EDGE_JOBS_CASES])
+def test_edge_values_of_each_descriptor_field_exit_cleanly(tmp_path, capsys, desc):
+    from su3holo.job import to_argv
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    code = main(["job", str(path)])
+    from_job = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert from_job.err == ""
+    else:
+        assert "Traceback" not in from_job.err and "Warning" not in from_job.err
+        assert from_job.err.count("\n") == 1 and from_job.err.startswith("su3holo: ")
+        assert from_job.out == ""
+    try:
+        argv = to_argv(str(path))
+    except ValueError as exc:  # no command line: a value of the wrong JSON type
+        assert (code, from_job.err) == (1, f"su3holo: error: {exc}\n")
+        return
+    try:
+        cli_code = main(argv)
+        usage = False
+    except SystemExit as exc:
+        cli_code, usage = exc.code, True
+    from_cli = capsys.readouterr()
+    assert (cli_code, from_cli.out) == (code, from_job.out)
+    if usage:  # the command line adds the usage; the job reports the message alone
+        assert from_cli.err.startswith("usage: su3holo ")
+        assert (from_cli.err.splitlines()[-1].split(": error: ", 1)[1]
+                == from_job.err.split(": error: ", 1)[1].rstrip("\n"))
+    else:
+        assert from_cli.err == from_job.err
+
+
+RANDOM_GENERATOR = {"kind": "random", "count": 3}
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"command": "sweep", "sead": 3, "generator": RANDOM_GENERATOR},
+     "sead: not a field of a su3holo/1 descriptor"),
+    ({"command": "curvature", **XI, "level": 1, "tolerances": {"clasify": 1e-9}},
+     "tolerances.clasify: not a field of a su3holo/1 descriptor"),
+    ({"command": "classify", **XI, "output": {"paht": "out.json"}},
+     "output.paht: not a field of a su3holo/1 descriptor"),
+    ({"command": "sweep", "generator": {**RANDOM_GENERATOR, "count8": 3}},
+     "count8: not a field of a su3holo/1 descriptor"),
+    ({"command": "sweep", "generator": {**RANDOM_GENERATOR, "from8": [0, 0, 0, 0, 0, 0, 0, 1]}},
+     "the random generator takes no --ray-from"),
+    ({"command": "sweep", "generator": {**RANDOM_GENERATOR, "delta_range": [1e-3, 0.1]}},
+     "the random generator takes no --delta-start"),
+    ({"command": "loop-phase", "generator": {**CIRCLE_GENERATOR, "grid": [5, 9]}},
+     "unrecognized arguments: --grid=5x9"),
+    ({"command": "loop-phase", "generator": {**CIRCLE_GENERATOR, "theta_range": [0, 1]}},
+     "unrecognized arguments: --theta-min=0.0 --theta-max=1.0"),
+    ({"command": "loop-phase", "generator": {**CIRCLE_GENERATOR, "kind": "sphere-patch"}},
+     "unrecognized arguments: --generator=sphere-patch"),
+    ({"command": "sweep", "generator": {**CIRCLE_GENERATOR, "kind": "circle"}},
+     "argument --generator: invalid choice: 'circle'"),
+    ({"command": "loop-phase", "generator": {**CIRCLE_GENERATOR, "center8": None}},
+     "center8: expected a list of 8 numbers"),
+    ({"command": "--help"}, "command: expected a command name, got '--help'"),
+    ({"command": "loop-phase", "generator": {k: v for k, v in CIRCLE_GENERATOR.items()
+                                              if k != "center8"}},
+     "loop generator needs --center (or --path-file)"),
+], ids=["top-level", "tolerances", "output", "generator", "random-from8", "random-delta_range",
+        "circle-grid", "circle-theta_range", "circle-kind", "sweep-circle", "null-center8",
+        "help", "no-center8"])
+def test_a_descriptor_field_is_never_dropped(tmp_path, capsys, desc, message):
+    # each of these ran, exit 0, with the field dropped, or named the field as missing
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    assert main(["job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"su3holo: error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_ray_option_on_another_generator_exits_1(capsys):
+    # --delta-start and --delta-stop, like --ray-from and --toward, are the ray's alone
+    for option in ("--delta-start=1e-3", "--delta-stop=0.5"):
+        assert main(["sweep", "--generator", "random", "--count", "3", option]) == 1
+        assert capsys.readouterr() == (
+            "", f"su3holo: error: the random generator takes no {option.split('=')[0]}\n")
+
+
+def test_the_ray_deltas_default_as_before(capsys):
+    ray = ["sweep", "--generator", "ray", "--ray-from", E8, "--toward", "0,0,1,0,0,0,0,0",
+           "--count", "4"]
+    assert main(ray) == 0
+    default = capsys.readouterr()
+    assert main([*ray, "--delta-start", "1e-4", "--delta-stop", "0.1"]) == 0
+    assert capsys.readouterr() == default
+
+
+BIG = 10**20
+
+
+@pytest.mark.parametrize("argv, desc, message", [
+    (["sweep", "--generator", "random", f"--count={BIG}"],
+     {"command": "sweep", "generator": {"kind": "random", "count": BIG}},
+     f"--count asks for {BIG} points, more than 10000000"),
+    (["loop-phase", *CIRCLE, f"--samples={BIG}"],
+     {"command": "loop-phase", "generator": {**CIRCLE_GENERATOR, "samples": BIG}},
+     f"--samples asks for {BIG} points, more than 10000000"),
+    (["surface-flux", *SPHERE[:-2], "--grid", "100000x100000"],
+     {"command": "surface-flux", "generator": {**SPHERE_GENERATOR, "grid": [100000, 100000]}},
+     "--grid asks for 10000000000 points, more than 10000000"),
+], ids=["count", "samples", "grid"])
+def test_a_size_above_the_cap_exits_1_before_anything_is_allocated(tmp_path, capsys, argv, desc,
+                                                                    message):
+    import tracemalloc
+
+    from su3holo.parser import MAX_POINTS
+
+    assert MAX_POINTS == 10**7
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    for line in (argv, ["job", str(tmp_path / "job.json")]):
+        tracemalloc.start()
+        try:
+            code = main(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr() == ("", f"su3holo: error: {message}\n")
+        assert peak < 1_000_000  # bytes: no array of the asked size was built
+
+
+def test_a_size_at_the_cap_parses():
+    from su3holo.parser import MAX_POINTS
+
+    parser = build()
+    args = parser.parse_args(["sweep", "--generator", "random", f"--count={MAX_POINTS}"])
+    assert args.count == MAX_POINTS
+    args = parser.parse_args(["surface-flux", "--grid", f"2x{MAX_POINTS // 2}"])
+    assert args.grid == (2, MAX_POINTS // 2)
+    # a negative side fails the grid rule later, not the cap
+    args = parser.parse_args(["surface-flux", f"--grid=-{MAX_POINTS}x-9"])
+    assert args.grid == (-MAX_POINTS, -9)
+
+
+def test_the_help_states_the_size_cap():
+    from su3holo.parser import MAX_POINTS
+
+    parser = build()
+    assert f"at most {MAX_POINTS} points" in " ".join(parser.format_help().split())
+    for command, option in [("sweep", "--count"), ("loop-phase", "--samples"),
+                            ("surface-flux", "--grid")]:
+        text = parser.commands[command].format_help()
+        assert f"{option} {option[2:].upper()}" in text
+        assert f"at most {MAX_POINTS} points" in text
+
+
+THETA_MESSAGE = "theta_range must span at most pi, got ({t0}, {t1})"
+
+
+@pytest.mark.parametrize("theta", [(0.0, 1e300), (1e300, np.pi), (-0.1, np.pi), (3.0, -0.2)])
+def test_a_theta_range_wider_than_pi_exits_1(tmp_path, capsys, theta):
+    # these once covered part of the sphere twice, or many times, and exited 0
+    message = f"su3holo: error: {THETA_MESSAGE.format(t0=theta[0], t1=theta[1])}\n"
+    assert main(["surface-flux", *SPHERE, f"--theta-min={theta[0]!r}",
+                 f"--theta-max={theta[1]!r}"]) == 1
+    assert capsys.readouterr() == ("", message)
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"schema": "su3holo/1", "command": "surface-flux",
+         "generator": {**SPHERE_GENERATOR, "grid": [9, 17], "theta_range": list(theta)}}))
+    assert main(["job", str(tmp_path / "job.json")]) == 1
+    assert capsys.readouterr() == ("", message)

@@ -437,6 +437,21 @@ def test_spherical_patch_rejects_a_non_finite_theta_range(theta_range):
         spherical_patch(E8, FRAME123, 1e-3, theta_range, (5, 9))
 
 
+@pytest.mark.parametrize("theta_range", [(0.0, 1e300), (1e300, np.pi), (-1e-3, np.pi),
+                                         (np.pi, -1e-3)])
+def test_spherical_patch_rejects_a_theta_range_wider_than_pi(theta_range):
+    # at 1e300 the patch once wound round the sphere and returned a flux, exit 0
+    with pytest.raises(ValueError, match=r"theta_range must span at most pi, got \("):
+        spherical_patch(E8, FRAME123, 1e-3, theta_range, (5, 9))
+
+
+@pytest.mark.parametrize("theta_range", [(0.0, np.pi), (-1e-05, 1.0), (-np.pi / 2, np.pi / 2),
+                                         (np.pi, 0.0)])
+def test_spherical_patch_takes_a_theta_range_of_at_most_pi(theta_range):
+    patch = spherical_patch(E8, FRAME123, 1e-3, theta_range, (5, 9))
+    assert patch.grid.shape == (5, 9, 8)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_circle_and_sphere_reject_non_finite_vectors(bad):
     center = rest_point()

@@ -101,3 +101,37 @@ def test_orbit_invariants():
     assert orbit_invariants(e(3)) == pytest.approx((1.0, 0.0, 6.0), abs=1e-14)
     assert orbit_invariants(e(8)) == pytest.approx((1.0, -1.0, 4.0))
     assert orbit_invariants(np.zeros(8)) == (0.0, 0.0, 0)
+
+
+NON_FINITE = [np.full((3, 3), np.nan), np.diag([np.inf, 0.0, -np.inf]).astype(complex)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf"])
+@pytest.mark.parametrize("pairing", [symplectic_eval, orbit_metric_eval])
+def test_pairings_reject_a_non_finite_matrix_naming_it(pairing, bad):
+    # these returned nan, or warned from matmul
+    h, a, b = diag_traceless(1.0, 0.2), gellmann(1), gellmann(2)
+    with pytest.raises(ValueError, match="^h must have finite entries$"):
+        pairing(bad, a, b)
+    with pytest.raises(ValueError, match="^direction_a must have finite entries$"):
+        pairing(h, bad, b)
+    with pytest.raises(ValueError, match="^direction_b must have finite entries$"):
+        pairing(h, a, bad)
+
+
+@pytest.mark.parametrize("pairing", [symplectic_eval, orbit_metric_eval])
+def test_pairings_name_a_matrix_of_the_wrong_shape(pairing):
+    with pytest.raises(ValueError, match=r"^h must be a 3x3 matrix, got shape \(4, 4\)$"):
+        pairing(np.eye(4), gellmann(1), gellmann(2))
+    with pytest.raises(ValueError, match="^direction_b must be traceless$"):
+        pairing(np.eye(3), gellmann(1), np.eye(3))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (NON_FINITE[0], "h must have finite entries"),  # SVD did not converge
+    (NON_FINITE[1], "h must have finite entries"),
+    (np.eye(4), r"h must be a 3x3 matrix, got shape \(4, 4\)"),  # a numpy broadcast error
+], ids=["nan", "inf", "4x4"])
+def test_symplectic_kernel_dim_rejects_a_bad_matrix_naming_it(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        symplectic_kernel_dim(bad)

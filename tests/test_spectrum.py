@@ -41,6 +41,23 @@ def test_phase_angle_fixed_values():
         phase_angle(np.zeros(8))
 
 
+@pytest.mark.parametrize("xi, message", [
+    (np.where(e(1) > 0, np.inf, 0.0), "phase_angle requires finite octet components"),  # nan
+    (np.where(e(8) > 0, np.nan, 0.0), "phase_angle requires finite octet components"),  # pi/3
+    (np.stack([e(8), np.where(e(3) > 0, -np.inf, 0.0)]),
+     "phase_angle requires finite octet components"),
+    (1e200 * e(1), "the closed form is not finite at |xi| = 1e+200"),  # warned, overflow
+], ids=["inf", "nan", "block", "overflow"])
+def test_phase_angle_rejects_a_non_finite_input(xi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        phase_angle(xi)
+
+
+def test_phase_angle_of_a_block_is_each_rows():
+    block = np.stack([e(8), e(3), SIGMA23_DIR])
+    np.testing.assert_array_equal(phase_angle(block), [phase_angle(xi) for xi in block])
+
+
 def test_phase_angle_is_adjoint_invariant():
     for _ in range(50):
         xi = rng.standard_normal(8)
