@@ -8,16 +8,17 @@ three commands import this module.
 import numpy as np
 
 
-def _points_from_args(args, what: str, file_option: str, names: tuple,
-                      holds: str) -> np.ndarray | None:
+def _points_from_args(args, what: str, file_option: str, names: tuple, holds: str,
+                      optional: tuple) -> np.ndarray | None:
     """The points in the ``--FILE_OPTION`` JSON file, which ``holds`` them,
-    or None once all of ``names`` are set.  The file and ``names`` exclude
-    each other."""
+    or None once all of ``names`` are set.  The file excludes ``names`` and
+    the generator's ``optional`` options, which have no parser default."""
     path = getattr(args, file_option.replace("-", "_"))
     if path:
-        for name in names:
+        for name in names + optional:
             if getattr(args, name) is not None:
-                raise ValueError(f"--{file_option} cannot be given with --{name}")
+                raise ValueError(f"--{file_option} cannot be given with "
+                                 f"--{name.replace('_', '-')}")
         import json
 
         with open(path, encoding="utf-8") as fh:
@@ -39,12 +40,13 @@ def cmd_loop_phase(args) -> dict:
     from . import holonomy
 
     path = _points_from_args(args, "loop", "path-file", ("center", "axis1", "axis2", "radius"),
-                             "a JSON list of 8-component points")
+                             "a JSON list of 8-component points", ("samples",))
     if path is not None:
         loop = holonomy.LoopPath(path, args.classify_tol)
     else:
+        samples = 1000 if args.samples is None else args.samples
         loop = holonomy.circle_loop(args.center, args.axis1, args.axis2, args.radius,
-                                    args.samples, args.classify_tol)
+                                    samples, args.classify_tol)
     payload = {"samples": len(loop.samples)}
     if args.level:
         payload["level"] = args.level
@@ -61,13 +63,16 @@ def cmd_surface_flux(args) -> dict:
 
     grid = _points_from_args(args, "patch", "patch-file",
                              ("center", "frame1", "frame2", "frame3", "radius"),
-                             "a JSON (nu, nv, 8) grid of numbers")
+                             "a JSON (nu, nv, 8) grid of numbers",
+                             ("grid", "theta_min", "theta_max"))
     if grid is not None:
         patch = holonomy.SurfacePatch(grid, args.classify_tol)
     else:
+        theta_range = (0.0 if args.theta_min is None else args.theta_min,
+                       np.pi if args.theta_max is None else args.theta_max)
         patch = holonomy.spherical_patch(
             args.center, np.stack([args.frame1, args.frame2, args.frame3]), args.radius,
-            (args.theta_min, args.theta_max), args.grid, args.classify_tol,
+            theta_range, (64, 128) if args.grid is None else args.grid, args.classify_tol,
         )
     level = args.level or 1
     return {"level": level, "grid": list(patch.grid.shape[:2]),

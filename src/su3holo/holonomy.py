@@ -11,9 +11,10 @@ reduced-resolvent density ``2 Im <S_a M(du) a | S_a M(dv) a>``, with
 ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)`` (``curvature._flux_density``),
 which reads the one eigenvector ``|a>`` once as a bra and once as a ket.
 Both therefore take from ``spectrum._block_frames``, block by block
-(``_row_blocks``, about 1024 points each), only the unit null-space column
-of the level they integrate, with no gauge fixing; ``phase_sum_rule_check``
-takes all three columns from one evaluation per block.
+(``_row_blocks``, about 1024 points each), only the unit null-space columns
+of the levels they integrate, with no gauge fixing.  ``phase_sum_rule_check``
+takes all three columns from one evaluation per block, and the selfcheck
+takes its three fluxes from one such walk over the patch.
 
 Orientation convention (fixed once by the Stokes consistency requirement
 and used throughout): ``SurfacePatch.boundary()`` traverses the patch edge
@@ -281,11 +282,13 @@ def _loop_phases(path: LoopPath, levels: tuple[int, ...]) -> list[float]:
     return [float(-np.angle(prod)) for prod in prods]
 
 
-def _block_density(pts, tol: float, message: str, level: int, tangents) -> np.ndarray:
-    # The level's flux density at a block of points along tangents(), formed
-    # after the eigenvector column, so the two peaks do not add.
-    e, column = _block_frames(pts, tol, message, levels=(level,))
-    return _flux_density(pts, e, column[..., 0], *tangents(), level)
+def _block_density(pts, tol: float, message: str, levels, tangents) -> list[np.ndarray]:
+    # The flux density of each of levels at a block of points along tangents(),
+    # formed once after the eigenvector columns, so the two peaks do not add.
+    e, columns = _block_frames(pts, tol, message, levels)
+    du, dv = tangents()
+    return [_flux_density(pts, e, columns[..., k], du, dv, level)
+            for k, level in enumerate(levels)]
 
 
 def surface_flux(patch: SurfacePatch, level: int) -> float:
@@ -306,17 +309,23 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
     ValueError
         If ``level`` is not 1, 2 or 3, checked first, or the eigenvector
         frames overflow or underflow (|xi| above about 1e77 or below 1e-77)."""
-    level = check_level(level)
+    return _surface_fluxes(patch, (check_level(level),))[0]
+
+
+def _surface_fluxes(patch: SurfacePatch, levels: tuple[int, ...]) -> list[float]:
+    # surface_flux of each of levels, evaluating each cell center once: one
+    # walk over the blocks, each level's sum taken in surface_flux's order.
     g = patch.grid
-    total = 0.0
+    totals = [0.0] * len(levels)
     for rows in _row_blocks(g.shape[0] - 1, g.shape[1] - 1):
         b = g[rows.start:rows.stop + 1]
         centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
-        total += float(np.sum(_block_density(
-            centers, patch.tol, "patch contains a degenerate quadrature point", level,
+        densities = _block_density(
+            centers, patch.tol, "patch contains a degenerate quadrature point", levels,
             lambda: (((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0,
-                     ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0))))
-    return total
+                     ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0))
+        totals = [total + float(np.sum(d)) for total, d in zip(totals, densities)]
+    return totals
 
 
 def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], float]:

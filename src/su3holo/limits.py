@@ -275,8 +275,8 @@ def monopole_flux(direction, radius: float, level: int,
             r_cos = radius * np.cos(theta[rows])[:, None, None]
             pts = r_sin * ring
             pts += center + r_cos * d3
-            density = _block_density(pts, tol, "sphere passes through a degeneracy", level,
-                                     lambda: (r_cos * ring - r_sin * d3, r_sin * ring_dphi))
+            density = _block_density(pts, tol, "sphere passes through a degeneracy", (level,),
+                                     lambda: (r_cos * ring - r_sin * d3, r_sin * ring_dphi))[0]
             total += float(np.einsum("i,j,ij->", w_t[rows], w_p, density))
         return total
 

@@ -50,9 +50,21 @@ def _check_matrix(m, name: str) -> np.ndarray:
 def _check_direction(m, name: str) -> np.ndarray:
     d = _check_matrix(m, name)
     scale = max(1.0, float(np.abs(d).max(initial=0.0)))
-    if abs(np.trace(d)) > 1e-10 * scale:
+    with np.errstate(over="ignore"):  # an overflowing trace reads inf: not traceless
+        trace = np.trace(d)
+    if abs(trace) > 1e-10 * scale:
         raise ValueError(f"{name} must be traceless")
     return d
+
+
+def _finite(name: str, compute):
+    """``compute()``, with no numpy warning; ``ValueError`` naming ``name``
+    where its products overflow the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
+        value = compute()
+    if not np.isfinite(value).all():
+        raise ValueError(f"the {name} overflows the float range at these inputs")
+    return value
 
 
 def symplectic_eval(h, direction_a, direction_b) -> float:
@@ -63,12 +75,13 @@ def symplectic_eval(h, direction_a, direction_b) -> float:
     the only usable real pairing; it is antisymmetric in (A, B) and
     vanishes whenever either direction commutes with ``H``.  ``ValueError``
     naming the argument unless each is a 3x3 matrix with finite entries and
-    the directions are traceless.
+    the directions are traceless, and if the products overflow the float
+    range (entries of about 1e100 and above).
     """
     hm = _check_matrix(h, "h")
     a = _check_direction(direction_a, "direction_a")
     b = _check_direction(direction_b, "direction_b")
-    return float(np.trace(hm @ (a @ b - b @ a)).imag)
+    return float(_finite("symplectic pairing", lambda: np.trace(hm @ (a @ b - b @ a)).imag))
 
 
 def symplectic_kernel_dim(h, tol: float = 1e-9) -> int:
@@ -76,11 +89,13 @@ def symplectic_kernel_dim(h, tol: float = 1e-9) -> int:
     the rank deficiency of ``M_uv = Im Tr(H [lambda_u, lambda_v])`` at
     relative threshold ``tol``.  Equals ``8 - (orbit dimension)`` for
     traceless ``H``.  ``ValueError`` if ``tol`` is not positive and finite,
-    or ``h`` is not a 3x3 matrix with finite entries."""
+    ``h`` is not a 3x3 matrix with finite entries, or the Gram matrix
+    overflows the float range."""
     tol = check_positive("tol", tol)
     hm = _check_matrix(h, "h")
     # [lambda_u, lambda_v] = 2i f_uvt lambda_t, so M_uv = 2 f_uvt Re Tr(H lambda_t)
-    gram = 2.0 * F_CONST @ np.einsum("ij,tji->t", hm, GELL_MANN).real
+    gram = _finite("symplectic Gram matrix",
+                   lambda: 2.0 * F_CONST @ np.einsum("ij,tji->t", hm, GELL_MANN).real)
     svals = np.linalg.svd(gram, compute_uv=False)
     top = svals.max(initial=0.0)
     if top == 0.0:
@@ -91,13 +106,12 @@ def symplectic_kernel_dim(h, tol: float = 1e-9) -> int:
 def orbit_metric_eval(h, direction_a, direction_b) -> float:
     """Orbit metric ``Re Tr([H, A] [H, B]^dagger)``: symmetric, positive
     semidefinite, with kernel equal to the commutant of ``H``.  Its inputs
-    are checked as ``symplectic_eval``'s."""
+    are checked, and an overflow raised, as in ``symplectic_eval``."""
     hm = _check_matrix(h, "h")
     a = _check_direction(direction_a, "direction_a")
     b = _check_direction(direction_b, "direction_b")
-    ka = hm @ a - a @ hm
-    kb = hm @ b - b @ hm
-    return float(np.trace(ka @ kb.conj().T).real)
+    return float(_finite("orbit metric", lambda: np.trace(
+        (hm @ a - a @ hm) @ (hm @ b - b @ hm).conj().T).real))
 
 
 def orbit_invariants(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitInvariants:

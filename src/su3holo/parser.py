@@ -150,7 +150,8 @@ def build() -> _Parser:
     p.add_argument("--axis1", type=_vec8)
     p.add_argument("--axis2", type=_vec8)
     p.add_argument("--radius", type=float)
-    p.add_argument("--samples", type=_size("--samples"), default=1000, help=_CAPPED)
+    # the circle's alone, 1000 if not given
+    p.add_argument("--samples", type=_size("--samples"), help=_CAPPED)
 
     p = command("surface-flux")
     p.add_argument("--level", type=int, choices=[1, 2, 3])
@@ -160,9 +161,10 @@ def build() -> _Parser:
     p.add_argument("--frame2", type=_vec8)
     p.add_argument("--frame3", type=_vec8)
     p.add_argument("--radius", type=float)
-    p.add_argument("--theta-min", type=float, default=0.0)
-    p.add_argument("--theta-max", type=float, default=math.pi)
-    p.add_argument("--grid", type=_grid_shape, default=(64, 128), help=_CAPPED)
+    # the sphere's alone, 0, pi and 64x128 if not given
+    p.add_argument("--theta-min", type=float)
+    p.add_argument("--theta-max", type=float)
+    p.add_argument("--grid", type=_grid_shape, help=_CAPPED)
 
     p = command("monopole")
     p.add_argument("--quadrature-tol", type=float, default=1e-4)

@@ -220,11 +220,11 @@ def _check_stokes(rng) -> CheckResult:
         basis = np.linalg.qr(rng.standard_normal((8, 2)))[0].T
         patch = holonomy.SurfacePatch(
             center + 0.05 * (s[:, None, None] * basis[0] + s[None, :, None] * basis[1]))
-        # the three loop phases from one walk of the boundary, each equal to
-        # its loop_phase bit for bit
+        # the three loop phases from one walk of the boundary and the three
+        # fluxes from one walk of the patch, each equal to its loop_phase or
+        # surface_flux bit for bit
         phases, total = holonomy.phase_sum_rule_check(patch.boundary())
-        for level, phase in zip((1, 2, 3), phases):
-            flux = holonomy.surface_flux(patch, level)
+        for phase, flux in zip(phases, holonomy._surface_fluxes(patch, (1, 2, 3))):
             worst = max(worst, abs(np.angle(np.exp(1j * (phase - flux)))))
         worst_sum = max(worst_sum, abs(total))
     ok = worst < 1e-3 and worst_sum < 1e-3
@@ -284,6 +284,8 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 def cmd_selfcheck(args) -> dict:
     """Run the suite for ``su3holo selfcheck``: print one line per check and
     a summary, and return the JSON payload that ``--output`` writes."""
+    if args.seed < 0:  # numpy's message would name no option
+        raise ValueError(f"--seed must be 0 or more, got {args.seed}")
     results = run_all(args.seed)
     passed = sum(r.passed for r in results)
     for r in results:

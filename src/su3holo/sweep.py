@@ -62,8 +62,9 @@ def rest_frame_points(rng, count: int, gaps: tuple[float, float]) -> np.ndarray:
 
 def _points(args) -> np.ndarray:
     # every option is checked before any point is drawn, whichever the generator
-    if args.count < 0:
-        raise ValueError(f"--count must be 0 or more, got {args.count}")
+    for option, value in (("--count", args.count), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{option} must be 0 or more, got {value}")
     check_positive("tol", args.classify_tol)
     start = check_positive("--delta-start", 1e-4 if args.delta_start is None else args.delta_start)
     stop = check_positive("--delta-stop", 1e-1 if args.delta_stop is None else args.delta_stop)

@@ -748,6 +748,24 @@ def test_job_descriptor_format_naming_the_written_format_is_accepted(tmp_path, c
     assert from_job == capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, desc", [
+    (["sweep", "--generator", "random", "--seed=-1", "--count", "2"],
+     {"command": "sweep", "seed": -1, "generator": {"kind": "random", "count": 2}}),
+    (["selfcheck", "--seed=-1"], {"command": "selfcheck", "seed": -1}),
+], ids=["sweep", "selfcheck"])
+def test_a_negative_seed_exits_1_naming_it(tmp_path, capsys, monkeypatch, argv, desc):
+    # numpy's "expected non-negative integer" named no option; now no
+    # generator is made, so no point is drawn
+    def no_rng(seed=None):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    for args in (argv, ["job", str(tmp_path / "job.json")]):
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "su3holo: error: --seed must be 0 or more, got -1\n")
+
+
 POINT_OPTIONS = {"output", "classify_tol", "xi", "rest"}
 OPTIONS = {
     "classify": POINT_OPTIONS,
@@ -989,6 +1007,11 @@ def test_a_non_finite_point_in_a_point_file_is_named(tmp_path, capsys, command, 
     ("loop-phase", "path-file", ["--radius", "1e-3"]),
     ("surface-flux", "patch-file", ["--frame3", "0,0,1,0,0,0,0,0"]),
     ("surface-flux", "patch-file", ["--radius", "1e-3"]),
+    # the generators' options with a value if not given
+    ("loop-phase", "path-file", ["--samples", "7"]),
+    ("surface-flux", "patch-file", ["--grid", "3x3"]),
+    ("surface-flux", "patch-file", ["--theta-min", "0"]),
+    ("surface-flux", "patch-file", ["--theta-max", "0.5"]),
 ])
 def test_a_point_file_with_a_generator_option_exits_1(tmp_path, capsys, command, option, extra):
     path = str(_point_files(tmp_path)[option])

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (gauge_fixed_frames, planar_grid, random_generic_octet,
                      sum_over_states_coeffs, whole_loop_phases, wrap_angle)
@@ -315,6 +317,30 @@ def test_blocked_flux_matches_whole_patch_contraction(monkeypatch, shape, budget
         assert surface_flux(patch, level) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def flux_bits(fluxes) -> list[int]:
+    return np.array(fluxes).view(np.uint64).tolist()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(2, 24), nv=st.integers(2, 24),
+       budget=st.integers(1, 200))
+@example(seed=0, nu=9, nv=6, budget=5)  # one cell row per block
+@example(seed=1, nu=12, nv=8, budget=3 * 7)  # 3-row blocks over 11 cell rows
+@example(seed=2, nu=201, nv=201, budget=holonomy._FLUX_BLOCK_CELLS)
+def test_one_walk_fluxes_are_the_surface_fluxes(seed, nu, nv, budget):
+    # one _surface_fluxes walk of a random planar patch gives each level's
+    # surface_flux bit for bit, whatever the block budget
+    r = np.random.default_rng(seed)
+    center = random_generic_octet(r, margin=0.25)
+    center /= np.linalg.norm(center)
+    axes = np.linalg.qr(r.standard_normal((8, 2)))[0].T
+    patch = SurfacePatch(planar_grid(center, axes, 0.05, (nu, nv)))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(holonomy, "_FLUX_BLOCK_CELLS", budget)
+        want = [surface_flux(patch, level) for level in (1, 2, 3)]
+        assert flux_bits(holonomy._surface_fluxes(patch, (1, 2, 3))) == flux_bits(want)
+
+
 def test_degenerate_center_in_last_block_raises():
     nu, nv = 201, 201
     u0, v0 = (nu - 1.5) / (nu - 1), 0.5 / (nv - 1)
@@ -375,6 +401,19 @@ def test_surface_flux_peak_is_one_lean_block():
     finally:
         tracemalloc.stop()
     assert peak < 0.55 * 2**20
+
+
+def test_three_level_walk_peak_is_one_block():
+    # Three eigenvector columns per cell and one density per level: about
+    # 0.67 MiB, against 0.51 MiB for one level's surface_flux.
+    patch = random_patch((201, 201))
+    tracemalloc.start()
+    try:
+        holonomy._surface_fluxes(patch, (1, 2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 2**20
 
 
 def test_patch_check_peak_is_about_one_block():

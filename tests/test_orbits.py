@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,40 @@ def test_pairings_name_a_matrix_of_the_wrong_shape(pairing):
 def test_symplectic_kernel_dim_rejects_a_bad_matrix_naming_it(bad, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         symplectic_kernel_dim(bad)
+
+
+HUGE = 1e300 * np.eye(3)
+
+
+@pytest.mark.parametrize("pairing, name", [(symplectic_eval, "symplectic pairing"),
+                                           (orbit_metric_eval, "orbit metric")])
+def test_pairings_name_an_overflow_with_no_warning(pairing, name):
+    # finite inputs whose products pass the float range: these warned from
+    # matmul and returned inf or nan
+    h = diag_traceless(1.0, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in [(h, 1e200 * gellmann(1), 1e200 * gellmann(2)),
+                     (HUGE, 1e300 * gellmann(1), 1e300 * gellmann(4)),
+                     (1e300 * h, 1e10 * gellmann(1), gellmann(2))]:
+            with pytest.raises(ValueError, match=f"^the {name} overflows the float range"):
+                pairing(*args)
+        # one huge factor alone is fine where the product is finite
+        assert pairing(HUGE, gellmann(1), gellmann(2)) == 0.0
+
+
+def test_an_overflowing_trace_reads_as_not_traceless():
+    huge = 1e308 * np.diag([1.0, 1.0, -1.0])  # its trace sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pairing in (symplectic_eval, orbit_metric_eval):
+            with pytest.raises(ValueError, match="^direction_a must be traceless$"):
+                pairing(np.eye(3), huge, gellmann(2))
+
+
+def test_symplectic_kernel_dim_names_an_overflowing_gram_matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the symplectic Gram matrix overflows"):
+            symplectic_kernel_dim(1e308 * diag_traceless(1.0, -1.0))
+        assert symplectic_kernel_dim(HUGE) == 8

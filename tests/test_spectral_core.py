@@ -78,6 +78,20 @@ def test_surface_flux_evaluates_the_closed_form_once_per_block(cubic_calls, monk
     assert cubic_calls == [(2, 4, 8)] * 3
 
 
+def test_the_three_level_walk_evaluates_the_closed_form_once_per_block(cubic_calls,
+                                                                      monkeypatch):
+    rest = np.zeros(8)
+    rest[2], rest[7] = 0.6, 1.3
+    frame = np.eye(8)[[0, 1, 3]]
+    patch = holonomy.spherical_patch(rest, frame, 0.05, shape=(7, 5))
+    monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", 8)  # 2 of the 6 cell rows
+    cubic_calls.clear()  # the patch checked its grid on construction
+    fluxes = holonomy._surface_fluxes(patch, (1, 2, 3))
+    assert cubic_calls == [(2, 4, 8)] * 3  # not * 9, as three surface_flux calls make
+    # the same fluxes, bit for bit, as one surface_flux call per level
+    assert fluxes == [holonomy.surface_flux(patch, a) for a in (1, 2, 3)]
+
+
 def test_phase_sum_rule_check_evaluates_the_loop_once(cubic_calls):
     loop = holonomy.circle_loop(np.eye(8)[7], np.eye(8)[0], np.eye(8)[1], 1e-3, 400)
     cubic_calls.clear()  # the loop checked its samples on construction
