@@ -27,7 +27,6 @@ from .spectrum import (
     DegeneracyClass,
     SpectralData,
     _block_frames,
-    _columns,
     _fix_gauge,
     _pin_gauge,
     _point,
@@ -182,9 +181,8 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
 def _spectral(xi, level: int, tol: float) -> tuple[SpectralData, CurvatureTwoForm]:
     # curvature_spectral and the point's spectral record, from one evaluation
     level = check_level(level)
-    xi, s = _point(xi, tol, "curvature_spectral", generic=True)
-    a = _columns(xi, s.energies, (level,))[:, 0]
-    return s, CurvatureTwoForm(level, _tables(xi, s.energies, a, level - 1))
+    xi, s, a = _point(xi, tol, "curvature_spectral", (level,))
+    return s, CurvatureTwoForm(level, _tables(xi, s.energies, a[:, 0], level - 1))
 
 
 def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm:
@@ -225,15 +223,15 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     diagonalizer (the rest-frame table is torus-invariant), and equal to
     the spectral route.  Raises as ``curvature_spectral`` does."""
     level = check_level(level)
-    xi, s = _point(xi, tol, "curvature_transported", generic=True)
+    _, s, a = _point(xi, tol, "curvature_transported", (1, 2, 3))
     v0 = curvature_rest_frame(s, level)
-    d = adjoint_matrix(_fix_gauge(_columns(xi, s.energies, (1, 2, 3))))
+    d = adjoint_matrix(_fix_gauge(a))
     return CurvatureTwoForm(level, d @ v0.coeffs @ d.T)
 
 
 def _all_levels(xi, tol: float) -> tuple[SpectralData, np.ndarray]:
-    xi, s = _point(xi, tol, "curvature", generic=True)
-    return s, _tables(xi, s.energies, _columns(xi, s.energies, (1, 2, 3)), np.arange(3))
+    xi, s, a = _point(xi, tol, "curvature", (1, 2, 3))
+    return s, _tables(xi, s.energies, a, np.arange(3))
 
 
 def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -275,8 +273,8 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     """
     if step is not None and not (np.isfinite(step) and step != 0):
         raise ValueError(f"step must be nonzero and finite, got {step!r}")
-    xi, s = _point(xi, tol, "symplectic_two_form_fd", generic=True)
-    a0 = _fix_gauge(_columns(xi, s.energies, (1, 2, 3)))
+    xi, s, a0 = _point(xi, tol, "symplectic_two_form_fd", (1, 2, 3))
+    a0 = _fix_gauge(a0)
     if step is None:
         step = 1e-5 * octet_norm(xi)
     pivots = (int(np.argmax(np.abs(a0[:, 0]))), int(np.argmax(np.abs(a0[:, 1]))))

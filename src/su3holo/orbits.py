@@ -67,6 +67,31 @@ def _finite(name: str, compute):
     return value
 
 
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``m`` times ``2**-e`` and ``e``, the exponent that puts its largest
+    real or imaginary part in [0.5, 1): a power of two scales exactly."""
+    e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    out = np.empty_like(m)
+    out.real, out.imag = np.ldexp(m.real, -e), np.ldexp(m.imag, -e)
+    return out, e
+
+
+def _pairing(name: str, degree: int, h, a, b, form) -> float:
+    """``form(h, a, b)``, of degree ``degree`` in ``h`` and 1 in each
+    direction, with no numpy warning.  Where its products overflow it is
+    evaluated again on unit-scaled inputs and scaled back by the power of
+    two ``2**(degree eh + ea + eb)``, exactly, so that a value in the float
+    range is returned.  ``ValueError`` naming ``name`` where the value, or
+    that scale, overflows: past the float range even a cancellation's zero
+    is known to no float precision."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
+        value = form(h, a, b)
+    if not np.isfinite(value):
+        (h, eh), (a, ea), (b, eb) = map(_unit_scaled, (h, a, b))
+        value = _finite(name, lambda: form(h, a, b) * np.ldexp(1.0, degree * eh + ea + eb))
+    return float(value)
+
+
 def symplectic_eval(h, direction_a, direction_b) -> float:
     """Orbit symplectic pairing ``Im Tr(H [A, B])``.
 
@@ -75,13 +100,14 @@ def symplectic_eval(h, direction_a, direction_b) -> float:
     the only usable real pairing; it is antisymmetric in (A, B) and
     vanishes whenever either direction commutes with ``H``.  ``ValueError``
     naming the argument unless each is a 3x3 matrix with finite entries and
-    the directions are traceless, and if the products overflow the float
-    range (entries of about 1e100 and above).
+    the directions are traceless; and if the pairing is past the float
+    range, or its products overflow where the product of the inputs'
+    largest entries is past it too.
     """
-    hm = _check_matrix(h, "h")
-    a = _check_direction(direction_a, "direction_a")
-    b = _check_direction(direction_b, "direction_b")
-    return float(_finite("symplectic pairing", lambda: np.trace(hm @ (a @ b - b @ a)).imag))
+    return _pairing("symplectic pairing", 1, _check_matrix(h, "h"),
+                    _check_direction(direction_a, "direction_a"),
+                    _check_direction(direction_b, "direction_b"),
+                    lambda h, a, b: np.trace(h @ (a @ b - b @ a)).imag)
 
 
 def symplectic_kernel_dim(h, tol: float = 1e-9) -> int:
@@ -107,11 +133,10 @@ def orbit_metric_eval(h, direction_a, direction_b) -> float:
     """Orbit metric ``Re Tr([H, A] [H, B]^dagger)``: symmetric, positive
     semidefinite, with kernel equal to the commutant of ``H``.  Its inputs
     are checked, and an overflow raised, as in ``symplectic_eval``."""
-    hm = _check_matrix(h, "h")
-    a = _check_direction(direction_a, "direction_a")
-    b = _check_direction(direction_b, "direction_b")
-    return float(_finite("orbit metric", lambda: np.trace(
-        (hm @ a - a @ hm) @ (hm @ b - b @ hm).conj().T).real))
+    return _pairing("orbit metric", 2, _check_matrix(h, "h"),
+                    _check_direction(direction_a, "direction_a"),
+                    _check_direction(direction_b, "direction_b"),
+                    lambda h, a, b: np.trace((h @ a - a @ h) @ (h @ b - b @ h).conj().T).real)
 
 
 def orbit_invariants(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitInvariants:

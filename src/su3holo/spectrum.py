@@ -170,17 +170,19 @@ def _reject(xi: np.ndarray, rejected, ranks=None, caller=None, message=None) -> 
                                          f"got {_LADDER[ranks].value}")
 
 
-def _point(xi, tol: float, caller: str, generic: bool) -> tuple[np.ndarray, SpectralData]:
-    """Validate a single octet vector and return it with its spectral record,
+def _point(xi, tol: float, caller: str, levels: tuple[int, ...] = ()):
+    """Validate a single octet vector and return it, its spectral record and
+    the columns of ``levels`` as ``_columns`` gives them (None for no levels),
     from one closed-form evaluation: ``ValueError`` naming ``caller`` unless
-    ``xi`` is one, then ``_reject``'s errors, its Generic check if ``generic``."""
+    ``xi`` is one, then ``_reject``'s errors, its Generic check if ``levels``."""
     xi = _octet(xi)
     if xi.ndim != 1:
         raise ValueError(f"{caller} takes a single octet vector")
     c, gaps, rank, rejected = _classified(xi, tol)
-    _reject(xi, rejected, rank if generic else None, caller)
+    _reject(xi, rejected, rank if levels else None, caller)
     phi = float(c.phi) if c.norm > 0.0 else float("nan")
-    return xi, SpectralData(*map(float, c.levels), phi, *map(float, gaps), _LADDER[rank])
+    s = SpectralData(*map(float, c.levels), phi, *map(float, gaps), _LADDER[rank])
+    return xi, s, _columns(xi, s.energies, levels) if levels else None
 
 
 def phase_angle(xi) -> float | np.ndarray:
@@ -213,7 +215,7 @@ def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
     when the corresponding gap falls below ``tol * |xi|``.  ``ValueError`` if
     ``tol`` is not positive and finite, ``xi`` has a NaN or infinite
     component, or ``|xi| > tol`` and the closed form overflows."""
-    return _point(xi, tol, "classify", generic=False)[1].degeneracy
+    return _point(xi, tol, "classify")[1].degeneracy
 
 
 def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -228,7 +230,7 @@ def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
 def eigenvalues(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> SpectralData:
     """Full closed-form spectral record for a single octet vector; raises
     ``ValueError`` where ``classify`` does."""
-    return _point(xi, tol, "eigenvalues", generic=False)[1]
+    return _point(xi, tol, "eigenvalues")[1]
 
 
 def rest_frame(xi) -> np.ndarray:
@@ -418,5 +420,4 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
     if pivots is not None and not (len(pivots) == 2 and all(
             isinstance(p, (int, np.integer)) and 0 <= p < 3 for p in pivots)):
         raise ValueError(f"pivots {tuple(pivots)!r}: expected two row indices in 0..2")
-    xi, s = _point(xi, tol, "diagonalizer", generic=True)
-    return _pin_gauge(_columns(xi, s.energies, (1, 2, 3)), pivots)
+    return _pin_gauge(_point(xi, tol, "diagonalizer", (1, 2, 3))[2], pivots)

@@ -30,10 +30,10 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
     ``ValueError`` where ``classify`` raises, naming a finite ``scale``, where
     a finite ``scale`` takes a draw past the float range, or if ``100 *
     count`` draws hold fewer."""
-    pts, tries, cap = [], 0, 100 * count
-    while len(pts) < count and tries < cap:
+    blocks, found, tries, cap = [np.empty((0, 8))], 0, 0, 100 * count
+    while found < count and tries < cap:
         with np.errstate(over="ignore"):  # a finite scale that overflows is named below
-            block = scale * rng.standard_normal((min(count - len(pts), cap - tries), 8))
+            block = scale * rng.standard_normal((min(count - found, cap - tries), 8))
         if math.isfinite(scale) and not np.isfinite(block).all():
             raise ValueError(f"--scale {scale!r} takes a drawn point past the float range")
         tries += len(block)
@@ -45,10 +45,11 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
                 raise
             # the draws are finite, so their closed form is not
             raise ValueError(f"--scale {scale!r} takes a drawn point out of range: {exc}") from exc
-        pts.extend(block[ranks == spectrum._GENERIC])
-    if len(pts) < count:
-        raise ValueError(f"random generator found {len(pts)} of {count} generic points")
-    return np.array(pts)
+        blocks.append(block[ranks == spectrum._GENERIC])
+        found += len(blocks[-1])
+    if found < count:
+        raise ValueError(f"random generator found {found} of {count} generic points")
+    return np.concatenate(blocks)
 
 
 def rest_frame_points(rng, count: int, gaps: tuple[float, float]) -> np.ndarray:
@@ -92,8 +93,9 @@ def _points(args) -> np.ndarray:
     return rest_frame_points(rng, args.count, (0.2, 2.0))  # the one other kind allowed
 
 
-# The working set is one block's, whatever --count: a 1000-row sweep at level
-# 1 peaks at 1.5 MiB (tracemalloc) in 512-row blocks, 2.5 MiB in one block.
+# The numeric temporaries are one block's, whatever --count: a 1000-row sweep
+# at level 1 peaks at 1.5 MiB (tracemalloc) in 512-row blocks, 2.5 MiB in one
+# block.  The points and the CSV text, one string per block, grow with --count.
 _BLOCK_ROWS = 512
 
 
@@ -128,14 +130,15 @@ def _lines(xi: np.ndarray, first: int, level: int | None, tol: float) -> list[st
 def cmd_sweep(args) -> str:
     """The sweep's CSV text, header line first."""
     columns = BASE_COLUMNS + (CURVATURE_COLUMNS if args.level is not None else [])
-    points, lines = _points(args), [",".join(columns)]
+    points, text = _points(args), [",".join(columns)]  # one string per block
     try:
         for i in range(0, len(points), _BLOCK_ROWS):
-            lines += _lines(points[i:i + _BLOCK_ROWS], i, args.level, args.classify_tol)
+            text.append("\n".join(_lines(points[i:i + _BLOCK_ROWS], i, args.level,
+                                          args.classify_tol)))
     except ValueError as exc:
         if args.generator != "random" or args.scale is None:
             raise
         # random_generic passed the draws and their closed form: their frames failed
         raise ValueError(f"--scale {args.scale!r} takes a drawn point out of range: "
                          f"{exc}") from exc
-    return "\n".join(lines) + "\n"
+    return "\n".join(text) + "\n"

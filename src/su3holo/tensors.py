@@ -29,7 +29,6 @@ from .errors import DegenerateInput, check_level, check_positive
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
-    _columns,
     _fix_gauge,
     _point,
     _rest_from_levels,
@@ -284,7 +283,7 @@ def octet_coefficients(level: int, rest_xi,
         When the spectrum is not generic (the prefactor is singular).
     """
     level = check_level(level)
-    xi, s = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients", generic=False)
+    xi, s = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients")[:2]
     if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
     x3, x8 = xi[2], xi[7]
@@ -327,8 +326,8 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     ``curvature.curvature_spectral`` does.
     """
     level = check_level(level)
-    xi, s = _point(xi, tol, "curvature_from_parts", generic=True)
-    a_mat = _fix_gauge(_columns(xi, s.energies, (1, 2, 3)))
+    xi, s, a = _point(xi, tol, "curvature_from_parts", (1, 2, 3))
+    a_mat = _fix_gauge(a)
     e12, e23, e13 = s.e12, s.e23, s.e13
     lam, mu = octet_coefficients(level, _rest_from_levels(s.energies), tol)
     prefactor = -1.0 / (4.0 * e12 * e13 * e23)

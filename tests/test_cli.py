@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from su3holo.cli import main
-from su3holo.parser import _rest_pair, _vec3, _vec8, build
+from su3holo.parser import _grid_shape, _rest_pair, _vec3, _vec8, build
 
 E8 = "0,0,0,0,0,0,0,1"
 REST = "0,0,0.6,0,0,0,0,1.3"
@@ -1031,12 +1033,45 @@ def test_a_point_file_with_a_generator_option_exits_1(tmp_path, capsys, command,
      "the random generator takes no --ray-from"),
     (["sweep", "--generator", "rest-frame", "--toward=0,0,1,0,0,0,0,0"],
      "the rest-frame generator takes no --toward"),
+    (["sweep", "--generator", "ray", f"--ray-from={E8}"], "ray sweep needs --ray-from and --toward"),
+    (["sweep", "--generator", "ray", "--toward=0,0,1,0,0,0,0,0"],
+     "ray sweep needs --ray-from and --toward"),
 ])
 def test_an_option_the_input_mode_does_not_read_exits_1(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"su3holo: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--xi", "1,2,3"], "argument --xi: expected 8 comma-separated numbers"),
+    (["monopole", "--direction", E8, "--radius", "1e-3", "--offset", "1,2"],
+     "argument --offset: expected 3 comma-separated numbers"),
+    (["classify", "--rest", "0.6,1.3,0"], "argument --rest: expected x3,x8"),
+    (["surface-flux", "--center", E8, "--grid", "64"], "argument --grid: expected NUxNV, e.g. 64x128"),
+], ids=["xi", "offset", "rest", "grid"])
+def test_a_vector_or_grid_with_the_wrong_arity_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"usage: su3holo {argv[0]} ")
+    assert captured.err.splitlines()[-1] == f"su3holo {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read descriptor: [Errno 2] No such file or directory: {path!r}"),
+    ("{", "cannot read descriptor: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    ('[{"schema": "su3holo/1", "command": "classify"}]', "descriptor must be a JSON object"),
+], ids=["missing", "not-json", "array"])
+def test_a_descriptor_file_that_holds_no_json_object_exits_1(tmp_path, capsys, text, message):
+    path = str(tmp_path / "job.json")
+    if text is not None:
+        (tmp_path / "job.json").write_text(text)
+    assert main(["job", path]) == 1
+    assert capsys.readouterr() == ("", f"su3holo: error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("grid", [[-3, 5], [1, 5], [5, 0]])
@@ -1159,6 +1194,91 @@ def test_edge_values_of_each_option_exit_cleanly(capsys, command, option, value,
     else:
         assert "Traceback" not in err and "Warning" not in err
         assert err.endswith("\n") and err.count("\n") == 1 and err.startswith("su3holo: ")
+
+
+# Combinations of options through main: a command of the parser table and
+# one of its EDGE_LINES, then for each option of the command, one of: the
+# line's value, no value (a required option or a size always has one), or a
+# value typed by the option: valid numbers and EDGE_VALUES for floats; for a
+# vector, one of a few valid vectors or valid numbers with at most one
+# component an edge value; at most 64 points for a size.  Left out:
+# selfcheck (a second per run, and it takes only --seed), job (the
+# descriptor search above walks its fields), and the options that name
+# files (--output, --path-file, --patch-file).
+NUMBERS = ["0", "0.1", "1e-3", "0.6", "1.3", "-0.2", "1", "3"]
+VECTORS = {
+    8: [E8, REST, *(",".join("1" if i == k else "0" for i in range(8)) for k in range(3))],
+    3: ["0,0,0", "0,0,1e-3", "1e-3,0,0"],
+    2: ["0.6,1.3", "0,1", "1,0"],
+}
+_SKIPPED_OPTIONS = {"--output", "--path-file", "--patch-file"}
+
+
+def _vector(n: int):
+    def spoil(drawn):
+        parts, edge = drawn
+        if edge is not None:
+            parts[edge[0]] = edge[1]
+        return ",".join(parts)
+    edges = st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from(EDGE_VALUES))
+    drawn = st.tuples(st.lists(st.sampled_from(NUMBERS), min_size=n, max_size=n), edges)
+    return st.sampled_from(VECTORS[n]) | drawn.map(spoil)
+
+
+def _values(action):
+    """The typed strategy of one option's values, as strings."""
+    if action.choices is not None:
+        other = "4" if isinstance(action.choices[0], int) else "none"
+        return st.sampled_from([*map(str, action.choices), other])
+    if action.type is float:
+        return st.sampled_from(NUMBERS) | st.sampled_from(EDGE_VALUES)
+    vectors = {_vec8: 8, _vec3: 3, _rest_pair: 2}
+    if action.type in vectors:
+        return _vector(vectors[action.type])
+    if action.type is _grid_shape:
+        return st.tuples(st.integers(0, 8), st.integers(0, 8)).map("{0[0]}x{0[1]}".format)
+    if action.type is int:  # --seed
+        return st.integers(-1, 2**32).map(str)
+    return st.integers(-1, 64).map(str)  # --count, --samples
+
+
+_COMMANDS = {name: [a for a in p._actions if a.dest != "help"
+                    and a.option_strings[-1] not in _SKIPPED_OPTIONS]
+             for name, p in build().commands.items() if name not in ("selfcheck", "job")}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_combinations_of_options_exit_cleanly(capsys, data):
+    assert sorted(_COMMANDS) == sorted(EDGE_LINES)
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    line = data.draw(st.sampled_from(EDGE_LINES[command]), label="line")
+    given = dict(zip(line[::2], line[1::2]))
+    argv = [command]
+    for action in _COMMANDS[command]:
+        option = action.option_strings[-1]
+        sized = action.type is _grid_shape or getattr(action.type, "__name__", "") == "size"
+        modes = [mode for mode, allowed in [("line", option in given),
+                                            ("omit", not (sized or action.required)),
+                                            ("draw", True)] if allowed]
+        mode = data.draw(st.sampled_from(modes), label=option)
+        if mode != "omit":
+            value = given[option] if mode == "line" else data.draw(_values(action), label=option)
+            argv.append(f"{option}={value}")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.endswith("\n")
+        assert err.splitlines()[-1].startswith(("su3holo: error: ", "su3holo: degenerate input: ",
+                                                f"su3holo {command}: error: "))
 
 
 # The same search through job descriptors, walking the descriptor table:

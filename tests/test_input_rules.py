@@ -381,3 +381,58 @@ def test_a_ray_past_the_float_range_exits_1_without_a_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _exits_1_with(capsys, argv, "sweep requires finite octet components")
+
+
+def _antisym_tensor_times_i():
+    t = np.zeros((8, 8))
+    t[0, 1], t[1, 0] = 1.0, -1.0
+    return 1j * su3holo.to_tensor_components(t).tensor
+
+
+# A typed error of each shape, order or residue check that no other test
+# reaches: (id, call, message).
+TYPED_ERRORS = [
+    ("CoordinateForm", lambda: su3holo.CoordinateForm(0.0, np.zeros(7)),
+     r"octet part must have shape \(8,\), got \(7,\)"),
+    ("energy_levels", lambda: su3holo.energy_levels(np.zeros(7)),
+     r"octet vectors have 8 components, got shape \(7,\)"),
+    ("CurvatureTwoForm", lambda: su3holo.CurvatureTwoForm(1, np.zeros((7, 7))),
+     r"coefficients must be 8x8, got shape \(7, 7\)"),
+    ("SurfacePatch", lambda: su3holo.SurfacePatch(np.zeros((1, 5, 8))),
+     r"a patch needs an \(nu, nv, 8\) grid with nu, nv >= 2"),
+    ("spherical_patch", lambda: su3holo.spherical_patch(E8, np.eye(8)[:2], 1e-3),
+     "frame must hold three 8-component vectors"),
+    ("gap_asymptotic", lambda: su3holo.gap_asymptotic(np.zeros(8)),
+     "phase angle is undefined for the zero vector"),
+    ("classify", lambda: su3holo.classify(np.zeros((2, 8))), "classify takes a single octet vector"),
+    ("octet_matrix", lambda: su3holo.octet_matrix(np.zeros(7)),
+     r"octet vectors have 8 components, got shape \(7,\)"),
+    ("octet_components-shape", lambda: su3holo.octet_components(np.eye(2)),
+     r"expected a 3x3 matrix, got shape \(2, 2\)"),
+    ("octet_components-residue", lambda: su3holo.octet_components(1j * np.diag([1.0, -1.0, 0.0])),
+     "octet components carry a nonreal residue"),
+    ("to_tensor_components", lambda: su3holo.to_tensor_components(np.zeros((7, 7))),
+     r"coefficient arrays must be 8x8, got shape \(7, 7\)"),
+    ("from_tensor_components-shape", lambda: su3holo.from_tensor_components(np.zeros((3, 3, 3))),
+     r"tensor components must be 3x3x3x3, got shape \(3, 3, 3\)"),
+    ("from_tensor_components-residue",
+     lambda: su3holo.from_tensor_components(_antisym_tensor_times_i()),
+     "coefficient array carries a nonreal residue"),
+    ("project_irreducible", lambda: su3holo.project_irreducible(np.zeros(3)),
+     "expected an AntisymTensor or an 8x8 coefficient array"),
+    ("octet_coefficients-shape", lambda: su3holo.octet_coefficients(1, np.zeros(7)),
+     r"octet vectors have 8 components, got shape \(7,\)"),
+    ("octet_coefficients-order", lambda: su3holo.octet_coefficients(1, [0, 0, -0.6, 0, 0, 0, 0, 1.3]),
+     r"rest-frame vectors must satisfy xi8 >= xi3/sqrt\(3\) >= 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in TYPED_ERRORS],
+                         ids=[case[0] for case in TYPED_ERRORS])
+def test_each_shape_and_residue_check_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_a_matrix_that_is_not_3x3_is_not_special_unitary():
+    assert su3holo.algebra.is_special_unitary(np.eye(2)) is False

@@ -159,6 +159,29 @@ def test_pairings_name_an_overflow_with_no_warning(pairing, name):
         assert pairing(HUGE, gellmann(1), gellmann(2)) == 0.0
 
 
+@pytest.mark.parametrize("pairing, args, value", [
+    # the commutator reaches 1e400 before h scales it down
+    (symplectic_eval, (1e-200 * diag_traceless(1.0, 0.2), 1e200 * gellmann(1), 1e200 * gellmann(2)),
+     1.6e200),
+    # h @ a reaches 1e350 before b scales it down
+    (orbit_metric_eval, (1e200 * diag_traceless(1.0, 0.2), 1e150 * gellmann(1),
+                         1e-300 * gellmann(1)), 1.28e250),
+], ids=["symplectic", "metric"])
+def test_a_pairing_in_the_float_range_is_returned_where_its_products_are_not(pairing, args, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pairing(*args) == pytest.approx(value, rel=1e-15)
+
+
+def test_a_pairing_past_the_float_range_still_overflows():
+    # 1.28e450: the same inputs as above with b 1e200 times larger
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the orbit metric overflows the float range"):
+            orbit_metric_eval(1e200 * diag_traceless(1.0, 0.2), 1e150 * gellmann(1),
+                              1e-100 * gellmann(1))
+
+
 def test_an_overflowing_trace_reads_as_not_traceless():
     huge = 1e308 * np.diag([1.0, 1.0, -1.0])  # its trace sum overflows
     with warnings.catch_warnings():
