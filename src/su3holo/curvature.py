@@ -221,11 +221,16 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
 
     Well defined despite the residual torus gauge freedom of the
     diagonalizer (the rest-frame table is torus-invariant), and equal to
-    the spectral route.  Raises as ``curvature_spectral`` does."""
+    the spectral route.  Raises as ``curvature_spectral`` does, and
+    ``DegenerateInput`` where the frame is too near a degeneracy to be unitary to 1e-8."""
     level = check_level(level)
     _, s, a = _point(xi, tol, "curvature_transported", (1, 2, 3))
     v0 = curvature_rest_frame(s, level)
-    d = adjoint_matrix(_fix_gauge(a))
+    try:
+        d = adjoint_matrix(_fix_gauge(a))
+    except ValueError:
+        raise DegenerateInput("curvature_transported: the frame is not unitary to 1e-8 "
+                              "this close to a degeneracy") from None
     return CurvatureTwoForm(level, d @ v0.coeffs @ d.T)
 
 

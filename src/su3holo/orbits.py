@@ -67,27 +67,29 @@ def _finite(name: str, compute):
     return value
 
 
-def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``m`` times ``2**-e`` and ``e``, the exponent that puts its largest
-    real or imaginary part in [0.5, 1): a power of two scales exactly."""
-    e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+def _unit_scaled(m: np.ndarray, e: int) -> np.ndarray:
+    """``m`` times ``2**-e``: a power of two scales exactly."""
     out = np.empty_like(m)
     out.real, out.imag = np.ldexp(m.real, -e), np.ldexp(m.imag, -e)
-    return out, e
+    return out
 
 
 def _pairing(name: str, degree: int, h, a, b, form) -> float:
     """``form(h, a, b)``, of degree ``degree`` in ``h`` and 1 in each
-    direction, with no numpy warning.  Where its products overflow it is
-    evaluated again on unit-scaled inputs and scaled back by the power of
-    two ``2**(degree eh + ea + eb)``, exactly, so that a value in the float
-    range is returned.  ``ValueError`` naming ``name`` where the value, or
-    that scale, overflows: past the float range even a cancellation's zero
-    is known to no float precision."""
+    direction, with no numpy warning.  Where its products overflow, or a
+    product of the inputs' scales is below the normal range, it is evaluated
+    again on unit-scaled inputs and scaled back by the power of two
+    ``2**(degree eh + ea + eb)``, exactly, so that a value in the float range
+    is returned.  ``ValueError`` naming ``name`` where the value, or that
+    scale, overflows: past the float range even a cancellation's zero is
+    known to no float precision."""
+    # each input's largest real or imaginary part is in [2**(e - 1), 2**e)
+    eh, ea, eb = np.frexp(np.abs(np.array((h, a, b)).view(float)).max(axis=(1, 2)))[1].tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
         value = form(h, a, b)
-    if not np.isfinite(value):
-        (h, eh), (a, ea), (b, eb) = map(_unit_scaled, (h, a, b))
+    # 2**-1022 is the least normal float
+    if not np.isfinite(value) or degree * min(eh - 1, 0) + min(ea - 1, 0) + min(eb - 1, 0) < -1022:
+        h, a, b = _unit_scaled(h, eh), _unit_scaled(a, ea), _unit_scaled(b, eb)
         value = _finite(name, lambda: form(h, a, b) * np.ldexp(1.0, degree * eh + ea + eb))
     return float(value)
 

@@ -246,9 +246,9 @@ def run(argv=None) -> int:
             sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
             sys.exit(1)
         if args.cmd == "job":
-            from . import job
+            from .job import to_argv  # ``from . import job`` would load su3holo._exports
 
-            args = parser.parse_args(job.to_argv(args.file))
+            args = parser.parse_args(to_argv(args.file))
         module = import_module(f"{__package__}.{_HANDLER_MODULES[args.cmd]}")
         payload = getattr(module, "cmd_" + args.cmd.replace("-", "_"))(args)
         if isinstance(payload, str):  # the CSV text of a sweep

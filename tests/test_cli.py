@@ -236,12 +236,26 @@ def test_sweep_csv_matches_dictwriter(capsys, argv):
     assert text.encode() == buf.getvalue().encode()
 
 
+@pytest.mark.parametrize("route", ["transported", "all"])
+def test_transported_route_too_close_to_a_cone_is_degenerate_input(capsys, route):
+    # relative gap about 1e-6: the transported frame fails adjoint_matrix's
+    # 1e-8 unitarity check, which exited 1 naming an argument ``a``
+    xi = ("-0.15354838244663183,0.14709016846474693,0.20558194016554143,-0.17255288768674745,"
+          "0.27033533123506615,-0.7347107559294185,0.1788309545874763,0.4877369648763085")
+    assert main(["curvature", f"--xi={xi}", "--route", route, "--level", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("su3holo: degenerate input: curvature_transported: the frame is "
+                            "not unitary to 1e-8 this close to a degeneracy\n")
+
+
 def test_cli_import_defers_unused_modules():
     # A fresh interpreter: pytest itself has loaded some of these modules.
     src = Path(__file__).resolve().parent.parent / "src"
     deferred = ["concurrent.futures", "csv", "numpy.polynomial", "su3holo.selfcheck",
                 "su3holo.point_commands", "su3holo.geometry_commands", "su3holo.sweep",
-                "argparse", "gettext", "su3holo.parser", "numpy", "su3holo.errors"]
+                "argparse", "gettext", "su3holo.parser", "numpy", "su3holo.errors",
+                "su3holo._exports"]
     code = ("import sys, su3holo, su3holo.cli\n"
             f"print([m for m in {deferred!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -257,7 +271,7 @@ def test_json_and_the_job_front_end_load_only_for_job(tmp_path):
          "output": {"path": str(tmp_path / "out.json")}}))
     code = ("import sys, su3holo, su3holo.cli\n"
             "def loaded():\n"
-            "    print([m in sys.modules for m in ('json', 'su3holo.job')])\n"
+            "    print([m in sys.modules for m in ('json', 'su3holo.job', 'su3holo._exports')])\n"
             "loaded()\n"
             "assert su3holo.cli.main(['sweep', '--generator', 'random', '--count', '3',"
             f" '--output', {str(tmp_path / 'out.csv')!r}]) == 0\n"
@@ -268,7 +282,8 @@ def test_json_and_the_job_front_end_load_only_for_job(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines() == ["[False, False]", "[False, False]", "[True, True]"]
+    assert out.splitlines() == ["[False, False, False]", "[False, False, False]",
+                                "[True, True, False]"]
     assert json.loads((tmp_path / "out.json").read_text())["class"] == "generic"
 
 
@@ -335,6 +350,21 @@ def _fresh_su3holo_modules(code: str) -> list[str]:
 def test_package_and_cli_import_load_no_library_module():
     assert _fresh_su3holo_modules("import sys, su3holo, su3holo.cli") == [
         "su3holo", "su3holo.cli"]
+
+
+def test_a_public_name_loads_the_name_table_and_a_submodule_does_not():
+    # the table of public names is compiled only when a name other than a
+    # submodule is looked up
+    assert _fresh_su3holo_modules("import sys\nfrom su3holo import algebra") == [
+        "su3holo", "su3holo.algebra", "su3holo.errors"]
+    assert _fresh_su3holo_modules("import sys, su3holo\nsu3holo.classify") == [
+        "su3holo", "su3holo._exports", "su3holo.algebra", "su3holo.errors", "su3holo.spectrum"]
+
+
+def test_the_package_root_names_the_submodules_of_the_table():
+    import su3holo
+
+    assert su3holo._SUBMODULES.split() == sorted(su3holo._EXPORTS)
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"],

@@ -162,6 +162,17 @@ def test_transported_equals_spectral():
     assert worst < 1e-9
 
 
+def test_transported_names_a_frame_too_close_to_a_cone():
+    # The closed-form frame is unitary only to about 3e-6 at relative gap 1e-6,
+    # so adjoint_matrix's 1e-8 check rejects it; that read as a ValueError
+    # about an argument ``a`` the caller never gave.
+    for xi in near_cone_points(np.random.default_rng(11), 1e-6, "upper", 16):
+        with pytest.raises(DegenerateInput, match="^curvature_transported: the frame is not "
+                                                  "unitary to 1e-8 this close to a degeneracy$"):
+            curvature_transported(xi, 3)
+        assert np.isfinite(curvature_spectral(xi, 3).coeffs).all()
+
+
 def test_transported_fixed_points():
     xi, e12, e23 = random_rest_frame(rng)
     for level in (1, 2, 3):

@@ -160,6 +160,40 @@ def test_pairings_name_an_overflow_with_no_warning(pairing, name):
 
 
 @pytest.mark.parametrize("pairing, args, value", [
+    # a @ b is 1e-600 before h scales it up: it read 0.0
+    (symplectic_eval, (1e300 * diag_traceless(1.0, 0.2), 1e-300 * gellmann(1), 1e-300 * gellmann(2)),
+     1.6e-300),
+    # h @ a is 1e-400 before b scales it up: it read 0.0
+    (orbit_metric_eval, (1e-200 * diag_traceless(1.0, 0.2), 1e-200 * gellmann(1),
+                         1e300 * gellmann(1)), 1.28e-300),
+    # h @ a is about 1e-320, below the normal range: it read 1.27983e-180
+    (orbit_metric_eval, (1e-160 * diag_traceless(1.0, 0.2), 1e-160 * gellmann(1),
+                         1e300 * gellmann(1)), 1.28e-180),
+    # directions that commute with h keep their exact zero
+    (symplectic_eval, (1e300 * diag_traceless(1.0, 0.2), 1e-300 * gellmann(3), 1e-300 * gellmann(1)),
+     0.0),
+    (orbit_metric_eval, (1e-200 * diag_traceless(1.0, 0.2), 1e-200 * gellmann(8),
+                         1e300 * gellmann(1)), 0.0),
+], ids=["symplectic", "metric", "metric-subnormal", "symplectic-commuting", "metric-commuting"])
+def test_a_pairing_in_the_float_range_is_returned_where_its_products_underflow(pairing, args, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pairing(*args)
+    assert got == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
+def test_a_pairing_whose_products_stay_normal_keeps_its_bits():
+    # the same arithmetic as the direct evaluation, where nothing underflows
+    for _ in range(50):
+        h, a, b = random_hermitian(rng), *(random_hermitian(rng, traceless=True) for _ in "ab")
+        for scale in (1e-150, 1.0, 1e150):
+            sh, sa, sb = scale * h, a / scale, b
+            assert symplectic_eval(sh, sa, sb) == np.trace(sh @ (sa @ sb - sb @ sa)).imag
+            assert orbit_metric_eval(sh, sa, sb) == np.trace(
+                (sh @ sa - sa @ sh) @ (sh @ sb - sb @ sh).conj().T).real
+
+
+@pytest.mark.parametrize("pairing, args, value", [
     # the commutator reaches 1e400 before h scales it down
     (symplectic_eval, (1e-200 * diag_traceless(1.0, 0.2), 1e200 * gellmann(1), 1e200 * gellmann(2)),
      1.6e200),
