@@ -9,8 +9,8 @@ _EXPORTS = {
     "curvature": "CurvatureTwoForm curvature_rest_frame curvature_spectral curvature_transported "
                  "level_sum symplectic_two_form_fd weighted_sum",
     "errors": "DegenerateInput UnderResolvedPath",
-    "holonomy": "LoopPath SurfacePatch circle_loop loop_phase phase_sum_rule_check "
-                "spherical_patch surface_flux",
+    "holonomy": "LoopPath SurfacePatch circle_loop flux_sum_rule_check loop_phase "
+                "phase_sum_rule_check spherical_patch surface_flux",
     "kinematics": "OrbitDescriptor hermitian orbit_type",
     "limits": "GapAsymptotic SingularExpansion gap_asymptotic monopole_flux singular_expansion",
     "orbits": "OrbitInvariants orbit_invariants orbit_metric_eval symplectic_eval "

@@ -11,10 +11,10 @@ reduced-resolvent density ``2 Im <S_a M(du) a | S_a M(dv) a>``, with
 ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)`` (``curvature._flux_density``),
 which reads the one eigenvector ``|a>`` once as a bra and once as a ket.
 Both therefore take from ``spectrum._block_frames``, block by block
-(``_row_blocks``, about 1024 points each), only the unit null-space columns
+(``spectrum._row_blocks``, about 1024 points each), only the unit null-space columns
 of the levels they integrate, with no gauge fixing.  ``phase_sum_rule_check``
-takes all three columns from one evaluation per block, and the selfcheck
-takes its three fluxes from one such walk over the patch.
+takes all three columns from one evaluation per block, and
+``flux_sum_rule_check`` its three fluxes from one such walk over the patch.
 
 Orientation convention (fixed once by the Stokes consistency requirement
 and used throughout): ``SurfacePatch.boundary()`` traverses the patch edge
@@ -31,7 +31,7 @@ import numpy as np
 
 from .curvature import _flux_density
 from .errors import UnderResolvedPath, check_level, check_positive
-from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, _generic_closed_form
+from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, _generic_closed_form, _row_blocks
 
 __all__ = [
     "LoopPath",
@@ -41,14 +41,10 @@ __all__ = [
     "loop_phase",
     "surface_flux",
     "phase_sum_rule_check",
+    "flux_sum_rule_check",
 ]
 
 OVERLAP_GUARD = 0.1
-
-# Point budget of one _row_blocks block.  At 1024 one 201x201 flux peaks at
-# about 0.49 MiB of temporaries, against 1.9 MiB at 4096 and 0.23 MiB at
-# 512; smaller blocks cost time, from the kernels' fixed cost per call.
-_FLUX_BLOCK_CELLS = 1024
 
 
 _GRID_RULE = "a patch needs an (nu, nv, 8) grid with nu, nv >= 2"
@@ -66,12 +62,13 @@ def _grid_shape(shape) -> tuple[int, int]:
     return nu, nv
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices of ``range(rows)`` in order, each of whole rows of ``width``
-    points: about ``_FLUX_BLOCK_CELLS`` points, and at least one row."""
-    step = max(1, _FLUX_BLOCK_CELLS // width)
-    for start in range(0, rows, step):
-        yield slice(start, start + step)
+def _checked_rows(pts: np.ndarray, tol: float, sample: str, message: str) -> np.ndarray:
+    # pts, each block of its samples or grid rows finite, then Generic with a finite closed form
+    for rows in _row_blocks(len(pts), pts[0].size // 8):
+        if not np.isfinite(pts[rows]).all():
+            raise ValueError(f"{sample} has a non-finite component")
+        _generic_closed_form(pts[rows], tol, message)
+    return pts
 
 
 @dataclass
@@ -89,11 +86,8 @@ class LoopPath:
         pts = np.asarray(self.samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 8 or pts.shape[0] < 3:
             raise ValueError("a loop needs at least 3 samples of 8 components")
-        for rows in _row_blocks(len(pts), 1):
-            if not np.isfinite(pts[rows]).all():
-                raise ValueError("a loop sample has a non-finite component")
-            _generic_closed_form(pts[rows], self.tol, "loop passes through a degeneracy")
-        self.samples = pts
+        self.samples = _checked_rows(pts, self.tol, "a loop sample",
+                                     "loop passes through a degeneracy")
 
     def reversed(self) -> "LoopPath":
         return LoopPath(self.samples[::-1].copy(), self.tol)
@@ -116,11 +110,8 @@ class SurfacePatch:
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 3 or g.shape[2] != 8 or g.shape[0] < 2 or g.shape[1] < 2:
             raise ValueError(_GRID_RULE)
-        for rows in _row_blocks(*g.shape[:2]):
-            if not np.isfinite(g[rows]).all():
-                raise ValueError("a patch grid point has a non-finite component")
-            _generic_closed_form(g[rows], self.tol, "patch contains a degenerate grid point")
-        self.grid = g
+        self.grid = _checked_rows(g, self.tol, "a patch grid point",
+                                  "patch contains a degenerate grid point")
 
     @classmethod
     def from_function(cls, fn, shape: tuple[int, int],
@@ -167,10 +158,15 @@ def circle_loop(center, axis_a, axis_b, radius: float, samples: int,
     Raises
     ------
     ValueError
-        If ``radius`` or ``tol`` is not positive and finite, a vector does
-        not have 8 finite components, or the axes are not orthonormal.
+        If ``radius`` or ``tol`` is not positive and finite, ``samples`` is
+        not an integer, a vector does not have 8 finite components, or the
+        axes are not orthonormal.
     """
     radius = check_positive("radius", radius)
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
     center = np.asarray(center, dtype=float)
     ea = np.asarray(axis_a, dtype=float)
     eb = np.asarray(axis_b, dtype=float)
@@ -337,3 +333,12 @@ def phase_sum_rule_check(path: LoopPath) -> tuple[tuple[float, float, float], fl
     phases = tuple(_loop_phases(path, (1, 2, 3)))
     total = float(np.angle(np.exp(1j * sum(phases))))
     return phases, total
+
+
+def flux_sum_rule_check(patch: SurfacePatch) -> tuple[tuple[float, float, float], float]:
+    """Surface fluxes of all three levels, from one walk over the patch's
+    blocks, each the same bits as its ``surface_flux``, and their plain sum.
+    The sum vanishes up to rounding: the three curvature forms add to zero.
+    Raises where ``surface_flux`` does."""
+    fluxes = tuple(_surface_fluxes(patch, (1, 2, 3)))
+    return fluxes, sum(fluxes)

@@ -21,8 +21,8 @@ import numpy as np
 from .algebra import _octet, adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _PAIRS, _pair_weights
 from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
-from .holonomy import _block_density, _row_blocks
-from .spectrum import DEFAULT_CLASSIFY_TOL, _closed_form, energy_gaps
+from .holonomy import _block_density
+from .spectrum import DEFAULT_CLASSIFY_TOL, _closed_form, _row_blocks, energy_gaps
 
 __all__ = [
     "GapAsymptotic",
@@ -69,16 +69,23 @@ def gap_asymptotic(xi) -> GapAsymptotic:
 
     and the mirror law with a minus sign for ``E23`` near the lower surface
     (``phi`` within 0.1 of pi/2).  The relative error vanishes as the
-    surface is approached.  ``ValueError`` if ``xi`` is the zero vector or is
-    not near either degeneracy surface."""
-    c = _closed_form(_octet(xi))  # norm, its cube, cubic invariant, angle and gaps
+    surface is approached.  Both gaps scale as ``|xi|``, so they are taken
+    at ``xi / 2**k``, whose largest component lies in [0.5, 1), and scaled
+    back by ``2**k``: exact, and free of overflow and underflow at any finite
+    ``xi``.  ``ValueError`` if ``xi`` has a non-finite component, is the zero
+    vector or is not near either degeneracy surface."""
+    xi = _octet(xi)
+    if not np.isfinite(xi).all():
+        raise ValueError("gap_asymptotic requires finite octet components")
+    k = int(np.frexp(np.abs(xi).max())[1])
+    c = _closed_form(np.ldexp(xi, -k))  # norm, its cube, cubic invariant, angle and gaps
     if c.norm == 0.0:
         raise ValueError("phase angle is undefined for the zero vector")
     norm, phi = float(c.norm), float(c.phi)
     for surface, sign, gap in zip((np.pi / 6.0, np.pi / 2.0), (1.0, -1.0), c.gaps):
         if abs(phi - surface) <= _WINDOW:
             predicted = (np.sqrt(2.0) / 3.0) * np.sqrt(max(c.cube + sign * c.cubic, 0.0) / norm)
-            return GapAsymptotic(float(predicted), float(gap))
+            return GapAsymptotic(float(np.ldexp(predicted, k)), float(np.ldexp(gap, k)))
     raise ValueError(
         f"input is not near either degeneracy surface (phi = {phi:.6f})"
     )

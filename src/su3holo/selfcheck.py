@@ -224,7 +224,7 @@ def _check_stokes(rng) -> CheckResult:
         # fluxes from one walk of the patch, each equal to its loop_phase or
         # surface_flux bit for bit
         phases, total = holonomy.phase_sum_rule_check(patch.boundary())
-        for phase, flux in zip(phases, holonomy._surface_fluxes(patch, (1, 2, 3))):
+        for phase, flux in zip(phases, holonomy.flux_sum_rule_check(patch)[0]):
             worst = max(worst, abs(np.angle(np.exp(1j * (phase - flux)))))
         worst_sum = max(worst_sum, abs(total))
     ok = worst < 1e-3 and worst_sum < 1e-3

@@ -374,6 +374,19 @@ def _columns(xi: np.ndarray, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarr
     return a
 
 
+# Point budget of one _row_blocks block, for every walk.  At 1024 a 201x201 flux peaks
+# at 0.49 MiB of temporaries (1.9 MiB at 4096, 0.23 at 512); smaller blocks cost time.
+_BLOCK_POINTS = 1024
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` in order, each of whole rows of ``width``
+    points: about ``_BLOCK_POINTS`` points, and at least one row."""
+    step = max(1, _BLOCK_POINTS // width)
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
 def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedForm:
     """The closed form of a block of octet vectors (..., 8), with no warning:
     ``ValueError`` for a ``tol`` that is not positive and finite, then the

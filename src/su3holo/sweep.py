@@ -1,7 +1,7 @@
 """The ``sweep`` command: point generators and the CSV rows.
 
-The rows are evaluated in blocks of ``_BLOCK_ROWS`` points: per block one
-closed form and, at a level, one eigenvector and one curvature pass over the
+The rows are evaluated in ``spectrum._row_blocks``: per block one closed
+form and, at a level, one eigenvector and one curvature pass over the
 Generic rows, each field the same bits as the single-point API gives.
 Columns come in the fixed order ``BASE_COLUMNS``, followed by
 ``CURVATURE_COLUMNS`` when a level is given.  Every field is an int, a
@@ -26,14 +26,15 @@ CURVATURE_COLUMNS = ["v12", "v45", "v67", "v38", "vmax"]
 def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarray:
     """``count`` draws of ``scale`` times a standard-normal octet vector that
     are Generic at tolerance ``tol``, classified in blocks of the number still
-    missing, so the seed is consumed exactly as one draw at a time would;
+    missing and at most one block, so the seed is consumed as one draw at a time would;
     ``ValueError`` where ``classify`` raises, naming a finite ``scale``, where
     a finite ``scale`` takes a draw past the float range, or if ``100 *
     count`` draws hold fewer."""
     blocks, found, tries, cap = [np.empty((0, 8))], 0, 0, 100 * count
     while found < count and tries < cap:
         with np.errstate(over="ignore"):  # a finite scale that overflows is named below
-            block = scale * rng.standard_normal((min(count - found, cap - tries), 8))
+            block = scale * rng.standard_normal(
+                (min(count - found, cap - tries, spectrum._BLOCK_POINTS), 8))
         if math.isfinite(scale) and not np.isfinite(block).all():
             raise ValueError(f"--scale {scale!r} takes a drawn point past the float range")
         tries += len(block)
@@ -93,12 +94,6 @@ def _points(args) -> np.ndarray:
     return rest_frame_points(rng, args.count, (0.2, 2.0))  # the one other kind allowed
 
 
-# The numeric temporaries are one block's, whatever --count: a 1000-row sweep
-# at level 1 peaks at 1.5 MiB (tracemalloc) in 512-row blocks, 2.5 MiB in one
-# block.  The points and the CSV text, one string per block, grow with --count.
-_BLOCK_ROWS = 512
-
-
 def _lines(xi: np.ndarray, first: int, level: int | None, tol: float) -> list[str]:
     """The CSV lines of points (n, 8) numbered from ``first``.  Of the rows
     whose point, closed form or frames are not finite, the first raises."""
@@ -131,9 +126,11 @@ def cmd_sweep(args) -> str:
     """The sweep's CSV text, header line first."""
     columns = BASE_COLUMNS + (CURVATURE_COLUMNS if args.level is not None else [])
     points, text = _points(args), [",".join(columns)]  # one string per block
+    # one block's numeric temporaries, whatever --count: 2.48 MiB (tracemalloc) at
+    # level 1.  The points and the CSV text grow with --count.
     try:
-        for i in range(0, len(points), _BLOCK_ROWS):
-            text.append("\n".join(_lines(points[i:i + _BLOCK_ROWS], i, args.level,
+        for rows in spectrum._row_blocks(len(points), 1):
+            text.append("\n".join(_lines(points[rows], rows.start, args.level,
                                           args.classify_tol)))
     except ValueError as exc:
         if args.generator != "random" or args.scale is None:

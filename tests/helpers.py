@@ -2,8 +2,9 @@
 wrapping, the dense reference kernels, the gauge-fixed frames and the
 sum-over-states curvature, the whole-loop transport, mpmath flux-density and
 curvature references, a point whose closed form overflows, the per-level
-closed forms written out level by level, the sweep's rows one point at a
-time and the finite-difference symplectic form one stencil point at a time."""
+closed forms written out level by level, the sweep's rows and random draws
+one point at a time and the finite-difference symplectic form one stencil
+point at a time."""
 import math
 
 import mpmath
@@ -325,6 +326,23 @@ def per_row_sweep_lines(points: np.ndarray, level, tol: float) -> list[str]:
                 fields += ["nan"] * 5
         lines.append(",".join(fields))
     return lines
+
+
+def one_draw_at_a_time_random_generic(rng, count: int, tol: float, scale: float = 1.0):
+    """Reference for ``sweep.random_generic``: ``scale`` times one
+    standard-normal octet vector at a time, kept where ``classify`` finds it
+    Generic, until ``count`` are kept or ``100 * count`` are drawn.  The
+    blocked generator must keep the same points and leave ``rng`` in the same
+    state."""
+    kept, tries = [], 0
+    while len(kept) < count and tries < 100 * count:
+        xi = scale * rng.standard_normal(8)
+        tries += 1
+        if spectrum.classify(xi, tol) is spectrum.DegeneracyClass.GENERIC:
+            kept.append(xi)
+    if len(kept) < count:
+        raise ValueError(f"random generator found {len(kept)} of {count} generic points")
+    return np.array(kept).reshape(-1, 8)
 
 
 def per_point_symplectic_two_form_fd(xi, step=None, tol: float = 1e-9) -> np.ndarray:

@@ -1,8 +1,10 @@
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -11,7 +13,7 @@ import pytest
 
 from helpers import random_special_unitary
 from su3holo import DegenerateInput, UnderResolvedPath, holonomy, limits
-from su3holo.algebra import adjoint_matrix
+from su3holo.algebra import adjoint_matrix, matrix_to_octet, octet_to_matrix
 from su3holo.curvature import curvature_spectral
 from su3holo.limits import gap_asymptotic, monopole_flux, singular_expansion
 from su3holo.spectrum import energy_gaps
@@ -57,6 +59,33 @@ def test_gap_asymptotic_error_vanishes_on_approach():
         predicted, actual = gap_asymptotic(delta * e(3) + e(8))
         errs.append(abs(predicted - actual) / actual)
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_gap_asymptotic_is_exactly_covariant_under_powers_of_two():
+    # both values scale as |xi|: over the whole float range ldexp(xi, k) gives
+    # ldexp of each, bit for bit, with no warning.  At |xi| of 1e120 and above
+    # numpy once warned of overflow, and at 1e-120 and below the angle was NaN.
+    r = np.random.default_rng(12)
+    points = []
+    for x in (1e-3 * e(3) + e(8), (np.sqrt(3) / 2 - 1e-3) * e(3) + 0.5 * e(8)):
+        u = np.linalg.qr(r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3)))[0]
+        points += [x, matrix_to_octet(u @ octet_to_matrix(x) @ u.conj().T)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in points:
+            want = gap_asymptotic(x)
+            for k in range(-1000, 1021, 5):
+                got = gap_asymptotic(np.ldexp(x, k))
+                assert [v.hex() for v in got] == [math.ldexp(v, k).hex() for v in want]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gap_asymptotic_rejects_a_non_finite_component(bad):
+    xi = 1e-3 * e(3) + e(8)
+    xi[4] = bad
+    with pytest.raises(ValueError) as info:
+        gap_asymptotic(xi)
+    assert str(info.value) == "gap_asymptotic requires finite octet components"
 
 
 def test_singular_expansion_tables():

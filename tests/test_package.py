@@ -15,8 +15,8 @@ PUBLIC = {
                   "curvature_transported", "level_sum", "symplectic_two_form_fd",
                   "weighted_sum"],
     "errors": ["DegenerateInput", "UnderResolvedPath"],
-    "holonomy": ["LoopPath", "SurfacePatch", "circle_loop", "loop_phase",
-                 "phase_sum_rule_check", "spherical_patch", "surface_flux"],
+    "holonomy": ["LoopPath", "SurfacePatch", "circle_loop", "flux_sum_rule_check",
+                 "loop_phase", "phase_sum_rule_check", "spherical_patch", "surface_flux"],
     "kinematics": ["OrbitDescriptor", "hermitian", "orbit_type"],
     "limits": ["GapAsymptotic", "SingularExpansion", "gap_asymptotic", "monopole_flux",
                "singular_expansion"],
@@ -35,7 +35,7 @@ HOME = {name: module for module, names in PUBLIC.items() for name in [module, *n
 
 
 def test_all_lists_the_public_names_and_submodules():
-    assert len(HOME) == 77
+    assert len(HOME) == 78
     assert su3holo.__all__ == sorted(HOME)
 
 

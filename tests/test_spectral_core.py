@@ -72,7 +72,7 @@ def test_surface_flux_evaluates_the_closed_form_once_per_block(cubic_calls, monk
     rest[2], rest[7] = 0.6, 1.3
     frame = np.eye(8)[[0, 1, 3]]
     patch = holonomy.spherical_patch(rest, frame, 0.05, shape=(7, 5))
-    monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", 8)  # 2 of the 6 cell rows
+    monkeypatch.setattr(spectrum, "_BLOCK_POINTS", 8)  # 2 of the 6 cell rows
     cubic_calls.clear()  # the patch checked its grid on construction
     holonomy.surface_flux(patch, 1)
     assert cubic_calls == [(2, 4, 8)] * 3
@@ -84,7 +84,7 @@ def test_the_three_level_walk_evaluates_the_closed_form_once_per_block(cubic_cal
     rest[2], rest[7] = 0.6, 1.3
     frame = np.eye(8)[[0, 1, 3]]
     patch = holonomy.spherical_patch(rest, frame, 0.05, shape=(7, 5))
-    monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", 8)  # 2 of the 6 cell rows
+    monkeypatch.setattr(spectrum, "_BLOCK_POINTS", 8)  # 2 of the 6 cell rows
     cubic_calls.clear()  # the patch checked its grid on construction
     fluxes = holonomy._surface_fluxes(patch, (1, 2, 3))
     assert cubic_calls == [(2, 4, 8)] * 3  # not * 9, as three surface_flux calls make
@@ -109,7 +109,7 @@ def test_phase_sum_rule_check_evaluates_the_loop_once(cubic_calls):
 def test_loops_evaluate_the_closed_form_once_per_block(cubic_calls, monkeypatch, budget, blocks):
     loop = holonomy.circle_loop(np.eye(8)[7], np.eye(8)[0], np.eye(8)[1], 1e-3, 800)
     assert sum(blocks) == len(loop.samples)
-    monkeypatch.setattr(holonomy, "_FLUX_BLOCK_CELLS", budget)
+    monkeypatch.setattr(spectrum, "_BLOCK_POINTS", budget)
     for call in (lambda: holonomy.LoopPath(loop.samples), lambda: holonomy.loop_phase(loop, 2),
                  lambda: holonomy.phase_sum_rule_check(loop)):
         cubic_calls.clear()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import near_cone_points, per_row_sweep_lines
+from helpers import near_cone_points, one_draw_at_a_time_random_generic, per_row_sweep_lines
 from su3holo import curvature, spectrum, sweep
 from su3holo.cli import main
 from su3holo.parser import build
@@ -80,12 +80,51 @@ CASES = {
 }
 
 
+@pytest.mark.parametrize("budget", [None, 7], ids=["1024-point-blocks", "7-point-blocks"])
 @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
-def test_the_batched_sweep_equals_the_per_row_reference(capsys, argv):
+def test_the_batched_sweep_equals_the_per_row_reference(monkeypatch, capsys, argv, budget):
+    if budget is not None:
+        monkeypatch.setattr(spectrum, "_BLOCK_POINTS", budget)
     code = main(["sweep", *argv])
     captured = capsys.readouterr()
     assert code == (1 if captured.err else 0)
     assert (captured.out or captured.err).encode() == _reference(argv).encode()
+
+
+def _draws(draw, seed: int, count: int, tol: float):
+    # the kept points, or the error, and the generator's next draw
+    rng = np.random.default_rng(seed)
+    try:
+        kept = draw(rng, count, tol).tobytes()
+    except ValueError as exc:
+        kept = str(exc)
+    return kept, rng.standard_normal().hex()
+
+
+@pytest.mark.parametrize("budget", [None, 7])
+@pytest.mark.parametrize("count, tol", [(0, 1e-9), (1, 1e-9), (5, 0.3), (1023, 1e-9),
+                                        (1024, 1e-9), (1025, 0.05), (2500, 0.3), (3, 0.498)])
+def test_random_draws_are_one_draw_at_a_time(monkeypatch, count, tol, budget):
+    # at tol 0.3 about half the draws are not Generic, so the blocks run short
+    # of the count and more rounds follow; at 0.498 seed 0 finds 2 of 3
+    if budget is not None:
+        monkeypatch.setattr(spectrum, "_BLOCK_POINTS", budget)
+    for seed in (0, 7):
+        assert (_draws(sweep.random_generic, seed, count, tol)
+                == _draws(one_draw_at_a_time_random_generic, seed, count, tol))
+
+
+def test_random_draws_take_at_most_one_block_at_a_time(monkeypatch):
+    sizes = []
+    real = spectrum._classified
+
+    def spy(xi, tol):
+        sizes.append(len(xi))
+        return real(xi, tol)
+
+    monkeypatch.setattr(spectrum, "_classified", spy)
+    sweep.random_generic(np.random.default_rng(0), 2500, 1e-9)
+    assert sizes == [1024, 1024, 452]
 
 
 def test_the_sweep_makes_no_per_row_call(monkeypatch):
@@ -104,21 +143,21 @@ def test_the_sweep_makes_no_per_row_call(monkeypatch):
         counted(spectrum, name)
     counted(curvature, "_tables")
     args = build().parse_args(["sweep", "--generator", "rest-frame", "--count",
-                               str(2 * sweep._BLOCK_ROWS + 1), "--level", "1"])
+                               str(2 * spectrum._BLOCK_POINTS + 1), "--level", "1"])
     sweep.cmd_sweep(args)
     assert calls == {"_classified": 3, "_point": 0, "_columns": 3, "_tables": 3}
 
 
 def test_the_working_set_does_not_grow_with_the_count():
     peaks = []
-    for count in (sweep._BLOCK_ROWS, 4 * sweep._BLOCK_ROWS):
+    for count in (spectrum._BLOCK_POINTS, 4 * spectrum._BLOCK_POINTS):
         points = np.random.default_rng(5).standard_normal((count, 8))
         tracemalloc.start()
         try:
-            for first in range(0, count, sweep._BLOCK_ROWS):
-                sweep._lines(points[first:first + sweep._BLOCK_ROWS], first, 1, 1e-9)
+            for first in range(0, count, spectrum._BLOCK_POINTS):
+                sweep._lines(points[first:first + spectrum._BLOCK_POINTS], first, 1, 1e-9)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     # one block's temporaries, about 2.5 KiB per row: the lines are dropped here
-    assert peaks[1] <= 1.1 * peaks[0] and peaks[0] <= 3000 * sweep._BLOCK_ROWS
+    assert peaks[1] <= 1.1 * peaks[0] and peaks[0] <= 3000 * spectrum._BLOCK_POINTS
