@@ -16,6 +16,7 @@ once at import and frozen read-only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,23 +195,77 @@ def octet_star(xi1, xi2) -> np.ndarray:
     )
 
 
+def _unit_scaled(xi: np.ndarray):
+    """Octet vectors (..., 8) as ``(xi / 2**k, k)``, exactly: ``k``, an int for
+    one vector (in Python floats, faster) and an array (...) for more, takes
+    the largest |component| into [0.5, 1), and is 0 where that is 0 or inf."""
+    if xi.ndim == 1:
+        k = math.frexp(max(map(abs, xi.tolist())))[1]
+        return np.ldexp(xi, -k), k
+    k = np.frexp(np.abs(xi).max(axis=-1))[1]
+    return np.ldexp(xi, -k[..., None]), k
+
+
+def _scaled(u: np.ndarray, k, *quantities, caller: str | None = None) -> list:
+    """The scale rule: each ``(name, value, degree)``, of degree ``degree`` in
+    the octet vector and evaluated at ``u, k = _unit_scaled(xi)``, times
+    ``2**(degree k)``: exact, or rounded below the float range as IEEE does;
+    past it, ``ValueError`` at the first such vector and quantity.  Given
+    ``caller``, a vector with a non-finite component fails in its turn."""
+    out, past_any = [], False
+    for _, value, degree in quantities:
+        if isinstance(value, float):  # one vector's number: math.ldexp raises past the range
+            try:
+                out.append(math.ldexp(value, degree * k))
+            except OverflowError:
+                out.append(math.inf)
+                past_any = True
+            continue
+        trailing = k if isinstance(k, int) else k.reshape(k.shape + (1,) * (value.ndim - k.ndim))
+        with np.errstate(over="ignore"):
+            out.append(np.ldexp(value, degree * trailing))
+        past_any = past_any or bool(np.isinf(out[-1]).any())
+    if past_any or caller is not None:
+        finite = np.isfinite(u).all(axis=-1).ravel()
+        past = [np.isinf(x).reshape(finite.shape + (-1,)).any(axis=-1) & finite for x in out]
+        failed = np.logical_or.reduce(past + ([~finite] if caller else []))
+        if failed.any():
+            i = int(np.argmax(failed))
+            if not finite[i]:
+                raise ValueError(f"{caller} requires finite octet components")
+            name = next(q[0] for q, p in zip(quantities, past) if p[i])
+            with np.errstate(over="ignore"):  # inf where |xi| itself is past the range
+                size = np.ldexp(math.hypot(*u.reshape(-1, 8)[i].tolist()), np.ravel(k)[i])
+            raise ValueError(f"the {name} is past the float range at |xi| = {size:.6g}")
+    return out
+
+
+def _invariant(name: str, degree: int, form, xi) -> float | np.ndarray:
+    # form of degree ``degree`` at (batches of) octet vectors by the scale rule
+    u, k = _unit_scaled(_octet(xi))
+    out = _scaled(u, k, (name, form(u), degree))[0]
+    return out if isinstance(out, float) or out.ndim else float(out)
+
+
 def quadratic_invariant(xi) -> float | np.ndarray:
-    """``xi . xi``, invariant under the adjoint action."""
-    xi = _octet(xi)
-    out = np.einsum("...r,...r->...", xi, xi)
-    return float(out) if out.ndim == 0 else out
+    """``xi . xi``, invariant under the adjoint action, of degree 2."""
+    return _invariant("quadratic invariant", 2, lambda u: np.einsum("...r,...r->...", u, u), xi)
 
 
 def cubic_invariant(xi) -> float | np.ndarray:
     """``(xi * xi) . xi = sqrt(3) d_rst xi_r xi_s xi_t``, invariant under the
-    adjoint action and bounded by ``|xi|^3`` in magnitude.
+    adjoint action, of degree 3 and bounded by ``|xi|^3`` in magnitude.
 
     The sum runs over the 58 nonzero ``d_rst`` only, in C order, each term
     multiplied left to right: on finite input that is the sum
     ``einsum("rst,...r,...s,...t->...", D_CONST, xi, xi, xi)`` forms, bit
     for bit, without its zero terms.  A batch forms each of the 22 distinct
     ``d * xi_r`` once and every term in preallocated buffers."""
-    xi = _octet(xi)
+    return _invariant("cubic invariant", 3, _cubic, xi)
+
+
+def _cubic(xi: np.ndarray):
+    # cubic_invariant's sum at xi itself: a float for one vector
     if xi.ndim == 1:
         x = xi.tolist()
         acc = 0.0

@@ -10,6 +10,8 @@ Three independent evaluation routes are provided and must agree:
   irreducible octet/decouplet pieces.
 
 All routes are gauge-independent: re-phasing eigenvectors changes nothing.
+Each is evaluated at the unit-scaled point, by the scale rule
+(``algebra._scaled``): the curvature is of degree -2.
 The weighted level sum equals the orbit symplectic two-form (checked here by
 central finite differences of the gauge-pinned diagonalizer), and the
 unweighted level sum vanishes identically.
@@ -27,10 +29,10 @@ from .spectrum import (
     DegeneracyClass,
     SpectralData,
     _block_frames,
+    _ClosedForm,
     _fix_gauge,
     _pin_gauge,
     _point,
-    octet_norm,
 )
 
 __all__ = [
@@ -172,17 +174,24 @@ def curvature_spectral(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> Cur
     ------
     ValueError
         If ``level`` is not 1, 2 or 3 or ``tol`` is not positive and finite,
-        checked first, or the frames overflow or underflow.
+        checked first, or ``xi`` has a non-finite component.
     DegenerateInput
         If ``xi`` is not Generic at ``tol``."""
-    return _spectral(xi, level, tol)[1]
+    return _spectral(xi, level, tol)[2]
 
 
-def _spectral(xi, level: int, tol: float) -> tuple[SpectralData, CurvatureTwoForm]:
-    # curvature_spectral and the point's spectral record, from one evaluation
+def _spectral(xi, level: int, tol: float) -> tuple[_ClosedForm, SpectralData, CurvatureTwoForm]:
+    # curvature_spectral with the point's closed form and unit-scale record
     level = check_level(level)
-    xi, s, a = _point(xi, tol, "curvature_spectral", (level,))
-    return s, CurvatureTwoForm(level, _tables(xi, s.energies, a[:, 0], level - 1))
+    c, s, a = _point(xi, tol, "curvature_spectral", (level,))
+    return c, s, _form(c, level, _tables(c.u, s.energies, a[:, 0], level - 1))
+
+
+def _form(c: _ClosedForm, level: int, coeffs: np.ndarray) -> CurvatureTwoForm:
+    # the two-form of coefficients at the unit-scaled point, scaled back
+    form = CurvatureTwoForm(level, coeffs)
+    form.coeffs = c.scaled(("curvature", form.coeffs, -2))[0]
+    return form
 
 
 def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm:
@@ -224,19 +233,19 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     the spectral route.  Raises as ``curvature_spectral`` does, and
     ``DegenerateInput`` where the frame is too near a degeneracy to be unitary to 1e-8."""
     level = check_level(level)
-    _, s, a = _point(xi, tol, "curvature_transported", (1, 2, 3))
+    c, s, a = _point(xi, tol, "curvature_transported", (1, 2, 3))
     v0 = curvature_rest_frame(s, level)
     try:
         d = adjoint_matrix(_fix_gauge(a))
     except ValueError:
         raise DegenerateInput("curvature_transported: the frame is not unitary to 1e-8 "
                               "this close to a degeneracy") from None
-    return CurvatureTwoForm(level, d @ v0.coeffs @ d.T)
+    return _form(c, level, d @ v0.coeffs @ d.T)
 
 
-def _all_levels(xi, tol: float) -> tuple[SpectralData, np.ndarray]:
-    xi, s, a = _point(xi, tol, "curvature", (1, 2, 3))
-    return s, _tables(xi, s.energies, a, np.arange(3))
+def _all_levels(xi, tol: float) -> tuple[_ClosedForm, SpectralData, np.ndarray]:
+    c, s, a = _point(xi, tol, "curvature", (1, 2, 3))
+    return c, s, _tables(c.u, s.energies, a, np.arange(3))
 
 
 def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
@@ -248,17 +257,17 @@ def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     ``symplectic_two_form_fd``).  Evaluated as ``sum_a (E_a - E_2) V^(a)``
     (the ``V^(a)`` sum to zero): near a cone only one of the two forms that
     carry the small gap's error then enters, weighted by the small gap.
-    ``ValueError`` if ``tol`` is not positive and finite, ``DegenerateInput``
-    if ``xi`` is not Generic."""
-    s, stack = _all_levels(xi, tol)
-    return s.e12 * stack[0] - s.e23 * stack[2]
+    Of degree -1.  ``ValueError`` if ``tol`` is not positive and finite,
+    ``DegenerateInput`` if ``xi`` is not Generic."""
+    c, s, stack = _all_levels(xi, tol)
+    return c.scaled(("weighted level sum", s.e12 * stack[0] - s.e23 * stack[2], -1))[0]
 
 
 def level_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     """Unweighted level sum ``sum_a V^(a)(xi)``; vanishes identically.
     Raises as ``weighted_sum`` does."""
-    _, stack = _all_levels(xi, tol)
-    return stack.sum(axis=0)
+    c, _, stack = _all_levels(xi, tol)
+    return c.scaled(("level sum", stack.sum(axis=0), -2))[0]
 
 
 def symplectic_two_form_fd(xi, step: float | None = None,
@@ -272,21 +281,24 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     The sign convention is fixed so that ``S`` matches ``weighted_sum``
     (both give ``+1/(2 E12)`` at rest-frame slot (1,2)).  The diagonalizer
     gauge is pinned to the center point's pivot rows so the rule stays
-    smooth across the stencil, one block of 16 points.  Default step:
-    ``1e-5 * |xi|``; a given step must be nonzero and finite, and ``tol``
+    smooth across the stencil, one block of 16 points at unit scale, the
+    step scaled too; of degree -1.  Default step: ``1e-5 * |xi|``; a given
+    step must be nonzero and finite, also at unit scale, and ``tol``
     positive and finite (``ValueError`` otherwise).
     """
     if step is not None and not (np.isfinite(step) and step != 0):
         raise ValueError(f"step must be nonzero and finite, got {step!r}")
-    xi, s, a0 = _point(xi, tol, "symplectic_two_form_fd", (1, 2, 3))
+    c, s, a0 = _point(xi, tol, "symplectic_two_form_fd", (1, 2, 3))
     a0 = _fix_gauge(a0)
-    if step is None:
-        step = 1e-5 * octet_norm(xi)
+    unit_step = 1e-5 * float(c.norm) if step is None else float(c.scaled(("step", step, -1))[0])
+    if unit_step == 0.0:
+        raise ValueError(f"step must be nonzero and finite, got {step!r} at unit scale")
     pivots = (int(np.argmax(np.abs(a0[:, 0]))), int(np.argmax(np.abs(a0[:, 1]))))
-    offsets = np.diag(np.full(8, step))
-    stencil = np.stack([xi + offsets, xi - offsets], axis=1)  # (r, +/-, 8)
+    offsets = np.diag(np.full(8, unit_step))
+    stencil = np.stack([c.u + offsets, c.u - offsets], axis=1)  # (r, +/-, 8)
     a = _pin_gauge(_block_frames(stencil, tol, "stencil passes through a degeneracy")[1], pivots)
-    thetas = a0.conj().T @ ((a[:, 0] - a[:, 1]) / (2.0 * step))
+    thetas = a0.conj().T @ ((a[:, 0] - a[:, 1]) / (2.0 * unit_step))
     prod = np.einsum("rij,sjk->rsik", thetas, thetas)
     comm = prod - prod.transpose(1, 0, 2, 3)
-    return -np.einsum("ij,rsji->rs", np.diag(s.energies), comm).imag
+    form = -np.einsum("ij,rsji->rs", np.diag(s.energies), comm).imag
+    return c.scaled(("symplectic two-form", form, -1))[0]

@@ -11,10 +11,11 @@ reduced-resolvent density ``2 Im <S_a M(du) a | S_a M(dv) a>``, with
 ``S_a = (1 - P_a)(H + 2 E_a) / (E_ab E_ac)`` (``curvature._flux_density``),
 which reads the one eigenvector ``|a>`` once as a bra and once as a ket.
 Both therefore take from ``spectrum._block_frames``, block by block
-(``spectrum._row_blocks``, about 1024 points each), only the unit null-space columns
-of the levels they integrate, with no gauge fixing.  ``phase_sum_rule_check``
-takes all three columns from one evaluation per block, and
-``flux_sum_rule_check`` its three fluxes from one such walk over the patch.
+(``spectrum._row_blocks``, about 1024 points each), only the unit null-space
+columns of the levels they integrate, with no gauge fixing, and are of
+degree 0 (``algebra._scaled``): the density is evaluated at unit-scaled
+points, the tangents scaled with them.  ``phase_sum_rule_check`` and
+``flux_sum_rule_check`` take all three levels from one walk.
 
 Orientation convention (fixed once by the Stokes consistency requirement
 and used throughout): ``SurfacePatch.boundary()`` traverses the patch edge
@@ -63,7 +64,7 @@ def _grid_shape(shape) -> tuple[int, int]:
 
 
 def _checked_rows(pts: np.ndarray, tol: float, sample: str, message: str) -> np.ndarray:
-    # pts, each block of its samples or grid rows finite, then Generic with a finite closed form
+    # pts, each block of its samples or grid rows finite, then Generic
     for rows in _row_blocks(len(pts), pts[0].size // 8):
         if not np.isfinite(pts[rows]).all():
             raise ValueError(f"{sample} has a non-finite component")
@@ -74,10 +75,10 @@ def _checked_rows(pts: np.ndarray, tol: float, sample: str, message: str) -> np.
 @dataclass
 class LoopPath:
     """Closed loop given by N octet-vector samples (the last connects back
-    to the first).  Every sample must be finite, generic and have a finite
-    closed form (``ValueError`` otherwise, checked first within each block
-    of about 1024 samples, as ``SurfacePatch`` checks its grid), and ``tol``
-    positive and finite (``ValueError`` before any sample is evaluated)."""
+    to the first).  Every sample must be finite and generic (``ValueError``
+    otherwise, checked first within each block of about 1024 samples, as
+    ``SurfacePatch`` checks its grid), and ``tol`` positive and finite
+    (``ValueError`` before any sample is evaluated)."""
 
     samples: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -96,12 +97,11 @@ class LoopPath:
 @dataclass
 class SurfacePatch:
     """Two-surface sampled on a (u, v) grid over [0, 1]^2.  Every grid point
-    must be finite, generic and have a finite closed form (``ValueError``
-    otherwise, checked first); the check runs over blocks of whole grid rows
-    (about 1024 points, at least one row), like the ``surface_flux``
-    quadrature, so its working set is bounded whatever the grid size.
-    ``tol`` must be positive and finite (``ValueError`` before any grid
-    point is evaluated)."""
+    must be finite and generic (``ValueError`` otherwise, checked first); the
+    check runs over blocks of whole grid rows (about 1024 points, at least
+    one row), like the ``surface_flux`` quadrature, so its working set is
+    bounded whatever the grid size.  ``tol`` must be positive and finite
+    (``ValueError`` before any grid point is evaluated)."""
 
     grid: np.ndarray = field(repr=False)
     tol: float = DEFAULT_CLASSIFY_TOL
@@ -241,8 +241,7 @@ def loop_phase(path: LoopPath, level: int) -> float:
         If any consecutive overlap magnitude drops to ``0.1`` or below
         (under-resolved sampling or a level crossing en route).
     ValueError
-        If ``level`` is not 1, 2 or 3, checked first, or the eigenvector
-        frames overflow or underflow (|xi| above about 1e77 or below 1e-77).
+        If ``level`` is not 1, 2 or 3, checked first.
     """
     return _loop_phases(path, (check_level(level),))[0]
 
@@ -279,12 +278,15 @@ def _loop_phases(path: LoopPath, levels: tuple[int, ...]) -> list[float]:
 
 
 def _block_density(pts, tol: float, message: str, levels, tangents) -> list[np.ndarray]:
-    # The flux density of each of levels at a block of points along tangents(),
-    # formed once after the eigenvector columns, so the two peaks do not add.
-    e, columns = _block_frames(pts, tol, message, levels)
-    du, dv = tangents()
-    return [_flux_density(pts, e, columns[..., k], du, dv, level)
-            for k, level in enumerate(levels)]
+    # The flux density of each of levels at a block of points, scaled in place to
+    # pts / 2**k, along tangents(k), times 2**-k and formed after the eigenvector
+    # columns, so the two peaks do not add.
+    e, columns, k = _block_frames(pts, tol, message, levels)
+    k = np.expand_dims(k, -1)
+    du, dv = tangents(k)
+    np.ldexp(pts, -k, out=pts)
+    return [_flux_density(pts, e, columns[..., i], du, dv, level)
+            for i, level in enumerate(levels)]
 
 
 def surface_flux(patch: SurfacePatch, level: int) -> float:
@@ -303,8 +305,7 @@ def surface_flux(patch: SurfacePatch, level: int) -> float:
     DegenerateInput
         If a cell center is not Generic.
     ValueError
-        If ``level`` is not 1, 2 or 3, checked first, or the eigenvector
-        frames overflow or underflow (|xi| above about 1e77 or below 1e-77)."""
+        If ``level`` is not 1, 2 or 3, checked first."""
     return _surface_fluxes(patch, (check_level(level),))[0]
 
 
@@ -315,11 +316,13 @@ def _surface_fluxes(patch: SurfacePatch, levels: tuple[int, ...]) -> list[float]
     totals = [0.0] * len(levels)
     for rows in _row_blocks(g.shape[0] - 1, g.shape[1] - 1):
         b = g[rows.start:rows.stop + 1]
+        if max(b.max(), -b.min()) >= 2.0**1022:  # the flux, of degree 0, of b / 4: no sum overflows
+            b = b / 4.0
         centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
         densities = _block_density(
             centers, patch.tol, "patch contains a degenerate quadrature point", levels,
-            lambda: (((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0,
-                     ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0))
+            lambda k: (np.ldexp(((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0, -k),
+                       np.ldexp(((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0, -k)))
         totals = [total + float(np.sum(d)) for total, d in zip(totals, densities)]
     return totals
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _octet, adjoint_matrix, invariants, octet_to_matrix
+from .algebra import _octet, _scaled, _unit_scaled, adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _PAIRS, _pair_weights
 from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
 from .holonomy import _block_density
@@ -69,23 +69,20 @@ def gap_asymptotic(xi) -> GapAsymptotic:
 
     and the mirror law with a minus sign for ``E23`` near the lower surface
     (``phi`` within 0.1 of pi/2).  The relative error vanishes as the
-    surface is approached.  Both gaps scale as ``|xi|``, so they are taken
-    at ``xi / 2**k``, whose largest component lies in [0.5, 1), and scaled
-    back by ``2**k``: exact, and free of overflow and underflow at any finite
-    ``xi``.  ``ValueError`` if ``xi`` has a non-finite component, is the zero
-    vector or is not near either degeneracy surface."""
+    surface is approached.  Both gaps are of degree 1 (``algebra._scaled``).
+    ``ValueError`` if ``xi`` has a non-finite component, is the zero vector
+    or is not near either degeneracy surface."""
     xi = _octet(xi)
     if not np.isfinite(xi).all():
         raise ValueError("gap_asymptotic requires finite octet components")
-    k = int(np.frexp(np.abs(xi).max())[1])
-    c = _closed_form(np.ldexp(xi, -k))  # norm, its cube, cubic invariant, angle and gaps
+    c = _closed_form(xi)  # at unit scale: norm, its cube, cubic invariant, angle and gaps
     if c.norm == 0.0:
         raise ValueError("phase angle is undefined for the zero vector")
     norm, phi = float(c.norm), float(c.phi)
-    for surface, sign, gap in zip((np.pi / 6.0, np.pi / 2.0), (1.0, -1.0), c.gaps):
+    for surface, sign, gap in zip((np.pi / 6.0, np.pi / 2.0), (1.0, -1.0), c.unit_gaps):
         if abs(phi - surface) <= _WINDOW:
             predicted = (np.sqrt(2.0) / 3.0) * np.sqrt(max(c.cube + sign * c.cubic, 0.0) / norm)
-            return GapAsymptotic(float(np.ldexp(predicted, k)), float(np.ldexp(gap, k)))
+            return GapAsymptotic(*map(float, c.scaled(("gap", [predicted, gap], 1))[0]))
     raise ValueError(
         f"input is not near either degeneracy surface (phi = {phi:.6f})"
     )
@@ -101,7 +98,9 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
     level 1; level 3 has no singular terms at all.
 
     ``ValueError`` if ``level`` is not 1, 2 or 3 (checked first), or if
-    ``epsilon`` is not positive, finite and below ``e13 / 10``.
+    ``epsilon`` is not positive, finite and below ``e13 / 10``.  The
+    coefficients are of degree -2 in the unfolding vector ``epsilon e3``
+    (``algebra._scaled``).
     """
     level = check_level(level)
     if epsilon <= 0:
@@ -110,10 +109,11 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
         raise ValueError(f"epsilon and e13 must be finite, got {epsilon!r} and {e13!r}")
     if epsilon > e13 / 10.0:
         raise ValueError("epsilon must be small relative to the fixed gap e13")
-    lead = 1.0 / epsilon**2
     if level == 3:
         zero = {slot: 0.0 for slot in _SLOTS}
         return SingularExpansion(level, epsilon, e13, dict(zero), dict(zero), dict(zero))
+    u, k = _unit_scaled(np.array([0.0, 0.0, epsilon, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    lead = float(_scaled(u, k, ("leading coefficient", 1.0 / float(u[2]) ** 2, -2))[0])
     sign = _pair_weights(level)[0]  # w12: +1 for level 1, -1 for level 2
     octet = dict(zip(_SLOTS, (sign * lead / 3.0, sign * lead / 6.0, -sign * lead / 6.0)))
     decouplet = dict(zip(_SLOTS, (sign * lead / 6.0, -sign * lead / 6.0, sign * lead / 6.0)))
@@ -283,7 +283,8 @@ def monopole_flux(direction, radius: float, level: int,
             pts = r_sin * ring
             pts += center + r_cos * d3
             density = _block_density(pts, tol, "sphere passes through a degeneracy", (level,),
-                                     lambda: (r_cos * ring - r_sin * d3, r_sin * ring_dphi))[0]
+                                     lambda k: (np.ldexp(r_cos * ring - r_sin * d3, -k),
+                                                np.ldexp(r_sin * ring_dphi, -k)))[0]
             total += float(np.einsum("i,j,ij->", w_t[rows], w_p, density))
         return total
 

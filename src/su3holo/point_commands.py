@@ -65,10 +65,14 @@ def cmd_decompose(args) -> dict:
     from . import curvature, tensors
 
     xi, level = _xi_from_args(args), args.level
-    s, form = curvature._spectral(xi, level, args.classify_tol)
+    c, s, form = curvature._spectral(xi, level, args.classify_tol)  # s at unit scale
     parts = tensors.project_irreducible(form.coeffs)
     rest = spectrum._rest_from_levels(s.energies)
     lam, mu = tensors.octet_coefficients(level, rest, args.classify_tol)
+    mu, prefactor, weight = map(float, c.scaled(
+        ("octet coefficient mu", mu, -1),
+        ("octet prefactor", -1.0 / (4.0 * s.e12 * s.e13 * s.e23), -3),
+        ("decouplet weight", tensors.decouplet_weight(level, s.e12, s.e23), -2)))
     return {
         "xi": xi,
         "level": level,
@@ -77,7 +81,6 @@ def cmd_decompose(args) -> dict:
         "decouplet_im": parts.decouplet.imag,
         "antidecouplet_re": parts.antidecouplet.real,
         "antidecouplet_im": parts.antidecouplet.imag,
-        "octet_expansion": {"lambda": lam, "mu": mu,
-                            "prefactor": -1.0 / (4.0 * s.e12 * s.e13 * s.e23)},
-        "decouplet_weight": tensors.decouplet_weight(level, s.e12, s.e23),
+        "octet_expansion": {"lambda": lam, "mu": mu, "prefactor": prefactor},
+        "decouplet_weight": weight,
     }

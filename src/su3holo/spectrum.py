@@ -22,6 +22,11 @@ the same bits for a point alone as in a block, and one Generic rule,
 ``|xi| > tol``, ``E12 > tol |xi|``, ``E23 > tol |xi|``, whose first failing
 condition names the class; one rule, ``_reject``, words their rejections.
 
+One scale rule, ``algebra._scaled``, covers the float range: every point is
+evaluated at ``xi / 2**k``, its largest |component| in [0.5, 1), and a result
+of degree ``d`` (1: norm, levels, gaps, rest frame; 0: ``phi``, class,
+columns) is scaled back by ``2**(d k)``, exactly.
+
 Eigenvectors are likewise computed from the closed-form eigenvalues, by
 null-space extraction on ``H - E_a I`` (cross product of the two most
 independent rows), not by a generic eigensolver.  One kernel,
@@ -32,13 +37,12 @@ only ``diagonalizer`` and the routes that conjugate by it fix their phases.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _octet, cubic_invariant, octet_to_matrix
+from .algebra import _cubic, _invariant, _octet, _scaled, _unit_scaled, octet_to_matrix
 from .errors import DEFAULT_CLASSIFY_TOL, DegenerateInput, check_positive
 
 __all__ = [
@@ -92,43 +96,56 @@ class SpectralData:
 
 def octet_norm(xi) -> float | np.ndarray:
     """Euclidean norm of (batches of) octet vectors."""
-    out = np.linalg.norm(_octet(xi), axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _invariant("norm", 1, lambda u: np.linalg.norm(u, axis=-1), xi)
 
 
 class _ClosedForm(NamedTuple):
-    """Norm, its cube, cubic invariant and angle of octet vectors (..., 8).
-    The levels and gaps are computed on each access, so read each once."""
+    """The unit-scaled octet vectors ``u, k = algebra._unit_scaled(xi)`` and
+    the norm, its cube, cubic invariant and angle of ``u``.  The levels and
+    gaps of ``u`` are computed on each access, so read each once."""
 
+    u: np.ndarray
+    k: np.ndarray
     norm: np.ndarray
     cube: np.ndarray
     cubic: np.ndarray
     phi: np.ndarray
 
     @property
-    def levels(self) -> np.ndarray:  # (..., 3), descending
+    def unit_levels(self) -> np.ndarray:  # (..., 3), descending
         return (self.norm[..., None] / np.sqrt(3.0)) * np.sin(self.phi[..., None] + _SHIFTS)
 
     @property
-    def gaps(self) -> np.ndarray:  # (..., 3): E12, E23, E13
+    def unit_gaps(self) -> np.ndarray:  # (..., 3): E12, E23, E13
         e12 = np.clip(self.norm * np.sin(self.phi - np.pi / 6.0), 0.0, None)
         e23 = np.clip(self.norm * np.cos(self.phi), 0.0, None)
         return np.stack([e12, e23, e12 + e23], axis=-1)
+
+    def scaled(self, *quantities, caller: str | None = None) -> list:
+        return _scaled(self.u, self.k, *quantities, caller=caller)
 
 
 def _closed_form(xi: np.ndarray) -> _ClosedForm:
     """The closed form of octet vectors (..., 8), the same bits for a point
     alone or as a row of a block: ``np.float_power`` cubes a 0-d and an n-d
     norm alike, where ``**`` on an array can differ in the last bit from
-    ``**`` on a scalar.  The zero vector gets ``phi = pi/3``, zero levels."""
-    norm = np.linalg.norm(xi, axis=-1)
-    cube = np.float_power(norm, 3)
+    ``**`` on a scalar.  The zero vector gets ``phi = pi/3``, zero levels.
+
+    C ``pow`` is not exact under powers of two (in the last bit, for about 1
+    point in 2000), so the cube is taken at the scale of ``xi`` where that is
+    a normal float, keeping the bits of the unscaled closed form."""
+    u, k = _unit_scaled(xi)
+    norm = np.linalg.norm(u, axis=-1)
+    with np.errstate(over="ignore", under="ignore"):
+        cube = np.float_power(np.ldexp(norm, k), 3)  # inf or not normal: at unit scale
+        normal = (cube >= np.finfo(float).tiny) & (cube < np.inf)
+        cube = np.where(normal, np.ldexp(cube, -3 * np.asarray(k)), np.float_power(norm, 3))
     # sin(3 phi) = -cubic / |xi|^3 with 3 phi in [pi/2, 3 pi/2], where the
     # sine is monotone, so phi = (pi - arcsin(.)) / 3 is the unique solution.
     with np.errstate(divide="ignore", invalid="ignore"):
-        cubic = cubic_invariant(xi)
+        cubic = _cubic(u)
         s3 = np.where(norm > 0.0, -cubic / cube, 0.0)
-    return _ClosedForm(norm, cube, cubic, (np.pi - np.arcsin(np.clip(s3, -1.0, 1.0))) / 3.0)
+    return _ClosedForm(u, k, norm, cube, cubic, (np.pi - np.arcsin(np.clip(s3, -1.0, 1.0))) / 3.0)
 
 
 # The classes by rank: the number of the Generic rule's conditions, ``|xi| > tol``,
@@ -139,60 +156,53 @@ _GENERIC = _LADDER.index(DegeneracyClass.GENERIC)
 
 
 def _classified(xi: np.ndarray, tol: float):
-    """The closed form of octet vectors (..., 8), its gaps, each point's rank
-    on ``_LADDER`` at tolerance ``tol`` and whether ``_point`` rejects it,
-    with no warning: a point with a non-finite component, or one with
-    ``|xi| > tol`` whose closed form is not finite (above about |xi| =
-    5.6e102 ``|xi|**3`` overflows, and ``phi`` is NaN or wrongly ``pi/3``).
-    A ``tol`` that is not positive and finite is a ``ValueError`` first."""
+    """The closed form of octet vectors (..., 8), its unit-scale gaps and each
+    point's rank on ``_LADDER`` at tolerance ``tol``, with no warning: the
+    triple test is on the true norm, the gap tests, scale-free, at unit
+    scale.  A ``tol`` that is not positive and finite is a ``ValueError``."""
     tol = check_positive("tol", tol)
     with np.errstate(over="ignore", invalid="ignore"):
         c = _closed_form(xi)
-        gaps = c.gaps
-        rejected = ~(np.isfinite(c.cube) & np.isfinite(c.phi)) & ~(c.norm <= tol)
+        gaps = c.unit_gaps
+        nonzero = np.ldexp(c.norm, c.k) > tol  # inf past the float range
         scale = tol * c.norm  # inf for a huge tol: no gap exceeds it
-    nonzero, upper, lower = c.norm > tol, gaps[..., 0] > scale, gaps[..., 1] > scale
-    return c, gaps, nonzero * (1 + upper * (np.uint8(1) + lower)), rejected
+    upper, lower = gaps[..., 0] > scale, gaps[..., 1] > scale
+    return c, gaps, nonzero * (1 + upper * (np.uint8(1) + lower))
 
 
-def _reject(xi: np.ndarray, rejected, ranks=None, caller=None, message=None) -> None:
-    """The one rule that words a rejection of octet vectors (..., 8) by
-    ``rejected`` and ``ranks`` from ``_classified``: ``ValueError`` for the
-    first rejected point, then, given ``ranks``, ``DegenerateInput`` if a
-    point is not Generic; a single point's messages name its ``caller``."""
-    if rejected.any():
-        bad = xi[rejected][0]
-        if caller is not None and not np.isfinite(bad).all():
-            raise ValueError(f"{caller} requires finite octet components")
-        raise ValueError(f"the closed form is not finite at |xi| = {math.hypot(*bad):.6g}")
+def _reject(xi: np.ndarray, ranks=None, caller=None, message=None) -> None:
+    """The one rule that words a rejection of octet vectors (..., 8): given
+    ``caller``, ``ValueError`` for a non-finite component, then, given
+    ``ranks``, ``DegenerateInput`` with ``message`` unless all are Generic."""
+    if caller is not None and not np.isfinite(xi).all():
+        raise ValueError(f"{caller} requires finite octet components")
     if ranks is not None and not np.all(ranks == _GENERIC):
         raise DegenerateInput(message or f"{caller} requires a generic spectrum, "
                                          f"got {_LADDER[ranks].value}")
 
 
 def _point(xi, tol: float, caller: str, levels: tuple[int, ...] = ()):
-    """Validate a single octet vector and return it, its spectral record and
-    the columns of ``levels`` as ``_columns`` gives them (None for no levels),
-    from one closed-form evaluation: ``ValueError`` naming ``caller`` unless
-    ``xi`` is one, then ``_reject``'s errors, its Generic check if ``levels``."""
+    """Validate a single octet vector and return its closed form ``c``, its
+    spectral record at ``c.u`` and, checked Generic, the columns of ``levels``
+    (None for none), from one evaluation; results are scaled back by
+    ``c.scaled``.  ``ValueError`` naming ``caller`` unless ``xi`` is finite."""
     xi = _octet(xi)
     if xi.ndim != 1:
         raise ValueError(f"{caller} takes a single octet vector")
-    c, gaps, rank, rejected = _classified(xi, tol)
-    _reject(xi, rejected, rank if levels else None, caller)
+    c, gaps, rank = _classified(xi, tol)
+    _reject(xi, rank if levels else None, caller)
     phi = float(c.phi) if c.norm > 0.0 else float("nan")
-    s = SpectralData(*map(float, c.levels), phi, *map(float, gaps), _LADDER[rank])
-    return xi, s, _columns(xi, s.energies, levels) if levels else None
+    s = SpectralData(*map(float, c.unit_levels), phi, *map(float, gaps), _LADDER[rank])
+    return c, s, _columns(xi, c.k, s.energies, levels) if levels else None
 
 
 def phase_angle(xi) -> float | np.ndarray:
     """Adjoint-invariant spectral angle ``phi`` in ``[pi/6, pi/2]``;
-    ``ValueError`` for the zero vector, where the angle is undefined, and
-    where ``_reject`` rejects a point: a non-finite component, or a closed
-    form that is not finite."""
+    ``ValueError`` for a non-finite component and for the zero vector, where
+    the angle is undefined."""
     xi = _octet(xi)
-    c, _, _, rejected = _classified(xi, DEFAULT_CLASSIFY_TOL)
-    _reject(xi, rejected, caller="phase_angle")
+    _reject(xi, caller="phase_angle")
+    c = _closed_form(xi)
     if np.any(c.norm == 0.0):
         raise ValueError("phase angle is undefined for the zero vector")
     return float(c.phi) if c.phi.ndim == 0 else c.phi
@@ -201,36 +211,38 @@ def phase_angle(xi) -> float | np.ndarray:
 def energy_levels(xi) -> np.ndarray:
     """Closed-form eigenvalues of ``H(xi)``, shape (..., 3), descending; the
     zero vector yields ``(0, 0, 0)``."""
-    return _closed_form(_octet(xi)).levels
+    c = _closed_form(_octet(xi))
+    return c.scaled(("spectrum", c.unit_levels, 1))[0]
 
 
 def energy_gaps(xi) -> np.ndarray:
     """Gaps ``(E12, E23, E13)`` in closed form, shape (..., 3), all >= 0."""
-    return _closed_form(_octet(xi)).gaps
+    c = _closed_form(_octet(xi))
+    return c.scaled(("spectrum", c.unit_gaps, 1))[0]
 
 
 def classify(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DegeneracyClass:
     """Degeneracy class of a single octet vector at relative tolerance ``tol``:
     triple-degenerate if ``|xi| <= tol``, otherwise upper/lower degenerate
     when the corresponding gap falls below ``tol * |xi|``.  ``ValueError`` if
-    ``tol`` is not positive and finite, ``xi`` has a NaN or infinite
-    component, or ``|xi| > tol`` and the closed form overflows."""
+    ``tol`` is not positive and finite or ``xi`` has a NaN or infinite
+    component."""
     return _point(xi, tol, "classify")[1].degeneracy
 
 
 def generic_mask(xis, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     """Boolean mask over a batch of octet vectors: True where Generic.  A
-    point whose closed form is not finite, where ``classify`` raises, is
-    False, and no warning is raised.  ``ValueError`` if ``tol`` is not
-    positive and finite."""
-    _, _, ranks, rejected = _classified(_octet(xis), tol)
-    return (ranks == _GENERIC) & ~rejected
+    point with a non-finite component is False, and no warning is raised.
+    ``ValueError`` if ``tol`` is not positive and finite."""
+    return _classified(_octet(xis), tol)[2] == _GENERIC
 
 
 def eigenvalues(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> SpectralData:
     """Full closed-form spectral record for a single octet vector; raises
     ``ValueError`` where ``classify`` does."""
-    return _point(xi, tol, "eigenvalues")[1]
+    c, s, _ = _point(xi, tol, "eigenvalues")
+    e = c.scaled(("spectrum", [s.e1, s.e2, s.e3, s.e12, s.e23, s.e13], 1))[0].tolist()
+    return SpectralData(*e[:3], s.phi, *e[3:], s.degeneracy)
 
 
 def rest_frame(xi) -> np.ndarray:
@@ -241,7 +253,8 @@ def rest_frame(xi) -> np.ndarray:
     is diagonal with nonincreasing entries and ``xi8 >= xi3/sqrt(3) >= 0``.
     Broadcasts over leading axes; idempotent; preserves both invariants.
     """
-    return _rest_from_levels(energy_levels(xi))
+    c = _closed_form(_octet(xi))
+    return c.scaled(("rest frame", _rest_from_levels(c.unit_levels), 1))[0]
 
 
 def _rest_from_levels(e: np.ndarray) -> np.ndarray:
@@ -255,9 +268,6 @@ def _rest_from_levels(e: np.ndarray) -> np.ndarray:
 # one at a time, which holds a third of the candidate buffers; smaller ones
 # take all three at once, in a third of the numpy calls.
 _LEVELWISE_POINTS = 64
-
-# The least cross-product norm whose squared components are normal numbers.
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -296,10 +306,6 @@ def _eigenvector_columns(h: np.ndarray, e: np.ndarray) -> np.ndarray:
             take = ~((n <= nbest) | np.isnan(nbest))  # argmax: first max, first NaN
             np.copyto(best, c, where=take)
             np.copyto(nbest, n, where=take)
-        # below sqrt(tiny) the squares summed in _norm are subnormal and the
-        # norm has lost precision silently: such a column becomes non-finite
-        # like one whose norm underflows to zero, and _columns reports it
-        np.copyto(nbest, 0.0, where=nbest < _SQRT_TINY)
         np.divide(best, nbest, out=best)
     return out
 
@@ -354,24 +360,14 @@ def _pin_gauge(a: np.ndarray, pivots) -> np.ndarray:
     return _fix_gauge(a, pivots)
 
 
-def _columns(xi: np.ndarray, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
+def _columns(xi: np.ndarray, k, e: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
     """The unit eigenvector columns (..., 3, len(levels)) of octet vectors
-    (..., 8) with levels ``e`` (..., 3), for ``levels``, a run of consecutive
-    level numbers; ``ValueError`` if a column is not finite or is zero
-    (|xi| above about 1e77 or below about 1e-77).  Only the requested columns are
-    computed, each the same bit for bit as in the three-level call."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = _eigenvector_columns(octet_to_matrix(xi), e[..., levels[0] - 1:levels[-1]])
-    # Past about |xi| = 1e77 the squared cross products in _norm overflow, and
-    # below about 1e-77 they are subnormal: the columns come out non-finite.  Unit
-    # columns put 1 per column and point into the sum of all squared
-    # magnitudes, which a zero or NaN column breaks; that sum costs a few
-    # microseconds per block, a per-column test 40 times as much.
-    if not abs(np.vdot(a, a).real - a.size // 3) < 0.5:
-        ok = np.isfinite(a).all(axis=(-2, -1)) & (a != 0).any(axis=-2).all(axis=-1)
-        raise ValueError("the eigenvector frames are not finite at "
-                         f"|xi| = {math.hypot(*xi[~ok][0]):.6g}")
-    return a
+    (..., 8) at ``xi / 2**k``, with levels ``e`` (..., 3) there, for ``levels``,
+    consecutive level numbers, each the same bit for bit as in the three-level
+    call.  At unit scale the squared cross products in ``_norm`` are normal:
+    a nonzero closed-form gap is at least about 1e-17."""
+    return _eigenvector_columns(octet_to_matrix(np.ldexp(xi, -np.expand_dims(k, -1))),
+                                e[..., levels[0] - 1:levels[-1]])
 
 
 # Point budget of one _row_blocks block, for every walk.  At 1024 a 201x201 flux peaks
@@ -388,23 +384,23 @@ def _row_blocks(rows: int, width: int):
 
 
 def _generic_closed_form(xi: np.ndarray, tol: float, message: str) -> _ClosedForm:
-    """The closed form of a block of octet vectors (..., 8), with no warning:
-    ``ValueError`` for a ``tol`` that is not positive and finite, then the
-    errors of ``_reject``, with ``DegenerateInput(message)``."""
-    c, _, ranks, rejected = _classified(xi, tol)
-    _reject(xi, rejected, ranks, message=message)
+    """The closed form of a block of octet vectors (..., 8), with no warning;
+    ``DegenerateInput(message)`` unless every point is Generic."""
+    c, _, ranks = _classified(xi, tol)
+    _reject(xi, ranks, message=message)
     return c
 
 
 def _block_frames(xi: np.ndarray, tol: float, message: str,
-                  levels: tuple[int, ...] = (1, 2, 3)) -> tuple[np.ndarray, np.ndarray]:
-    """All three levels (..., 3) of a block of octet vectors (..., 8) and
-    the unit eigenvector columns (..., 3, len(levels)) of ``levels``, as
-    ``_columns`` gives them, from the closed form ``_generic_closed_form``
-    checks.  The columns are not gauge fixed: every caller contracts each
-    eigenvector once as a bra and once as a ket, so its phase drops out."""
-    e = _generic_closed_form(xi, tol, message).levels
-    return e, _columns(xi, e, levels)
+                  levels: tuple[int, ...] = (1, 2, 3)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit-scale levels, the ``_columns`` of ``levels`` and ``k`` of a
+    block of octet vectors (..., 8), from the closed form
+    ``_generic_closed_form`` checks.  The columns are not gauge fixed: every
+    caller contracts each eigenvector once as a bra and once as a ket."""
+    c = _generic_closed_form(xi, tol, message)
+    e, k = c.unit_levels, c.k
+    del c  # only the levels and k are held through the kernel
+    return e, _columns(xi, k, e, levels), k
 
 
 def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarray:
@@ -427,8 +423,7 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
     ValueError
         If ``pivots`` is not two row indices in 0..2, or names a zero
         component of its column, whose phase is then undefined; if ``tol``
-        is not positive and finite; or if the eigenvectors overflow or
-        underflow (|xi| above about 1e77 or below about 1e-77).
+        is not positive and finite, or ``xi`` has a non-finite component.
     """
     if pivots is not None and not (len(pivots) == 2 and all(
             isinstance(p, (int, np.integer)) and 0 <= p < 3 for p in pivots)):

@@ -27,9 +27,8 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
     """``count`` draws of ``scale`` times a standard-normal octet vector that
     are Generic at tolerance ``tol``, classified in blocks of the number still
     missing and at most one block, so the seed is consumed as one draw at a time would;
-    ``ValueError`` where ``classify`` raises, naming a finite ``scale``, where
-    a finite ``scale`` takes a draw past the float range, or if ``100 *
-    count`` draws hold fewer."""
+    ``ValueError`` where ``classify`` raises, where a finite ``scale`` takes a
+    draw past the float range, naming it, or if ``100 * count`` draws hold fewer."""
     blocks, found, tries, cap = [np.empty((0, 8))], 0, 0, 100 * count
     while found < count and tries < cap:
         with np.errstate(over="ignore"):  # a finite scale that overflows is named below
@@ -38,14 +37,8 @@ def random_generic(rng, count: int, tol: float, scale: float = 1.0) -> np.ndarra
         if math.isfinite(scale) and not np.isfinite(block).all():
             raise ValueError(f"--scale {scale!r} takes a drawn point past the float range")
         tries += len(block)
-        _, _, ranks, rejected = spectrum._classified(block, tol)
-        try:
-            spectrum._reject(block, rejected, caller="classify")  # as for one draw at a time
-        except ValueError as exc:
-            if not math.isfinite(scale):
-                raise
-            # the draws are finite, so their closed form is not
-            raise ValueError(f"--scale {scale!r} takes a drawn point out of range: {exc}") from exc
+        ranks = spectrum._classified(block, tol)[2]
+        spectrum._reject(block, caller="classify")  # as for one draw at a time
         blocks.append(block[ranks == spectrum._GENERIC])
         found += len(blocks[-1])
     if found < count:
@@ -95,22 +88,25 @@ def _points(args) -> np.ndarray:
 
 
 def _lines(xi: np.ndarray, first: int, level: int | None, tol: float) -> list[str]:
-    """The CSV lines of points (n, 8) numbered from ``first``.  Of the rows
-    whose point, closed form or frames are not finite, the first raises."""
-    c, gaps, ranks, rejected = spectrum._classified(xi, tol)
-    if rejected.any():
-        stop = int(np.argmax(rejected))
-        _lines(xi[:stop], first, level, tol)  # an earlier row's frames fail first
-        spectrum._reject(xi, rejected, caller="sweep")
-    numbers = [xi, c.norm, c.phi, gaps, algebra.quadratic_invariant(xi), c.cubic]
+    """The CSV lines of points (n, 8) numbered from ``first``, each number
+    evaluated at the unit-scaled point and scaled back by the scale rule.
+    The first row with a non-finite component or a number past the float
+    range raises, naming, at that row, what the single-point API would."""
+    c, gaps, ranks = spectrum._classified(xi, tol)
+    numbers = [("spectrum", gaps, 1), ("quadratic invariant", algebra.quadratic_invariant(c.u), 2),
+               ("cubic invariant", c.cubic, 3), ("norm", c.norm, 1)]
     if level is not None:
         from . import curvature
 
         generic = ranks == spectrum._GENERIC
-        g, e = xi[generic], c.levels[generic]
-        t = curvature._tables(g, e, spectrum._columns(g, e, (level,))[..., 0].T, level - 1)
+        g, e = c.u[generic], c.unit_levels[generic]
+        t = curvature._tables(g, e, spectrum._columns(g, 0, e, (level,))[..., 0].T, level - 1)
         v = np.full((len(xi), 8, 8), np.nan)  # as curvature_spectral gives it, on Generic rows
         v[generic] = (t - np.swapaxes(t, -1, -2)) / 2.0  # as CurvatureTwoForm
+        numbers.append(("curvature", v, -2))
+    gaps, quad, cubic, norm, *curvatures = c.scaled(*numbers, caller="sweep")
+    numbers = [xi, norm, c.phi, gaps, quad, cubic]
+    for v in curvatures:  # one, given a level
         numbers += [*(v[:, i, j] for _, (i, j) in curvature._PAIRS), v[:, 2, 7],
                     np.abs(v).max(axis=(1, 2))]
     lines = []
@@ -128,14 +124,6 @@ def cmd_sweep(args) -> str:
     points, text = _points(args), [",".join(columns)]  # one string per block
     # one block's numeric temporaries, whatever --count: 2.48 MiB (tracemalloc) at
     # level 1.  The points and the CSV text grow with --count.
-    try:
-        for rows in spectrum._row_blocks(len(points), 1):
-            text.append("\n".join(_lines(points[rows], rows.start, args.level,
-                                          args.classify_tol)))
-    except ValueError as exc:
-        if args.generator != "random" or args.scale is None:
-            raise
-        # random_generic passed the draws and their closed form: their frames failed
-        raise ValueError(f"--scale {args.scale!r} takes a drawn point out of range: "
-                         f"{exc}") from exc
+    for rows in spectrum._row_blocks(len(points), 1):
+        text.append("\n".join(_lines(points[rows], rows.start, args.level, args.classify_tol)))
     return "\n".join(text) + "\n"

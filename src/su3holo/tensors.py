@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import F_CONST, GELL_MANN, octet_star
-from .curvature import CurvatureTwoForm, _pair_weights
+from .curvature import CurvatureTwoForm, _form, _pair_weights
 from .errors import DegenerateInput, check_level, check_positive
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -274,6 +274,8 @@ def octet_coefficients(level: int, rest_xi,
     pair sum as in ``decouplet_weight``.  The expansion is frame-covariant,
     so the same scalars apply to a general ``xi`` with ``eta = xi * xi``.
 
+    ``lambda`` is of degree 0 in ``rest_xi``, ``mu`` of degree -1.
+
     Raises
     ------
     ValueError
@@ -283,17 +285,17 @@ def octet_coefficients(level: int, rest_xi,
         When the spectrum is not generic (the prefactor is singular).
     """
     level = check_level(level)
-    xi, s = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients")[:2]
+    c, s, _ = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients")
     if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
-    x3, x8 = xi[2], xi[7]
-    eta = octet_star(xi, xi)
+    x3, x8 = c.u[2], c.u[7]
+    eta = octet_star(c.u, c.u)
     eta3, eta8 = eta[2], eta[7]
     s3 = np.sqrt(3.0)
     gaps, factors = (s.e12, s.e13, s.e23), (1.0, 2.0, 2.0)
     lam = _pair_sum(level, gaps, (-eta8, s3 * eta3 - eta8, s3 * eta3 + eta8), factors)
     mu = _pair_sum(level, gaps, (x8, x8 - s3 * x3, -(x8 + s3 * x3)), factors)
-    return float(lam), float(mu)
+    return float(lam), float(c.scaled(("octet coefficient mu", mu, -1))[0])
 
 
 def delta_tensors(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DecoupletField:
@@ -326,8 +328,8 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     ``curvature.curvature_spectral`` does.
     """
     level = check_level(level)
-    xi, s, a = _point(xi, tol, "curvature_from_parts", (1, 2, 3))
-    a_mat = _fix_gauge(a)
+    c, s, a = _point(xi, tol, "curvature_from_parts", (1, 2, 3))
+    xi, a_mat = c.u, _fix_gauge(a)
     e12, e23, e13 = s.e12, s.e23, s.e13
     lam, mu = octet_coefficients(level, _rest_from_levels(s.energies), tol)
     prefactor = -1.0 / (4.0 * e12 * e13 * e23)
@@ -337,4 +339,4 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     parts = IrreducibleParts(
         1j * v * field_.decouplet, -1j * v * field_.antidecouplet, x
     )
-    return CurvatureTwoForm(level, reconstitute(parts).coefficients)
+    return _form(c, level, reconstitute(parts).coefficients)

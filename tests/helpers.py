@@ -1,7 +1,7 @@
 """Shared test utilities: random matrix factories, planar patch grids, angle
 wrapping, the dense reference kernels, the gauge-fixed frames and the
 sum-over-states curvature, the whole-loop transport, mpmath flux-density and
-curvature references, a point whose closed form overflows, the per-level
+curvature references, a point whose unscaled closed form overflows, the per-level
 closed forms written out level by level, the sweep's rows and random draws
 one point at a time and the finite-difference symplectic form one stencil
 point at a time."""
@@ -15,9 +15,10 @@ from su3holo.holonomy import OVERLAP_GUARD
 from su3holo.algebra import D_CONST, GELL_MANN, adjoint_matrix, octet_star, octet_to_matrix
 from su3holo.spectrum import energy_gaps, octet_norm
 
-# Past |xi| of about 5.6e102, |xi|^3 overflows: along this direction the cubic
-# invariant stays finite, so phi reads pi/3 and the Generic rule alone passes
-# the point; scaled by 1e8 the cubic invariant overflows too.
+# Past |xi| of about 5.6e102, |xi|^3 overflows at this scale: along this
+# direction the cubic invariant stays finite, so an unscaled closed form reads
+# phi = pi/3; scaled by 1e8 the cubic invariant overflows too.  At unit scale
+# the point is an ordinary Generic one.
 _DIRECTION = np.random.default_rng(3).standard_normal(8)
 OVERFLOWING = 6e102 * _DIRECTION / np.linalg.norm(_DIRECTION)
 
@@ -126,7 +127,7 @@ def gauge_fixed_frames_at(xi: np.ndarray, e: np.ndarray,
 def gauge_fixed_frames(xi, pivots=None) -> tuple[np.ndarray, np.ndarray]:
     """``gauge_fixed_frames_at`` with the closed-form levels of ``xi``."""
     xi = np.asarray(xi, dtype=float)
-    return gauge_fixed_frames_at(xi, spectrum._closed_form(xi).levels, pivots)
+    return gauge_fixed_frames_at(xi, spectrum.energy_levels(xi), pivots)
 
 
 def whole_loop_phase(vecs: np.ndarray) -> float:

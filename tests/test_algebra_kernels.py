@@ -1,6 +1,7 @@
 """The sparse cubic invariant and ``octet_to_matrix`` against their dense
-einsum references: equal bit for bit on finite input, a pinned behaviour on
-non-finite input, and no slower for one point."""
+einsum references: equal bit for bit on finite input (the cubic invariant
+by the scale rule), a pinned behaviour on non-finite input, and no slower
+for one point."""
 import time
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 
 from helpers import (einsum_cubic_invariant, einsum_octet_to_matrix, random_generic_octet,
                      random_rest_frame, random_special_unitary)
-from su3holo.algebra import GELL_MANN, adjoint_matrix, cubic_invariant, octet_to_matrix
+from su3holo.algebra import (GELL_MANN, _unit_scaled, adjoint_matrix, cubic_invariant,
+                             octet_to_matrix)
 
 rng = np.random.default_rng(9009)
 
 
 def _scaled() -> np.ndarray:
     # 40k points with |xi| over 1e-150..1e150: the cubic invariant underflows
-    # at the low end and overflows to inf at the high end
+    # at the low end and is past the float range at the high end
     return rng.standard_normal((40_000, 8)) * 10.0 ** rng.uniform(-150.0, 150.0, (40_000, 1))
 
 
@@ -62,12 +64,34 @@ def points(request):
     return POINT_SETS[request.param]()
 
 
+def _references(points):
+    """The einsum reference by the scale rule, at the unit-scaled points and
+    scaled back by ``2**(3 k)``; the einsum at the points themselves; and
+    where each of its products is a normal float, so that the two agree."""
+    u, k = _unit_scaled(points)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rule = np.ldexp(einsum_cubic_invariant(u), 3 * np.asarray(k))
+        direct = einsum_cubic_invariant(points)
+        least = np.where(points != 0.0, np.abs(points), np.inf).min(axis=-1)
+        normal = (least**3 >= 8.0 * np.finfo(float).tiny) & np.isfinite(direct)
+    return rule, direct, normal
+
+
 def test_cubic_invariant_equals_the_einsum_reference(points):
-    with np.errstate(over="ignore", invalid="ignore"):  # the 1e150 points overflow
-        got, want = cubic_invariant(points), einsum_cubic_invariant(points)
-    assert type(got) is type(want)
+    # the einsum's own bits wherever its products are normal floats, and
+    # past the float range (the "scaled" points above about 1e102) the
+    # rule's error, raised for the first such point
+    rule, direct, normal = _references(points)
+    past = np.isinf(rule)
+    if past.any():
+        with pytest.raises(ValueError, match="^the cubic invariant is past the float range"):
+            cubic_invariant(points)
+        points, rule, direct, normal = points[~past], rule[~past], direct[~past], normal[~past]
+    got = cubic_invariant(points)
+    assert type(got) is type(direct)
     assert np.shape(got) == points.shape[:-1]
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(got).tobytes() == np.asarray(rule).tobytes()
+    assert np.asarray(got)[normal].tobytes() == np.asarray(direct)[normal].tobytes()
 
 
 def test_octet_to_matrix_equals_the_einsum_reference(points):
@@ -78,12 +102,17 @@ def test_octet_to_matrix_equals_the_einsum_reference(points):
 
 def test_single_points_equal_the_einsum_reference():
     pts = np.concatenate([_scaled()[:400], _signed_zeros()[:400], _axes(), _near_cones()[:40]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for xi in pts:
+    for xi in pts:
+        rule, direct, normal = _references(xi)
+        if np.isinf(rule):
+            with pytest.raises(ValueError, match="^the cubic invariant is past the float range"):
+                cubic_invariant(xi)
+        else:
             got = cubic_invariant(xi)
             assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(einsum_cubic_invariant(xi)).tobytes()
-            assert octet_to_matrix(xi).tobytes() == einsum_octet_to_matrix(xi).tobytes()
+            assert np.float64(got).tobytes() == np.float64(rule).tobytes()
+            assert not normal or np.float64(got).tobytes() == np.float64(direct).tobytes()
+        assert octet_to_matrix(xi).tobytes() == einsum_octet_to_matrix(xi).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -24,6 +24,12 @@ TOL = spectrum.DEFAULT_CLASSIFY_TOL
 seeds = st.integers(0, 2**32 - 1)
 
 
+def _true_scale_frames(xi, levels=(1, 2, 3)):
+    # _block_frames with its unit-scale levels scaled back to the scale of xi
+    e, frames, k = _block_frames(xi, TOL, "degenerate", levels)
+    return np.ldexp(e, np.expand_dims(k, -1)), frames
+
+
 def unit_phases(shape):
     return arrays(np.float64, shape, elements=st.floats(-np.pi, np.pi)).map(
         lambda t: np.exp(1j * t))
@@ -53,8 +59,8 @@ def test_loop_phases_do_not_depend_on_the_column_phases(seed, phases):
     real = holonomy._block_frames
 
     def rephased(xi, tol, message, levels):
-        e, frames = real(xi, tol, message, levels)
-        return e, frames * phases[:, None, :]
+        e, frames, k = real(xi, tol, message, levels)
+        return e, frames * phases[:, None, :], k
 
     want = phase_sum_rule_check(loop)[0]
     with pytest.MonkeyPatch.context() as patch:
@@ -69,7 +75,7 @@ def test_loop_phases_do_not_depend_on_the_column_phases(seed, phases):
 @given(seed=seeds, phase=unit_phases(CELLS), level=st.sampled_from([1, 2, 3]))
 def test_flux_density_does_not_depend_on_the_column_phases(seed, phase, level):
     xi, du, dv = random_block(seed)
-    e, column = _block_frames(xi, TOL, "degenerate", levels=(level,))
+    e, column = _true_scale_frames(xi, levels=(level,))
     want = _flux_density(xi, e, column[..., 0], du, dv, level)
     got = _flux_density(xi, e, column[..., 0] * phase[..., None], du, dv, level)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -80,11 +86,11 @@ def test_one_level_columns_are_the_three_level_columns_bytes(count):
     # blocks of 64 points and more take the levels one at a time, smaller
     # ones all at once; either way a column does not depend on the others
     xi = np.random.default_rng(count).standard_normal((count, 8))
-    e, frames = _block_frames(xi, TOL, "degenerate")
+    e, frames, k = _block_frames(xi, TOL, "degenerate")
     for level in (1, 2, 3):
-        e_one, column = _block_frames(xi, TOL, "degenerate", levels=(level,))
+        e_one, column, k_one = _block_frames(xi, TOL, "degenerate", levels=(level,))
         assert column.shape == (count, 3, 1)
-        assert e_one.tobytes() == e.tobytes()
+        assert e_one.tobytes() == e.tobytes() and k_one.tobytes() == k.tobytes()
         assert column[..., 0].tobytes() == frames[..., level - 1].tobytes()
 
 
@@ -92,7 +98,7 @@ def test_one_level_columns_are_the_three_level_columns_bytes(count):
 @given(seed=seeds)
 def test_block_frames_are_the_gauge_fixed_frames_up_to_a_phase_per_column(seed):
     xi, _, _ = random_block(seed)
-    e, frames = _block_frames(xi, TOL, "degenerate")
+    e, frames = _true_scale_frames(xi)
     e_fixed, fixed = gauge_fixed_frames(xi)
     assert np.array_equal(e, e_fixed)
     # one unit phase per column: frames[:, k] = fixed[:, k] * <fixed_k|frames_k>
@@ -133,14 +139,18 @@ def test_one_level_block_frames_working_set_per_point():
 ], ids=["loop", "patch", "block"])
 @pytest.mark.parametrize("scale", [1.0, 1e8], ids=["cubic-finite", "cubic-overflows"])
 def test_closed_form_overflow_is_checked_before_the_generic_rule(build, scale):
-    # a degenerate point first, then an overflowing one: the overflow is reported
+    # a degenerate point first, then one whose closed form overflowed and was
+    # reported first; at unit scale that point is Generic, so the Generic rule
+    # reports the degenerate one, and without it the block evaluates
     pts = np.array([np.eye(8)[7], scale * OVERFLOWING, *np.eye(8)[[0, 1, 3, 4]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="the closed form is not finite at") as exc:
+        with pytest.raises(DegenerateInput):
             build(pts)
-    assert not isinstance(exc.value, DegenerateInput)
-    assert str(exc.value).endswith(f"|xi| = {np.linalg.norm(scale * OVERFLOWING):.6g}")
+        e, frames, k = _block_frames(pts[1:], TOL, "degenerate")
+    assert np.isfinite(e).all() and np.isfinite(frames).all()
+    image = np.ldexp(pts[1:2], -k[0])  # the same unit-scaled point
+    assert e[0].tobytes() == _block_frames(image, TOL, "degenerate")[0][0].tobytes()
 
 
 @pytest.mark.parametrize("build, sample", [

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,14 +91,46 @@ def test_classify_non_finite_input_exits_1(capsys, xi):
     assert "finite" in captured.err
 
 
-@pytest.mark.parametrize("command", [["classify"], ["spectrum"], ["curvature", "--level", "1"]])
-def test_closed_form_overflow_exits_1(capsys, command):
+def _scaled_text(text: str, power: int) -> str:
+    """Comma-separated numbers times ``2**power``, exactly, each as its repr."""
+    return ",".join(repr(math.ldexp(float(v), power)) for v in text.split(","))
+
+
+def _run_json(capsys, argv) -> dict:
+    """The JSON payload of a command that exits 0 with no warning and no stderr."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*command, "--xi", "1e110,2e110,0,0,0,0,0,3e110"]) == 1
+        assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "su3holo: error: the closed form is not finite at |xi| = 3.74166e+110\n"
+    assert captured.err == ""
+    return json.loads(captured.out)
+
+
+def _assert_scaled(got, want, power: int) -> None:
+    """Every number of ``got`` is ``want``'s times ``2**power``, bit for bit."""
+    assert np.asarray(got).tobytes() == np.ldexp(np.asarray(want, dtype=float), power).tobytes()
+
+
+@pytest.mark.parametrize("command", [["classify"], ["spectrum"], ["curvature", "--level", "1"]])
+def test_closed_form_overflow_exits_1(capsys, command):
+    # |xi|^3 overflows at this |xi|, 3.7e110: each result is that of the point
+    # scaled by 2**-366, scaled back by its degree, and spectrum's cubic
+    # invariant, about 5e331, is past the float range
+    xi = "1e110,2e110,0,0,0,0,0,3e110"
+    if command == ["spectrum"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--xi", xi]) == 1
+        assert capsys.readouterr() == ("", "su3holo: error: the cubic invariant is past the "
+                                           "float range at |xi| = 3.74166e+110\n")
+        return
+    got = _run_json(capsys, [*command, "--xi", xi])
+    want = _run_json(capsys, [*command, "--xi", _scaled_text(xi, -366)])
+    if command == ["classify"]:
+        assert got["class"] == want["class"] == "generic" and got["phi"] == want["phi"]
+        _assert_scaled(list(got["gaps"].values()), list(want["gaps"].values()), 366)
+    else:
+        _assert_scaled(got["coefficients"]["spectral"], want["coefficients"]["spectral"], -732)
 
 
 def test_usage_error_exits_1(capsys):
@@ -170,21 +203,14 @@ def test_short_random_sweep_exits_1(capsys, tmp_path):
 
 
 def _one_draw_at_a_time(rng, count, tol, scale):
-    # the random generator's reference: classify each draw as it is made; a
-    # finite scale is named where the closed form of its finite draw overflows
+    # the random generator's reference: classify each draw as it is made
     from su3holo.spectrum import DegeneracyClass, classify
 
     pts, tries = [], 0
     while len(pts) < count and tries < 100 * count:
         xi = scale * rng.standard_normal(8)
         tries += 1
-        try:
-            kind = classify(xi, tol)
-        except ValueError as exc:
-            if not np.isfinite(scale):
-                raise
-            raise ValueError(f"--scale {scale!r} takes a drawn point out of range: {exc}") from exc
-        if kind is DegeneracyClass.GENERIC:
+        if classify(xi, tol) is DegeneracyClass.GENERIC:
             pts.append(xi)
     if len(pts) < count:
         raise ValueError(f"random generator found {len(pts)} of {count} generic points")
@@ -652,15 +678,62 @@ def test_selfcheck_output_leads_with_schema_and_command(tmp_path, capsys, monkey
 @pytest.mark.parametrize("scale", [1e78, 1e100])
 @pytest.mark.parametrize("route", ["spectral", "transported", "parts", "all"])
 def test_overflowing_frames_exit_1(capsys, scale, route):
+    # past |xi| of about 1e77 the frames overflowed at this scale; evaluated at
+    # unit scale, each route gives the coefficients of the point scaled by
+    # 2**-power, scaled back by 2**(2 power)
     xi = scale * np.array([0.6, -0.3, 0.2, 0.1, -0.5, 0.3, 0.2, 0.3]) / np.sqrt(0.97)
     text = ",".join(repr(float(v)) for v in xi)
+    power = 260 if scale == 1e78 else 330
+    got = _run_json(capsys, ["curvature", f"--xi={text}", "--level", "2", "--route", route])
+    want = _run_json(capsys, ["curvature", f"--xi={_scaled_text(text, -power)}", "--level", "2",
+                              "--route", route])
+    assert list(got["coefficients"]) == list(want["coefficients"])
+    for name, coeffs in got["coefficients"].items():
+        _assert_scaled(coeffs, want["coefficients"][name], -2 * power)
+    if route == "all":
+        _assert_scaled(got["max_pairwise_deviation"], want["max_pairwise_deviation"], -2 * power)
+
+
+# the unit direction of test_curvature.DIRECTION
+DIRECTION = np.array([0.6, -0.3, 0.2, 0.1, -0.5, 0.3, 0.2, 0.3]) / np.sqrt(0.97)
+
+
+def test_all_routes_are_exactly_covariant_past_the_old_frame_limit(capsys):
+    # at 2**330 |xi| is about 2.2e99, where the frames used to overflow: each
+    # route's coefficients are those at the direction itself times 2**-660
+    unit = ",".join(map(repr, DIRECTION.tolist()))
+    got = _run_json(capsys, ["curvature", "--xi", _scaled_text(unit, 330), "--route", "all",
+                             "--level", "2"])
+    want = _run_json(capsys, ["curvature", "--xi", unit, "--route", "all", "--level", "2"])
+    for name in ("spectral", "transported", "parts"):
+        _assert_scaled(got["coefficients"][name], want["coefficients"][name], -660)
+
+
+def test_a_cubic_invariant_past_the_float_range_exits_1_naming_it(capsys):
+    # at |xi| = 1e120 the cubic invariant, about 1e360, is past the float range;
+    # the quadratic invariant, about 1e240, is not
+    big = ",".join(map(repr, (1e120 * DIRECTION).tolist()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["curvature", f"--xi={text}", "--level", "2", "--route", route]) == 1
+        assert main(["spectrum", "--xi", big]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("su3holo: error: the eigenvector frames are not finite at "
-                            f"|xi| = {scale:.6g}\n")
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("su3holo: error: the cubic invariant is past the float range "
+                                   "at |xi| = 1e+120")
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum"])
+def test_a_tiny_point_above_tol_is_generic_with_scaled_gaps(capsys, command):
+    # |xi| = 2.4e-200: the norm underflowed to 0 and the point read as
+    # triple degenerate with zero gaps at any tol
+    xi = "1e-200,2e-200,0,0,0,0,0,1e-200"
+    got = _run_json(capsys, [command, "--xi", xi, "--classify-tol", "1e-300"])
+    want = _run_json(capsys, [command, "--xi", _scaled_text(xi, 664)])
+    assert got["class"] == want["class"] == "generic"
+    _assert_scaled(list(got["gaps"].values()), list(want["gaps"].values()), -664)
+    # the triple rule is absolute: at the default tol the point is triple degenerate
+    assert _run_json(capsys, [command, "--xi", xi])["class"] == "triple_degenerate"
 
 
 LOOP_ARGS = ["loop-phase", "--center", REST, "--axis1", "1,0,0,0,0,0,0,0",
@@ -936,23 +1009,33 @@ HUGE_SPHERE_GENERATOR = {"kind": "sphere-patch", "center8": [0, 0, 6e77, 0, 0, 0
      ["surface-flux", *HUGE_SPHERE, "--level", "1"]),
 ], ids=["loop-phase", "loop-phase-level", "surface-flux", "surface-flux-level"])
 def test_overflowing_loop_and_patch_frames_exit_1(tmp_path, capsys, desc, argv):
-    # the squared cross products behind the eigenvectors overflow past about
-    # 1e77: unchecked, these printed null phases and fluxes and exited 0
+    # the squared cross products behind the eigenvectors overflowed past about
+    # 1e77; evaluated at unit scale, the phases and fluxes are those of the
+    # loop or sphere scaled by 2**-256, bit for bit
+    _assert_the_power_of_two_image_is_written(tmp_path, capsys, desc, argv, -256)
+
+
+def _assert_the_power_of_two_image_is_written(tmp_path, capsys, desc, argv, power) -> None:
+    """``argv`` and its job ``desc`` exit 0, writing what ``argv`` with its
+    center and radius times ``2**power`` writes."""
     (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
+    small = list(argv)
+    for option in ("--center", "--radius"):
+        small[small.index(option) + 1] = _scaled_text(small[small.index(option) + 1], power)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv) == 1
+        assert main(argv) == 0
         from_cli = capsys.readouterr()
-        assert main(["job", str(tmp_path / "job.json")]) == 1
+        assert main(["job", str(tmp_path / "job.json")]) == 0
+        assert capsys.readouterr() == from_cli
+        assert main(small) == 0
     assert capsys.readouterr() == from_cli
-    assert from_cli.out == ""
-    assert from_cli.err == ("su3holo: error: the eigenvector frames are not finite at "
-                            "|xi| = 1.43182e+78\n")
+    assert from_cli.err == ""
 
 
-# |xi| about 1.4e111: |xi|^3 and the cubic invariant overflow, so the closed
-# form itself is not finite; these loops and patches used to be reported as
-# degenerate (exit 2) after two RuntimeWarnings
+# |xi| about 1.4e111: |xi|^3 and the cubic invariant overflow at this scale;
+# these loops and patches were once reported as degenerate (exit 2) after two
+# RuntimeWarnings, then as a closed form that is not finite
 VAST_CENTER = [0, 0, 6e110, 0, 0, 0, 0, 1.3e111]
 VAST = ",".join(repr(float(v)) for v in VAST_CENTER)
 VAST_CIRCLE = ["--center", VAST, "--axis1", "1,0,0,0,0,0,0,0", "--axis2", "0,1,0,0,0,0,0,0",
@@ -973,17 +1056,7 @@ VAST_SPHERE_GENERATOR = {**HUGE_SPHERE_GENERATOR, "center8": VAST_CENTER, "radiu
      ["surface-flux", *VAST_SPHERE]),
 ], ids=["loop-phase", "loop-phase-level", "surface-flux"])
 def test_overflowing_loop_and_patch_closed_form_exit_1(tmp_path, capsys, desc, argv):
-    (tmp_path / "job.json").write_text(json.dumps({"schema": "su3holo/1", **desc}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 1
-        from_cli = capsys.readouterr()
-        assert main(["job", str(tmp_path / "job.json")]) == 1
-    assert capsys.readouterr() == from_cli
-    assert from_cli.out == ""
-    # the first sample or grid point, one radius away from the center
-    assert from_cli.err == ("su3holo: error: the closed form is not finite at "
-                            "|xi| = 1.43182e+111\n")
+    _assert_the_power_of_two_image_is_written(tmp_path, capsys, desc, argv, -366)
 
 
 def _point_files(tmp_path) -> dict:

@@ -91,7 +91,8 @@ def test_spectral_reproduces_rest_frame_table():
 def test_spectral_gauge_invariance():
     # each level's table reads only that level's column: one phase per column
     xi = random_generic_octet(rng)
-    en, frames = _block_frames(xi, 1e-9, "degenerate")
+    en, frames, k = _block_frames(xi, 1e-9, "degenerate")
+    en = np.ldexp(en, k)  # the levels at the scale of xi
     base = _tables(xi, en, frames, np.arange(3))
     for _ in range(10):
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
@@ -132,7 +133,8 @@ def test_flux_density_near_the_cones_against_mpmath(gap, cone):
     xi = near_cone_points(draws, gap, cone, 10)
     du, dv = draws.standard_normal((2, 10, 8))
     for level, bound in zip((1, 2, 3), NEAR_CONE_BOUNDS[gap, cone]):
-        e, column = _block_frames(xi, 1e-9, "degenerate", levels=(level,))
+        e, column, k = _block_frames(xi, 1e-9, "degenerate", levels=(level,))
+        e = np.ldexp(e, k[:, None])  # the levels at the scale of xi
         got = _flux_density(xi, e, column[..., 0], du, dv, level)
         refs = [mpmath_flux_density(*point, level) for point in zip(xi, du, dv)]
         assert max(abs(g - ref) / scale for g, (ref, scale) in zip(got, refs)) <= bound
@@ -293,28 +295,38 @@ DIRECTION = np.array([0.6, -0.3, 0.2, 0.1, -0.5, 0.3, 0.2, 0.3]) / np.sqrt(0.97)
 @pytest.mark.parametrize("scale", [1e78, 1e100])
 @pytest.mark.parametrize("name", SINGLE_POINT)
 def test_overflowing_frames_are_a_typed_error(name, scale):
-    # the squared cross products behind the eigenvectors overflow past about
-    # 1e77: unchecked, the frames and every curvature read NaN
+    # the squared cross products behind the eigenvectors overflowed past about
+    # 1e77, and the frames and every curvature read NaN; evaluated at unit
+    # scale, each is the value at xi / 2**power scaled back by its degree
+    func, degree = SINGLE_POINT[name]
+    power = 260 if scale == 1e78 else 333
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(f"not finite at |xi| = {scale:.6g}")):
-            SINGLE_POINT[name][0](scale * DIRECTION)
+        got, want = func(scale * DIRECTION), func(np.ldexp(scale * DIRECTION, -power))
+    degree = -2 if degree is None else degree  # the level sum vanishes as a -2 form
+    if degree:  # the diagonalizer's complex columns are of degree 0
+        want = np.ldexp(want, degree * power)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_underflowing_frames_are_a_typed_error():
     # below about 1e-77 the squared cross products behind the eigenvectors
-    # are subnormal (and below 1e-81 zero), so the frames lose precision;
-    # only a tol below |xi| lets such a point through
-    for scale in (1e-78, 1e-79, 1e-80, 1e-100):
+    # were subnormal (and below 1e-81 zero), so the frames lost precision;
+    # only a tol below |xi| lets such a point through.  At unit scale each
+    # result is that at xi * 2**power, scaled back by its degree
+    for scale, power in ((1e-78, 256), (1e-79, 260), (1e-80, 263), (1e-100, 332)):
         xi = scale * DIRECTION
         path = circle_loop(xi, e(1), e(2), 1e-8 * scale, 50, tol=1e-300)
+        image = circle_loop(np.ldexp(xi, power), e(1), e(2), np.ldexp(1e-8 * scale, power), 50,
+                            tol=1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: curvature_spectral(xi, 1, tol=1e-300),
-                         lambda: diagonalizer(xi, tol=1e-300), lambda: loop_phase(path, 1)):
-                with pytest.raises(ValueError,
-                                   match=re.escape(f"not finite at |xi| = {scale:.6g}")):
-                    call()
+            got = curvature_spectral(xi, 1, tol=1e-300).coeffs
+            want = curvature_spectral(np.ldexp(xi, power), 1, tol=1e-300).coeffs
+            assert got.tobytes() == np.ldexp(want, 2 * power).tobytes()
+            assert np.array_equal(diagonalizer(xi, tol=1e-300),
+                                  diagonalizer(np.ldexp(xi, power), tol=1e-300))
+            assert loop_phase(path, 1) == loop_phase(image, 1)
     # one decade above, the frames keep full precision
     unit = diagonalizer(DIRECTION)
     np.testing.assert_allclose(diagonalizer(1e-76 * DIRECTION, tol=1e-300), unit,
@@ -327,7 +339,8 @@ def test_frames_below_the_overflow_are_unchanged():
         warnings.simplefilter("error")
         assert np.array_equal(diagonalizer(xi), gauge_fixed_frames(xi)[1])
         for level in (1, 2, 3):
-            e_, column = _block_frames(xi, 1e-9, "degenerate", levels=(level,))
+            e_, column, k = _block_frames(xi, 1e-9, "degenerate", levels=(level,))
+            e_ = np.ldexp(e_, k)  # the levels at the scale of xi
             want = CurvatureTwoForm(level, _tables(xi, e_, column[:, 0], level - 1)).coeffs
             assert np.array_equal(curvature_spectral(xi, level).coeffs, want)
         for func, power in SINGLE_POINT.values():

@@ -5,6 +5,7 @@ every command that takes ``--classify-tol`` exits 1 with the rule's message."""
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,9 +289,9 @@ def test_a_scale_that_overflows_a_draw_exits_1_naming_it(tmp_path, capsys):
 
 
 def test_a_scale_whose_draw_the_closed_form_overflows_exits_1_naming_it(tmp_path, capsys):
-    # the draws are finite; above |xi| of about 5.6e102 their closed form is not
-    message = ("--scale 1e+200 takes a drawn point out of range: "
-               "the closed form is not finite at |xi| = 1.86265e+200")
+    # the draws and their closed form are finite; the first row's quadratic
+    # invariant, about 3.5e400, is past the float range
+    message = "the quadratic invariant is past the float range at |xi| = 1.86265e+200"
     _exits_1_with(capsys, ["sweep", "--generator", "random", "--count", "3", "--scale=1e200"],
                   message)
     _exits_1_with(capsys, _sweep_job(tmp_path, {"kind": "random", "count": 3, "scale": 1e200}),
@@ -299,13 +300,30 @@ def test_a_scale_whose_draw_the_closed_form_overflows_exits_1_naming_it(tmp_path
 
 @pytest.mark.parametrize("scale", [1e80, 1e100])
 def test_a_scale_whose_draw_the_frames_overflow_exits_1_naming_it(tmp_path, capsys, scale):
-    # the draws and their closed form are finite; above |xi| of about 1e77 their frames are not
-    message = (f"--scale {scale!r} takes a drawn point out of range: "
-               f"the eigenvector frames are not finite at |xi| = {1.86265 * scale:.6g}")
-    _exits_1_with(capsys, ["sweep", "--generator", "random", "--count", "3", f"--scale={scale}",
-                           "--level", "1"], message)
-    _exits_1_with(capsys, _sweep_job(tmp_path, {"kind": "random", "count": 3, "scale": scale},
-                                     level=1), message)
+    # above |xi| of about 1e77 the frames of these draws overflowed; at unit
+    # scale every field is finite, and each is that of the sweep at the scale
+    # times 2**-power, whose draws are those times 2**-power, scaled back by
+    # its degree: the components, norm and gaps 1, phi and the class 0, the
+    # invariants 2 and 3, the curvature -2
+    power = 266 if scale == 1e80 else 332
+    rows = []
+    for argv in (["sweep", "--generator", "random", "--count", "3", f"--scale={scale}",
+                  "--level", "1"],
+                 _sweep_job(tmp_path, {"kind": "random", "count": 3, "scale": scale}, level=1),
+                 ["sweep", "--generator", "random", "--count", "3",
+                  f"--scale={math.ldexp(scale, -power)!r}", "--level", "1"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows.append([line.split(",") for line in captured.out.splitlines()[1:]])
+    assert rows[0] == rows[1]
+    degrees = [1] * 9 + [0] + [1] * 3 + [2, 3] + [-2] * 5  # xi1 ... xi8, norm, phi, ... vmax
+    for got, want in zip(rows[0], rows[2]):
+        assert got[11] == want[11] == "generic"
+        numbers = np.array([float(v) for v in got[1:11] + got[12:]])
+        assert np.isfinite(numbers).all()
+        assert numbers.tobytes() == np.ldexp(
+            [float(v) for v in want[1:11] + want[12:]], np.array(degrees) * power).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["ray", "rest-frame"])

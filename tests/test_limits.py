@@ -115,6 +115,36 @@ def test_singular_expansion_rejects_non_finite_input(epsilon, e13):
         singular_expansion(epsilon, e13, 1)
 
 
+@pytest.mark.parametrize("epsilon", [1e-155, 1e-170])
+def test_singular_expansion_past_the_float_range_is_the_rule_error(epsilon):
+    # 1/epsilon**2 is past the float range: unchecked, 1e-155 gave -inf and
+    # NaN coefficients and 1e-170 a ZeroDivisionError.  Level 3 has none.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for level in (1, 2):
+            with pytest.raises(ValueError, match="^the leading coefficient is past the float "
+                                                 f"range at [|]xi[|] = {epsilon:.6g}$"):
+                singular_expansion(epsilon, 1.0, level)
+        exp3 = singular_expansion(epsilon, 1.0, 3)
+    assert all(v == 0.0 for part in (exp3.octet, exp3.decouplet, exp3.total)
+               for v in part.values())
+
+
+@pytest.mark.parametrize("epsilon", [1e160, 1e200])
+def test_singular_expansion_below_the_float_range_rounds(epsilon):
+    # 1/epsilon**2 below the float range rounds to a subnormal (1e-320) or to
+    # zero (1e-400): unchecked, epsilon**2 raised OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exp = singular_expansion(epsilon, 1e302, 1)
+    m, k = math.frexp(epsilon)
+    lead = math.ldexp(1.0 / m**2, -2 * k)  # 1/epsilon**2 rounded once, as IEEE does
+    assert lead == (0.0 if epsilon == 1e200 else pytest.approx(1e-320, rel=1e-3))
+    assert (exp.octet[(1, 2)], exp.decouplet[(1, 2)]) == (lead / 3.0, lead / 6.0)
+    assert all(math.isfinite(v) for part in (exp.octet, exp.decouplet, exp.total)
+               for v in part.values())
+
+
 def test_singular_expansion_matches_exact_parts():
     # split the exact rest-frame curvature into octet and decouplet pieces
     # and compare their slot-(1,2) values with the leading coefficients
@@ -211,7 +241,8 @@ def test_monopole_flux_raises_when_orders_never_agree(monkeypatch):
     monkeypatch.setattr(holonomy, "_flux_density", drifting_density)
     monkeypatch.setattr(limits, "_sphere_quadrature", flat_quadrature)
     monkeypatch.setattr(holonomy, "_block_frames",
-                        lambda xi, tol, message, levels: (None, np.zeros(xi.shape[:-1] + (3, 1))))
+                        lambda xi, tol, message, levels: (None, np.zeros(xi.shape[:-1] + (3, 1)),
+                                                          np.zeros(xi.shape[:-1], int)))
     with pytest.raises(UnderResolvedPath, match="order 384") as exc:
         monopole_flux(e(8), 1e-3, 1)
     assert isinstance(exc.value, ValueError)

@@ -1,7 +1,11 @@
 """The per-level closed forms summed over the level pairs equal the forms
 written out level by level (``helpers.ladder_*``) bit for bit: the
 rest-frame curvature table, the decouplet weight, the octet coefficients
-and the singular expansion."""
+(at the unit-scaled vector they are evaluated at) and the singular
+expansion."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from helpers import (
     ladder_rest_frame,
     ladder_singular_expansion,
 )
+from su3holo.algebra import _unit_scaled
 from su3holo.curvature import curvature_rest_frame
 from su3holo.limits import singular_expansion
 from su3holo.spectrum import DegeneracyClass, SpectralData, eigenvalues
@@ -46,7 +51,13 @@ def test_rest_table_and_weights_match_the_ladders(rest_frames, level):
         assert got.tobytes() == _antisymmetrized(ladder_rest_frame(s, level)).tobytes()
         assert _bits([decouplet_weight(level, s.e12, s.e23)]) == _bits(
             [ladder_decouplet_weight(level, s.e12, s.e23)])
-        assert _bits(octet_coefficients(level, xi)) == _bits(ladder_octet_coefficients(level, xi, s))
+        # octet_coefficients evaluates at the unit-scaled vector, mu of degree -1,
+        # with the gaps of xi scaled down alike
+        u, k = _unit_scaled(xi)
+        unit = dataclasses.replace(s, **{name: math.ldexp(getattr(s, name), -k)
+                                         for name in ("e12", "e23", "e13")})
+        lam, mu = ladder_octet_coefficients(level, u, unit)
+        assert _bits(octet_coefficients(level, xi)) == _bits([lam, math.ldexp(mu, -k)])
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])

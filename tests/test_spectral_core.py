@@ -18,15 +18,16 @@ rng = np.random.default_rng(4242)
 
 @pytest.fixture
 def cubic_calls(monkeypatch):
-    """Shapes of the arguments of every cubic-invariant evaluation."""
+    """Shapes of the arguments of every cubic-invariant evaluation in the
+    closed form."""
     calls = []
-    real = spectrum.cubic_invariant
+    real = spectrum._cubic
 
     def counted(xi):
         calls.append(np.shape(xi))
         return real(xi)
 
-    monkeypatch.setattr(spectrum, "cubic_invariant", counted)
+    monkeypatch.setattr(spectrum, "_cubic", counted)
     return calls
 
 
@@ -165,13 +166,16 @@ def test_classify_and_generic_mask_share_the_threshold_rule(tol):
 
 @pytest.mark.parametrize("scale", [1.0, 1e8], ids=["cubic-finite", "cubic-overflows"])
 def test_generic_mask_rejects_a_point_whose_closed_form_is_not_finite(scale):
+    # the closed form past |xi| of 5.6e102 was not finite and rejected; at unit
+    # scale the point has the class of its power-of-two image of largest
+    # component in [0.5, 1)
     pts = np.array([random_generic_octet(np.random.default_rng(5)), scale * OVERFLOWING])
+    image = np.ldexp(pts[1], -np.frexp(np.abs(pts[1]).max())[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert generic_mask(pts).tolist() == [True, False]
-        assert not generic_mask(pts[1])
-        with pytest.raises(ValueError, match="the closed form is not finite at"):
-            classify(pts[1])
+        assert generic_mask(pts).tolist() == [True, True]
+        assert generic_mask(pts[1]) and generic_mask(image)
+        assert classify(pts[1]) is classify(image) is DegeneracyClass.GENERIC
 
 
 class _FixedDraws:
@@ -187,15 +191,16 @@ class _FixedDraws:
 
 
 def test_random_generator_raises_at_a_draw_whose_closed_form_is_not_finite():
+    # the closed form of OVERFLOWING was not finite and raised; at unit scale
+    # the draw is Generic and kept
     from su3holo.sweep import random_generic
 
     local = np.random.default_rng(6)  # leaves the module stream to the other tests
-    draws = _FixedDraws([random_generic_octet(local), OVERFLOWING, random_generic_octet(local)])
+    rows = [random_generic_octet(local), OVERFLOWING, random_generic_octet(local)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="the closed form is not finite at") as exc:
-            random_generic(draws, 3, spectrum.DEFAULT_CLASSIFY_TOL)
-    assert str(exc.value).endswith(f"|xi| = {np.linalg.norm(OVERFLOWING):.6g}")
+        kept = random_generic(_FixedDraws(rows), 3, spectrum.DEFAULT_CLASSIFY_TOL)
+    assert kept.tobytes() == np.array(rows).tobytes()
 
 
 def _generic_points() -> np.ndarray:
@@ -233,7 +238,7 @@ POINT_SETS = {
 @pytest.fixture(params=list(POINT_SETS), scope="module")
 def points(request):
     xi = POINT_SETS[request.param]()
-    return xi, spectrum._closed_form(xi).levels
+    return xi, spectrum.energy_levels(xi)
 
 
 def test_eigenvector_kernel_equals_the_stacked_reference(points):
@@ -249,7 +254,7 @@ def test_single_point_kernel_equals_the_stacked_reference_bytes():
     draws = np.random.default_rng(77)
     for _ in range(500):
         xi = draws.standard_normal(8) * 10.0 ** draws.uniform(-3.0, 3.0)
-        e = spectrum._closed_form(xi).levels
+        e = spectrum.energy_levels(xi)
         h = octet_to_matrix(xi)
         got = spectrum._eigenvector_columns(h, e)
         assert got.tobytes() == stacked_eigenvector_columns(h, e).tobytes()
@@ -274,7 +279,7 @@ def test_axis_point_has_tied_candidates():
 
 def test_frames_working_set_per_point():
     xi = rng.standard_normal((4096, 8))
-    e = spectrum._closed_form(xi).levels
+    e = spectrum.energy_levels(xi)
     tracemalloc.start()
     try:
         gauge_fixed_frames_at(xi, e)

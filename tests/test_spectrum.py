@@ -46,9 +46,15 @@ def test_phase_angle_fixed_values():
     (np.where(e(8) > 0, np.nan, 0.0), "phase_angle requires finite octet components"),  # pi/3
     (np.stack([e(8), np.where(e(3) > 0, -np.inf, 0.0)]),
      "phase_angle requires finite octet components"),
-    (1e200 * e(1), "the closed form is not finite at |xi| = 1e+200"),  # warned, overflow
+    # |xi|^3 overflowed here and warned; phi is of degree 0, that of e(1)
+    (1e200 * e(1), None),
 ], ids=["inf", "nan", "block", "overflow"])
 def test_phase_angle_rejects_a_non_finite_input(xi, message):
+    if message is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phase_angle(xi) == phase_angle(e(1))
+        return
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         phase_angle(xi)
 
@@ -239,13 +245,19 @@ OVERFLOWING = np.array([1e110, 2e110, 0, 0, 0, 0, 0, 3e110])
 
 @pytest.mark.parametrize("func", [classify, eigenvalues, diagonalizer])
 def test_closed_form_overflow_is_a_typed_error(func):
-    # |xi|^3 overflows: unchecked, the record is NaN and reads as upper
-    # degenerate
+    # |xi|^3 overflows at this scale: unchecked, the record was NaN and read as
+    # upper degenerate, then a typed error.  At unit scale the class and the
+    # columns are those of OVERFLOWING / 2**366, and the levels and gaps
+    # theirs times 2**366
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape("|xi| = 3.74166e+110")) as exc:
-            func(OVERFLOWING)
-    assert not isinstance(exc.value, DegenerateInput)
+        got, want = func(OVERFLOWING), func(np.ldexp(OVERFLOWING, -366))
+    if func is eigenvalues:
+        assert (got.phi, got.degeneracy) == (want.phi, DegeneracyClass.GENERIC)
+        for name in ("e1", "e2", "e3", "e12", "e23", "e13"):
+            assert getattr(got, name) == np.ldexp(getattr(want, name), 366)
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_overflow_check_keeps_small_and_finite_points():
@@ -261,9 +273,10 @@ def test_overflow_check_keeps_small_and_finite_points():
         want = 5e102 * np.linalg.eigvalsh(octet_to_matrix(xi))[::-1]
         np.testing.assert_allclose(s.energies, want, rtol=1e-14)
         # |xi|^3 overflows while the cubic invariant stays finite: the closed
-        # form would give phi = pi/3 and levels off by 3 % of |xi|
-        with pytest.raises(ValueError, match="not finite"):
-            eigenvalues(7e102 * xi)
+        # form gave phi = pi/3 and levels off by 3 % of |xi|, then a typed
+        # error; at unit scale the levels are right
+        s = eigenvalues(7e102 * xi)
+        np.testing.assert_allclose(s.energies, 1.4 * want, rtol=1e-14)
 
 
 def test_non_finite_input_names_the_caller():

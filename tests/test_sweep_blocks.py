@@ -29,25 +29,27 @@ POINTS = _points()
 
 
 def test_a_point_alone_has_the_bits_of_its_row_in_a_block():
-    block = spectrum._closed_form(POINTS)
-    levels, gaps = block.levels, block.gaps
+    phi = spectrum._closed_form(POINTS).phi
+    levels, gaps = spectrum.energy_levels(POINTS), spectrum.energy_gaps(POINTS)
     for k, xi in enumerate(POINTS):
         s = spectrum.eigenvalues(xi)
-        assert float.hex(s.phi) == float.hex(float(block.phi[k]))
+        assert float.hex(s.phi) == float.hex(float(phi[k]))
         assert s.energies.tobytes() == levels[k].tobytes()
         assert np.array([s.e12, s.e23, s.e13]).tobytes() == gaps[k].tobytes()
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_a_point_alone_has_the_columns_and_curvature_of_its_row(level):
-    e = spectrum._closed_form(POINTS).levels
-    columns = spectrum._columns(POINTS, e, (level,))
-    # the sweep's curvature pass: one table per point, from the block's columns
-    tables = curvature._tables(POINTS, e, columns[..., 0].T, level - 1)
-    tables = (tables - np.swapaxes(tables, -1, -2)) / 2.0
-    for k, xi in enumerate(POINTS):
-        assert spectrum._columns(xi, e[k], (level,)).tobytes() == columns[k].tobytes()
-        assert curvature.curvature_spectral(xi, level).coeffs.tobytes() == tables[k].tobytes()
+    c = spectrum._closed_form(POINTS)
+    e = c.unit_levels
+    columns = spectrum._columns(POINTS, c.k, e, (level,))
+    # the sweep's curvature pass at unit scale: one table per point, from the
+    # block's columns, scaled back as of degree -2
+    tables = curvature._tables(c.u, e, columns[..., 0].T, level - 1)
+    tables = np.ldexp((tables - np.swapaxes(tables, -1, -2)) / 2.0, -2 * c.k[:, None, None])
+    for i, xi in enumerate(POINTS):
+        assert spectrum._columns(xi, int(c.k[i]), e[i], (level,)).tobytes() == columns[i].tobytes()
+        assert curvature.curvature_spectral(xi, level).coeffs.tobytes() == tables[i].tobytes()
 
 
 def _reference(argv: list[str]) -> str:
@@ -74,8 +76,9 @@ CASES = {
                     "--toward", "0,0,0,0,0,0,0,0", "--count", "4", "--level", "1"],
     "three-blocks": ["--generator", "random", "--count", "1100", "--seed", "3", "--level", "2"],
     "scale-1e110": ["--generator", "random", "--count", "5", "--scale", "1e110", "--level", "1"],
-    # the frames fail past |xi| = 1e77, rows before the closed form does past 5.6e102
-    "frames-fail-first": [*RAY[:4], "--toward", "0,0,1e100,0,1e100,0,0,0", "--delta-start",
+    # |xi| from 1 to 1.4e105: the first row whose cubic invariant is past the
+    # float range, near |xi| = 5.6e102, raises
+    "cubic-past-range": [*RAY[:4], "--toward", "0,0,1e100,0,1e100,0,0,0", "--delta-start",
                           "1e-30", "--delta-stop", "1e5", "--count", "40", "--level", "1"],
 }
 
