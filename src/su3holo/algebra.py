@@ -13,6 +13,9 @@ i.e. ``octet(A H A^dagger) = D(A) octet(H)``.
 The constant tables (Gell-Mann matrices and the antisymmetric ``f`` and
 symmetric ``d`` structure constants, computed from the matrices) are built
 once at import and frozen read-only.
+
+The scale rule lives here: ``_scaled`` for a quantity at a point, and
+``_multilinear`` for a form that scales each of its arguments on its own.
 """
 from __future__ import annotations
 
@@ -112,7 +115,7 @@ def structure_constants() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CoordinateForm:
-    """Trace part and octet part of a 3 x 3 Hermitian matrix."""
+    """Trace part and octet part of a 3 x 3 Hermitian matrix, all finite."""
 
     xi0: float
     xi: np.ndarray = field(repr=False)
@@ -121,6 +124,8 @@ class CoordinateForm:
         xi = np.asarray(self.xi, dtype=float)
         if xi.shape != (8,):
             raise ValueError(f"octet part must have shape (8,), got {xi.shape}")
+        if not (np.isfinite(self.xi0) and np.isfinite(xi).all()):
+            raise ValueError("coordinates must be finite")
         object.__setattr__(self, "xi", xi)
 
 
@@ -133,10 +138,13 @@ def _octet(xi) -> np.ndarray:
 
 def to_coordinates(h) -> CoordinateForm:
     """Coordinates (xi0, xi) of a 3 x 3 Hermitian matrix:
-    ``xi0 = Tr(H)/3`` and ``xi_r = Tr(H lambda_r)``."""
+    ``xi0 = Tr(H)/3`` and ``xi_r = Tr(H lambda_r)``; ``ValueError`` as
+    ``kinematics.hermitian`` raises, unless ``h`` is 3x3."""
     m = np.asarray(h, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
+    from .kinematics import hermitian  # loaded here alone, as no other algebra name needs it
+    hermitian(m)  # the check alone: the coordinates are read from m itself
     xi0 = float(np.trace(m).real) / 3.0
     xi = np.einsum("rij,ji->r", GELL_MANN, m).real
     return CoordinateForm(xi0, xi)
@@ -184,15 +192,24 @@ def matrix_to_octet(h) -> np.ndarray:
 
 
 def octet_wedge(xi1, xi2) -> np.ndarray:
-    """Antisymmetric octet product ``(xi1 ^ xi2)_r = -(1/2) f_rst xi1_s xi2_t``."""
-    return -0.5 * np.einsum("rst,...s,...t->...r", F_CONST, _octet(xi1), _octet(xi2))
+    """Antisymmetric octet product ``(xi1 ^ xi2)_r = -(1/2) f_rst xi1_s xi2_t``,
+    broadcast over leading axes, by the scale rule (``_multilinear``): of degree
+    1 in each vector.  ``ValueError`` for a non-finite component or past the range."""
+    return _multilinear("octet wedge product",
+                        lambda u1, u2: -0.5 * np.einsum("rst,...s,...t->...r", F_CONST, u1, u2),
+                        (_octet(xi1), 1), (_octet(xi2), 1), caller="octet_wedge")
 
 
 def octet_star(xi1, xi2) -> np.ndarray:
-    """Symmetric octet product ``(xi1 * xi2)_r = sqrt(3) d_rst xi1_s xi2_t``."""
-    return np.sqrt(3.0) * np.einsum(
-        "rst,...s,...t->...r", D_CONST, _octet(xi1), _octet(xi2)
-    )
+    """Symmetric octet product ``(xi1 * xi2)_r = sqrt(3) d_rst xi1_s xi2_t``,
+    by the scale rule as ``octet_wedge``."""
+    return _multilinear("octet star product", _star, (_octet(xi1), 1), (_octet(xi2), 1),
+                        caller="octet_star")
+
+
+def _star(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
+    # octet_star's contraction at the vectors themselves, for unit-scaled callers
+    return np.sqrt(3.0) * np.einsum("rst,...s,...t->...r", D_CONST, xi1, xi2)
 
 
 def _unit_scaled(xi: np.ndarray):
@@ -240,16 +257,39 @@ def _scaled(u: np.ndarray, k, *quantities, caller: str | None = None) -> list:
     return out
 
 
-def _invariant(name: str, degree: int, form, xi) -> float | np.ndarray:
-    # form of degree ``degree`` at (batches of) octet vectors by the scale rule
-    u, k = _unit_scaled(_octet(xi))
-    out = _scaled(u, k, (name, form(u), degree))[0]
-    return out if isinstance(out, float) or out.ndim else float(out)
+def _unit_matrix(m: np.ndarray):
+    # a complex matrix by _unit_scaled of all its real and imaginary parts at once
+    u, k = _unit_scaled(np.ascontiguousarray(m).view(float).ravel())
+    return u.view(complex).reshape(m.shape), k
+
+
+def _multilinear(name: str, form, *args, caller: str | None = None):
+    """The scale rule for a form of degree ``d`` in each ``(x, d)`` of ``args``,
+    each octet vector (..., 8) unit-scaled per vector and each complex matrix
+    as a whole: ``form`` at the unit-scaled arguments times ``2**(sum d k)``,
+    so a zero stays zero.  Past the float range ``ValueError``, as ``_scaled``
+    words it for one argument and ``the <name> is past the float range at
+    these inputs`` for more.  Given ``caller``, a non-finite component fails."""
+    if len(args) == 1:
+        ((x, degree),) = args
+        u, k = _unit_scaled(x)
+        out = _scaled(u, k, (name, form(u), degree), caller=caller)[0]
+        return out if isinstance(out, float) or out.ndim else float(out)
+    if caller is not None and not all(np.isfinite(x).all() for x, _ in args):
+        raise ValueError(f"{caller} requires finite octet components")
+    units = [_unit_matrix(x) if np.iscomplexobj(x) else _unit_scaled(x) for x, _ in args]
+    e = sum(degree * k for (_, degree), (_, k) in zip(args, units))
+    with np.errstate(over="ignore"):
+        out = np.ldexp(form(*(u for u, _ in units)), e if isinstance(e, int) else e[..., None])
+    if np.isinf(out).any():
+        raise ValueError(f"the {name} is past the float range at these inputs")
+    return out
 
 
 def quadratic_invariant(xi) -> float | np.ndarray:
     """``xi . xi``, invariant under the adjoint action, of degree 2."""
-    return _invariant("quadratic invariant", 2, lambda u: np.einsum("...r,...r->...", u, u), xi)
+    return _multilinear("quadratic invariant", lambda u: np.einsum("...r,...r->...", u, u),
+                        (_octet(xi), 2))
 
 
 def cubic_invariant(xi) -> float | np.ndarray:
@@ -261,7 +301,7 @@ def cubic_invariant(xi) -> float | np.ndarray:
     ``einsum("rst,...r,...s,...t->...", D_CONST, xi, xi, xi)`` forms, bit
     for bit, without its zero terms.  A batch forms each of the 22 distinct
     ``d * xi_r`` once and every term in preallocated buffers."""
-    return _invariant("cubic invariant", 3, _cubic, xi)
+    return _multilinear("cubic invariant", _cubic, (_octet(xi), 3))
 
 
 def _cubic(xi: np.ndarray):

@@ -18,6 +18,7 @@ unweighted level sum vanishes identically.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,22 @@ _PAIRS = (((0, 1), (0, 1)), ((0, 2), (3, 4)), ((1, 2), (5, 6)))
 def _pair_weights(level: int) -> tuple[float, float, float]:
     """The level's pair weights ``p_b - p_c`` in gap order: +1, 0 or -1."""
     return tuple(float((b == level - 1) - (c == level - 1)) for (b, c), _ in _PAIRS)
+
+
+def _pair_terms(level: int, gaps: tuple, numerators=(1.0, 1.0, 1.0), factors=(1.0, 1.0, 1.0)):
+    """The level's terms ``(slot, w_bc n_bc / (f_bc E_bc^2))`` over its two pairs
+    of nonzero weight; ``ValueError`` where a squared gap they read overflows or
+    underflows to zero, or a term is past the float range.  Arrays are left to
+    their caller's ``np.errstate``, which raises past the range."""
+    try:
+        terms = [(slot, w * n / (f * e**2)) for w, (_, slot), e, n, f
+                 in zip(_pair_weights(level), _PAIRS, gaps, numerators, factors) if w]
+        # a float divided by a subnormal square reads inf
+        if all(isinstance(term, np.ndarray) or math.isfinite(term) for _, term in terms):
+            return terms
+    except ArithmeticError:  # of floats, and of numpy where its caller raises them
+        pass
+    raise ValueError("a squared gap is outside the float range")
 
 
 def _resolvent(xi, e: np.ndarray, idx) -> tuple:
@@ -209,7 +226,8 @@ def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm
     ========  ============   ============   ============
 
     ``ValueError`` if ``level`` is not 1, 2 or 3, checked first;
-    ``DegenerateInput`` if the spectrum is not Generic.
+    ``DegenerateInput`` if the spectrum is not Generic; ``ValueError`` as
+    ``tensors.decouplet_weight`` raises for a gap outside the float range.
     """
     level = check_level(level)
     if spectral.degeneracy is not DegeneracyClass.GENERIC:
@@ -217,10 +235,9 @@ def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm
             f"rest-frame table requires nonzero gaps, got {spectral.degeneracy.value}"
         )
     v = np.zeros((8, 8))
-    gaps = (spectral.e12, spectral.e13, spectral.e23)
-    for w, (_, slot), e in zip(_pair_weights(level), _PAIRS, gaps):
-        if w:
-            v[slot] = w / (2.0 * e**2)
+    for slot, term in _pair_terms(level, (spectral.e12, spectral.e13, spectral.e23),
+                                  factors=(2.0, 2.0, 2.0)):
+        v[slot] = term
     return CurvatureTwoForm(level, v - v.T)
 
 

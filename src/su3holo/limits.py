@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _octet, _scaled, _unit_scaled, adjoint_matrix, invariants, octet_to_matrix
+from .algebra import _multilinear, _octet, adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _PAIRS, _pair_weights
 from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
 from .holonomy import _block_density
@@ -112,8 +112,8 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
     if level == 3:
         zero = {slot: 0.0 for slot in _SLOTS}
         return SingularExpansion(level, epsilon, e13, dict(zero), dict(zero), dict(zero))
-    u, k = _unit_scaled(np.array([0.0, 0.0, epsilon, 0.0, 0.0, 0.0, 0.0, 0.0]))
-    lead = float(_scaled(u, k, ("leading coefficient", 1.0 / float(u[2]) ** 2, -2))[0])
+    lead = _multilinear("leading coefficient", lambda u: 1.0 / float(u[2]) ** 2,
+                        (np.array([0.0, 0.0, epsilon, 0.0, 0.0, 0.0, 0.0, 0.0]), -2))
     sign = _pair_weights(level)[0]  # w12: +1 for level 1, -1 for level 2
     octet = dict(zip(_SLOTS, (sign * lead / 3.0, sign * lead / 6.0, -sign * lead / 6.0)))
     decouplet = dict(zip(_SLOTS, (sign * lead / 6.0, -sign * lead / 6.0, sign * lead / 6.0)))

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _cubic, _invariant, _octet, _scaled, _unit_scaled, octet_to_matrix
+from .algebra import _cubic, _multilinear, _octet, _scaled, _unit_scaled, octet_to_matrix
 from .errors import DEFAULT_CLASSIFY_TOL, DegenerateInput, check_positive
 
 __all__ = [
@@ -96,7 +96,7 @@ class SpectralData:
 
 def octet_norm(xi) -> float | np.ndarray:
     """Euclidean norm of (batches of) octet vectors."""
-    return _invariant("norm", 1, lambda u: np.linalg.norm(u, axis=-1), xi)
+    return _multilinear("norm", lambda u: np.linalg.norm(u, axis=-1), (_octet(xi), 1))
 
 
 class _ClosedForm(NamedTuple):

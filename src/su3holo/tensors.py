@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import F_CONST, GELL_MANN, octet_star
-from .curvature import CurvatureTwoForm, _form, _pair_weights
+from .algebra import F_CONST, GELL_MANN, _star
+from .curvature import CurvatureTwoForm, _form, _pair_terms
 from .errors import DegenerateInput, check_level, check_positive
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -239,8 +239,7 @@ def _require_rest_frame(xi) -> np.ndarray:
 
 def _pair_sum(level: int, gaps: tuple, numerators: tuple, factors=(1.0, 1.0, 1.0)) -> float:
     """``sum_bc w_bc n_bc / (f_bc E_bc^2)`` over the level's two pairs of nonzero weight."""
-    first, second = (w * n / (f * e**2) for w, e, n, f
-                     in zip(_pair_weights(level), gaps, numerators, factors) if w)
+    (_, first), (_, second) = _pair_terms(level, gaps, numerators, factors)
     return first + second
 
 
@@ -251,7 +250,7 @@ def decouplet_weight(level: int, e12, e23):
     ``v3 = 1/E23^2 - 1/E13^2``; they sum to zero.  Takes gaps or arrays of
     them.  ``ValueError`` if ``level`` is not 1, 2 or 3, checked first, if a
     gap is not positive and finite, or if a squared gap that the level reads
-    overflows or underflows to zero."""
+    overflows or underflows to zero, or a term is past the float range."""
     level = check_level(level)
     for name, gaps in (("e12", e12), ("e23", e23)):
         for gap in np.ravel(gaps).tolist():
@@ -289,7 +288,7 @@ def octet_coefficients(level: int, rest_xi,
     if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
     x3, x8 = c.u[2], c.u[7]
-    eta = octet_star(c.u, c.u)
+    eta = _star(c.u, c.u)
     eta3, eta8 = eta[2], eta[7]
     s3 = np.sqrt(3.0)
     gaps, factors = (s.e12, s.e13, s.e23), (1.0, 2.0, 2.0)
@@ -333,7 +332,7 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     e12, e23, e13 = s.e12, s.e23, s.e13
     lam, mu = octet_coefficients(level, _rest_from_levels(s.energies), tol)
     prefactor = -1.0 / (4.0 * e12 * e13 * e23)
-    x = prefactor * (lam * xi + mu * octet_star(xi, xi))
+    x = prefactor * (lam * xi + mu * _star(xi, xi))
     v = decouplet_weight(level, e12, e23)
     field_ = _decouplet_field(a_mat)
     parts = IrreducibleParts(

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import random_hermitian, random_special_unitary
 from su3holo.algebra import (
+    D_CONST,
+    F_CONST,
+    GELL_MANN,
     CoordinateForm,
     adjoint_matrix,
     cubic_invariant,
@@ -110,6 +115,27 @@ def test_coordinate_round_trip():
         to_coordinates(np.eye(2))
 
 
+def test_the_coordinate_chart_rejects_what_it_cannot_chart():
+    # these returned a NaN form, the form of another matrix, and a NaN matrix
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        to_coordinates(np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        to_coordinates([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    for xi0, xi in [(np.nan, np.zeros(8)), (0.0, np.r_[np.zeros(7), np.inf])]:
+        with pytest.raises(ValueError, match="^coordinates must be finite$"):
+            from_coordinates(CoordinateForm(xi0, xi))
+
+
+def test_the_coordinate_chart_reads_an_accepted_matrix_as_it_is():
+    # Hermitian within 1e-12: the coordinates are those of the matrix itself
+    for _ in range(50):
+        h = random_hermitian(rng)
+        h[0, 1] += 1e-14
+        c = to_coordinates(h)
+        assert c.xi.tobytes() == np.einsum("rij,ji->r", GELL_MANN, h).real.tobytes()
+        assert c.xi0 == float(np.trace(h).real) / 3.0
+
+
 def test_octet_wedge_fixed_values_and_matrix_oracle():
     xi = rng.standard_normal(8)
     np.testing.assert_allclose(octet_wedge(xi, xi), np.zeros(8), atol=1e-13)
@@ -136,6 +162,52 @@ def test_octet_star_fixed_values_and_matrix_oracle():
         lhs = (h1 @ h2 + h2 @ h1) / 2
         rhs = (x1 @ x2) / 6.0 * np.eye(3) + octet_matrix(octet_star(x1, x2)) / (4 * np.sqrt(3))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _raw_products(x1, x2):
+    # the contractions at the vectors themselves, with no scaling
+    return (-0.5 * np.einsum("rst,...s,...t->...r", F_CONST, x1, x2),
+            np.sqrt(3.0) * np.einsum("rst,...s,...t->...r", D_CONST, x1, x2))
+
+
+def test_octet_products_keep_the_bits_of_the_raw_contraction_where_it_is_normal():
+    # each vector is scaled by its own power of two, which is exact
+    for _ in range(300):
+        x1, x2 = (rng.standard_normal(8) * 10.0 ** rng.uniform(-100, 100) for _ in "12")
+        for got, want in zip((octet_wedge(x1, x2), octet_star(x1, x2)), _raw_products(x1, x2)):
+            assert got.tobytes() == want.tobytes()
+    x1, x2 = (rng.standard_normal((500, 8)) * 10.0 ** rng.uniform(-100, 100, (500, 1))
+              for _ in "12")
+    for got, want in zip((octet_wedge(x1, x2), octet_star(x1, x2)), _raw_products(x1, x2)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("product", [octet_wedge, octet_star])
+def test_octet_products_scale_each_point_on_its_own(product):
+    # rows 1e-300 and 1e300 apart: each row is the product of that row alone
+    x1 = rng.standard_normal((4, 8)) * np.array([[1e-300], [1.0], [1e300], [1e-5]])
+    x2 = rng.standard_normal((4, 8)) * np.array([[1e300], [1e-300], [1e-300], [1e5]])
+    got = product(x1, x2)
+    for i in range(4):
+        assert got[i].tobytes() == product(x1[i], x2[i]).tobytes()
+    assert product(x1[0], x2).tobytes() == np.stack([product(x1[0], y) for y in x2]).tobytes()
+
+
+@pytest.mark.parametrize("product, name", [(octet_wedge, "octet wedge product"),
+                                           (octet_star, "octet star product")])
+def test_octet_products_raise_past_the_float_range_and_on_a_non_finite_component(product, name):
+    # these returned inf or NaN, and warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^the {name} is past the float range at these inputs$"):
+            product(1e200 * np.ones(8), 1e200 * np.arange(8.0))
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.ones((2, 8))
+            x[1, 3] = bad
+            with pytest.raises(ValueError, match=f"^{product.__name__} requires finite octet components$"):
+                product(x, np.ones(8))
+        # a zero at unit scale stays zero
+        assert not product(1e300 * e(1), 1e300 * e(2) if product is octet_star else 1e300 * e(1)).any()
 
 
 def test_trace_pairings_on_coordinates():

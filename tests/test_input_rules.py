@@ -412,6 +412,14 @@ def _antisym_tensor_times_i():
 TYPED_ERRORS = [
     ("CoordinateForm", lambda: su3holo.CoordinateForm(0.0, np.zeros(7)),
      r"octet part must have shape \(8,\), got \(7,\)"),
+    ("CoordinateForm-xi0", lambda: su3holo.CoordinateForm(np.nan, np.zeros(8)),
+     "coordinates must be finite"),
+    ("CoordinateForm-xi", lambda: su3holo.CoordinateForm(0.0, np.full(8, np.inf)),
+     "coordinates must be finite"),
+    ("to_coordinates-finite", lambda: su3holo.to_coordinates(np.full((3, 3), np.nan)),
+     "matrix entries must be finite"),
+    ("to_coordinates-hermitian", lambda: su3holo.to_coordinates(np.triu(np.ones((3, 3)))),
+     "matrix is not Hermitian within tolerance"),
     ("energy_levels", lambda: su3holo.energy_levels(np.zeros(7)),
      r"octet vectors have 8 components, got shape \(7,\)"),
     ("CurvatureTwoForm", lambda: su3holo.CurvatureTwoForm(1, np.zeros((7, 7))),

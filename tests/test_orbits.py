@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -148,13 +149,20 @@ def test_pairings_name_an_overflow_with_no_warning(pairing, name):
     # finite inputs whose products pass the float range: these warned from
     # matmul and returned inf or nan
     h = diag_traceless(1.0, 0.2)
+    cases = [(h, 1e200 * gellmann(1), 1e200 * gellmann(2)),
+             (HUGE, 1e300 * gellmann(1), 1e300 * gellmann(4)),
+             (1e300 * h, 1e10 * gellmann(1), gellmann(2))]
+    # an exact zero at unit scale stays 0: HUGE commutes with everything, and
+    # at a diagonal h the metric pairs lambda1 with lambda2 to 0
+    zero = (0, 1, 2) if pairing is orbit_metric_eval else (1,)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for args in [(h, 1e200 * gellmann(1), 1e200 * gellmann(2)),
-                     (HUGE, 1e300 * gellmann(1), 1e300 * gellmann(4)),
-                     (1e300 * h, 1e10 * gellmann(1), gellmann(2))]:
-            with pytest.raises(ValueError, match=f"^the {name} overflows the float range"):
-                pairing(*args)
+        for i, args in enumerate(cases):
+            if i in zero:
+                assert pairing(*args) == 0.0
+            else:
+                with pytest.raises(ValueError, match=f"^the {name} is past the float range at these"):
+                    pairing(*args)
         # one huge factor alone is fine where the product is finite
         assert pairing(HUGE, gellmann(1), gellmann(2)) == 0.0
 
@@ -211,9 +219,70 @@ def test_a_pairing_past_the_float_range_still_overflows():
     # 1.28e450: the same inputs as above with b 1e200 times larger
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^the orbit metric overflows the float range"):
+        with pytest.raises(ValueError, match="^the orbit metric is past the float range"):
             orbit_metric_eval(1e200 * diag_traceless(1.0, 0.2), 1e150 * gellmann(1),
                               1e-100 * gellmann(1))
+
+
+def _pairing_draws(indices):
+    """Draws ``indices`` of 20 000 seeded triples ``(h, a, b)``: Hermitian,
+    ``a`` and ``b`` traceless, each scaled by ``10**U(-3, 3)`` on even draws
+    and ``10**U(-300, 300)`` on odd ones."""
+    gen = np.random.default_rng(7)
+    draws = {}
+    for i in range(max(indices) + 1):
+        spread = 3 if i % 2 == 0 else 300
+        triple = []
+        for traceless in (False, True, True):
+            m = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+            x = (m + m.conj().T) / 2
+            if traceless:
+                x = x - np.trace(x) / 3 * np.eye(3)
+            triple.append(x * 10 ** gen.uniform(-spread, spread))
+        if i in indices:
+            draws[i] = triple
+    return draws
+
+
+# the pairings of those draws whose value the scale rule changed, with the
+# value of the former two-pass evaluation, or None where it raised an overflow
+CHANGED_PAIRINGS = [
+    (41, orbit_metric_eval, -0.0),
+    (397, symplectic_eval, None),
+    (1053, symplectic_eval, None),
+    (3623, orbit_metric_eval, -0.0),
+    (4003, orbit_metric_eval, None),
+    (5667, symplectic_eval, None),
+    (6363, symplectic_eval, -5.34347516459614e-309),
+    (8481, symplectic_eval, None),
+    (8711, orbit_metric_eval, None),
+    (9837, orbit_metric_eval, -0.0),
+    (16335, symplectic_eval, None),
+    (17947, symplectic_eval, None),
+]
+
+
+def _mpmath_pairing(pairing, h, a, b):
+    mpmath.mp.dps = 60
+    hm, am, bm = (mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in x])
+                  for x in (h, a, b))
+    if pairing is symplectic_eval:
+        return mpmath.im(sum((hm * (am * bm - bm * am))[i, i] for i in range(3)))
+    x, y = hm * am - am * hm, hm * bm - bm * hm
+    return mpmath.re(sum((x * y.transpose_conj())[i, i] for i in range(3)))
+
+
+def test_the_changed_pairings_are_closer_to_mpmath():
+    draws = _pairing_draws([i for i, _, _ in CHANGED_PAIRINGS])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, pairing, former in CHANGED_PAIRINGS:
+            got = pairing(*draws[i])
+            exact = _mpmath_pairing(pairing, *draws[i])
+            if former is None:  # a false overflow: the value is in the float range
+                assert abs(got - exact) <= 1e-14 * abs(exact)
+            else:  # a zero that is a subnormal, or a last-bit error
+                assert abs(got - exact) < abs(former - exact)
 
 
 def test_an_overflowing_trace_reads_as_not_traceless():

@@ -5,6 +5,7 @@ rest-frame curvature table, the decouplet weight, the octet coefficients
 expansion."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_the_pair_without_the_level_is_not_divided_by_its_gap():
     got = curvature_rest_frame(s, 1).coeffs
     assert np.all(np.isfinite(got))
     assert got.tobytes() == _antisymmetrized(ladder_rest_frame(s, 1)).tobytes()
+
+
+@pytest.mark.parametrize("e12, e23, level", [
+    (1e200, 1e200, 2), (1e200, 1e200, 3),  # a squared gap overflows: OverflowError
+    (1e-200, 1.0, 1), (1e-200, 1.0, 2),  # E12**2 is 0.0: ZeroDivisionError
+    (1.0, 1e-170, 2), (1.0, 1e-170, 3),  # E23**2 is 0.0: ZeroDivisionError
+    (1e-160, 1.0, 1),  # E12**2 is subnormal, its reciprocal past the range: inf
+], ids=["over-2", "over-3", "e12-under-1", "e12-under-2", "e23-under-2", "e23-under-3",
+        "subnormal-1"])
+def test_the_rest_table_and_the_decouplet_weight_share_one_gap_rule(e12, e23, level):
+    s = SpectralData(0.0, 0.0, 0.0, 0.5, e12, e23, e12 + e23, DegeneracyClass.GENERIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: curvature_rest_frame(s, level), lambda: decouplet_weight(level, e12, e23)):
+            with pytest.raises(ValueError, match="^a squared gap is outside the float range$"):
+                call()
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
