@@ -15,7 +15,9 @@ symmetric ``d`` structure constants, computed from the matrices) are built
 once at import and frozen read-only.
 
 The scale rule lives here: ``_scaled`` for a quantity at a point, and
-``_multilinear`` for a form that scales each of its arguments on its own.
+``_multilinear`` for a form that scales each of its arguments on its own,
+and ``_unit_whole`` with ``_scale_back`` for a linear map of arrays taken as
+a whole.
 """
 from __future__ import annotations
 
@@ -138,16 +140,18 @@ def _octet(xi) -> np.ndarray:
 
 def to_coordinates(h) -> CoordinateForm:
     """Coordinates (xi0, xi) of a 3 x 3 Hermitian matrix:
-    ``xi0 = Tr(H)/3`` and ``xi_r = Tr(H lambda_r)``; ``ValueError`` as
-    ``kinematics.hermitian`` raises, unless ``h`` is 3x3."""
+    ``xi0 = Tr(H)/3`` and ``xi_r = Tr(H lambda_r)``, by the scale rule
+    (``_unit_whole``): of degree 1.  ``ValueError`` as
+    ``kinematics.hermitian`` raises, unless ``h`` is 3x3, or past the range."""
     m = np.asarray(h, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     from .kinematics import hermitian  # loaded here alone, as no other algebra name needs it
     hermitian(m)  # the check alone: the coordinates are read from m itself
-    xi0 = float(np.trace(m).real) / 3.0
-    xi = np.einsum("rij,ji->r", GELL_MANN, m).real
-    return CoordinateForm(xi0, xi)
+    (u,), k = _unit_whole("to_coordinates", m)
+    xi0, xi = _scale_back("octet vector", k, np.trace(u).real / 3.0,
+                          np.einsum("rij,ji->r", GELL_MANN, u).real)
+    return CoordinateForm(float(xi0), xi)
 
 
 def from_coordinates(form: CoordinateForm) -> np.ndarray:
@@ -186,9 +190,14 @@ def octet_to_matrix(xi) -> np.ndarray:
 
 def matrix_to_octet(h) -> np.ndarray:
     """Octet components ``xi_r = Tr(H lambda_r)`` of (batches of) 3 x 3
-    matrices; the trace part is discarded."""
+    matrices; the trace part is discarded.  By the scale rule as
+    ``to_coordinates``, each matrix of a batch on its own; ``ValueError`` for
+    a non-finite entry or past the float range."""
     m = np.asarray(h, dtype=complex)
-    return np.einsum("...ij,rji->...r", m, GELL_MANN).real
+    if not np.isfinite(m).all():
+        raise ValueError("matrix_to_octet requires finite entries")
+    u, k = _unit_matrix(m)
+    return _scale_back("octet vector", k, np.einsum("...ij,rji->...r", u, GELL_MANN).real)[0]
 
 
 def octet_wedge(xi1, xi2) -> np.ndarray:
@@ -258,9 +267,40 @@ def _scaled(u: np.ndarray, k, *quantities, caller: str | None = None) -> list:
 
 
 def _unit_matrix(m: np.ndarray):
-    # a complex matrix by _unit_scaled of all its real and imaginary parts at once
-    u, k = _unit_scaled(np.ascontiguousarray(m).view(float).ravel())
+    # complex matrices (..., 3, 3), each by _unit_scaled of its real and imaginary parts
+    u, k = _unit_scaled(np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (18,)))
     return u.view(complex).reshape(m.shape), k
+
+
+def _unit_whole(caller: str, *arrays) -> tuple[list, int]:
+    """Float or complex arrays as ``(units, k)``: each divided by one ``2**k``,
+    exactly, that takes their largest |real or imaginary part| into [0.5, 1),
+    and ``k`` is 0 where that is 0; ``ValueError(f"{caller} requires finite
+    entries")`` first for a non-finite one."""
+    tops = [float(np.abs(np.ascontiguousarray(a).view(float)).max(initial=0.0)) for a in arrays]
+    if not all(map(math.isfinite, tops)):  # a NaN or inf entry makes its array's max NaN or inf
+        raise ValueError(f"{caller} requires finite entries")
+    k = math.frexp(max(tops))[1]
+    return [_ldexp(a, -k) for a in arrays], k
+
+
+def _ldexp(x, e):
+    # x * 2**e, float or complex, exact where that is a normal float; inf past the range
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, e)
+    return np.ldexp(np.ascontiguousarray(x).view(float), e).view(complex).reshape(np.shape(x))
+
+
+def _scale_back(name: str, e, *values) -> list:
+    """Each value times ``2**e``, ``e`` an int or an array over its leading
+    axes; ``ValueError(f"the {name} is past the float range at these
+    inputs")``, with no numpy warning, where one is past the range."""
+    with np.errstate(over="ignore"):  # inf past the range, named below
+        out = [_ldexp(v, e if isinstance(e, int) else e.reshape(e.shape + (1,) * (v.ndim - e.ndim)))
+               for v in values]
+    if any(np.isinf(o).any() for o in out):
+        raise ValueError(f"the {name} is past the float range at these inputs")
+    return out
 
 
 def _multilinear(name: str, form, *args, caller: str | None = None):
@@ -268,8 +308,8 @@ def _multilinear(name: str, form, *args, caller: str | None = None):
     each octet vector (..., 8) unit-scaled per vector and each complex matrix
     as a whole: ``form`` at the unit-scaled arguments times ``2**(sum d k)``,
     so a zero stays zero.  Past the float range ``ValueError``, as ``_scaled``
-    words it for one argument and ``the <name> is past the float range at
-    these inputs`` for more.  Given ``caller``, a non-finite component fails."""
+    words it for one argument and ``_scale_back`` for more.  Given ``caller``,
+    a non-finite component fails."""
     if len(args) == 1:
         ((x, degree),) = args
         u, k = _unit_scaled(x)
@@ -279,11 +319,7 @@ def _multilinear(name: str, form, *args, caller: str | None = None):
         raise ValueError(f"{caller} requires finite octet components")
     units = [_unit_matrix(x) if np.iscomplexobj(x) else _unit_scaled(x) for x, _ in args]
     e = sum(degree * k for (_, degree), (_, k) in zip(args, units))
-    with np.errstate(over="ignore"):
-        out = np.ldexp(form(*(u for u, _ in units)), e if isinstance(e, int) else e[..., None])
-    if np.isinf(out).any():
-        raise ValueError(f"the {name} is past the float range at these inputs")
-    return out
+    return _scale_back(name, e, form(*(u for u, _ in units)))[0]
 
 
 def quadratic_invariant(xi) -> float | np.ndarray:

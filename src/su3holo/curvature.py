@@ -51,7 +51,7 @@ __all__ = [
 class CurvatureTwoForm:
     """Level label plus the real antisymmetric coefficient array ``V_rs``;
     ``ValueError`` if the level is not 1, 2 or 3 (``errors.check_level``)
-    or the array is not 8 x 8."""
+    or the array is not 8 x 8 with finite entries."""
 
     level: int
     coeffs: np.ndarray = field(repr=False)
@@ -61,6 +61,8 @@ class CurvatureTwoForm:
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (8, 8):
             raise ValueError(f"coefficients must be 8x8, got shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("CurvatureTwoForm requires finite coefficients")
         self.coeffs = (c - c.T) / 2.0  # exactly antisymmetric
 
 
@@ -76,16 +78,17 @@ def _pair_weights(level: int) -> tuple[float, float, float]:
 
 def _pair_terms(level: int, gaps: tuple, numerators=(1.0, 1.0, 1.0), factors=(1.0, 1.0, 1.0)):
     """The level's terms ``(slot, w_bc n_bc / (f_bc E_bc^2))`` over its two pairs
-    of nonzero weight; ``ValueError`` where a squared gap they read overflows or
-    underflows to zero, or a term is past the float range.  Arrays are left to
-    their caller's ``np.errstate``, which raises past the range."""
+    of nonzero weight, from the gaps ``(E12, E13, E23)`` or arrays of them;
+    ``ValueError`` where a squared gap they read overflows or underflows to
+    zero, or a term is past the float range."""
     try:
-        terms = [(slot, w * n / (f * e**2)) for w, (_, slot), e, n, f
-                 in zip(_pair_weights(level), _PAIRS, gaps, numerators, factors) if w]
+        with np.errstate(over="raise", divide="raise"):  # arrays raise as floats do
+            terms = [(slot, w * n / (f * e**2)) for w, (_, slot), e, n, f
+                     in zip(_pair_weights(level), _PAIRS, gaps, numerators, factors) if w]
         # a float divided by a subnormal square reads inf
         if all(isinstance(term, np.ndarray) or math.isfinite(term) for _, term in terms):
             return terms
-    except ArithmeticError:  # of floats, and of numpy where its caller raises them
+    except ArithmeticError:
         pass
     raise ValueError("a squared gap is outside the float range")
 

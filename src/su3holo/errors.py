@@ -1,8 +1,10 @@
 """Exception types shared across the package, the default classification
-tolerance, and the two input rules every entry point applies to its arguments
-first: ``check_level`` for a level number and ``check_positive`` for a
-tolerance or a radius, each raising ``ValueError`` with one message.  No numpy:
-the parser, all that ``--help`` and ``--version`` load, reads the tolerance here."""
+tolerance, and the input rules: ``check_level`` for a level number and
+``check_positive`` for a tolerance or a radius, which every entry point applies
+to its arguments first, each raising ``ValueError`` with one message, and
+``check_within`` for an input that must hold a property within a relative
+tolerance.  No numpy: the parser, all that ``--help`` and ``--version`` load,
+reads the tolerance here."""
 import math
 
 DEFAULT_CLASSIFY_TOL = 1e-9  # spectrum.classify's tol, and the --classify-tol default
@@ -45,3 +47,14 @@ def check_positive(name: str, value) -> float:
     if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def check_within(message: str, deviation: float, size: float, tol: float, k: int = 0) -> None:
+    """``ValueError(message)`` where an input deviates from a property it must
+    hold (tracelessness, symmetry) by more than ``tol * max(1, |M|)``, ``|M|``
+    its largest entry.  ``deviation`` and ``size`` may be given at ``2**-k``
+    times the input's scale, where no sum overflows; the test is made at the
+    input's own scale: ``deviation > tol * max(2**-k, size)``."""
+    floor = math.ldexp(1.0, -k) if k > -1024 else math.inf  # 2**-k, or past the range
+    if deviation > tol * max(floor, size):
+        raise ValueError(message)

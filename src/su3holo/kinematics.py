@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_positive
+from .errors import check_positive, check_within
 
 __all__ = ["OrbitDescriptor", "hermitian", "orbit_type"]
 
@@ -45,10 +45,9 @@ def hermitian(matrix, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(m).max()))
     half = m / 2  # halved first, so that no finite entry overflows
-    if np.abs(half - half.conj().T).max() > tol * scale / 2:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    check_within("matrix is not Hermitian within tolerance",
+                 float(np.abs(half - half.conj().T).max()), float(np.abs(half).max()), tol, 1)
     return half + half.conj().T
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import F_CONST, GELL_MANN, _multilinear, invariants
-from .errors import check_positive
+from .errors import check_positive, check_within
 from .spectrum import _LADDER, DEFAULT_CLASSIFY_TOL, classify
 
 __all__ = [
@@ -47,9 +47,10 @@ def _check_matrix(m, name: str, traceless: bool = False) -> np.ndarray:
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError(f"{name} must have finite entries")
-    with np.errstate(over="ignore"):  # an overflowing trace reads inf: not traceless
-        if traceless and abs(np.trace(d)) > 1e-10 * max(1.0, float(np.abs(d).max())):
-            raise ValueError(f"{name} must be traceless")
+    if traceless:
+        quarter = d / 4.0  # its trace and the moduli of its entries are in the float range
+        check_within(f"{name} must be traceless", float(abs(np.trace(quarter))),
+                     float(np.abs(quarter).max()), 1e-10, 2)
     return d
 
 

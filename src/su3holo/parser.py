@@ -51,33 +51,26 @@ class _CommandParser(_Parser):
         return args, extras
 
 
-def _vec8(text: str) -> "np.ndarray":
+def _numbers(text: str, n: int, message: str) -> "np.ndarray":
+    # the n comma-separated numbers of a vector option, as an array
     import numpy as np
 
     parts = text.split(",")
-    if len(parts) != 8:
-        raise argparse.ArgumentTypeError("expected 8 comma-separated numbers")
+    if len(parts) != n:
+        raise argparse.ArgumentTypeError(message)
     return np.array([float(p) for p in parts])
+
+
+def _vec8(text: str) -> "np.ndarray":
+    return _numbers(text, 8, "expected 8 comma-separated numbers")
 
 
 def _vec3(text: str) -> "np.ndarray":
-    import numpy as np
-
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected 3 comma-separated numbers")
-    return np.array([float(p) for p in parts])
+    return _numbers(text, 3, "expected 3 comma-separated numbers")
 
 
 def _rest_pair(text: str) -> "np.ndarray":
-    import numpy as np
-
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected x3,x8")
-    xi = np.zeros(8)
-    xi[2], xi[7] = float(parts[0]), float(parts[1])
-    return xi
+    return _numbers(text, 2, "expected x3,x8")  # the components 3 and 8 of --rest
 
 
 # The most points a --grid (nu * nv), --samples or --count may ask for.  A
@@ -196,7 +189,8 @@ def build() -> _Parser:
 # ``run`` imports the handler of the parsed command, ``cmd_<command>``, from
 # the module of its group below, so with no bytecode cache a run compiles only
 # the handlers it needs.  A handler returns its JSON payload, or the CSV text
-# of a sweep; ``run`` writes it.  Handler modules do not import this one.
+# of a sweep as a list of strings; ``run`` writes it.  Handler modules do not
+# import this one.
 _HANDLER_MODULES = {
     "classify": "point_commands",
     "spectrum": "point_commands",
@@ -226,12 +220,12 @@ def _jsonable(value):
     return value
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: list[str], path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def run(argv=None) -> int:
@@ -251,7 +245,7 @@ def run(argv=None) -> int:
             args = parser.parse_args(to_argv(args.file))
         module = import_module(f"{__package__}.{_HANDLER_MODULES[args.cmd]}")
         payload = getattr(module, "cmd_" + args.cmd.replace("-", "_"))(args)
-        if isinstance(payload, str):  # the CSV text of a sweep
+        if isinstance(payload, list):  # the CSV text of a sweep
             _write(payload, args.output)
             return 0
         # every JSON result is written here, its schema and command first
@@ -259,7 +253,7 @@ def run(argv=None) -> int:
             import json
 
             head = {"schema": SCHEMA, "command": args.cmd.replace("-", "_")}
-            _write(json.dumps(_jsonable({**head, **payload}), indent=2) + "\n", args.output)
+            _write([json.dumps(_jsonable({**head, **payload}), indent=2) + "\n"], args.output)
         return int(args.cmd == "selfcheck" and payload["passed"] < payload["total"])
     except DegenerateInput as exc:
         sys.stderr.write(f"su3holo: degenerate input: {exc}\n")

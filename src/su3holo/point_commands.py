@@ -18,6 +18,9 @@ def _xi_from_args(args) -> np.ndarray:
     option, xi = ("--rest", args.rest) if args.xi is None else ("--xi", args.xi)
     if not np.all(np.isfinite(xi)):
         raise ValueError(f"{option} must have finite components")
+    if option == "--rest":  # the pair x3, x8 of a rest-frame vector
+        xi = np.zeros(8)
+        xi[2], xi[7] = args.rest
     return xi
 
 

@@ -118,12 +118,14 @@ def _lines(xi: np.ndarray, first: int, level: int | None, tol: float) -> list[st
     return lines
 
 
-def cmd_sweep(args) -> str:
-    """The sweep's CSV text, header line first."""
+def cmd_sweep(args) -> list[str]:
+    """The sweep's CSV text as newline-ended strings to write in order: the
+    header line, then each block's lines, every block made before any write."""
     columns = BASE_COLUMNS + (CURVATURE_COLUMNS if args.level is not None else [])
-    points, text = _points(args), [",".join(columns)]  # one string per block
+    points, text = _points(args), [",".join(columns) + "\n"]
     # one block's numeric temporaries, whatever --count: 2.48 MiB (tracemalloc) at
-    # level 1.  The points and the CSV text grow with --count.
+    # level 1.  The points and the CSV text, held once, grow with --count.
     for rows in spectrum._row_blocks(len(points), 1):
-        text.append("\n".join(_lines(points[rows], rows.start, args.level, args.classify_tol)))
-    return "\n".join(text) + "\n"
+        text.append("\n".join(_lines(points[rows], rows.start, args.level, args.classify_tol))
+                    + "\n")
+    return text

@@ -16,16 +16,25 @@ projection followed by reassembly is the identity on all 28 components
 Index conventions: octet matrices use ``X^a_b = X_r (l_r)_{ab}`` with
 inverse ``X_r = Tr(X l_r)/2`` (note: no factor 1/2 in the forward map,
 unlike the coordinate chart for Hamiltonians).
+
+The maps of arrays, ``octet_matrix``, ``octet_components``,
+``to_tensor_components``, ``from_tensor_components``, ``project_irreducible``,
+``octet_from_coefficients`` and ``reconstitute`` (its pieces together), are
+of degree 1 in the scale rule (``algebra._unit_whole`` and ``_scale_back``):
+evaluated once at their argument over one power of two and scaled back; past
+the float range ``ValueError``, and a non-finite entry fails first, naming
+the function.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import F_CONST, GELL_MANN, _star
+from .algebra import F_CONST, GELL_MANN, _scale_back, _star, _unit_whole
 from .curvature import CurvatureTwoForm, _form, _pair_terms
-from .errors import DegenerateInput, check_level, check_positive
+from .errors import DegenerateInput, check_level, check_positive, check_within
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
@@ -33,6 +42,7 @@ from .spectrum import (
     _point,
     _rest_from_levels,
     diagonalizer,
+    octet_norm,
 )
 
 __all__ = [
@@ -108,7 +118,13 @@ def octet_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (8,):
         raise ValueError(f"octet vectors have 8 components, got shape {x.shape}")
-    return np.einsum("r,rab->ab", x, GELL_MANN)
+    (u,), k = _unit_whole("octet_matrix", x)
+    return _scale_back("octet matrix", k, np.einsum("r,rab->ab", u, GELL_MANN))[0]
+
+
+def _within(message: str, k: int, deviation, size, tol: float = 1e-10) -> None:
+    # errors.check_within of arrays at 2**-k times the input's scale
+    check_within(message, float(np.abs(deviation).max()), float(np.abs(size).max()), tol, k)
 
 
 def octet_components(m, tol: float = 1e-10) -> np.ndarray:
@@ -120,12 +136,15 @@ def octet_components(m, tol: float = 1e-10) -> np.ndarray:
     mat = np.asarray(m, dtype=complex)
     if mat.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if abs(np.trace(mat)) > tol * scale:
-        raise ValueError("octet matrices must be traceless")
-    x = np.einsum("ab,rba->r", mat, GELL_MANN) / 2.0
-    if np.abs(x.imag).max() > _IMAG_RESIDUE_TOL * scale:
-        raise ValueError("octet components carry a nonreal residue")
+    (u,), k = _unit_whole("octet_components", mat)
+    return _scale_back("octet vector", k, _octet_part(u, k, tol))[0]
+
+
+def _octet_part(u: np.ndarray, k: int, tol: float = 1e-10) -> np.ndarray:
+    # octet_components of a matrix given at 2**-k times its scale
+    _within("octet matrices must be traceless", k, np.trace(u), u, tol)
+    x = np.einsum("ab,rba->r", u, GELL_MANN) / 2.0
+    _within("octet components carry a nonreal residue", k, x.imag, u, _IMAG_RESIDUE_TOL)
     return x.real
 
 
@@ -135,11 +154,14 @@ def to_tensor_components(t_rs) -> AntisymTensor:
     t = np.asarray(t_rs, dtype=float)
     if t.shape != (8, 8):
         raise ValueError(f"coefficient arrays must be 8x8, got shape {t.shape}")
-    scale = max(1.0, float(np.abs(t).max(initial=0.0)))
-    if np.abs(t + t.T).max() > 1e-10 * scale:
-        raise ValueError("coefficient array must be antisymmetric")
-    t4 = np.einsum("rac,sbd,rs->abcd", GELL_MANN, GELL_MANN, t.astype(complex))
-    return AntisymTensor(t, t4)
+    (u,), k = _unit_whole("to_tensor_components", t)
+    return AntisymTensor(t, _scale_back("tensor", k, _tensor(u, k))[0])
+
+
+def _tensor(u: np.ndarray, k: int) -> np.ndarray:
+    # to_tensor_components of an array given at 2**-k times its scale
+    _within("coefficient array must be antisymmetric", k, u + u.T, u)
+    return np.einsum("rac,sbd,rs->abcd", GELL_MANN, GELL_MANN, u.astype(complex))
 
 
 def from_tensor_components(t4) -> np.ndarray:
@@ -150,20 +172,15 @@ def from_tensor_components(t4) -> np.ndarray:
     t4 = np.asarray(t4, dtype=complex)
     if t4.shape != (3, 3, 3, 3):
         raise ValueError(f"tensor components must be 3x3x3x3, got shape {t4.shape}")
-    t = np.einsum("rca,sdb,abcd->rs", GELL_MANN, GELL_MANN, t4) / 4.0
-    scale = max(1.0, float(np.abs(t.real).max(initial=0.0)))
-    if np.abs(t.imag).max() > _IMAG_RESIDUE_TOL * scale:
-        raise ValueError("coefficient array carries a nonreal residue")
+    (u,), k = _unit_whole("from_tensor_components", t4)
+    return _scale_back("coefficient array", k, _coefficients(u, k))[0]
+
+
+def _coefficients(u: np.ndarray, k: int) -> np.ndarray:
+    # from_tensor_components of a tensor given at 2**-k times its scale
+    t = np.einsum("rca,sdb,abcd->rs", GELL_MANN, GELL_MANN, u) / 4.0
+    _within("coefficient array carries a nonreal residue", k, t.imag, t.real, _IMAG_RESIDUE_TOL)
     return t.real
-
-
-def _as_tensor(t) -> AntisymTensor:
-    if isinstance(t, AntisymTensor):
-        return t
-    t = np.asarray(t)
-    if t.shape == (8, 8):
-        return to_tensor_components(t)
-    raise ValueError("expected an AntisymTensor or an 8x8 coefficient array")
 
 
 def project_irreducible(t) -> IrreducibleParts:
@@ -173,67 +190,64 @@ def project_irreducible(t) -> IrreducibleParts:
     (fully symmetric), the conjugate form for ``Wbar``, and the octet
     ``X^a_b = i T^{ac}_{cb}`` returned in components ``X_r = Tr(X l_r)/2``.
     """
-    t4 = _as_tensor(t).tensor
-    w = (
-        np.einsum("ade,bcde->abc", LEVI_CIVITA, t4)
-        + np.einsum("bde,cade->abc", LEVI_CIVITA, t4)
-        + np.einsum("cde,abde->abc", LEVI_CIVITA, t4)
-    )
-    wbar = (
-        np.einsum("ade,debc->abc", LEVI_CIVITA, t4)
-        + np.einsum("bde,deca->abc", LEVI_CIVITA, t4)
-        + np.einsum("cde,deab->abc", LEVI_CIVITA, t4)
-    )
-    x_mat = 1j * np.einsum("accb->ab", t4)
-    return IrreducibleParts(w, wbar, octet_components(x_mat))
+    if isinstance(t, AntisymTensor):
+        (t4,), k = _unit_whole("project_irreducible", np.asarray(t.tensor, dtype=complex))
+    elif np.shape(t) == (8, 8):
+        (u,), k = _unit_whole("project_irreducible", np.asarray(t, dtype=float))
+        t4 = _tensor(u, k)
+    else:
+        raise ValueError("expected an AntisymTensor or an 8x8 coefficient array")
+    eps = LEVI_CIVITA
+    w = (np.einsum("ade,bcde->abc", eps, t4) + np.einsum("bde,cade->abc", eps, t4)
+         + np.einsum("cde,abde->abc", eps, t4))
+    wbar = (np.einsum("ade,debc->abc", eps, t4) + np.einsum("bde,deca->abc", eps, t4)
+            + np.einsum("cde,deab->abc", eps, t4))
+    x = _octet_part(1j * np.einsum("accb->ab", t4), k)
+    return IrreducibleParts(*_scale_back("decomposition", k, w, wbar, x))
 
 
 def octet_from_coefficients(t_rs) -> np.ndarray:
     """Shortcut for the octet piece straight from the coefficient array:
     ``X_r = -f_rst T_st``.  Agrees with the 4-index route."""
-    t = np.asarray(t_rs, dtype=float)
-    return -np.einsum("rst,st->r", F_CONST, t)
-
-
-def _require_symmetric3(w: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
-        if np.abs(w - w.transpose(perm)).max() > 1e-10 * scale:
-            raise ValueError(f"{name} must be fully symmetric in its indices")
+    (u,), k = _unit_whole("octet_from_coefficients", np.asarray(t_rs, dtype=float))
+    return _scale_back("octet vector", k, -np.einsum("rst,st->r", F_CONST, u))[0]
 
 
 def reconstitute(parts: IrreducibleParts) -> AntisymTensor:
     """Reassemble the tensor from its irreducible pieces (see module
-    docstring for the formula); inverse of ``project_irreducible``."""
-    w = np.asarray(parts.decouplet, dtype=complex)
-    wbar = np.asarray(parts.antidecouplet, dtype=complex)
-    _require_symmetric3(w, "decouplet")
-    _require_symmetric3(wbar, "antidecouplet")
-    x_mat = octet_matrix(parts.octet).astype(complex)
-    ident = np.eye(3)
-    t4 = (
-        np.einsum("cde,abe->abcd", LEVI_CIVITA, w) / 6.0
-        + np.einsum("abe,cde->abcd", LEVI_CIVITA, wbar) / 6.0
-        + (1j / 3.0)
-        * (
-            np.einsum("ad,bc->abcd", ident, x_mat)
-            - np.einsum("bc,ad->abcd", ident, x_mat)
-        )
-    )
-    return AntisymTensor(from_tensor_components(t4), t4)
+    docstring for the formula); inverse of ``project_irreducible``.  The
+    pieces are scaled together, by one power of two."""
+    x = np.asarray(parts.octet, dtype=float)
+    if x.shape != (8,):
+        raise ValueError(f"octet vectors have 8 components, got shape {x.shape}")
+    (w, wbar, x), k = _unit_whole("reconstitute", np.asarray(parts.decouplet, dtype=complex),
+                                  np.asarray(parts.antidecouplet, dtype=complex), x)
+    for piece, name in ((w, "decouplet"), (wbar, "antidecouplet")):
+        swaps = [piece - piece.transpose(perm) for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]]
+        _within(f"{name} must be fully symmetric in its indices", k, swaps, piece)
+    t4 = _assemble(w, wbar, x)
+    return AntisymTensor(*_scale_back("tensor", k, _coefficients(t4, k), t4))
+
+
+def _assemble(w: np.ndarray, wbar: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the module docstring's T^{ab}_{cd}, linear in the three pieces together
+    x_mat, ident = np.einsum("r,rab->ab", x, GELL_MANN), np.eye(3)
+    return (np.einsum("cde,abe->abcd", LEVI_CIVITA, w) / 6.0
+            + np.einsum("abe,cde->abcd", LEVI_CIVITA, wbar) / 6.0
+            + (1j / 3.0) * (np.einsum("ad,bc->abcd", ident, x_mat)
+                            - np.einsum("bc,ad->abcd", ident, x_mat)))
 
 
 def _require_rest_frame(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (8,):
         raise ValueError(f"octet vectors have 8 components, got shape {xi.shape}")
-    scale = max(1.0, float(np.linalg.norm(xi)))
-    off = np.abs(xi[[0, 1, 3, 4, 5, 6]]).max()
-    if off > 1e-12 * scale:
-        raise ValueError("rest-frame vectors have only components 3 and 8 nonzero")
-    slack = 1e-12 * scale
-    if not (xi[7] >= xi[2] / np.sqrt(3.0) - slack and xi[2] >= -slack):
-        raise ValueError("rest-frame vectors must satisfy xi8 >= xi3/sqrt(3) >= 0")
+    quarter = xi / 4.0  # whose norm is in the float range
+    size, (x3, x8) = octet_norm(quarter), quarter[[2, 7]].tolist()
+    check_within("rest-frame vectors have only components 3 and 8 nonzero",
+                 max(map(abs, quarter[[0, 1, 3, 4, 5, 6]].tolist())), size, 1e-12, 2)
+    check_within("rest-frame vectors must satisfy xi8 >= xi3/sqrt(3) >= 0",
+                 max(x3 / math.sqrt(3.0) - x8, -x3), size, 1e-12, 2)
     return xi
 
 
@@ -250,16 +264,15 @@ def decouplet_weight(level: int, e12, e23):
     ``v3 = 1/E23^2 - 1/E13^2``; they sum to zero.  Takes gaps or arrays of
     them.  ``ValueError`` if ``level`` is not 1, 2 or 3, checked first, if a
     gap is not positive and finite, or if a squared gap that the level reads
-    overflows or underflows to zero, or a term is past the float range."""
+    overflows or underflows to zero, or a term is past the float range
+    (``curvature._pair_terms``)."""
     level = check_level(level)
     for name, gaps in (("e12", e12), ("e23", e23)):
         for gap in np.ravel(gaps).tolist():
             check_positive(name, gap)
-    try:  # arithmetic errors of floats and, raised here, of numpy
-        with np.errstate(over="raise", divide="raise"):
-            return _pair_sum(level, (e12, e12 + e23, e23), (-1.0, 1.0, -1.0))
-    except ArithmeticError:
-        raise ValueError("a squared gap is outside the float range") from None
+    with np.errstate(over="ignore"):  # inf past the range, where E12^2 and E23^2 are past it too
+        e13 = e12 + e23
+    return _pair_sum(level, (e12, e13, e23), (-1.0, 1.0, -1.0))
 
 
 def octet_coefficients(level: int, rest_xi,
@@ -335,7 +348,5 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     x = prefactor * (lam * xi + mu * _star(xi, xi))
     v = decouplet_weight(level, e12, e23)
     field_ = _decouplet_field(a_mat)
-    parts = IrreducibleParts(
-        1j * v * field_.decouplet, -1j * v * field_.antidecouplet, x
-    )
-    return _form(c, level, reconstitute(parts).coefficients)
+    t4 = _assemble(1j * v * field_.decouplet, -1j * v * field_.antidecouplet, x)
+    return _form(c, level, _coefficients(t4, 0))

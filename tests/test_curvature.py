@@ -259,6 +259,17 @@ def test_symplectic_fd_rejects_a_zero_or_non_finite_step(step):
             symplectic_two_form_fd(xi, step=step)
 
 
+def test_symplectic_fd_rejects_a_step_that_vanishes_at_unit_scale():
+    # a nonzero step of degree -1, scaled with xi = 1e10 x to its unit scale,
+    # underflows to zero
+    xi = 1e10 * random_generic_octet(np.random.default_rng(58))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "step must be nonzero and finite, got 1e-320 at unit scale"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symplectic_two_form_fd(xi, step=1e-320)
+
+
 def test_singular_scaling_toward_upper_degeneracy():
     # along a ray approaching the upper surface, |V1| * E12^2 stays bounded
     caps = []

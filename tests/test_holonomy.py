@@ -583,3 +583,20 @@ def test_spherical_patch_rejects_a_center_that_is_not_an_8_vector():
     with pytest.raises(ValueError) as info:
         spherical_patch(np.zeros(7), FRAME123, 1e-3, (0.0, np.pi), (5, 9))
     assert str(info.value) == "center must have 8 components, got shape (7,)"
+
+
+def test_a_block_past_half_the_float_range_is_quartered_to_the_unit_patch_flux():
+    # a block with a coordinate of 2**1022 or more is quartered before its cell
+    # centers are summed; the flux, of degree 0, is then the unit patch's
+    r = np.random.default_rng(21)
+    center = random_generic_octet(r, margin=0.25)
+    center *= 1.5 / np.abs(center).max()
+    axes = np.linalg.qr(r.standard_normal((8, 2)))[0].T
+    grid = planar_grid(center, axes, 0.05, (21, 21))
+    image = np.ldexp(grid, 1022)
+    assert np.abs(image).max() >= 2.0**1022 and np.isfinite(image).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [surface_flux(SurfacePatch(image), level) for level in (1, 2, 3)]
+    assert flux_bits(got) == flux_bits([surface_flux(SurfacePatch(grid), level)
+                                        for level in (1, 2, 3)])

@@ -462,3 +462,43 @@ def test_each_shape_and_residue_check_raises_its_message(call, message):
 
 def test_a_matrix_that_is_not_3x3_is_not_special_unitary():
     assert su3holo.algebra.is_special_unitary(np.eye(2)) is False
+
+
+def _nan_at(shape, dtype=float):
+    a = np.zeros(shape, dtype)
+    a.flat[1] = np.nan
+    return a
+
+
+# Each call that reads an array whole, given one NaN entry, and the function
+# its message names: (id, call, caller).
+NON_FINITE_ENTRIES = [
+    ("project_irreducible", lambda: su3holo.project_irreducible(_nan_at((8, 8))),
+     "project_irreducible"),
+    ("project_irreducible-tensor", lambda: su3holo.project_irreducible(
+        su3holo.AntisymTensor(np.zeros((8, 8)), _nan_at((3, 3, 3, 3), complex))),
+     "project_irreducible"),
+    ("to_tensor_components", lambda: su3holo.to_tensor_components(_nan_at((8, 8))),
+     "to_tensor_components"),
+    ("from_tensor_components", lambda: su3holo.from_tensor_components(_nan_at((3, 3, 3, 3))),
+     "from_tensor_components"),
+    ("reconstitute", lambda: su3holo.reconstitute(su3holo.IrreducibleParts(
+        np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), _nan_at(8))), "reconstitute"),
+    ("octet_matrix", lambda: su3holo.octet_matrix(_nan_at(8)), "octet_matrix"),
+    ("octet_components", lambda: su3holo.octet_components(_nan_at((3, 3))), "octet_components"),
+    ("octet_from_coefficients", lambda: su3holo.octet_from_coefficients(_nan_at((8, 8))),
+     "octet_from_coefficients"),
+    ("matrix_to_octet", lambda: su3holo.matrix_to_octet(_nan_at((3, 3))), "matrix_to_octet"),
+    ("CurvatureTwoForm", lambda: su3holo.CurvatureTwoForm(1, _nan_at((8, 8))), "CurvatureTwoForm"),
+]
+
+
+@pytest.mark.parametrize("call, caller", [case[1:] for case in NON_FINITE_ENTRIES],
+                         ids=[case[0] for case in NON_FINITE_ENTRIES])
+def test_a_non_finite_entry_is_named_without_a_warning(call, caller):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{caller} requires finite ")

@@ -11,24 +11,28 @@ closed form takes the cube ``|xi|^3`` at the scale of ``xi`` where that is
 a normal float, to keep the bits of the unscaled closed form, and for about
 1 point in 2000 that cube is not ``2**(3 k)`` times the unit one in the last
 bit.  Such examples are set aside, by name."""
+import dataclasses
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import near_cone_points
 from su3holo import DegenerateInput
-from su3holo.algebra import cubic_invariant, octet_star, octet_wedge, quadratic_invariant
+from su3holo.algebra import (GELL_MANN, cubic_invariant, matrix_to_octet, octet_star,
+                             octet_to_matrix, octet_wedge, quadratic_invariant, to_coordinates)
 from su3holo.curvature import (curvature_spectral, curvature_transported, level_sum,
                                symplectic_two_form_fd, weighted_sum)
 from su3holo.holonomy import SurfacePatch, surface_flux
 from su3holo.orbits import orbit_metric_eval, symplectic_eval
 from su3holo.spectrum import (_block_frames, _closed_form, classify, energy_gaps, energy_levels,
                               generic_mask)
-from su3holo.tensors import curvature_from_parts
+from su3holo.tensors import (IrreducibleParts, curvature_from_parts, from_tensor_components,
+                             octet_coefficients, octet_components, octet_from_coefficients,
+                             octet_matrix, project_irreducible, reconstitute, to_tensor_components)
 
 TOL = 5e-324  # below every |xi| of a power-of-two image of a normal point
 
@@ -186,3 +190,118 @@ def test_the_columns_of_a_generic_point_are_finite_at_unit_scale(cone):
         frames = _block_frames(pts[generic], 1e-300, "degenerate")[1]
     assert np.isfinite(frames).all()
     np.testing.assert_allclose(np.linalg.norm(frames, axis=-2), 1.0, rtol=0, atol=1e-12)
+
+
+def _unit_antisym(seed: int) -> np.ndarray:
+    # an antisymmetric 8x8 array scaled so its largest |entry| is in [0.5, 1)
+    t = np.random.default_rng(seed).standard_normal((8, 8))
+    t -= t.T
+    return np.ldexp(t, -np.frexp(np.abs(t).max())[1])
+
+
+def _unit_parts(seed: int) -> IrreducibleParts:
+    # the parts of an antisymmetric array, scaled together so that their
+    # largest |real or imaginary part| is in [0.5, 1)
+    parts = dataclasses.astuple(project_irreducible(_unit_antisym(seed)))
+    top = max(float(np.abs(np.ascontiguousarray(p).view(float)).max()) for p in parts)
+    return IrreducibleParts(*(p * np.ldexp(1.0, -np.frexp(top)[1]) for p in parts))
+
+
+def _times(arg, power: int):
+    """``arg * 2**power``, array by array, where that is exact."""
+    if isinstance(arg, IrreducibleParts):
+        return IrreducibleParts(*(_times(a, power) for a in dataclasses.astuple(arg)))
+    if np.iscomplexobj(arg):
+        return _image(np.ascontiguousarray(arg).view(float), power).view(complex)
+    return _image(arg, power)
+
+
+# each linear map of the tensor layer and the chart, of degree 1: its unit-scale
+# argument from a seed, and its results as arrays
+LINEAR_MAPS = {
+    "octet_matrix": (_unit, lambda x: [octet_matrix(x)]),
+    "octet_components": (lambda seed: octet_matrix(_unit(seed)), lambda m: [octet_components(m)]),
+    "matrix_to_octet": (lambda seed: _unit_hermitian(seed, False), lambda m: [matrix_to_octet(m)]),
+    "to_coordinates": (lambda seed: _unit_hermitian(seed, False),
+                       lambda m: [np.array(to_coordinates(m).xi0), to_coordinates(m).xi]),
+    "to_tensor_components": (_unit_antisym, lambda t: [to_tensor_components(t).tensor]),
+    "from_tensor_components": (lambda seed: to_tensor_components(_unit_antisym(seed)).tensor,
+                               lambda t4: [from_tensor_components(t4)]),
+    "project_irreducible": (_unit_antisym,
+                            lambda t: list(dataclasses.astuple(project_irreducible(t)))),
+    "octet_from_coefficients": (_unit_antisym, lambda t: [octet_from_coefficients(t)]),
+    "reconstitute": (_unit_parts, lambda p: list(dataclasses.astuple(reconstitute(p)))),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-1000, 1100),
+       name=st.sampled_from(sorted(LINEAR_MAPS)))
+@example(seed=0, power=1024, name="project_irreducible")  # past the range
+@example(seed=0, power=1024, name="octet_from_coefficients")
+@example(seed=0, power=1024, name="to_coordinates")
+@example(seed=0, power=1024, name="reconstitute")  # in it
+def test_each_linear_map_is_the_ldexp_of_its_unit_scale_value(seed, power, name):
+    # a value in the float range keeps its bits; one past it raises the
+    # rule's error: each map is evaluated once at unit scale
+    build, call = LINEAR_MAPS[name]
+    unit = build(seed)
+    image = _times(unit, power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            want = [np.ldexp(np.ascontiguousarray(v).view(float), power) for v in call(unit)]
+        past = any(np.isinf(w).any() for w in want)
+        try:
+            got = call(image)
+        except ValueError as error:
+            assert past and str(error).endswith("is past the float range at these inputs")
+            return
+    assert not past
+    assert [np.ascontiguousarray(v).view(float).tobytes() for v in got] == [
+        w.tobytes() for w in want]
+
+
+# values at the edges of the float range, each without a numpy warning
+def _edge_antisym() -> np.ndarray:
+    t = np.zeros((8, 8))
+    t[0, 1], t[1, 0] = 1e308, -1e308
+    return t
+
+
+EDGE_VALUES = [
+    ("octet_components", lambda: octet_components(np.diag([1e308, -1e308, 0.0]))[2], 1e308),
+    ("to_coordinates", lambda: to_coordinates(1e308 * np.eye(3)).xi0, 1e308),
+    # its rest-frame check once took the norm unscaled, with an overflow warning
+    ("octet_coefficients", lambda: octet_coefficients(1, [0, 0, 1e200, 0, 0, 0, 0, 3e200]),
+     (8.958124547065879, 3.066052256958083e-200)),
+]
+
+
+@pytest.mark.parametrize("call, want", [case[1:] for case in EDGE_VALUES],
+                         ids=[case[0] for case in EDGE_VALUES])
+def test_values_at_the_edges_of_the_range_are_kept(call, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call() == want
+
+
+@pytest.mark.parametrize("call", [project_irreducible, octet_from_coefficients],
+                         ids=["project_irreducible", "octet_from_coefficients"])
+def test_a_tensor_map_past_the_range_raises_the_rule(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is past the float range at these inputs$"):
+            call(_edge_antisym())
+
+
+def test_each_matrix_of_a_batch_keeps_the_bits_of_the_raw_contraction():
+    # each matrix is scaled on its own, so one 2**2000 below the batch's
+    # largest is not flushed to zero
+    h = octet_to_matrix(np.arange(1.0, 9.0))
+    batch = np.stack([1e300 * h, 1e-300 * h])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = matrix_to_octet(batch)
+    want = np.einsum("...ij,rji->...r", batch, GELL_MANN).real
+    assert got.tobytes() == want.tobytes() and got[1, 0] == 1e-300

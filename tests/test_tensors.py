@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,11 @@ def test_decouplet_weight_raises_a_typed_error(level, e12, e23, message):
     with pytest.raises(ValueError) as info:
         decouplet_weight(level, e12, e23)
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_decouplet_weight_names_an_overflowing_sum_of_array_gaps():
+    # E13 = E12 + E23 overflows: the sum is taken where the pair terms raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^a squared gap is outside the float range$"):
+            decouplet_weight(1, np.array([1e308]), np.array([1e308]))
