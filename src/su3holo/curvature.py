@@ -263,8 +263,8 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     return _form(c, level, d @ v0.coeffs @ d.T)
 
 
-def _all_levels(xi, tol: float) -> tuple[_ClosedForm, SpectralData, np.ndarray]:
-    c, s, a = _point(xi, tol, "curvature", (1, 2, 3))
+def _all_levels(xi, tol: float, caller: str) -> tuple[_ClosedForm, SpectralData, np.ndarray]:
+    c, s, a = _point(xi, tol, caller, (1, 2, 3))
     return c, s, _tables(c.u, s.energies, a, np.arange(3))
 
 
@@ -279,14 +279,14 @@ def weighted_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     carry the small gap's error then enters, weighted by the small gap.
     Of degree -1.  ``ValueError`` if ``tol`` is not positive and finite,
     ``DegenerateInput`` if ``xi`` is not Generic."""
-    c, s, stack = _all_levels(xi, tol)
+    c, s, stack = _all_levels(xi, tol, "weighted_sum")
     return c.scaled(("weighted level sum", s.e12 * stack[0] - s.e23 * stack[2], -1))[0]
 
 
 def level_sum(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
     """Unweighted level sum ``sum_a V^(a)(xi)``; vanishes identically.
     Raises as ``weighted_sum`` does."""
-    c, _, stack = _all_levels(xi, tol)
+    c, _, stack = _all_levels(xi, tol, "level_sum")
     return c.scaled(("level sum", stack.sum(axis=0), -2))[0]
 
 

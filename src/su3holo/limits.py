@@ -18,11 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _multilinear, _octet, adjoint_matrix, invariants, octet_to_matrix
+from .algebra import _multilinear, adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _PAIRS, _pair_weights
 from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
 from .holonomy import _block_density
-from .spectrum import DEFAULT_CLASSIFY_TOL, _closed_form, _row_blocks, energy_gaps
+from .spectrum import DEFAULT_CLASSIFY_TOL, _point, _row_blocks, energy_gaps
 
 __all__ = [
     "GapAsymptotic",
@@ -72,10 +72,8 @@ def gap_asymptotic(xi) -> GapAsymptotic:
     surface is approached.  Both gaps are of degree 1 (``algebra._scaled``).
     ``ValueError`` if ``xi`` has a non-finite component, is the zero vector
     or is not near either degeneracy surface."""
-    xi = _octet(xi)
-    if not np.isfinite(xi).all():
-        raise ValueError("gap_asymptotic requires finite octet components")
-    c = _closed_form(xi)  # at unit scale: norm, its cube, cubic invariant, angle and gaps
+    # at unit scale: norm, its cube, cubic invariant, angle and gaps
+    c = _point(xi, DEFAULT_CLASSIFY_TOL, "gap_asymptotic")[0]
     if c.norm == 0.0:
         raise ValueError("phase angle is undefined for the zero vector")
     norm, phi = float(c.norm), float(c.phi)

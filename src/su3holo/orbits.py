@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import F_CONST, GELL_MANN, _multilinear, invariants
 from .errors import check_positive, check_within
-from .spectrum import _LADDER, DEFAULT_CLASSIFY_TOL, classify
+from .spectrum import _LADDER, DEFAULT_CLASSIFY_TOL, _point
 
 __all__ = [
     "OrbitInvariants",
@@ -112,6 +112,6 @@ def orbit_invariants(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitInvariants:
     0 at the origin).  Two vectors with equal invariants lie on the same
     adjoint orbit.  Raises ``ValueError`` where ``spectrum.classify`` does,
     before the invariants are evaluated."""
-    dimension = _ORBIT_DIMS[classify(xi, tol)]
+    dimension = _ORBIT_DIMS[_point(xi, tol, "orbit_invariants")[1].degeneracy]
     quad, cubic = invariants(xi)
     return OrbitInvariants(quad, cubic, dimension)

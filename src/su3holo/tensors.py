@@ -41,7 +41,6 @@ from .spectrum import (
     _fix_gauge,
     _point,
     _rest_from_levels,
-    diagonalizer,
     octet_norm,
 )
 
@@ -238,17 +237,14 @@ def _assemble(w: np.ndarray, wbar: np.ndarray, x: np.ndarray) -> np.ndarray:
                             - np.einsum("bc,ad->abcd", ident, x_mat)))
 
 
-def _require_rest_frame(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (8,):
-        raise ValueError(f"octet vectors have 8 components, got shape {xi.shape}")
-    quarter = xi / 4.0  # whose norm is in the float range
+def _require_rest_frame(xi) -> None:
+    # a single octet vector, checked as such by _point
+    quarter = np.asarray(xi, dtype=float) / 4.0  # whose norm is in the float range
     size, (x3, x8) = octet_norm(quarter), quarter[[2, 7]].tolist()
     check_within("rest-frame vectors have only components 3 and 8 nonzero",
                  max(map(abs, quarter[[0, 1, 3, 4, 5, 6]].tolist())), size, 1e-12, 2)
     check_within("rest-frame vectors must satisfy xi8 >= xi3/sqrt(3) >= 0",
                  max(x3 / math.sqrt(3.0) - x8, -x3), size, 1e-12, 2)
-    return xi
 
 
 def _pair_sum(level: int, gaps: tuple, numerators: tuple, factors=(1.0, 1.0, 1.0)) -> float:
@@ -297,7 +293,8 @@ def octet_coefficients(level: int, rest_xi,
         When the spectrum is not generic (the prefactor is singular).
     """
     level = check_level(level)
-    c, s, _ = _point(_require_rest_frame(rest_xi), tol, "octet_coefficients")
+    c, s, _ = _point(rest_xi, tol, "octet_coefficients")
+    _require_rest_frame(rest_xi)
     if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
     x3, x8 = c.u[2], c.u[7]
@@ -319,7 +316,7 @@ def delta_tensors(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DecoupletField:
     each term by a unit phase of total charge zero.  Raises as
     ``spectrum.diagonalizer`` does.
     """
-    return _decouplet_field(diagonalizer(xi, tol))
+    return _decouplet_field(_fix_gauge(_point(xi, tol, "delta_tensors", (1, 2, 3))[2]))
 
 
 def _decouplet_field(a: np.ndarray) -> DecoupletField:

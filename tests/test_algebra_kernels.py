@@ -1,7 +1,7 @@
 """The sparse cubic invariant and ``octet_to_matrix`` against their dense
 einsum references: equal bit for bit on finite input (the cubic invariant
-by the scale rule), a pinned behaviour on non-finite input, and no slower
-for one point."""
+by the scale rule), a point alone equal to its row in a block, a pinned
+behaviour on non-finite input, and no slower for one point."""
 import time
 
 import numpy as np
@@ -113,6 +113,17 @@ def test_single_points_equal_the_einsum_reference():
             assert np.float64(got).tobytes() == np.float64(rule).tobytes()
             assert not normal or np.float64(got).tobytes() == np.float64(direct).tobytes()
         assert octet_to_matrix(xi).tobytes() == einsum_octet_to_matrix(xi).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2,), (63,), (64,), (65,), (1024,), (1025,), (2, 3)])
+def test_a_point_alone_gives_the_cubic_invariant_of_its_row_in_a_block(shape):
+    # the one sum runs over Python floats for a point and over arrays for a
+    # block, across numpy's vector-width boundaries and over leading axes
+    gen = np.random.default_rng(sum(shape))
+    block = gen.standard_normal(shape + (8,)) * 10.0 ** gen.uniform(-30.0, 30.0, shape + (1,))
+    block[gen.random(block.shape) < 0.1] = -0.0
+    alone = [cubic_invariant(xi) for xi in block.reshape(-1, 8)]
+    assert np.array(alone).tobytes() == cubic_invariant(block).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

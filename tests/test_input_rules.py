@@ -450,6 +450,14 @@ TYPED_ERRORS = [
      r"octet vectors have 8 components, got shape \(7,\)"),
     ("octet_coefficients-order", lambda: su3holo.octet_coefficients(1, [0, 0, -0.6, 0, 0, 0, 0, 1.3]),
      r"rest-frame vectors must satisfy xi8 >= xi3/sqrt\(3\) >= 0"),
+    ("energy_levels-scalar", lambda: su3holo.energy_levels(1.0),
+     r"octet vectors have 8 components, got shape \(\)"),
+    ("classify-scalar", lambda: su3holo.classify(1.0),
+     r"octet vectors have 8 components, got shape \(\)"),
+    ("octet_to_matrix-scalar", lambda: su3holo.octet_to_matrix(1.0),
+     r"octet vectors have 8 components, got shape \(\)"),
+    ("octet_norm-scalar", lambda: su3holo.octet_norm(1.0),
+     r"octet vectors have 8 components, got shape \(\)"),
 ]
 
 
@@ -502,3 +510,43 @@ def test_a_non_finite_entry_is_named_without_a_warning(call, caller):
             call()
     assert type(info.value) is ValueError
     assert str(info.value).startswith(f"{caller} requires finite ")
+
+
+# Each public callable that takes a single octet vector, as a call of the
+# vector, and its message for E8, on the upper degeneracy cone (None where it
+# takes E8).
+_UPPER = "{} requires a generic spectrum, got upper_degenerate"
+SINGLE_VECTOR = {
+    "classify": (su3holo.classify, None),
+    "eigenvalues": (su3holo.eigenvalues, None),
+    "orbit_invariants": (su3holo.orbit_invariants, None),
+    "gap_asymptotic": (su3holo.gap_asymptotic, None),
+    "diagonalizer": (su3holo.diagonalizer, _UPPER.format("diagonalizer")),
+    "curvature_spectral": (lambda xi: su3holo.curvature_spectral(xi, 1),
+                           _UPPER.format("curvature_spectral")),
+    "curvature_transported": (lambda xi: su3holo.curvature_transported(xi, 1),
+                              _UPPER.format("curvature_transported")),
+    "curvature_from_parts": (lambda xi: su3holo.curvature_from_parts(xi, 1),
+                             _UPPER.format("curvature_from_parts")),
+    "weighted_sum": (su3holo.weighted_sum, _UPPER.format("weighted_sum")),
+    "level_sum": (su3holo.level_sum, _UPPER.format("level_sum")),
+    "symplectic_two_form_fd": (su3holo.symplectic_two_form_fd, _UPPER.format("symplectic_two_form_fd")),
+    "delta_tensors": (su3holo.delta_tensors, _UPPER.format("delta_tensors")),
+    "octet_coefficients": (lambda xi: su3holo.octet_coefficients(1, xi),
+                           "octet coefficients are singular at degeneracies"),
+}
+BAD_VECTORS = {"nan": np.full(8, np.nan), "batch": np.ones((2, 8)), "e8": E8}
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad) for name, (_, cone) in SINGLE_VECTOR.items()
+                                       for bad in BAD_VECTORS if bad != "e8" or cone])
+def test_a_single_vector_entry_point_names_itself(name, bad):
+    call, cone = SINGLE_VECTOR[name]
+    error, message = {"nan": (ValueError, f"{name} requires finite octet components"),
+                      "batch": (ValueError, f"{name} takes a single octet vector"),
+                      "e8": (DegenerateInput, cone)}[bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{message}$") as info:
+            call(BAD_VECTORS[bad])
+    assert type(info.value) is error
