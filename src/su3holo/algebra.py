@@ -14,10 +14,10 @@ The constant tables (Gell-Mann matrices and the antisymmetric ``f`` and
 symmetric ``d`` structure constants, computed from the matrices) are built
 once at import and frozen read-only.
 
-The scale rule lives here: ``_scaled`` for a quantity at a point, and
-``_multilinear`` for a form that scales each of its arguments on its own,
-and ``_unit_whole`` with ``_scale_back`` for a linear map of arrays taken as
-a whole.
+The scale rule lives here: ``_unit_scaled`` (``_unit_whole`` for arrays that
+must be finite) takes values to unit scale by powers of two, ``_scale_back``
+takes a result of degree ``d`` back by ``2**(d k)``, and ``_multilinear``
+joins the two for a form that scales each of its arguments on its own.
 """
 from __future__ import annotations
 
@@ -87,6 +87,7 @@ _CUBIC_TERMS = tuple((float(D_CONST[r, s, t]), int(r), int(s), int(t))
 _L8_11, _L8_33 = float(GELL_MANN[7, 0, 0].real), float(GELL_MANN[7, 2, 2].real)
 
 _IDENT3 = np.eye(3, dtype=complex)
+_SQRT3 = math.sqrt(3.0)
 
 
 def gellmann(r: int) -> np.ndarray:
@@ -128,7 +129,7 @@ def _octet(xi) -> np.ndarray:
 def to_coordinates(h) -> CoordinateForm:
     """Coordinates (xi0, xi) of a 3 x 3 Hermitian matrix:
     ``xi0 = Tr(H)/3`` and ``xi_r = Tr(H lambda_r)``, by the scale rule
-    (``_unit_whole``): of degree 1.  ``ValueError`` as
+    (``_unit_whole``, ``_scale_back``): of degree 1.  ``ValueError`` as
     ``kinematics.hermitian`` raises, unless ``h`` is 3x3, or past the range."""
     m = np.asarray(h, dtype=complex)
     if m.shape != (3, 3):
@@ -136,8 +137,8 @@ def to_coordinates(h) -> CoordinateForm:
     from .kinematics import hermitian  # loaded here alone, as no other algebra name needs it
     hermitian(m)  # the check alone: the coordinates are read from m itself
     (u,), k = _unit_whole("to_coordinates", m)
-    xi0, xi = _scale_back("octet vector", k, np.trace(u).real / 3.0,
-                          np.einsum("rij,ji->r", GELL_MANN, u).real)
+    xi0, xi = _scale_back(k, ("octet vector", np.trace(u).real / 3.0, 1),
+                          ("octet vector", np.einsum("rij,ji->r", GELL_MANN, u).real, 1))
     return CoordinateForm(float(xi0), xi)
 
 
@@ -183,8 +184,8 @@ def matrix_to_octet(h) -> np.ndarray:
     m = np.asarray(h, dtype=complex)
     if not np.isfinite(m).all():
         raise ValueError("matrix_to_octet requires finite entries")
-    u, k = _unit_matrix(m)
-    return _scale_back("octet vector", k, np.einsum("...ij,rji->...r", u, GELL_MANN).real)[0]
+    u, k = _unit_scaled(m, 2)
+    return _scale_back(k, ("octet vector", np.einsum("...ij,rji->...r", u, GELL_MANN).real, 1))[0]
 
 
 def octet_wedge(xi1, xi2) -> np.ndarray:
@@ -205,26 +206,46 @@ def octet_star(xi1, xi2) -> np.ndarray:
 
 def _star(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
     # octet_star's contraction at the vectors themselves, for unit-scaled callers
-    return np.sqrt(3.0) * np.einsum("rst,...s,...t->...r", D_CONST, xi1, xi2)
+    return _SQRT3 * np.einsum("rst,...s,...t->...r", D_CONST, xi1, xi2)
 
 
-def _unit_scaled(xi: np.ndarray):
-    """Octet vectors (..., 8) as ``(xi / 2**k, k)``, exactly: ``k``, an int for
-    one vector (in Python floats, faster) and an array (...) for more, takes
-    the largest |component| into [0.5, 1), and is 0 where that is 0 or inf."""
-    if xi.ndim == 1:
-        k = math.frexp(max(map(abs, xi.tolist())))[1]
-        return np.ldexp(xi, -k), k
-    k = np.frexp(np.abs(xi).max(axis=-1))[1]
-    return np.ldexp(xi, -k[..., None]), k
+def _unit_scaled(x: np.ndarray, grouping: int | None = 1):
+    """``x`` as ``(x / 2**k, k)``, exactly, by groups over its last ``grouping``
+    axes (1: each real octet vector; 2: each real or complex 3x3 matrix; None:
+    the whole array).  ``k`` takes a group's largest |real or imaginary part|
+    into [0.5, 1), and is 0 where that is 0 or inf: an int for one group (in
+    Python floats, faster) and an array over the leading axes for more."""
+    if grouping != 1:  # each group's real and imaginary parts on one axis
+        f = np.ascontiguousarray(x).view(float)
+        u, k = _unit_scaled(f.reshape(f.shape[:x.ndim - grouping] + (-1,) if grouping else -1))
+        return u.view(x.dtype).reshape(x.shape), k
+    if x.ndim == 1:
+        k = math.frexp(max(map(abs, x.tolist())))[1]
+        return np.ldexp(x, -k), k
+    k = np.frexp(np.abs(x).max(axis=-1))[1]
+    return np.ldexp(x, -k[..., None]), k
 
 
-def _scaled(u: np.ndarray, k, *quantities, caller: str | None = None) -> list:
-    """The scale rule: each ``(name, value, degree)``, of degree ``degree`` in
-    the octet vector and evaluated at ``u, k = _unit_scaled(xi)``, times
-    ``2**(degree k)``: exact, or rounded below the float range as IEEE does;
-    past it, ``ValueError`` at the first such vector and quantity.  Given
-    ``caller``, a vector with a non-finite component fails in its turn."""
+def _unit_whole(caller: str, *arrays) -> tuple[list, int]:
+    """Float or complex arrays unit-scaled together, by one ``2**k``, as
+    ``(units, k)``; ``ValueError(f"{caller} requires finite entries")`` for a
+    non-finite entry."""
+    parts = [np.ascontiguousarray(a).view(float).ravel() for a in arrays]
+    u, k = _unit_scaled(np.concatenate(parts), None)
+    if not np.isfinite(u).all():
+        raise ValueError(f"{caller} requires finite entries")
+    ends = np.cumsum([p.size for p in parts])[:-1]
+    return [p.view(a.dtype).reshape(a.shape) for a, p in zip(arrays, np.split(u, ends))], k
+
+
+def _scale_back(k, *quantities, at=None, caller: str | None = None) -> list:
+    """Each ``(name, value, degree)``, of degree ``degree`` and evaluated at
+    unit scale, times ``2**(degree k)``, ``k`` an int or an array over the
+    value's leading axes: exact, or rounded below the float range as IEEE
+    does.  Past it ``ValueError``, ``the {name} is past the float range at
+    these inputs`` or, given the ``(u, k)`` of the unit-scaled octet vectors
+    ``at``, at the ``|xi|`` of the first such vector, where with ``caller`` a
+    vector with a non-finite component fails in its turn."""
     out, past_any = [], False
     for _, value, degree in quantities:
         if isinstance(value, float):  # one vector's number: math.ldexp raises past the range
@@ -234,79 +255,44 @@ def _scaled(u: np.ndarray, k, *quantities, caller: str | None = None) -> list:
                 out.append(math.inf)
                 past_any = True
             continue
-        trailing = k if isinstance(k, int) else k.reshape(k.shape + (1,) * (value.ndim - k.ndim))
-        with np.errstate(over="ignore"):
-            out.append(np.ldexp(value, degree * trailing))
-        past_any = past_any or bool(np.isinf(out[-1]).any())
-    if past_any or caller is not None:
-        finite = np.isfinite(u).all(axis=-1).ravel()
-        past = [np.isinf(x).reshape(finite.shape + (-1,)).any(axis=-1) & finite for x in out]
-        failed = np.logical_or.reduce(past + ([~finite] if caller else []))
-        if failed.any():
-            i = int(np.argmax(failed))
-            if not finite[i]:
-                raise ValueError(f"{caller} requires finite octet components")
-            name = next(q[0] for q, p in zip(quantities, past) if p[i])
-            with np.errstate(over="ignore"):  # inf where |xi| itself is past the range
-                size = np.ldexp(math.hypot(*u.reshape(-1, 8)[i].tolist()), np.ravel(k)[i])
-            raise ValueError(f"the {name} is past the float range at |xi| = {size:.6g}")
+        v = np.asarray(value)
+        e = degree * (k if isinstance(k, int) else k.reshape(k.shape + (1,) * (v.ndim - k.ndim)))
+        with np.errstate(over="ignore"):  # inf past the range, named below
+            f = np.ldexp(np.ascontiguousarray(v).view(float) if v.dtype.kind == "c" else v, e)
+        out.append(f.view(complex).reshape(v.shape) if v.dtype.kind == "c" else f)
+        past_any = past_any or bool(np.isinf(f).any())
+    if not past_any and caller is None:
+        return out
+    u, k_u = (np.zeros(8), 0) if at is None else at  # without at, all values are one group
+    finite = np.isfinite(u).all(axis=-1).ravel()
+    past = [np.isinf(x).reshape(finite.shape + (-1,)).any(axis=-1) & finite for x in out]
+    failed = np.logical_or.reduce(past + ([~finite] if caller else []))
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not finite[i]:
+            raise ValueError(f"{caller} requires finite octet components")
+        name = next(q[0] for q, p in zip(quantities, past) if p[i])
+        with np.errstate(over="ignore"):  # inf where |xi| itself is past the range
+            size = np.ldexp(math.hypot(*u.reshape(-1, 8)[i].tolist()), np.ravel(k_u)[i])
+        where = "these inputs" if at is None else f"|xi| = {size:.6g}"
+        raise ValueError(f"the {name} is past the float range at {where}")
     return out
 
 
-def _unit_matrix(m: np.ndarray):
-    # complex matrices (..., 3, 3), each by _unit_scaled of its real and imaginary parts
-    u, k = _unit_scaled(np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (18,)))
-    return u.view(complex).reshape(m.shape), k
-
-
-def _unit_whole(caller: str, *arrays) -> tuple[list, int]:
-    """Float or complex arrays as ``(units, k)``: each divided by one ``2**k``,
-    exactly, that takes their largest |real or imaginary part| into [0.5, 1),
-    and ``k`` is 0 where that is 0; ``ValueError(f"{caller} requires finite
-    entries")`` first for a non-finite one."""
-    tops = [float(np.abs(np.ascontiguousarray(a).view(float)).max(initial=0.0)) for a in arrays]
-    if not all(map(math.isfinite, tops)):  # a NaN or inf entry makes its array's max NaN or inf
-        raise ValueError(f"{caller} requires finite entries")
-    k = math.frexp(max(tops))[1]
-    return [_ldexp(a, -k) for a in arrays], k
-
-
-def _ldexp(x, e):
-    # x * 2**e, float or complex, exact where that is a normal float; inf past the range
-    if not np.iscomplexobj(x):
-        return np.ldexp(x, e)
-    return np.ldexp(np.ascontiguousarray(x).view(float), e).view(complex).reshape(np.shape(x))
-
-
-def _scale_back(name: str, e, *values) -> list:
-    """Each value times ``2**e``, ``e`` an int or an array over its leading
-    axes; ``ValueError(f"the {name} is past the float range at these
-    inputs")``, with no numpy warning, where one is past the range."""
-    with np.errstate(over="ignore"):  # inf past the range, named below
-        out = [_ldexp(v, e if isinstance(e, int) else e.reshape(e.shape + (1,) * (v.ndim - e.ndim)))
-               for v in values]
-    if any(np.isinf(o).any() for o in out):
-        raise ValueError(f"the {name} is past the float range at these inputs")
-    return out
-
-
-def _multilinear(name: str, form, *args, caller: str | None = None):
-    """The scale rule for a form of degree ``d`` in each ``(x, d)`` of ``args``,
-    each octet vector (..., 8) unit-scaled per vector and each complex matrix
-    as a whole: ``form`` at the unit-scaled arguments times ``2**(sum d k)``,
-    so a zero stays zero.  Past the float range ``ValueError``, as ``_scaled``
-    words it for one argument and ``_scale_back`` for more.  Given ``caller``,
-    a non-finite component fails."""
-    if len(args) == 1:
-        ((x, degree),) = args
-        u, k = _unit_scaled(x)
-        out = _scaled(u, k, (name, form(u), degree), caller=caller)[0]
-        return out if isinstance(out, float) or out.ndim else float(out)
+def _multilinear(name: str, form, *args, grouping: int = 1, caller: str | None = None):
+    """The scale rule for a form of degree ``d`` in each ``(x, d)`` of ``args``:
+    ``form`` at the arguments unit-scaled by ``grouping``, each on its own,
+    times ``2**(sum d k)``, so a zero stays zero.  Past the float range
+    ``ValueError``, at ``|xi|`` for one argument and at these inputs for
+    more.  Given ``caller``, a non-finite component fails first."""
     if caller is not None and not all(np.isfinite(x).all() for x, _ in args):
         raise ValueError(f"{caller} requires finite octet components")
-    units = [_unit_matrix(x) if np.iscomplexobj(x) else _unit_scaled(x) for x, _ in args]
-    e = sum(degree * k for (_, degree), (_, k) in zip(args, units))
-    return _scale_back(name, e, form(*(u for u, _ in units)))[0]
+    units, e = [], 0
+    for x, degree in args:
+        u, k = _unit_scaled(x, grouping)
+        units.append(u)
+        e = e + degree * k
+    return _scale_back(e, (name, form(*units), 1), at=(u, k) if len(args) == 1 else None)[0]
 
 
 def quadratic_invariant(xi) -> float | np.ndarray:
@@ -333,7 +319,7 @@ def _cubic(xi: np.ndarray):
     acc = 0.0  # += from 0.0, as the einsum's accumulator
     for d, r, s, t in _CUBIC_TERMS:
         acc += d * x[r] * x[s] * x[t]
-    return np.sqrt(3.0) * acc
+    return _SQRT3 * acc
 
 
 def invariants(xi) -> tuple[float, float]:

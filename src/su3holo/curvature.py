@@ -11,7 +11,7 @@ Three independent evaluation routes are provided and must agree:
 
 All routes are gauge-independent: re-phasing eigenvectors changes nothing.
 Each is evaluated at the unit-scaled point, by the scale rule
-(``algebra._scaled``): the curvature is of degree -2.
+(``algebra._scale_back``): the curvature is of degree -2.
 The weighted level sum equals the orbit symplectic two-form (checked here by
 central finite differences of the gauge-pinned diagonalizer), and the
 unweighted level sum vanishes identically.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import _L8_11, _L8_33, GELL_MANN, adjoint_matrix
-from .errors import DegenerateInput, check_level
+from .errors import DegenerateInput, check_level, check_number
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
     DegeneracyClass,
@@ -303,10 +303,10 @@ def symplectic_two_form_fd(xi, step: float | None = None,
     gauge is pinned to the center point's pivot rows so the rule stays
     smooth across the stencil, one block of 16 points at unit scale, the
     step scaled too; of degree -1.  Default step: ``1e-5 * |xi|``; a given
-    step must be nonzero and finite, also at unit scale, and ``tol``
-    positive and finite (``ValueError`` otherwise).
+    step must be a number, nonzero and finite, also at unit scale, and
+    ``tol`` positive and finite (``ValueError`` otherwise).
     """
-    if step is not None and not (np.isfinite(step) and step != 0):
+    if step is not None and not (math.isfinite(check_number("step", step)) and step != 0):
         raise ValueError(f"step must be nonzero and finite, got {step!r}")
     c, s, a0 = _point(xi, tol, "symplectic_two_form_fd", (1, 2, 3))
     a0 = _fix_gauge(a0)

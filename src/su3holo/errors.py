@@ -1,10 +1,10 @@
 """Exception types shared across the package, the default classification
-tolerance, and the input rules: ``check_level`` for a level number and
-``check_positive`` for a tolerance or a radius, which every entry point applies
-to its arguments first, each raising ``ValueError`` with one message, and
-``check_within`` for an input that must hold a property within a relative
-tolerance.  No numpy: the parser, all that ``--help`` and ``--version`` load,
-reads the tolerance here."""
+tolerance, and the input rules: ``check_level`` for a level number,
+``check_positive`` for a tolerance or a radius and ``check_number`` for any
+other number, which every entry point applies to its arguments first, each
+raising ``ValueError`` naming the argument, and ``check_within`` for an input
+that must hold a property within a relative tolerance.  No numpy: the
+parser, all that ``--help`` and ``--version`` load, reads the tolerance here."""
 import math
 
 DEFAULT_CLASSIFY_TOL = 1e-9  # spectrum.classify's tol, and the --classify-tol default
@@ -46,6 +46,16 @@ def check_positive(name: str, value) -> float:
         ok = False
     if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def check_number(name: str, value) -> float:
+    """``value`` as a float if it is a real number in the float range, finite
+    or not; ``ValueError`` naming the argument ``name`` otherwise."""
+    try:
+        math.isfinite(value)  # TypeError unless a real number, OverflowError past the range
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     return float(value)
 
 

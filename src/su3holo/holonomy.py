@@ -13,7 +13,7 @@ which reads the one eigenvector ``|a>`` once as a bra and once as a ket.
 Both therefore take from ``spectrum._block_frames``, block by block
 (``spectrum._row_blocks``, about 1024 points each), only the unit null-space
 columns of the levels they integrate, with no gauge fixing, and are of
-degree 0 (``algebra._scaled``): the density is evaluated at unit-scaled
+degree 0 (``algebra._scale_back``): the density is evaluated at unit-scaled
 points, the tangents scaled with them.  ``phase_sum_rule_check`` and
 ``flux_sum_rule_check`` take all three levels from one walk.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import _flux_density
-from .errors import UnderResolvedPath, check_level, check_positive
+from .errors import UnderResolvedPath, check_level, check_number, check_positive
 from .spectrum import DEFAULT_CLASSIFY_TOL, _block_frames, _generic_closed_form, _row_blocks
 
 __all__ = [
@@ -193,14 +193,17 @@ def spherical_patch(center, frame, radius: float,
     ------
     ValueError
         If ``radius`` or ``tol`` is not positive and finite, ``shape`` is
-        not two integers of 2 or more, ``theta_range``, ``center`` or
-        ``frame`` is not finite, ``theta_range`` spans more than pi,
-        ``center`` is not an 8-vector, or ``frame`` is not three
-        orthonormal 8-vectors.
+        not two integers of 2 or more, ``theta_range`` is not two numbers,
+        ``theta_range``, ``center`` or ``frame`` is not finite,
+        ``theta_range`` spans more than pi, ``center`` is not an 8-vector,
+        or ``frame`` is not three orthonormal 8-vectors.
     """
     radius = check_positive("radius", radius)
     nu, nv = _grid_shape(shape)
-    t0, t1 = theta_range
+    try:
+        t0, t1 = (check_number("theta_range", t) for t in theta_range)
+    except (TypeError, ValueError):  # not iterable, not two, or not numbers
+        raise ValueError(f"theta_range must be two numbers, got {theta_range!r}") from None
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"theta_range must be finite, got ({t0}, {t1})")
     if abs(t1 - t0) > np.pi:  # past pi the patch covers part of the sphere twice

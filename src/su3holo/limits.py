@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import _multilinear, adjoint_matrix, invariants, octet_to_matrix
 from .curvature import _PAIRS, _pair_weights
-from .errors import DegenerateInput, UnderResolvedPath, check_level, check_positive
+from .errors import DegenerateInput, UnderResolvedPath, check_level, check_number, check_positive
 from .holonomy import _block_density
 from .spectrum import DEFAULT_CLASSIFY_TOL, _point, _row_blocks, energy_gaps
 
@@ -69,7 +69,7 @@ def gap_asymptotic(xi) -> GapAsymptotic:
 
     and the mirror law with a minus sign for ``E23`` near the lower surface
     (``phi`` within 0.1 of pi/2).  The relative error vanishes as the
-    surface is approached.  Both gaps are of degree 1 (``algebra._scaled``).
+    surface is approached.  Both gaps are of degree 1 (``algebra._scale_back``).
     ``ValueError`` if ``xi`` has a non-finite component, is the zero vector
     or is not near either degeneracy surface."""
     # at unit scale: norm, its cube, cubic invariant, angle and gaps
@@ -95,17 +95,17 @@ def singular_expansion(epsilon: float, e13: float, level: int) -> SingularExpans
     at (1,2) and exact cancellation elsewhere.  Level 2 is the negative of
     level 1; level 3 has no singular terms at all.
 
-    ``ValueError`` if ``level`` is not 1, 2 or 3 (checked first), or if
-    ``epsilon`` is not positive, finite and below ``e13 / 10``.  The
+    ``ValueError`` if ``level`` is not 1, 2 or 3 (checked first), if
+    ``epsilon`` or ``e13`` is not a positive finite number, or ``epsilon``
+    is not below ``e13 / 10``.  The
     coefficients are of degree -2 in the unfolding vector ``epsilon e3``
-    (``algebra._scaled``).
+    (``algebra._multilinear``).
     """
     level = check_level(level)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon, e13 = check_number("epsilon", epsilon), check_number("e13", e13)
     if not (np.isfinite(epsilon) and np.isfinite(e13)):
         raise ValueError(f"epsilon and e13 must be finite, got {epsilon!r} and {e13!r}")
-    if epsilon > e13 / 10.0:
+    if check_positive("epsilon", epsilon) > check_positive("e13", e13) / 10.0:
         raise ValueError("epsilon must be small relative to the fixed gap e13")
     if level == 3:
         zero = {slot: 0.0 for slot in _SLOTS}

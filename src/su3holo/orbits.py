@@ -58,7 +58,7 @@ def _pairing(name: str, degree: int, form, h, a, b) -> float:
     # form(h, a, b), of degree ``degree`` in h and 1 in each direction, after the checks
     return float(_multilinear(name, form, (_check_matrix(h, "h"), degree),
                               (_check_matrix(a, "direction_a", True), 1),
-                              (_check_matrix(b, "direction_b", True), 1)))
+                              (_check_matrix(b, "direction_b", True), 1), grouping=2))
 
 
 def symplectic_eval(h, direction_a, direction_b) -> float:

@@ -22,10 +22,10 @@ the same bits for a point alone as in a block, and one Generic rule,
 ``|xi| > tol``, ``E12 > tol |xi|``, ``E23 > tol |xi|``, whose first failing
 condition names the class; one rule, ``_reject``, words their rejections.
 
-One scale rule, ``algebra._scaled``, covers the float range: every point is
-evaluated at ``xi / 2**k``, its largest |component| in [0.5, 1), and a result
-of degree ``d`` (1: norm, levels, gaps, rest frame; 0: ``phi``, class,
-columns) is scaled back by ``2**(d k)``, exactly.
+One scale rule covers the float range: every point is evaluated at
+``xi / 2**k`` (``algebra._unit_scaled``), its largest |component| in [0.5, 1),
+and a result of degree ``d`` (1: norm, levels, gaps, rest frame; 0: ``phi``,
+class, columns) is scaled back by ``2**(d k)``, exactly (``_scale_back``).
 
 Eigenvectors are likewise computed from the closed-form eigenvalues, by
 null-space extraction on ``H - E_a I`` (cross product of the two most
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _cubic, _multilinear, _octet, _scaled, _unit_scaled, octet_to_matrix
+from .algebra import _cubic, _multilinear, _octet, _scale_back, _unit_scaled, octet_to_matrix
 from .errors import DEFAULT_CLASSIFY_TOL, DegenerateInput, check_positive
 
 __all__ = [
@@ -122,7 +122,7 @@ class _ClosedForm(NamedTuple):
         return np.stack([e12, e23, e12 + e23], axis=-1)
 
     def scaled(self, *quantities, caller: str | None = None) -> list:
-        return _scaled(self.u, self.k, *quantities, caller=caller)
+        return _scale_back(self.k, *quantities, at=(self.u, self.k), caller=caller)
 
 
 def _closed_form(xi: np.ndarray) -> _ClosedForm:
@@ -429,7 +429,7 @@ def diagonalizer(xi, tol: float = DEFAULT_CLASSIFY_TOL, pivots=None) -> np.ndarr
         component of its column, whose phase is then undefined; if ``tol``
         is not positive and finite, or ``xi`` has a non-finite component.
     """
-    if pivots is not None and not (len(pivots) == 2 and all(
+    if pivots is not None and not (np.iterable(pivots) and len(pivots) == 2 and all(
             isinstance(p, (int, np.integer)) and 0 <= p < 3 for p in pivots)):
-        raise ValueError(f"pivots {tuple(pivots)!r}: expected two row indices in 0..2")
+        raise ValueError(f"pivots {pivots!r}: expected two row indices in 0..2")
     return _pin_gauge(_point(xi, tol, "diagonalizer", (1, 2, 3))[2], pivots)

@@ -20,10 +20,10 @@ unlike the coordinate chart for Hamiltonians).
 The maps of arrays, ``octet_matrix``, ``octet_components``,
 ``to_tensor_components``, ``from_tensor_components``, ``project_irreducible``,
 ``octet_from_coefficients`` and ``reconstitute`` (its pieces together), are
-of degree 1 in the scale rule (``algebra._unit_whole`` and ``_scale_back``):
-evaluated once at their argument over one power of two and scaled back; past
-the float range ``ValueError``, and a non-finite entry fails first, naming
-the function.
+of degree 1 in the scale rule: evaluated once at their argument over one
+power of two (``algebra._unit_whole``) and scaled back
+(``algebra._scale_back``); past the float range ``ValueError``, and a
+non-finite entry fails first, naming the function.
 """
 from __future__ import annotations
 
@@ -118,12 +118,7 @@ def octet_matrix(x) -> np.ndarray:
     if x.shape != (8,):
         raise ValueError(f"octet vectors have 8 components, got shape {x.shape}")
     (u,), k = _unit_whole("octet_matrix", x)
-    return _scale_back("octet matrix", k, np.einsum("r,rab->ab", u, GELL_MANN))[0]
-
-
-def _within(message: str, k: int, deviation, size, tol: float = 1e-10) -> None:
-    # errors.check_within of arrays at 2**-k times the input's scale
-    check_within(message, float(np.abs(deviation).max()), float(np.abs(size).max()), tol, k)
+    return _scale_back(k, ("octet matrix", np.einsum("r,rab->ab", u, GELL_MANN), 1))[0]
 
 
 def octet_components(m, tol: float = 1e-10) -> np.ndarray:
@@ -136,14 +131,16 @@ def octet_components(m, tol: float = 1e-10) -> np.ndarray:
     if mat.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
     (u,), k = _unit_whole("octet_components", mat)
-    return _scale_back("octet vector", k, _octet_part(u, k, tol))[0]
+    return _scale_back(k, ("octet vector", _octet_part(u, k, tol), 1))[0]
 
 
 def _octet_part(u: np.ndarray, k: int, tol: float = 1e-10) -> np.ndarray:
     # octet_components of a matrix given at 2**-k times its scale
-    _within("octet matrices must be traceless", k, np.trace(u), u, tol)
+    size = float(np.abs(u).max())
+    check_within("octet matrices must be traceless", abs(np.trace(u)), size, tol, k)
     x = np.einsum("ab,rba->r", u, GELL_MANN) / 2.0
-    _within("octet components carry a nonreal residue", k, x.imag, u, _IMAG_RESIDUE_TOL)
+    check_within("octet components carry a nonreal residue", float(np.abs(x.imag).max()), size,
+                 _IMAG_RESIDUE_TOL, k)
     return x.real
 
 
@@ -154,12 +151,13 @@ def to_tensor_components(t_rs) -> AntisymTensor:
     if t.shape != (8, 8):
         raise ValueError(f"coefficient arrays must be 8x8, got shape {t.shape}")
     (u,), k = _unit_whole("to_tensor_components", t)
-    return AntisymTensor(t, _scale_back("tensor", k, _tensor(u, k))[0])
+    return AntisymTensor(t, _scale_back(k, ("tensor", _tensor(u, k), 1))[0])
 
 
 def _tensor(u: np.ndarray, k: int) -> np.ndarray:
     # to_tensor_components of an array given at 2**-k times its scale
-    _within("coefficient array must be antisymmetric", k, u + u.T, u)
+    check_within("coefficient array must be antisymmetric", float(np.abs(u + u.T).max()),
+                 float(np.abs(u).max()), 1e-10, k)
     return np.einsum("rac,sbd,rs->abcd", GELL_MANN, GELL_MANN, u.astype(complex))
 
 
@@ -172,13 +170,14 @@ def from_tensor_components(t4) -> np.ndarray:
     if t4.shape != (3, 3, 3, 3):
         raise ValueError(f"tensor components must be 3x3x3x3, got shape {t4.shape}")
     (u,), k = _unit_whole("from_tensor_components", t4)
-    return _scale_back("coefficient array", k, _coefficients(u, k))[0]
+    return _scale_back(k, ("coefficient array", _coefficients(u, k), 1))[0]
 
 
 def _coefficients(u: np.ndarray, k: int) -> np.ndarray:
     # from_tensor_components of a tensor given at 2**-k times its scale
     t = np.einsum("rca,sdb,abcd->rs", GELL_MANN, GELL_MANN, u) / 4.0
-    _within("coefficient array carries a nonreal residue", k, t.imag, t.real, _IMAG_RESIDUE_TOL)
+    check_within("coefficient array carries a nonreal residue", float(np.abs(t.imag).max()),
+                 float(np.abs(t.real).max()), _IMAG_RESIDUE_TOL, k)
     return t.real
 
 
@@ -202,14 +201,14 @@ def project_irreducible(t) -> IrreducibleParts:
     wbar = (np.einsum("ade,debc->abc", eps, t4) + np.einsum("bde,deca->abc", eps, t4)
             + np.einsum("cde,deab->abc", eps, t4))
     x = _octet_part(1j * np.einsum("accb->ab", t4), k)
-    return IrreducibleParts(*_scale_back("decomposition", k, w, wbar, x))
+    return IrreducibleParts(*_scale_back(k, *(("decomposition", p, 1) for p in (w, wbar, x))))
 
 
 def octet_from_coefficients(t_rs) -> np.ndarray:
     """Shortcut for the octet piece straight from the coefficient array:
     ``X_r = -f_rst T_st``.  Agrees with the 4-index route."""
     (u,), k = _unit_whole("octet_from_coefficients", np.asarray(t_rs, dtype=float))
-    return _scale_back("octet vector", k, -np.einsum("rst,st->r", F_CONST, u))[0]
+    return _scale_back(k, ("octet vector", -np.einsum("rst,st->r", F_CONST, u), 1))[0]
 
 
 def reconstitute(parts: IrreducibleParts) -> AntisymTensor:
@@ -223,9 +222,10 @@ def reconstitute(parts: IrreducibleParts) -> AntisymTensor:
                                   np.asarray(parts.antidecouplet, dtype=complex), x)
     for piece, name in ((w, "decouplet"), (wbar, "antidecouplet")):
         swaps = [piece - piece.transpose(perm) for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]]
-        _within(f"{name} must be fully symmetric in its indices", k, swaps, piece)
+        check_within(f"{name} must be fully symmetric in its indices",
+                     float(np.abs(swaps).max()), float(np.abs(piece).max()), 1e-10, k)
     t4 = _assemble(w, wbar, x)
-    return AntisymTensor(*_scale_back("tensor", k, _coefficients(t4, k), t4))
+    return AntisymTensor(*_scale_back(k, ("tensor", _coefficients(t4, k), 1), ("tensor", t4, 1)))
 
 
 def _assemble(w: np.ndarray, wbar: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """The sparse cubic invariant and ``octet_to_matrix`` against their dense
 einsum references: equal bit for bit on finite input (the cubic invariant
-by the scale rule), a point alone equal to its row in a block, a pinned
-behaviour on non-finite input, and no slower for one point."""
+by the scale rule), a point alone equal to its row in a block (also for the
+other functions the scale rule takes a point alone through in Python
+floats), a pinned behaviour on non-finite input, and no slower for one
+point."""
 import time
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 from helpers import (einsum_cubic_invariant, einsum_octet_to_matrix, random_generic_octet,
                      random_rest_frame, random_special_unitary)
 from su3holo.algebra import (GELL_MANN, _unit_scaled, adjoint_matrix, cubic_invariant,
-                             octet_to_matrix)
+                             matrix_to_octet, octet_star, octet_to_matrix, octet_wedge,
+                             quadratic_invariant)
+from su3holo.spectrum import octet_norm
 
 rng = np.random.default_rng(9009)
 
@@ -124,6 +128,31 @@ def test_a_point_alone_gives_the_cubic_invariant_of_its_row_in_a_block(shape):
     block[gen.random(block.shape) < 0.1] = -0.0
     alone = [cubic_invariant(xi) for xi in block.reshape(-1, 8)]
     assert np.array(alone).tobytes() == cubic_invariant(block).tobytes()
+
+
+# the other functions of octet vectors or matrices that unit-scale a point
+# alone in Python floats and a block in arrays, as calls of a block of points
+# and of a second block
+ROW_FUNCTIONS = {
+    "quadratic_invariant": lambda x, y: quadratic_invariant(x),
+    "octet_norm": lambda x, y: octet_norm(x),
+    "octet_star": octet_star,
+    "octet_wedge": octet_wedge,
+    "matrix_to_octet": lambda x, y: matrix_to_octet(octet_to_matrix(x)),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e100])
+@pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
+def test_a_point_alone_gives_the_bytes_of_its_row_in_a_block(name, scale):
+    gen = np.random.default_rng(len(name))
+    # rows spread over 340 decades: a block scaled as a whole would lose the
+    # smallest rows' bits below the float range
+    x, y = gen.standard_normal((2, 500, 8)) * scale * 10.0 ** gen.uniform(-320.0, 20.0, (2, 500, 1))
+    x[gen.random(x.shape) < 0.1] = -0.0
+    call = ROW_FUNCTIONS[name]
+    alone = [np.asarray(call(a, b)) for a, b in zip(x, y)]
+    assert np.array(alone).tobytes() == np.asarray(call(x, y)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -153,6 +153,35 @@ def test_the_level_rule_comes_before_the_degeneracy_check():
         _raises_rule(lambda: fn(E8, 4), "level must be 1, 2 or 3, got 4")
 
 
+# Each library argument that must be a number (or numbers), called with one
+# that is not, or with a number that breaks its own condition, and the start
+# of the message, which names the argument
+NOT_NUMBERS = {
+    "singular_expansion-epsilon": (lambda: su3holo.singular_expansion("a", 1.0, 1),
+                                   "epsilon must be a number, got 'a'"),
+    "singular_expansion-e13": (lambda: su3holo.singular_expansion(1e-3, None, 1),
+                               "e13 must be a number, got None"),
+    "singular_expansion-negative-e13": (lambda: su3holo.singular_expansion(1e-3, -1.0, 1),
+                                        "e13 must be positive and finite, got -1.0"),
+    "symplectic_two_form_fd-step": (lambda: su3holo.symplectic_two_form_fd(GENERIC, step="a"),
+                                    "step must be a number, got 'a'"),
+    "spherical_patch-theta_range": (
+        lambda: su3holo.spherical_patch(GENERIC, np.eye(8)[:3], 1e-2, theta_range=1.0),
+        "theta_range must be two numbers, got 1.0"),
+    "spherical_patch-theta_end": (
+        lambda: su3holo.spherical_patch(GENERIC, np.eye(8)[:3], 1e-2, theta_range=(0.0, "1")),
+        "theta_range must be two numbers, got (0.0, '1')"),
+    "diagonalizer-pivots": (lambda: su3holo.diagonalizer(GENERIC, pivots=3),
+                            "pivots 3: expected two row indices in 0..2"),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_NUMBERS))
+def test_an_argument_that_is_not_a_number_is_a_value_error_naming_it(name):
+    call, message = NOT_NUMBERS[name]
+    _raises_rule(call, message)
+
+
 def _same(a, b) -> bool:
     if dataclasses.is_dataclass(a):
         return type(a) is type(b) and all(
