@@ -6,8 +6,8 @@ _EXPORTS = {
     "algebra": "GELL_MANN CoordinateForm adjoint_matrix cubic_invariant from_coordinates "
                "gellmann invariants matrix_to_octet octet_star octet_to_matrix octet_wedge "
                "quadratic_invariant structure_constants to_coordinates",
-    "curvature": "CurvatureTwoForm curvature_rest_frame curvature_spectral curvature_transported "
-                 "level_sum symplectic_two_form_fd weighted_sum",
+    "curvature": "CurvatureTwoForm curvature_batch curvature_rest_frame curvature_spectral "
+                 "curvature_transported level_sum symplectic_two_form_fd weighted_sum",
     "errors": "DegenerateInput UnderResolvedPath",
     "holonomy": "LoopPath SurfacePatch circle_loop flux_sum_rule_check loop_phase "
                 "phase_sum_rule_check spherical_patch surface_flux",

@@ -180,8 +180,10 @@ def matrix_to_octet(h) -> np.ndarray:
     """Octet components ``xi_r = Tr(H lambda_r)`` of (batches of) 3 x 3
     matrices; the trace part is discarded.  By the scale rule as
     ``to_coordinates``, each matrix of a batch on its own; ``ValueError`` for
-    a non-finite entry or past the float range."""
+    another shape, a non-finite entry or past the float range."""
     m = np.asarray(h, dtype=complex)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected (..., 3, 3) matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix_to_octet requires finite entries")
     u, k = _unit_scaled(m, 2)

@@ -3,7 +3,8 @@
 Three independent evaluation routes are provided and must agree:
 
 * ``curvature_spectral`` applies the level's reduced resolvent to the
-  images of the unit tangents, from that level's eigenvector alone,
+  images of the unit tangents, from that level's eigenvector alone
+  (``curvature_batch`` for a block of points, in one pass),
 * ``curvature_transported`` fills the closed-form rest-frame table and
   conjugates it with the adjoint image of the diagonalizer,
 * ``tensors.curvature_from_parts`` reassembles the form from its
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _L8_11, _L8_33, GELL_MANN, adjoint_matrix
+from . import spectrum
+from .algebra import _L8_11, _L8_33, GELL_MANN, _octet, adjoint_matrix
 from .errors import DegenerateInput, check_level, check_number
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -39,6 +41,7 @@ from .spectrum import (
 __all__ = [
     "CurvatureTwoForm",
     "curvature_spectral",
+    "curvature_batch",
     "curvature_rest_frame",
     "curvature_transported",
     "weighted_sum",
@@ -205,6 +208,30 @@ def _spectral(xi, level: int, tol: float) -> tuple[_ClosedForm, SpectralData, Cu
     level = check_level(level)
     c, s, a = _point(xi, tol, "curvature_spectral", (level,))
     return c, s, _form(c, level, _tables(c.u, s.energies, a[:, 0], level - 1))
+
+
+def curvature_batch(xis, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
+    """``curvature_spectral(xi, level, tol).coeffs`` of octet vectors (..., 8),
+    shape (..., 8, 8), each the same bits, from one pass over the block.
+    ``ValueError`` if ``level`` is not 1, 2 or 3 or ``tol`` is not positive
+    and finite, checked first, then for a non-finite component; then
+    ``DegenerateInput`` naming the class of the first point that is not
+    Generic; past the float range ``ValueError`` at the first such |xi|."""
+    level, xis = check_level(level), _octet(xis)
+    c, _, ranks = spectrum._classified(xis, tol)
+    spectrum._reject(xis, ranks, "curvature_batch")
+    return c.scaled(("curvature", _block_pass(c, ranks == spectrum._GENERIC, level), -2))[0]
+
+
+def _block_pass(c: _ClosedForm, generic: np.ndarray, level: int) -> np.ndarray:
+    """The level's coefficients at the unit-scaled points ``c.u`` (..., 8), shape
+    (..., 8, 8), antisymmetrized as ``CurvatureTwoForm``, NaN where not ``generic``:
+    one ``spectrum._columns`` call, looked up at each call, and one ``_tables`` call."""
+    g, e = c.u[generic], c.unit_levels[generic]
+    t = _tables(g, e, spectrum._columns(g, 0, e, (level,))[..., 0].T, level - 1)
+    v = np.full(generic.shape + (8, 8), np.nan)
+    v[generic] = (t - np.swapaxes(t, -1, -2)) / 2.0
+    return v
 
 
 def _form(c: _ClosedForm, level: int, coeffs: np.ndarray) -> CurvatureTwoForm:

@@ -281,13 +281,14 @@ def _loop_phases(path: LoopPath, levels: tuple[int, ...]) -> list[float]:
 
 
 def _block_density(pts, tol: float, message: str, levels, tangents) -> list[np.ndarray]:
-    # The flux density of each of levels at a block of points, scaled in place to
-    # pts / 2**k, along tangents(k), times 2**-k and formed after the eigenvector
-    # columns, so the two peaks do not add.
+    # The flux density of each of levels at a block of points along the two
+    # tangents(), formed after the eigenvector columns, so the two peaks do not
+    # add; the points and tangents are scaled in place by 2**-k of their point.
     e, columns, k = _block_frames(pts, tol, message, levels)
     k = np.expand_dims(k, -1)
-    du, dv = tangents(k)
-    np.ldexp(pts, -k, out=pts)
+    du, dv = tangents()
+    for x in (pts, du, dv):
+        np.ldexp(x, -k, out=x)
     return [_flux_density(pts, e, columns[..., i], du, dv, level)
             for i, level in enumerate(levels)]
 
@@ -324,8 +325,8 @@ def _surface_fluxes(patch: SurfacePatch, levels: tuple[int, ...]) -> list[float]
         centers = (b[:-1, :-1] + b[1:, :-1] + b[:-1, 1:] + b[1:, 1:]) / 4.0
         densities = _block_density(
             centers, patch.tol, "patch contains a degenerate quadrature point", levels,
-            lambda k: (np.ldexp(((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0, -k),
-                       np.ldexp(((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0, -k)))
+            lambda: (((b[1:, :-1] + b[1:, 1:]) - (b[:-1, :-1] + b[:-1, 1:])) / 2.0,
+                     ((b[:-1, 1:] + b[1:, 1:]) - (b[:-1, :-1] + b[1:, :-1])) / 2.0))
         totals = [total + float(np.sum(d)) for total, d in zip(totals, densities)]
     return totals
 

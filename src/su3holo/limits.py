@@ -281,8 +281,7 @@ def monopole_flux(direction, radius: float, level: int,
             pts = r_sin * ring
             pts += center + r_cos * d3
             density = _block_density(pts, tol, "sphere passes through a degeneracy", (level,),
-                                     lambda k: (np.ldexp(r_cos * ring - r_sin * d3, -k),
-                                                np.ldexp(r_sin * ring_dphi, -k)))[0]
+                                     lambda: (r_cos * ring - r_sin * d3, r_sin * ring_dphi))[0]
             total += float(np.einsum("i,j,ij->", w_t[rows], w_p, density))
         return total
 

@@ -172,13 +172,13 @@ def _classified(xi: np.ndarray, tol: float):
 
 def _reject(xi: np.ndarray, ranks=None, caller=None, message=None) -> None:
     """The one rule that words a rejection of octet vectors (..., 8): given
-    ``caller``, ``ValueError`` for a non-finite component, then, given
-    ``ranks``, ``DegenerateInput`` with ``message`` unless all are Generic."""
+    ``caller``, ``ValueError`` for a non-finite component, then, given ``ranks``,
+    ``DegenerateInput`` unless all are Generic: ``message``, or the first one's class."""
     if caller is not None and not np.isfinite(xi).all():
         raise ValueError(f"{caller} requires finite octet components")
     if ranks is not None and not np.all(ranks == _GENERIC):
-        raise DegenerateInput(message or f"{caller} requires a generic spectrum, "
-                                         f"got {_LADDER[ranks].value}")
+        got = _LADDER[np.extract(ranks != _GENERIC, ranks)[0]].value
+        raise DegenerateInput(message or f"{caller} requires a generic spectrum, got {got}")
 
 
 def _point(xi, tol: float, caller: str, levels: tuple[int, ...] = ()):

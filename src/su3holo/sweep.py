@@ -1,7 +1,7 @@
 """The ``sweep`` command: point generators and the CSV rows.
 
 The rows are evaluated in ``spectrum._row_blocks``: per block one closed
-form and, at a level, one eigenvector and one curvature pass over the
+form and, at a level, the curvature pass ``curvature._block_pass`` over the
 Generic rows, each field the same bits as the single-point API gives.
 Columns come in the fixed order ``BASE_COLUMNS``, followed by
 ``CURVATURE_COLUMNS`` when a level is given.  Every field is an int, a
@@ -98,11 +98,7 @@ def _lines(xi: np.ndarray, first: int, level: int | None, tol: float) -> list[st
     if level is not None:
         from . import curvature
 
-        generic = ranks == spectrum._GENERIC
-        g, e = c.u[generic], c.unit_levels[generic]
-        t = curvature._tables(g, e, spectrum._columns(g, 0, e, (level,))[..., 0].T, level - 1)
-        v = np.full((len(xi), 8, 8), np.nan)  # as curvature_spectral gives it, on Generic rows
-        v[generic] = (t - np.swapaxes(t, -1, -2)) / 2.0  # as CurvatureTwoForm
+        v = curvature._block_pass(c, ranks == spectrum._GENERIC, level)
         numbers.append(("curvature", v, -2))
     gaps, quad, cubic, norm, *curvatures = c.scaled(*numbers, caller="sweep")
     numbers = [xi, norm, c.phi, gaps, quad, cubic]

@@ -51,6 +51,7 @@ CALLS = {
     "circle_loop": lambda xi: {"center": xi, "axis_a": np.eye(8)[0], "axis_b": np.eye(8)[1],
                                "radius": 1e-2, "samples": 16},
     "classify": lambda xi: {"xi": xi},
+    "curvature_batch": lambda xi: {"xis": xi, "level": 1},
     "curvature_from_parts": lambda xi: {"xi": xi, "level": 1},
     "curvature_rest_frame": lambda xi: {"spectral": spectrum.eigenvalues(xi), "level": 1},
     "curvature_spectral": lambda xi: {"xi": xi, "level": 1},
@@ -487,6 +488,12 @@ TYPED_ERRORS = [
      r"octet vectors have 8 components, got shape \(\)"),
     ("octet_norm-scalar", lambda: su3holo.octet_norm(1.0),
      r"octet vectors have 8 components, got shape \(\)"),
+    ("matrix_to_octet-2x2", lambda: su3holo.matrix_to_octet(np.eye(2)),
+     r"expected \(\.\.\., 3, 3\) matrices, got shape \(2, 2\)"),
+    ("matrix_to_octet-vector", lambda: su3holo.matrix_to_octet(np.zeros(3)),
+     r"expected \(\.\.\., 3, 3\) matrices, got shape \(3,\)"),
+    ("matrix_to_octet-3x4", lambda: su3holo.matrix_to_octet(np.zeros((2, 3, 4))),
+     r"expected \(\.\.\., 3, 3\) matrices, got shape \(2, 3, 4\)"),
 ]
 
 

@@ -11,9 +11,9 @@ PUBLIC = {
                 "from_coordinates", "gellmann", "invariants", "matrix_to_octet",
                 "octet_star", "octet_to_matrix", "octet_wedge", "quadratic_invariant",
                 "structure_constants", "to_coordinates"],
-    "curvature": ["CurvatureTwoForm", "curvature_rest_frame", "curvature_spectral",
-                  "curvature_transported", "level_sum", "symplectic_two_form_fd",
-                  "weighted_sum"],
+    "curvature": ["CurvatureTwoForm", "curvature_batch", "curvature_rest_frame",
+                  "curvature_spectral", "curvature_transported", "level_sum",
+                  "symplectic_two_form_fd", "weighted_sum"],
     "errors": ["DegenerateInput", "UnderResolvedPath"],
     "holonomy": ["LoopPath", "SurfacePatch", "circle_loop", "flux_sum_rule_check",
                  "loop_phase", "phase_sum_rule_check", "spherical_patch", "surface_flux"],
@@ -35,7 +35,7 @@ HOME = {name: module for module, names in PUBLIC.items() for name in [module, *n
 
 
 def test_all_lists_the_public_names_and_submodules():
-    assert len(HOME) == 78
+    assert len(HOME) == 79
     assert su3holo.__all__ == sorted(HOME)
 
 

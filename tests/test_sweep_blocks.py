@@ -1,13 +1,16 @@
 """The sweep as block evaluations: a point gives the same bits alone as in a
 block, the batched CSV equals the per-row reference byte for byte, and the
-sweep makes no per-row spectral or curvature call."""
+sweep makes no per-row spectral or curvature call, nor does the selfcheck's
+spectral route."""
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import near_cone_points, one_draw_at_a_time_random_generic, per_row_sweep_lines
-from su3holo import curvature, spectrum, sweep
+from su3holo import DegenerateInput, curvature, selfcheck, spectrum, sweep
 from su3holo.cli import main
 from su3holo.parser import build
 
@@ -47,9 +50,31 @@ def test_a_point_alone_has_the_columns_and_curvature_of_its_row(level):
     # block's columns, scaled back as of degree -2
     tables = curvature._tables(c.u, e, columns[..., 0].T, level - 1)
     tables = np.ldexp((tables - np.swapaxes(tables, -1, -2)) / 2.0, -2 * c.k[:, None, None])
+    batch = curvature.curvature_batch(POINTS, level)
     for i, xi in enumerate(POINTS):
         assert spectrum._columns(xi, int(c.k[i]), e[i], (level,)).tobytes() == columns[i].tobytes()
-        assert curvature.curvature_spectral(xi, level).coeffs.tobytes() == tables[i].tobytes()
+        coeffs = curvature.curvature_spectral(xi, level).coeffs.tobytes()
+        assert coeffs == tables[i].tobytes() == batch[i].tobytes()
+
+
+def test_a_batch_keeps_its_leading_axes_and_raises_at_its_first_bad_point():
+    rng = np.random.default_rng(6)
+    xis = rng.standard_normal((2, 3, 8))
+    assert curvature.curvature_batch(xis, 2).shape == (2, 3, 8, 8)
+    e8, generic = np.eye(8)[7], np.ones(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match="^curvature_batch requires a generic "
+                                                  "spectrum, got upper_degenerate$"):
+            curvature.curvature_batch([generic, e8, np.zeros(8)], 1)
+        with pytest.raises(ValueError, match="^curvature_batch requires finite octet components$"):
+            curvature.curvature_batch([generic, np.full(8, np.nan), e8], 1)
+        # a curvature of about |xi|**-2 = 1e320, past the float range from the first point
+        tiny = 1e-160 * rng.standard_normal((5, 8))
+        size = f"{spectrum.octet_norm(tiny[0]):.6g}"
+        with pytest.raises(ValueError, match=re.escape(
+                f"the curvature is past the float range at |xi| = {size}")):
+            curvature.curvature_batch(tiny, 1, tol=1e-300)
 
 
 def _reference(argv: list[str]) -> str:
@@ -149,6 +174,21 @@ def test_the_sweep_makes_no_per_row_call(monkeypatch):
                                str(2 * spectrum._BLOCK_POINTS + 1), "--level", "1"])
     sweep.cmd_sweep(args)
     assert calls == {"_classified": 3, "_point": 0, "_columns": 3, "_tables": 3}
+
+
+@pytest.mark.parametrize("check", [selfcheck._check_rest_frame_table,
+                                   selfcheck._check_route_equivalence])
+def test_the_selfcheck_takes_one_curvature_table_pass_per_level(monkeypatch, check):
+    calls = []
+    real = curvature._tables
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(curvature, "_tables", counted)
+    assert check(np.random.default_rng(0)).passed
+    assert calls == [100, 100, 100]
 
 
 def test_the_working_set_does_not_grow_with_the_count():
