@@ -217,9 +217,9 @@ def _unit_scaled(x: np.ndarray, grouping: int | None = 1):
     the whole array).  ``k`` takes a group's largest |real or imaginary part|
     into [0.5, 1), and is 0 where that is 0 or inf: an int for one group (in
     Python floats, faster) and an array over the leading axes for more."""
-    if grouping != 1:  # each group's real and imaginary parts on one axis
-        f = np.ascontiguousarray(x).view(float)
-        u, k = _unit_scaled(f.reshape(f.shape[:x.ndim - grouping] + (-1,) if grouping else -1))
+    if grouping != 1:  # each group's real and imaginary parts on one axis, also of no groups
+        f, lead = np.ascontiguousarray(x).view(float), x.ndim - grouping if grouping else 0
+        u, k = _unit_scaled(f.reshape(f.shape[:lead] + (math.prod(f.shape[lead:]),)))
         return u.view(x.dtype).reshape(x.shape), k
     if x.ndim == 1:
         k = math.frexp(max(map(abs, x.tolist())))[1]
@@ -335,12 +335,15 @@ def is_special_unitary(a, tol: float = 1e-8) -> bool:
     non-finite entry, or one whose products overflow, is not special-unitary."""
     tol = check_positive("tol", tol)
     m = np.asarray(a, dtype=complex)
-    if m.shape != (3, 3):
-        return False
+    return m.shape == (3, 3) and bool(_special_unitary(m, tol))
+
+
+def _special_unitary(m: np.ndarray, tol: float) -> np.ndarray:
+    # is_special_unitary of each matrix of (..., 3, 3), as a mask over the leading axes
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not within tol
-        unitary = np.abs(m.conj().T @ m - _IDENT3).max() <= tol
-        special = abs(np.linalg.det(m) - 1.0) <= tol
-    return bool(unitary and special)
+        unitary = np.abs(m.conj().swapaxes(-1, -2) @ m - _IDENT3).max(axis=(-2, -1)) <= tol
+        special = np.abs(np.linalg.det(m) - 1.0) <= tol
+    return unitary & special
 
 
 def adjoint_matrix(a, tol: float = 1e-8) -> np.ndarray:
@@ -359,6 +362,9 @@ def adjoint_matrix(a, tol: float = 1e-8) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if not is_special_unitary(m, tol):
         raise ValueError("a must be special-unitary within tol")
-    return 0.5 * np.einsum(
-        "rij,jk,skl,li->rs", GELL_MANN, m, GELL_MANN, m.conj().T
-    ).real
+    return _adjoint(m)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    # adjoint_matrix of matrices (..., 3, 3), unchecked: each the bits of its own
+    return 0.5 * np.einsum("rij,...jk,skl,...il->...rs", GELL_MANN, m, GELL_MANN, m.conj()).real

@@ -8,7 +8,9 @@ Three independent evaluation routes are provided and must agree:
 * ``curvature_transported`` fills the closed-form rest-frame table and
   conjugates it with the adjoint image of the diagonalizer,
 * ``tensors.curvature_from_parts`` reassembles the form from its
-  irreducible octet/decouplet pieces.
+  irreducible octet/decouplet pieces;
+
+the last two each through one kernel for a point and a block (``_block``).
 
 All routes are gauge-independent: re-phasing eigenvectors changes nothing.
 Each is evaluated at the unit-scaled point, by the scale rule
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectrum
-from .algebra import _L8_11, _L8_33, GELL_MANN, _octet, adjoint_matrix
+from .algebra import _L8_11, _L8_33, GELL_MANN, _adjoint, _octet, _special_unitary
 from .errors import DegenerateInput, check_level, check_number
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -79,14 +81,20 @@ def _pair_weights(level: int) -> tuple[float, float, float]:
     return tuple(float((b == level - 1) - (c == level - 1)) for (b, c), _ in _PAIRS)
 
 
+def _squared(e):
+    # e**2 as C pow takes it, a float for a float (numpy's ** on an array can differ)
+    s = np.float_power(e, 2)
+    return s if isinstance(s, np.ndarray) else float(s)
+
+
 def _pair_terms(level: int, gaps: tuple, numerators=(1.0, 1.0, 1.0), factors=(1.0, 1.0, 1.0)):
     """The level's terms ``(slot, w_bc n_bc / (f_bc E_bc^2))`` over its two pairs
-    of nonzero weight, from the gaps ``(E12, E13, E23)`` or arrays of them;
-    ``ValueError`` where a squared gap they read overflows or underflows to
-    zero, or a term is past the float range."""
+    of nonzero weight, from the gaps ``(E12, E13, E23)`` or arrays of them, each
+    squared alike (``_squared``); ``ValueError`` where a squared gap they read
+    overflows or underflows to zero, or a term is past the float range."""
     try:
         with np.errstate(over="raise", divide="raise"):  # arrays raise as floats do
-            terms = [(slot, w * n / (f * e**2)) for w, (_, slot), e, n, f
+            terms = [(slot, w * n / (f * _squared(e))) for w, (_, slot), e, n, f
                      in zip(_pair_weights(level), _PAIRS, gaps, numerators, factors) if w]
         # a float divided by a subnormal square reads inf
         if all(isinstance(term, np.ndarray) or math.isfinite(term) for _, term in terms):
@@ -264,11 +272,15 @@ def curvature_rest_frame(spectral: SpectralData, level: int) -> CurvatureTwoForm
         raise DegenerateInput(
             f"rest-frame table requires nonzero gaps, got {spectral.degeneracy.value}"
         )
-    v = np.zeros((8, 8))
-    for slot, term in _pair_terms(level, (spectral.e12, spectral.e13, spectral.e23),
-                                  factors=(2.0, 2.0, 2.0)):
-        v[slot] = term
-    return CurvatureTwoForm(level, v - v.T)
+    return CurvatureTwoForm(level, _rest_table(level, (spectral.e12, spectral.e13, spectral.e23)))
+
+
+def _rest_table(level: int, gaps: tuple) -> np.ndarray:
+    # curvature_rest_frame's table (..., 8, 8) of gaps (E12, E13, E23), floats or arrays
+    v = np.zeros(np.shape(gaps[0]) + (8, 8))
+    for (r, s), term in _pair_terms(level, gaps, factors=(2.0, 2.0, 2.0)):
+        v[..., r, s] = term
+    return v - v.swapaxes(-1, -2)
 
 
 def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> CurvatureTwoForm:
@@ -281,13 +293,36 @@ def curvature_transported(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> 
     ``DegenerateInput`` where the frame is too near a degeneracy to be unitary to 1e-8."""
     level = check_level(level)
     c, s, a = _point(xi, tol, "curvature_transported", (1, 2, 3))
-    v0 = curvature_rest_frame(s, level)
-    try:
-        d = adjoint_matrix(_fix_gauge(a))
-    except ValueError:
+    return _form(c, level, _transport(level, (s.e12, s.e13, s.e23), a))
+
+
+def _transport(level: int, gaps: tuple, a: np.ndarray) -> np.ndarray:
+    """``D V0 D^T`` (..., 8, 8): the ``_rest_table`` conjugated by the adjoint image of the
+    gauge-fixed columns ``a`` (..., 3, 3); ``DegenerateInput`` unless each is unitary to 1e-8."""
+    v0, a = _rest_table(level, gaps), _fix_gauge(a)
+    if not _special_unitary(a, 1e-8).all():
         raise DegenerateInput("curvature_transported: the frame is not unitary to 1e-8 "
-                              "this close to a degeneracy") from None
-    return _form(c, level, d @ v0.coeffs @ d.T)
+                              "this close to a degeneracy")
+    d = _adjoint(a)
+    return d @ v0 @ d.swapaxes(-1, -2)
+
+
+def _block(xis, level: int, tol: float, caller: str, kernel) -> np.ndarray:
+    """``caller(xi, level, tol).coeffs`` of octet vectors (..., 8), each the same bits, from
+    ``kernel(level, u, e, gaps, a)`` of the unit-scaled points, levels, gaps ``(E12, E13, E23)``
+    and three-level columns; raises as ``curvature_batch``, naming ``caller``, then ``kernel``."""
+    level, xis = check_level(level), _octet(xis)
+    c, gaps, ranks = spectrum._classified(xis, tol)
+    spectrum._reject(xis, ranks, caller)
+    e = c.unit_levels
+    a = spectrum._columns(xis, c.k, e, (1, 2, 3))
+    t = kernel(level, c.u, e, (gaps[..., 0], gaps[..., 2], gaps[..., 1]), a)
+    return c.scaled(("curvature", (t - np.swapaxes(t, -1, -2)) / 2.0, -2))[0]
+
+
+def _transported_batch(xis, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
+    return _block(xis, level, tol, "curvature_transported",
+                  lambda n, u, e, g, a: _transport(n, g, a))
 
 
 def _all_levels(xi, tol: float, caller: str) -> tuple[_ClosedForm, SpectralData, np.ndarray]:

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectrum
 from .algebra import F_CONST, GELL_MANN, _scale_back, _star, _unit_whole
-from .curvature import CurvatureTwoForm, _form, _pair_terms
+from .curvature import CurvatureTwoForm, _block, _form, _pair_terms
 from .errors import DegenerateInput, check_level, check_positive, check_within
 from .spectrum import (
     DEFAULT_CLASSIFY_TOL,
@@ -174,10 +175,11 @@ def from_tensor_components(t4) -> np.ndarray:
 
 
 def _coefficients(u: np.ndarray, k: int) -> np.ndarray:
-    # from_tensor_components of a tensor given at 2**-k times its scale
-    t = np.einsum("rca,sdb,abcd->rs", GELL_MANN, GELL_MANN, u) / 4.0
-    check_within("coefficient array carries a nonreal residue", float(np.abs(t.imag).max()),
-                 float(np.abs(t.real).max()), _IMAG_RESIDUE_TOL, k)
+    # from_tensor_components of tensors (..., 3, 3, 3, 3) at 2**-k times their scale
+    t = np.einsum("rca,sdb,...abcd->...rs", GELL_MANN, GELL_MANN, u) / 4.0
+    devs, sizes = (np.abs(p).max(axis=-1).max(axis=-1).ravel().tolist() for p in (t.imag, t.real))
+    for dev, size in zip(devs, sizes):  # each tensor on its own
+        check_within("coefficient array carries a nonreal residue", dev, size, _IMAG_RESIDUE_TOL, k)
     return t.real
 
 
@@ -229,12 +231,12 @@ def reconstitute(parts: IrreducibleParts) -> AntisymTensor:
 
 
 def _assemble(w: np.ndarray, wbar: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # the module docstring's T^{ab}_{cd}, linear in the three pieces together
-    x_mat, ident = np.einsum("r,rab->ab", x, GELL_MANN), np.eye(3)
-    return (np.einsum("cde,abe->abcd", LEVI_CIVITA, w) / 6.0
-            + np.einsum("abe,cde->abcd", LEVI_CIVITA, wbar) / 6.0
-            + (1j / 3.0) * (np.einsum("ad,bc->abcd", ident, x_mat)
-                            - np.einsum("bc,ad->abcd", ident, x_mat)))
+    # the module docstring's T^{ab}_{cd} (...), linear in the three pieces (...) together
+    x_mat, ident = np.einsum("...r,rab->...ab", x, GELL_MANN), np.eye(3)
+    return (np.einsum("cde,...abe->...abcd", LEVI_CIVITA, w) / 6.0
+            + np.einsum("abe,...cde->...abcd", LEVI_CIVITA, wbar) / 6.0
+            + (1j / 3.0) * (np.einsum("ad,...bc->...abcd", ident, x_mat)
+                            - np.einsum("bc,...ad->...abcd", ident, x_mat)))
 
 
 def _require_rest_frame(xi) -> None:
@@ -297,14 +299,18 @@ def octet_coefficients(level: int, rest_xi,
     _require_rest_frame(rest_xi)
     if s.degeneracy is not DegeneracyClass.GENERIC:
         raise DegenerateInput("octet coefficients are singular at degeneracies")
-    x3, x8 = c.u[2], c.u[7]
+    return tuple(map(float, _octet_sums(level, c, (s.e12, s.e13, s.e23))))
+
+
+def _octet_sums(level: int, c, gaps: tuple) -> tuple:
+    # octet_coefficients' (lambda, mu) of the closed form c of rest-frame vectors (..., 8)
+    x3, x8 = c.u[..., 2], c.u[..., 7]
     eta = _star(c.u, c.u)
-    eta3, eta8 = eta[2], eta[7]
-    s3 = np.sqrt(3.0)
-    gaps, factors = (s.e12, s.e13, s.e23), (1.0, 2.0, 2.0)
-    lam = _pair_sum(level, gaps, (-eta8, s3 * eta3 - eta8, s3 * eta3 + eta8), factors)
+    eta3, eta8 = eta[..., 2], eta[..., 7]
+    s3, factors = np.sqrt(3.0), (1.0, 2.0, 2.0)
     mu = _pair_sum(level, gaps, (x8, x8 - s3 * x3, -(x8 + s3 * x3)), factors)
-    return float(lam), float(c.scaled(("octet coefficient mu", mu, -1))[0])
+    return (_pair_sum(level, gaps, (-eta8, s3 * eta3 - eta8, s3 * eta3 + eta8), factors),
+            c.scaled(("octet coefficient mu", mu, -1))[0])
 
 
 def delta_tensors(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DecoupletField:
@@ -321,8 +327,8 @@ def delta_tensors(xi, tol: float = DEFAULT_CLASSIFY_TOL) -> DecoupletField:
 
 def _decouplet_field(a: np.ndarray) -> DecoupletField:
     rest = REST_DECOUPLET.astype(complex)
-    dec = np.einsum("ad,be,cf,def->abc", a, a, a, rest)
-    bar = np.einsum("ad,be,cf,def->abc", a.conj(), a.conj(), a.conj(), rest)
+    dec = np.einsum("...ad,...be,...cf,def->...abc", a, a, a, rest)
+    bar = np.einsum("...ad,...be,...cf,def->...abc", a.conj(), a.conj(), a.conj(), rest)
     return DecoupletField(dec, bar)
 
 
@@ -338,12 +344,25 @@ def curvature_from_parts(xi, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> C
     """
     level = check_level(level)
     c, s, a = _point(xi, tol, "curvature_from_parts", (1, 2, 3))
-    xi, a_mat = c.u, _fix_gauge(a)
-    e12, e23, e13 = s.e12, s.e23, s.e13
-    lam, mu = octet_coefficients(level, _rest_from_levels(s.energies), tol)
-    prefactor = -1.0 / (4.0 * e12 * e13 * e23)
-    x = prefactor * (lam * xi + mu * _star(xi, xi))
-    v = decouplet_weight(level, e12, e23)
-    field_ = _decouplet_field(a_mat)
+    return _form(c, level, _parts(level, c.u, s.energies, (s.e12, s.e13, s.e23), a, tol))
+
+
+def _parts(level: int, u: np.ndarray, e: np.ndarray, gaps: tuple, a: np.ndarray, tol: float):
+    """``curvature_from_parts``' coefficients (..., 8, 8) at unit-scaled points ``u`` from
+    their levels, gaps and columns ``a`` (..., 3, 3), and from one ``_classified`` call
+    on the rest-frame vectors: raises as ``octet_coefficients`` and ``_coefficients``."""
+    r, rest_gaps, ranks = spectrum._classified(rest := _rest_from_levels(e), tol)
+    spectrum._reject(rest, ranks, message="octet coefficients are singular at degeneracies")
+    lam, mu = _octet_sums(level, r, (rest_gaps[..., 0], rest_gaps[..., 2], rest_gaps[..., 1]))
+    lam, mu, prefactor = (np.asarray(f)[..., None] for f in
+                          (lam, mu, -1.0 / (4.0 * gaps[0] * gaps[1] * gaps[2])))
+    x = prefactor * (lam * u + mu * _star(u, u))
+    v = np.asarray(_pair_sum(level, gaps, (-1.0, 1.0, -1.0)))[..., None, None, None]
+    field_ = _decouplet_field(_fix_gauge(a))
     t4 = _assemble(1j * v * field_.decouplet, -1j * v * field_.antidecouplet, x)
-    return _form(c, level, _coefficients(t4, 0))
+    return _coefficients(t4, 0)
+
+
+def _parts_batch(xis, level: int, tol: float = DEFAULT_CLASSIFY_TOL) -> np.ndarray:
+    return _block(xis, level, tol, "curvature_from_parts",
+                  lambda n, u, e, g, a: _parts(n, u, e, g, a, tol))

@@ -155,6 +155,14 @@ def test_a_point_alone_gives_the_bytes_of_its_row_in_a_block(name, scale):
     assert np.array(alone).tobytes() == np.asarray(call(x, y)).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_matrix_to_octet_of_an_empty_batch_is_empty(shape):
+    # as octet_to_matrix is: the scale rule's grouping sizes its axis for no rows too
+    assert matrix_to_octet(np.zeros(shape + (3, 3))).shape == shape + (8,)
+    assert matrix_to_octet(np.zeros(shape + (3, 3), complex)).shape == shape + (8,)
+    assert octet_to_matrix(np.zeros(shape + (8,))).shape == shape + (3, 3)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("r", range(8))
 def test_a_non_finite_component_reaches_only_its_gell_mann_entries(r, bad):

@@ -1,7 +1,7 @@
 """The sweep as block evaluations: a point gives the same bits alone as in a
 block, the batched CSV equals the per-row reference byte for byte, and the
-sweep makes no per-row spectral or curvature call, nor does the selfcheck's
-spectral route."""
+sweep makes no per-row spectral or curvature call, nor does any of the
+selfcheck's three curvature routes."""
 import re
 import tracemalloc
 import warnings
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import near_cone_points, one_draw_at_a_time_random_generic, per_row_sweep_lines
-from su3holo import DegenerateInput, curvature, selfcheck, spectrum, sweep
+from su3holo import DegenerateInput, curvature, selfcheck, spectrum, sweep, tensors
 from su3holo.cli import main
 from su3holo.parser import build
 
@@ -189,6 +189,65 @@ def test_the_selfcheck_takes_one_curvature_table_pass_per_level(monkeypatch, che
     monkeypatch.setattr(curvature, "_tables", counted)
     assert check(np.random.default_rng(0)).passed
     assert calls == [100, 100, 100]
+
+
+def _route_points() -> np.ndarray:
+    # 1200 generic points, one in ten at |xi| about 1e150 and one in ten at 1e-150
+    xis = sweep.random_generic(np.random.default_rng(38), 1200, 1e-3)
+    xis[::10] *= 1e150
+    xis[1::10] *= 1e-150
+    return xis
+
+
+ROUTE_POINTS = _route_points()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_the_block_passes_have_the_bits_of_the_single_point_routes(level):
+    tol = 1e-200  # the points at 1e-150 are Generic
+    for block, single in ((curvature._transported_batch, curvature.curvature_transported),
+                          (tensors._parts_batch, tensors.curvature_from_parts)):
+        got = block(ROUTE_POINTS, level, tol)
+        assert block(ROUTE_POINTS.reshape(3, 400, 8), level, tol).tobytes() == got.tobytes()
+        for xi, row in zip(ROUTE_POINTS, got):
+            assert single(xi, level, tol).coeffs.tobytes() == row.tobytes()
+
+
+def test_the_route_equivalence_check_makes_no_single_point_call(monkeypatch):
+    calls = {"_point": [], "_columns": []}
+
+    def counted(name, owner):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name].append(np.shape(args[0])[:-1])
+            return real(*args, **kwargs)
+
+        return call
+
+    for module in (spectrum, curvature, tensors):  # each module's own name for it
+        monkeypatch.setattr(module, "_point", counted("_point", spectrum))
+    monkeypatch.setattr(spectrum, "_columns", counted("_columns", spectrum))
+    assert selfcheck._check_route_equivalence(np.random.default_rng(0)).passed
+    # one eigenvector call per route and level, each over the whole block
+    assert calls == {"_point": [], "_columns": [(100,)] * 9}
+
+
+def test_the_transported_block_pass_names_a_frame_too_close_to_a_cone():
+    xis = near_cone_points(np.random.default_rng(11), 1e-6, "upper", 16)
+    with pytest.raises(DegenerateInput, match="^curvature_transported: the frame is not "
+                                              "unitary to 1e-8 this close to a degeneracy$"):
+        curvature._transported_batch(xis, 3)
+    assert np.isfinite(curvature.curvature_batch(xis, 3)).all()
+
+
+def test_the_block_passes_name_their_route_at_a_degenerate_point():
+    xis = np.stack([np.ones(8), np.eye(8)[7]])
+    for block, name in ((curvature._transported_batch, "curvature_transported"),
+                        (tensors._parts_batch, "curvature_from_parts")):
+        with pytest.raises(DegenerateInput, match=f"^{name} requires a generic spectrum, "
+                                                  "got upper_degenerate$"):
+            block(xis, 1)
 
 
 def test_the_working_set_does_not_grow_with_the_count():
